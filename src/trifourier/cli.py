@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 
+from .gf2 import MAX_DIM
 from .report import Report
 
 
@@ -16,6 +17,8 @@ def even_dim(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0 or value % 2:
         raise argparse.ArgumentTypeError(f"dimension must be even and >= 0, got {value}")
+    if value > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dimension must be <= {MAX_DIM}, got {value}")
     return value
 
 
@@ -154,8 +157,11 @@ def _run_nonabelian(args) -> int:
     if args.basis:
         try:
             basis = load_basis_file(args.basis)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"bad basis file: {exc}", file=sys.stderr)
+        except OSError as exc:
+            print(f"bad basis file {args.basis}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:  # includes JSON syntax and text-encoding errors
+            print(f"bad basis file {args.basis}: {exc}", file=sys.stderr)
             return 1
         if basis.group != args.group:
             print(f"basis file is for {basis.group}, not {args.group}", file=sys.stderr)

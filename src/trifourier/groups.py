@@ -23,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .cyclotomic import Cyc
+from .slices import FOLD_GAIN, check_headroom, conj, fold, from_cycs, max_abs, rational, to_cyc
 
 Perm = tuple[int, ...]
 
@@ -140,23 +143,30 @@ class CharacterTable:
         ident = identity_perm(len(self.group_elements[0]))
         return self.values[label][ident]
 
+    def coefficients(self) -> tuple[np.ndarray, int]:
+        """Slices x[k, s, u] of the value of character s at element u, and their denominator."""
+        values = [self.values[lab][g] for lab in self.labels for g in self.group_elements]
+        return from_cycs(values, (len(self.labels), self.order))
+
     def validate(self) -> None:
-        """Row orthogonality and the sum-of-squares count."""
+        """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table."""
         n = self.order
-        ident = identity_perm(len(self.group_elements[0]))
-        total = Cyc.zero()
-        for lab in self.labels:
-            total = total + self.values[lab][ident] * self.values[lab][ident]
+        x, den = self.coefficients()
+        xc = conj(x)
+        deg = x[:, :, self.group_elements.index(identity_perm(len(self.group_elements[0])))]
+        # the degree sum multiplies x by x, the Gram matrix x by conj(x)
+        bound = max_abs(x) * max(max_abs(x), max_abs(xc)) * n * FOLD_GAIN
+        check_headroom(bound, "character table Gram matrix")
+        total = to_cyc(fold(np.einsum("is,js->ij", deg, deg)), den * den)
         if not (total.is_rational() and total.to_rational() == n):
             raise AssertionError(f"sum of squared degrees {total!r} != {n}")
-        for i, la in enumerate(self.labels):
-            for lb in self.labels[i:]:
-                acc = Cyc.zero()
-                for g in self.group_elements:
-                    acc = acc + self.values[la][g] * self.values[lb][g].conj()
-                want = n if la == lb else 0
-                if not (acc.is_rational() and acc.to_rational() == want):
-                    raise AssertionError(f"orthogonality fails for ({la},{lb}): {acc!r}")
+        gram = fold(np.einsum("isu,jtu->ijst", x, xc))
+        want = rational(np.eye(len(self.labels), dtype=gram.dtype) * (n * den * den))
+        bad = np.argwhere(np.triu((gram != want).any(axis=0)))
+        if bad.size:
+            i, j = bad[0]
+            acc = to_cyc(gram[:, i, j], den * den)
+            raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {acc!r}")
 
 
 def _rat(x: int) -> Cyc:

@@ -7,7 +7,10 @@ centralizer.  The Fourier matrix entry at ((x,sigma),(y,tau)) is
     1/(|Z(x)||Z(y)|) * sum over g in G with x.(g y g^-1) = (g y g^-1).x
         of sigma(g y g^-1) * conj(tau(g^-1 x g)),
 
-computed exactly over the cyclotomic field.  The conjugation placement is
+computed exactly over the cyclotomic field, as integer coefficient slices
+(see `slices`): for each pair of classes one pass over G counts the pairs
+(g y g^-1, g^-1 x g), and the block is one contraction of the two character
+tables with those counts.  The conjugation placement is
 pinned by reproducing the two explicit rows checked in the tests; the
 matrix is symmetric and squares to the identity for every supported group.
 
@@ -20,9 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
-from .cyclotomic import Cyc
+import numpy as np
+
+from . import slices
+from .cyclotomic import DEGREE, Cyc
 from .groups import (
     CharacterTable,
     PermGroup,
@@ -35,7 +42,6 @@ from .groups import (
     identity_perm,
     pconj,
     pinv,
-    pmul,
     product_group,
     restrict,
     symmetric_group,
@@ -217,16 +223,28 @@ def enumerate_m(name: str) -> list[MPair]:
     return list(mdata(name).pairs)
 
 
-@dataclass
+@dataclass(eq=False)
 class FTMatrix:
-    """The symmetric involutive Fourier matrix over the cyclotomic field."""
+    """The symmetric involutive Fourier matrix over the cyclotomic field.
+
+    Stored as F = (1/den) * sum_k z^k num[k]: integer slices num[k] of shape
+    n x n (see `slices`).  `num` and `den` are the only source of truth:
+    `matrix` is a view of the same entries as `Cyc` values, built once for
+    `entry`, `row` and `to_json`, and every check reads the slices, so a
+    change made to `matrix` is not seen by the checks.
+    """
 
     mdata: MData
-    matrix: list[list[Cyc]]
+    num: np.ndarray
+    den: int
+
+    @cached_property
+    def matrix(self) -> list[list[Cyc]]:
+        return slices.to_cyc_rows(self.num, self.den)
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return self.num.shape[1]
 
     def entry(self, p: MPair, q: MPair) -> Cyc:
         return self.matrix[self.mdata.index[p]][self.mdata.index[q]]
@@ -236,50 +254,30 @@ class FTMatrix:
         return {q: self.matrix[i][j] for j, q in enumerate(self.mdata.pairs)}
 
     def trace(self) -> Cyc:
-        out = Cyc.zero()
-        for i in range(self.size):
-            out = out + self.matrix[i][i]
-        return out
+        slices.check_headroom(self.size * slices.max_abs(self.num), "trace")
+        return slices.to_cyc(np.trace(self.num, axis1=1, axis2=2), self.den)
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.matrix[i][j] == self.matrix[j][i]
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
+        return bool(np.array_equal(self.num, self.num.transpose(0, 2, 1)))
 
     def is_involution(self) -> bool:
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                acc = Cyc.zero()
-                for k in range(n):
-                    acc = acc + self.matrix[i][k] * self.matrix[k][j]
-                want = Cyc.one() if i == j else Cyc.zero()
-                if acc != want:
-                    return False
-        return True
+        """F^2 = I, checked as sum_{a,b} z^(a+b) num[a] num[b] = den^2 I."""
+        square = slices.matmul(self.num, self.num)
+        want = slices.int_array(np.eye(self.size, dtype=object) * self.den**2)
+        return bool(np.array_equal(square, slices.rational(want)))
 
     def is_conj_invariant(self) -> bool:
-        return all(v.conj() == v for row in self.matrix for v in row)
+        return bool(np.array_equal(slices.conj(self.num), self.num))
 
     def all_rational(self) -> bool:
-        return all(v.is_rational() for row in self.matrix for v in row)
+        return not self.num[1:].any()
 
     def apply_columns(self, coeffs: list) -> list[Cyc]:
         """Image of a vector of basis coefficients (matrix acts on columns)."""
-        out = []
-        for i in range(self.size):
-            acc = Cyc.zero()
-            for j in range(self.size):
-                if not isinstance(coeffs[j], Cyc):
-                    if coeffs[j] == 0:
-                        continue
-                    acc = acc + self.matrix[i][j] * Cyc.from_rational(coeffs[j])
-                else:
-                    acc = acc + self.matrix[i][j] * coeffs[j]
-            out.append(acc)
-        return out
+        vec, vden = slices.from_cycs([c if isinstance(c, Cyc) else Cyc.from_rational(c) for c in coeffs],
+                                     (self.size, 1))
+        image = slices.matmul(self.num, vec)
+        return [slices.to_cyc(image[:, i, 0], self.den * vden) for i in range(self.size)]
 
     def to_json(self) -> dict:
         return {
@@ -289,40 +287,53 @@ class FTMatrix:
         }
 
 
+def _pair_counts(md: MData) -> dict[tuple[str, str], np.ndarray]:
+    """For classes x, y: c[u, v] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g}.
+
+    u indexes the centralizer of x and v that of y, in table element order.
+    """
+    position = {lab: {e: k for k, e in enumerate(md.tables[lab].group_elements)} for lab in md.class_labels}
+    inverses = [pinv(g) for g in md.group.elements]
+    # g y g^-1 and g^-1 x g for every element g and class representative
+    forward = {lab: [pconj(g, md.reps[lab]) for g in md.group.elements] for lab in md.class_labels}
+    backward = {lab: [pconj(gi, md.reps[lab]) for gi in inverses] for lab in md.class_labels}
+    counts = {}
+    for xl in md.class_labels:
+        in_zx = position[xl]
+        for yl in md.class_labels:
+            in_zy = position[yl]
+            c = np.zeros((len(in_zx), len(in_zy)), dtype=np.int64)
+            for u, v in zip(forward[yl], backward[xl]):
+                if u in in_zx:
+                    c[in_zx[u], in_zy[v]] += 1
+            counts[xl, yl] = c
+    return counts
+
+
 @lru_cache(maxsize=None)
 def nonabelian_ft(name: str) -> FTMatrix:
+    """F[(x,s),(y,t)] = sum_{u,v} s(u) c[u,v] conj(t(v)) / (|Z(x)||Z(y)|), one contraction per block."""
     md = mdata(name)
     md.validate_tables()
+    chars = {lab: md.tables[lab].coefficients() for lab in md.class_labels}
+    conj_chars = {lab: slices.conj(x) for lab, (x, _) in chars.items()}
+    offset = {lab: md.index[MPair(lab, md.tables[lab].labels[0])] for lab in md.class_labels}
+    blocks = []
+    for (xl, yl), c in _pair_counts(md).items():
+        (x, xden), (_, yden) = chars[xl], chars[yl]
+        yc = conj_chars[yl]
+        slices.check_headroom(slices.max_abs(x) * int(c.sum()) * slices.max_abs(yc) * slices.FOLD_GAIN,
+                              f"block ({xl},{yl})")
+        block = slices.fold(np.einsum("isu,uv,jtv->ijst", x, c, yc, optimize=True))
+        blocks.append((offset[xl], offset[yl], block, md.tables[xl].order * md.tables[yl].order * xden * yden))
+    den = lcm(*(d for *_, d in blocks))
     n = len(md.pairs)
-    matrix: list[list[Cyc]] = [[Cyc.zero()] * n for _ in range(n)]
-    conj_cache: dict[str, dict[str, dict]] = {
-        xl: {sl: {g: val.conj() for g, val in md.tables[xl].values[sl].items()} for sl in md.tables[xl].labels}
-        for xl in md.class_labels
-    }
-    for xl in md.class_labels:
-        x = md.reps[xl]
-        zx = md.tables[xl]
-        for yl in md.class_labels:
-            y = md.reps[yl]
-            zy = md.tables[yl]
-            counts: dict[tuple, int] = {}
-            for g in md.group.elements:
-                u = pconj(g, y)
-                if pmul(x, u) == pmul(u, x):
-                    v = pconj(pinv(g), x)
-                    counts[(u, v)] = counts.get((u, v), 0) + 1
-            scale = Cyc.from_rational(Fraction(1, zx.order * zy.order))
-            for sl in zx.labels:
-                i = md.index[MPair(xl, sl)]
-                svals = zx.values[sl]
-                for tl in zy.labels:
-                    j = md.index[MPair(yl, tl)]
-                    tconj = conj_cache[yl][tl]
-                    acc = Cyc.zero()
-                    for (u, v), cnt in counts.items():
-                        acc = acc + svals[u] * tconj[v] * cnt
-                    matrix[i][j] = acc * scale
-    return FTMatrix(md, matrix)
+    num = np.zeros((DEGREE, n, n), dtype=np.int64)
+    for i, j, block, d in blocks:
+        slices.check_headroom(slices.max_abs(block) * (den // d), "common denominator")
+        num[:, i:i + block.shape[1], j:j + block.shape[2]] = block * (den // d)
+    g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+    return FTMatrix(md, num // g, den // g)
 
 
 def kron_ft(a: FTMatrix, b: FTMatrix) -> list[list[Cyc]]:
@@ -437,9 +448,8 @@ PIECE_SIGNS: dict[str, list[int]] = {
 }
 
 
-def piece_partition(name: str, variant: str | None = None) -> list[list[MPair]]:
-    """The ordered partition of the pairs; it does not depend on the variant."""
-    del variant
+def piece_partition(name: str) -> list[list[MPair]]:
+    """The ordered partition of the pairs; the same for every basis variant."""
     if name not in PIECES:
         raise ValueError(f"no piece data for group {name!r}")
     md = mdata(name)
@@ -490,28 +500,19 @@ def fraction_matrix_det(mat: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def _conjugated_slices(ft: FTMatrix, basis: NewBasis) -> tuple[np.ndarray, int]:
+    """Slices and denominator of U^-1 F U, with U^-1 = V/d for an integer matrix V."""
+    uinv = fraction_matrix_inverse([[Fraction(v) for v in row] for row in basis.matrix])
+    d = lcm(*(q.denominator for row in uinv for q in row))
+    u = slices.rational(slices.int_array(basis.matrix))
+    v = slices.rational(slices.int_array([[int(q * d) for q in row] for row in uinv]))
+    fu = slices.matmul(ft.num, u)
+    return slices.matmul(v, fu), ft.den * d
+
+
 def conjugated_matrix(ft: FTMatrix, basis: NewBasis) -> list[list[Cyc]]:
     """U^-1 F U: the Fourier matrix written in the new basis."""
-    n = ft.size
-    u = basis.matrix
-    uinv = fraction_matrix_inverse([[Fraction(v) for v in row] for row in u])
-    fu = [[Cyc.zero()] * n for _ in range(n)]
-    for a in range(n):
-        for j in range(n):
-            acc = Cyc.zero()
-            for b in range(n):
-                if u[b][j]:
-                    acc = acc + ft.matrix[a][b] * u[b][j]
-            fu[a][j] = acc
-    out = [[Cyc.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Cyc.zero()
-            for a in range(n):
-                if uinv[i][a]:
-                    acc = acc + fu[a][j] * uinv[i][a]
-            out[i][j] = acc
-    return out
+    return slices.to_cyc_rows(*_conjugated_slices(ft, basis))
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
@@ -540,15 +541,15 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
     rep.require("pieces cover basis", len(piece_of) == n, f"{len(piece_of)} != {n}")
     if len(piece_of) != n:
         return rep
-    fh = conjugated_matrix(ft, basis)
+    fh, fden = _conjugated_slices(ft, basis)
+    piece = np.array([piece_of[i] for i in range(n)])
+    # entry (i, j) must vanish when i != j and piece(i) <= piece(j); scan column by column
+    forbidden = (piece[:, None] <= piece[None, :]) & ~np.eye(n, dtype=bool)
+    bad = np.argwhere((fh.any(axis=0) & forbidden).T)
     violation = None
-    for j in range(n):
-        for i in range(n):
-            if i != j and piece_of[i] <= piece_of[j] and not fh[i][j].is_zero():
-                violation = (md.pairs[i], md.pairs[j], fh[i][j])
-                break
-        if violation:
-            break
+    if bad.size:
+        j, i = bad[0]
+        violation = (md.pairs[i], md.pairs[j], slices.to_cyc(fh[:, i, j], fden))
     rep.require(
         "triangular",
         violation is None,
@@ -556,13 +557,14 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
         f"image of hat{violation[1]} has coefficient {violation[2]!r} on hat{violation[0]} "
         f"(piece {piece_of[md.index[violation[0]]] + 1} <= {piece_of[md.index[violation[1]]] + 1})",
     )
-    diag_bad = [md.pairs[i] for i in range(n) if not (fh[i][i].is_rational() and fh[i][i].to_rational() in (1, -1))]
+    diag = [fh[:, i, i].tolist() for i in range(n)]
+    diag_bad = [md.pairs[i] for i in range(n) if any(diag[i][1:]) or abs(diag[i][0]) != fden]
     rep.require("diagonal is +-1", not diag_bad, f"first: {diag_bad[:1]}")
     if diag_bad:
         return rep
     observed: list[int] = []
     for k, piece in enumerate(pieces):
-        signs = {int(fh[md.index[p]][md.index[p]].to_rational()) for p in piece}
+        signs = {1 if diag[md.index[p]][0] > 0 else -1 for p in piece}
         rep.require(f"piece {k + 1} sign constant", len(signs) == 1, f"signs {signs}")
         observed.append(signs.pop() if len(signs) == 1 else 0)
     rep.add("observed signs", True, ",".join(str(s) for s in observed))
@@ -582,27 +584,21 @@ def hyperplane_check(ft: FTMatrix | None = None) -> Report:
         ft = nonabelian_ft("s5")
     md = ft.mdata
     rep = Report("hyperplane s5")
-    phi = [Cyc.zero()] * ft.size
-    phi[md.index[MPair("g5", "zeta")]] = Cyc.one()
-    phi[md.index[MPair("g5", "zeta4")]] = Cyc.one()
-    phi[md.index[MPair("g5", "zeta2")]] = Cyc.from_rational(-1)
-    phi[md.index[MPair("g5", "zeta3")]] = Cyc.from_rational(-1)
-    composed = []
-    for j in range(ft.size):
-        acc = Cyc.zero()
-        for i in range(ft.size):
-            if not phi[i].is_zero():
-                acc = acc + phi[i] * ft.matrix[i][j]
-        composed.append(acc)
+    phi = np.zeros(ft.size, dtype=np.int64)
+    for rho, sign in (("zeta", 1), ("zeta4", 1), ("zeta2", -1), ("zeta3", -1)):
+        phi[md.index[MPair("g5", rho)]] = sign
+    slices.check_headroom(4 * slices.max_abs(ft.num), "hyperplane")
+    composed = np.einsum("i,kij->kj", phi, ft.num)  # slices of phi . F, over ft.den
     anchor = md.index[MPair("g5", "zeta")]
-    lam = composed[anchor]  # phi has coefficient 1 there
-    residual = [composed[j] - lam * phi[j] for j in range(ft.size)]
-    ok = all(v.is_zero() for v in residual)
+    lam = composed[:, anchor]  # phi has coefficient 1 there
+    residual = composed - np.outer(lam, phi)
+    ok = not residual.any()
     rep.require(
         "functional is an eigenvector",
         ok,
-        f"residual at {[str(md.pairs[j]) for j, v in enumerate(residual) if not v.is_zero()][:3]}",
+        f"residual at {[str(md.pairs[j]) for j in np.flatnonzero(residual.any(axis=0))][:3]}",
     )
+    lam = slices.to_cyc(lam, ft.den)
     rep.require("scalar is +-1", lam.is_rational() and lam.to_rational() in (1, -1), f"{lam!r}")
     rep.add("scalar", True, str(lam.to_rational()) if lam.is_rational() else repr(lam))
     return rep
@@ -659,26 +655,57 @@ def new_basis_to_json(basis: NewBasis) -> dict:
     return {"group": basis.group, "variant": basis.variant, "expansions": expansions}
 
 
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
+def _list_field(obj, key: str, where: str) -> list:
+    value = _field(obj, key, where)
+    if not isinstance(value, list):
+        raise ValueError(f"{where} field {key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _pair_field(obj, where: str) -> MPair:
+    x, rho = _field(obj, "x", where), _field(obj, "rho", where)
+    if not (isinstance(x, str) and isinstance(rho, str)):
+        raise ValueError(f"{where} labels must be strings")
+    return MPair(x, rho)
+
+
 def load_basis(data: dict) -> NewBasis:
-    """Parse a basis file; entries must be integers and labels must be exact."""
-    name = data["group"]
+    """Parse a basis file; entries must be integers and labels must be exact.
+
+    Every malformed input raises ValueError with a message naming the bad field.
+    """
+    name = _field(data, "group", "basis file")
+    if not isinstance(name, str):
+        raise ValueError(f"basis file field 'group' must be a string, not {type(name).__name__}")
     md = mdata(name)
     n = len(md.pairs)
     mat = [[0] * n for _ in range(n)]
     seen = set()
-    for exp in data["expansions"]:
-        lab = MPair(exp["label"]["x"], exp["label"]["rho"])
+    for k, exp in enumerate(_list_field(data, "expansions", "basis file")):
+        lab = _pair_field(_field(exp, "label", f"expansion {k}"), f"label of expansion {k}")
         if lab not in md.index:
             raise ValueError(f"unknown pair {lab}")
         if lab in seen:
             raise ValueError(f"duplicate expansion for {lab}")
         seen.add(lab)
         j = md.index[lab]
-        for term in exp["terms"]:
-            q = MPair(term["x"], term["rho"])
+        for t, term in enumerate(_list_field(exp, "terms", f"expansion of {lab}")):
+            where = f"term {t} in expansion of {lab}"
+            q = _pair_field(term, where)
             if q not in md.index:
                 raise ValueError(f"unknown pair {q} in expansion of {lab}")
-            coeff = Fraction(term["coeff_num"], term.get("coeff_den", 1))
+            num, den = _field(term, "coeff_num", where), term.get("coeff_den", 1)
+            if not (type(num) is int and type(den) is int and den):
+                raise ValueError(f"{where}: coeff_num and coeff_den must be integers, coeff_den non-zero")
+            coeff = Fraction(num, den)
             if coeff.denominator != 1:
                 raise ValueError(f"non-integer coefficient {coeff} in expansion of {lab}")
             mat[md.index[q]][j] = int(coeff)
@@ -689,5 +716,6 @@ def load_basis(data: dict) -> NewBasis:
 
 
 def load_basis_file(path: str) -> NewBasis:
+    """Read and parse a basis file; OSError if it cannot be read, ValueError if it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         return load_basis(json.load(fh))

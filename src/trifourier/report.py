@@ -21,7 +21,7 @@ class Report:
         self.checks.append(Check(check_id, bool(ok), details))
 
     def require(self, check_id: str, ok: bool, details: str = "") -> None:
-        """Like add, but only records failures with their details."""
+        """Like add, but the details are recorded only when the check fails."""
         if not ok:
             self.add(check_id, False, details)
         else:

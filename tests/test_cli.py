@@ -133,3 +133,35 @@ def test_nonabelian_matrix_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["pairs"]) == 8
+
+
+def test_nonabelian_basis_file_missing(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, err = run(capsys, "nonabelian", "--group", "s4", "--check", "newbasis", "--basis", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and str(path) in err and "No such file" in err
+
+
+def test_nonabelian_basis_file_top_level_list(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "nonabelian", "--group", "s4", "--check", "newbasis", "--basis", str(path))
+    assert code == 1
+    assert err.count("\n") == 1 and str(path) in err and "JSON object" in err
+
+
+def test_nonabelian_basis_file_missing_field(capsys, tmp_path):
+    doc = new_basis_to_json(s3_new_basis("g2"))
+    del doc["expansions"][2]["label"]["rho"]
+    path = tmp_path / "norho.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "nonabelian", "--group", "s3", "--check", "newbasis", "--basis", str(path))
+    assert code == 1
+    assert err.count("\n") == 1 and str(path) in err and "'rho'" in err and "expansion 2" in err
+
+
+def test_dim_above_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["family", "--dim", "16"])
+    assert err.value.code == 2
+    assert "dimension must be <= 14" in capsys.readouterr().err

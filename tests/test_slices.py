@@ -1,0 +1,169 @@
+"""The coefficient-slice kernels against definitional `Cyc` computations."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from trifourier import slices
+from trifourier.cyclotomic import DEGREE, Cyc
+from trifourier.groups import CharacterTable, pconj, pinv, pmul
+from trifourier.nonabelian import (
+    FTMatrix,
+    MPair,
+    NewBasis,
+    conjugated_matrix,
+    fraction_matrix_inverse,
+    hyperplane_check,
+    mdata,
+    nonabelian_ft,
+    s3_new_basis,
+)
+
+
+def reference_ft(name: str) -> list[list[Cyc]]:
+    """F[(x,s),(y,t)] = 1/(|Z(x)||Z(y)|) sum over g in G with x.u = u.x, u = g y g^-1,
+    of s(u) conj(t(g^-1 x g)), summed entry by entry in `Cyc` arithmetic."""
+    md = mdata(name)
+    n = len(md.pairs)
+    matrix = [[Cyc.zero()] * n for _ in range(n)]
+    for xl in md.class_labels:
+        x, zx = md.reps[xl], md.tables[xl]
+        for yl in md.class_labels:
+            y, zy = md.reps[yl], md.tables[yl]
+            terms = []
+            for g in md.group.elements:
+                u = pconj(g, y)
+                if pmul(x, u) == pmul(u, x):
+                    terms.append((u, pconj(pinv(g), x)))
+            scale = Cyc.from_rational(Fraction(1, zx.order * zy.order))
+            for sl in zx.labels:
+                for tl in zy.labels:
+                    acc = Cyc.zero()
+                    for u, v in terms:
+                        acc = acc + zx.values[sl][u] * zy.values[tl][v].conj()
+                    matrix[md.index[MPair(xl, sl)]][md.index[MPair(yl, tl)]] = acc * scale
+    return matrix
+
+
+def reference_product(a: list[list[Cyc]], b: list[list[Cyc]]) -> list[list[Cyc]]:
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Cyc.zero()) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def random_cyc(rng: random.Random, size: int = 5) -> Cyc:
+    return Cyc([rng.randint(-size, size) for _ in range(DEGREE)], rng.randint(1, 7))
+
+
+@pytest.mark.parametrize("name", ["s2", "s3", "s4", "s5", "s3xs2"])
+def test_slice_build_matches_definition(name):
+    ft = nonabelian_ft(name)
+    assert ft.matrix == reference_ft(name)
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "s5"])
+def test_slice_predicates_match_cyc(name):
+    ft = nonabelian_ft(name)
+    m = ft.matrix
+    n = ft.size
+    assert ft.trace() == sum((m[i][i] for i in range(n)), Cyc.zero())
+    assert ft.is_symmetric() == all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
+    assert ft.is_conj_invariant() == all(v.conj() == v for row in m for v in row)
+    assert ft.all_rational() == all(v.is_rational() for row in m for v in row)
+
+
+def test_fold_and_conj_match_cyc_arithmetic():
+    rng = random.Random(5)
+    xs = [random_cyc(rng) for _ in range(6)]
+    ys = [random_cyc(rng) for _ in range(6)]
+    a, aden = slices.from_cycs(xs, (2, 3))
+    b, bden = slices.from_cycs(ys, (3, 2))
+    got = slices.to_cyc_rows(slices.matmul(a, b), aden * bden)
+    assert got == reference_product([xs[0:3], xs[3:6]], [ys[0:2], ys[2:4], ys[4:6]])
+    assert slices.to_cyc_rows(slices.conj(a), aden) == [[v.conj() for v in xs[0:3]], [v.conj() for v in xs[3:6]]]
+
+
+def test_perturbed_slice_fails_involution():
+    ft = nonabelian_ft("s5")
+    num = ft.num.copy()
+    i, j = ft.mdata.index[MPair("g5", "zeta")], ft.mdata.index[MPair("g3", "1")]
+    num[6, i, j] += 1
+    num[6, j, i] += 1  # still symmetric
+    broken = FTMatrix(ft.mdata, num, ft.den)
+    assert broken.is_symmetric()
+    assert not broken.is_involution()
+    assert not hyperplane_check(broken).ok
+
+
+def test_wrong_character_value_fails_validate():
+    table = mdata("s4").tables["g2'"]
+    values = {lab: dict(vals) for lab, vals in table.values.items()}
+    g = next(e for e in table.group_elements if values["r"][e] == Cyc.zero())
+    values["r"][g] = Cyc.root_of_unity(4)
+    broken = CharacterTable(table.group_elements, table.labels, values)
+    with pytest.raises(AssertionError, match=r"orthogonality fails for \(1,r\)"):
+        broken.validate()
+    values["r"] = dict(table.values["r"])
+    values["r"][table.group_elements[0]] = Cyc.from_rational(3)  # the identity: degree 3
+    with pytest.raises(AssertionError, match="sum of squared degrees"):
+        CharacterTable(table.group_elements, table.labels, values).validate()
+
+
+def test_headroom_guard_rejects_out_of_range_product():
+    big = slices.rational(np.full((3, 3), 2**31, dtype=np.int64))
+    prod = np.matmul(big[:1][:, None], big[:1][None, :])  # z^0 * z^0 in int64, each entry 3 * 2^62
+    with pytest.raises(OverflowError, match="fold: .* exceeds int64"):
+        slices.fold(prod, [0], [0])
+    with pytest.raises(OverflowError, match="conjugation: .* exceeds int64"):
+        slices.conj(slices.rational(np.full((2, 2), 2**62, dtype=np.int64)))
+    ft = nonabelian_ft("s3")
+    huge = FTMatrix(ft.mdata, ft.num * (2**62 // slices.max_abs(ft.num)), ft.den)
+    with pytest.raises(OverflowError, match="trace: .* exceeds int64"):
+        huge.trace()
+    with pytest.raises(OverflowError):
+        slices.check_headroom(2**63, "probe")
+    slices.check_headroom(2**63 - 1, "probe")
+
+
+def test_slice_product_past_int64_runs_in_python_ints():
+    big = slices.rational(np.full((3, 3), 2**31, dtype=np.int64))
+    wide = slices.matmul(big, big)
+    assert wide.dtype == object
+    assert wide[0].tolist() == [[3 * 2**62] * 3] * 3
+    assert not wide[1:].any()
+    ft = nonabelian_ft("s3")
+    scaled = FTMatrix(ft.mdata, ft.num * 2**40, ft.den * 2**40)  # same F, den^2 beyond int64
+    assert scaled.is_involution()
+
+
+def test_apply_columns_with_large_coefficients():
+    ft = nonabelian_ft("s3")
+    coeffs = [Fraction(10**30 + k, 7) for k in range(ft.size)]
+    want = [
+        sum((ft.matrix[i][j] * Cyc.from_rational(c) for j, c in enumerate(coeffs)), Cyc.zero())
+        for i in range(ft.size)
+    ]
+    assert ft.apply_columns(coeffs) == want
+
+
+@pytest.mark.parametrize("change", ["none", "huge", "scaled"])
+def test_conjugated_matrix_matches_definition(change):
+    ft = nonabelian_ft("s3")
+    u = s3_new_basis("e").matrix
+    if change == "huge":  # add 10^25 times column 0 to column 5: still unimodular, far beyond int64
+        u = [row[:5] + [row[5] + 10**25 * row[0]] + row[6:] for row in u]
+    if change == "scaled":  # double column 5: the inverse has denominator 2
+        u = [row[:5] + [2 * row[5]] + row[6:] for row in u]
+    uinv = fraction_matrix_inverse([[Fraction(v) for v in row] for row in u])
+    as_cyc = [[Cyc.from_rational(v) for v in row] for row in uinv]
+    want = reference_product(as_cyc, reference_product(ft.matrix, [[Cyc.from_rational(v) for v in row] for row in u]))
+    assert conjugated_matrix(ft, NewBasis("s3", "e", u)) == want
+
+
+@pytest.mark.parametrize("name", ["s3", "s5"])
+def test_to_json_matches_cyc_entries(name):
+    ft = nonabelian_ft(name)
+    assert ft.to_json()["entries"] == [[v.to_json() for v in row] for row in ft.matrix]
