@@ -1,36 +1,47 @@
 """Exact triangularization of Fourier transforms over GF(2) symplectic spaces,
 plus the non-abelian Fourier matrices of the symmetric groups on up to five
-points."""
+points.
 
-from .cyclotomic import Cyc
-from .family import Family, build_family, build_family_prime, build_family_ucb, delta
-from .fourier import CobMatrix, change_of_basis, phi
-from .gf2 import Subspace, SymplecticSpace, canonical_subspace, is_isotropic, make_space
-from .nonabelian import MPair, enumerate_m, nonabelian_ft, piece_partition, s3_new_basis
-from .report import Report
+The names in `__all__` are imported from their modules on first access
+(PEP 562), so `import trifourier` loads neither numpy nor any module it
+does not use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cyc",
-    "CobMatrix",
-    "Family",
-    "MPair",
-    "Report",
-    "Subspace",
-    "SymplecticSpace",
-    "build_family",
-    "build_family_prime",
-    "build_family_ucb",
-    "canonical_subspace",
-    "change_of_basis",
-    "delta",
-    "enumerate_m",
-    "is_isotropic",
-    "make_space",
-    "nonabelian_ft",
-    "phi",
-    "piece_partition",
-    "s3_new_basis",
-    "__version__",
-]
+# public name -> defining module
+_EXPORTS = {
+    "Cyc": "cyclotomic",
+    "CobMatrix": "fourier",
+    "Family": "family",
+    "MPair": "nonabelian",
+    "Report": "report",
+    "Subspace": "gf2",
+    "SymplecticSpace": "gf2",
+    "build_family": "family",
+    "build_family_prime": "family",
+    "build_family_ucb": "family",
+    "canonical_subspace": "gf2",
+    "change_of_basis": "fourier",
+    "delta": "family",
+    "enumerate_m": "nonabelian",
+    "is_isotropic": "gf2",
+    "make_space": "gf2",
+    "nonabelian_ft": "nonabelian",
+    "phi": "fourier",
+    "piece_partition": "nonabelian",
+    "s3_new_basis": "nonabelian",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -70,10 +70,26 @@ def _emit_family(args) -> int:
     return 0
 
 
+def _too_dense(command: str, dim: int) -> bool:
+    """Refuse, with one line on stderr, a Fourier run whose dense 2^D x 2^D arrays are too large."""
+    from .fourier import MAX_DENSE_DIM
+
+    if dim <= MAX_DENSE_DIM:
+        return False
+    print(
+        f"trifourier: {command} at --dim {dim} needs dense {1 << dim} x {1 << dim} integer "
+        f"matrices ({(8 << 2 * dim) >> 30} GiB each); the largest --dim it accepts is {MAX_DENSE_DIM}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _emit_matrix(args) -> int:
     from .family import build_family
     from .fourier import change_of_basis
 
+    if _too_dense("matrix", args.dim):
+        return 2
     cob = change_of_basis(build_family(args.dim))
     if args.format == "csv":
         sys.stdout.write(cob.to_csv())
@@ -84,7 +100,7 @@ def _emit_matrix(args) -> int:
 
 def run_suite(dim: int, suite: str) -> Report:
     """Aggregate the selected per-module verification suites."""
-    from . import dihedral, family, fourier
+    from . import dihedral, family
 
     combined = Report(f"{suite} D={dim}")
     fam = family.build_family(dim)
@@ -106,6 +122,8 @@ def run_suite(dim: int, suite: str) -> Report:
         if dim >= 2:
             combined.extend(dihedral.verify_embedding_equivariance(dim))
     if suite in ("all", "fourier"):
+        from . import fourier
+
         combined.add("fourier:involution", fourier.verify_involution(fam.space))
         combined.extend(fourier.verify_change_of_basis(fourier.change_of_basis(fam)))
         if dim >= 2:
@@ -114,6 +132,8 @@ def run_suite(dim: int, suite: str) -> Report:
 
 
 def _run_verify(args) -> int:
+    if args.suite in ("all", "fourier") and _too_dense(f"verify --suite {args.suite}", args.dim):
+        return 2
     rep = run_suite(args.dim, args.suite)
     if args.format == "json":
         print(json.dumps(rep.to_json(), indent=2, sort_keys=True))

@@ -259,10 +259,6 @@ def build_family_ucb(dim: int) -> Family:
     return Family(dim, family_subspaces_ucb(dim), {})
 
 
-def fibers(family: Family) -> list[Fiber]:
-    return family.fibers
-
-
 def kappa(family: Family, sub: Subspace) -> FamilyEntry:
     return family.kappa(family.entry(sub))
 

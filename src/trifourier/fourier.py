@@ -3,28 +3,48 @@
 Functions V -> Q are dense vectors of length 2^D indexed by the integer
 encoding of the argument.  The transform is
     (phi f)(x) = 2^-d * sum_y (-1)^((x,y)) f(y),
-an involution of trace 2^d.  On the characteristic function of a subspace E
-it evaluates in closed form to 2^(dim E - d) times the characteristic
-function of the orthogonal complement, which is what makes the exact
-change of basis cheap.
+an involution of trace 2^d.  Write G[x, y] = (-1)^((x,y)).  Since
+(x, y) = popcount(x & Gram y) mod 2, G f is the Walsh-Hadamard transform of
+f o Gram^-1; `sign_transform` computes it with an exact integer fast
+transform, O(D 2^D) per column, and every use of G goes through it: phi,
+G^2 = 2^D I (`verify_involution`), the intertwining G Z = 2 Z G'
+(`verify_z_commutation`) and the closed form below.
 
-All heavy arithmetic is integer-only: the inverse of the 0/1 basis matrix
-is found modulo word-sized primes and then certified by an exact integer
-product check, so no rounding can enter anywhere.
+On the characteristic function of a subspace E, G gives 2^(dim E) times the
+characteristic function of the orthogonal complement.  The change of basis
+solves B X = W, where the columns of B are the member indicators and the
+columns of W those closed forms.  B peels: while members remain, some vector
+lies in exactly one of them.  In that order B is permuted lower
+unitriangular, which proves det B = +-1 and yields X by forward
+substitution.  `verify_change_of_basis` re-checks the peel order, the
+residual W - B X, and the closed form against the transform.
+
+No float is used.  Every int64 computation runs under an explicit bound on
+its intermediates (`slices.check_headroom` raises OverflowError past 2^63).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .family import Family, delta
-from .gf2 import Subspace, SymplecticSpace, perp
+from .family import Family, FamilyStructureError, delta
+from .gf2 import Subspace, SymplecticSpace, make_space, perp
 from .report import Report
+from .slices import INT64_MAX, check_headroom, max_abs
 from .taumaps import tau
+
+# CobMatrix.num and the checks hold dense 2^D x 2^D int64 arrays: 128 MiB at
+# D = 12, 2 GiB at D = 14.  The command line refuses the Fourier path above this.
+MAX_DENSE_DIM = 12
+# Columns per block in the transform checks: about 2^18 int64 entries (2 MiB),
+# which keeps the butterflies near the cache and the temporaries small.
+_BLOCK_ENTRIES = 1 << 18
 
 # The largest primes below 2^31; pivoting products stay within int64.
 _PRIMES31 = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
@@ -52,13 +72,53 @@ def delta_function(space: SymplecticSpace, x: int) -> list[int]:
     return values
 
 
-def sign_matrix(space: SymplecticSpace) -> np.ndarray:
-    """The 2^D x 2^D matrix of (-1)^((x,y)) as int64."""
-    size = 1 << space.dim
-    xs = np.arange(size, dtype=np.int64)
-    ga = np.array([space.gram_apply(y) for y in range(size)], dtype=np.int64)
-    par = np.bitwise_count(xs[:, None] & ga[None, :]).astype(np.int64) & 1
-    return 1 - 2 * par
+# -- the fast transform -------------------------------------------------------
+
+
+def _gram_inverse(space: SymplecticSpace) -> np.ndarray:
+    """perm with perm[Gram y] = y, so that f[perm] is f o Gram^-1.
+
+    The Gram map must be a bijection (the pairing is nondegenerate); G f =
+    WHT(f o Gram^-1) rests on it, so it is checked here.
+    """
+    ys = np.arange(1 << space.dim, dtype=np.int64)
+    images = np.zeros_like(ys)
+    for j, row in enumerate(space.gram):
+        images ^= ((ys >> j) & 1) * row
+    perm = np.zeros_like(ys)
+    perm[images] = ys
+    if not np.array_equal(images[perm], ys):
+        raise ValueError(f"the pairing of {space} is degenerate")
+    return perm
+
+
+def sign_transform(space: SymplecticSpace, f: np.ndarray) -> np.ndarray:
+    """G @ f exactly, for an integer array f with 2^D rows.
+
+    Butterflies of the Walsh-Hadamard transform on f o Gram^-1.  Each of the
+    D stages at most doubles the largest entry, so int64 input is refused
+    (OverflowError) when max|f| * 2^D passes 2^63; object arrays of Python
+    ints are exact at any size.
+    """
+    out = f[_gram_inverse(space)]
+    if out.dtype != object:
+        check_headroom(max_abs(out) << space.dim, "sign transform")
+    size = out.shape[0]
+    half = 1
+    while half < size:
+        pairs = out.reshape(size // (2 * half), 2, half, -1)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+        half *= 2
+    return out
+
+
+def _column_blocks(rows: int, cols: int):
+    """(lo, hi) column ranges holding about _BLOCK_ENTRIES entries each."""
+    step = max(1, _BLOCK_ENTRIES // rows)
+    for lo in range(0, cols, step):
+        yield lo, min(cols, lo + step)
 
 
 def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
@@ -66,14 +126,27 @@ def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
     size = 1 << space.dim
     if len(values) != size:
         raise ValueError(f"function vector must have length {size}")
-    den = 1 << space.half
-    signs = sign_matrix(space)
-    out = []
-    for x in range(size):
-        row = signs[x]
-        acc = sum(int(row[y]) * values[y] for y in range(size))
-        out.append(Fraction(acc, den))
-    return out
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = np.array([f.numerator * (den // f.denominator) for f in fracs], dtype=object)
+    if max_abs(ints) << space.dim <= INT64_MAX:
+        ints = ints.astype(np.int64)
+    scale = den << space.half
+    return [Fraction(int(v), scale) for v in sign_transform(space, ints)]
+
+
+def verify_involution(space: SymplecticSpace) -> bool:
+    """G @ G == 2^D * I, computed with the transform one block of columns at a time."""
+    size = 1 << space.dim
+    for lo, hi in _column_blocks(size, size):
+        block = np.zeros((size, hi - lo), dtype=np.int64)
+        block[np.arange(lo, hi), np.arange(hi - lo)] = 1
+        if not np.array_equal(sign_transform(space, sign_transform(space, block)), block << space.dim):
+            return False
+    return True
+
+
+# -- the push-up maps -----------------------------------------------------------
 
 
 def z_map(space: SymplecticSpace, sub_space: SymplecticSpace, i: int, f_prime: Sequence) -> list:
@@ -95,17 +168,48 @@ def z_map(space: SymplecticSpace, sub_space: SymplecticSpace, i: int, f_prime: S
     return out
 
 
+def _push_rows(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two rows the i-th push-up gives each point mass y: tau_i(y) and tau_i(y) + e_i."""
+    emb = tau(space, sub_space, i)
+    t = np.array([emb.apply(y) for y in range(1 << sub_space.dim)], dtype=np.int64)
+    return t, t ^ space.circular(i)
+
+
+def _push(space: SymplecticSpace, rows: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray:
+    """Z @ f for the push-up matrix Z with the given rows, without forming Z.
+
+    tau_i is injective (`taumaps.tau` checks it), so neither row array repeats
+    an index and a fancy-indexed += adds every term once.
+    """
+    out = np.zeros((1 << space.dim, *f.shape[1:]), dtype=f.dtype)
+    for r in rows:
+        out[r] += f
+    return out
+
+
 def z_matrix(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> np.ndarray:
     """The 0/1 matrix of the i-th push-up map on point masses."""
-    emb = tau(space, sub_space, i)
-    ei = space.circular(i)
-    size_small = 1 << sub_space.dim
-    mat = np.zeros((1 << space.dim, size_small), dtype=np.int64)
-    for y in range(size_small):
-        t = emb.apply(y)
-        mat[t, y] += 1
-        mat[t ^ ei, y] += 1
-    return mat
+    return _push(space, _push_rows(space, sub_space, i), np.eye(1 << sub_space.dim, dtype=np.int64))
+
+
+def verify_z_commutation(dim: int) -> Report:
+    """The push-up maps intertwine the two transforms: G Z = 2 Z G'."""
+    rep = Report(f"z-commutation D={dim}")
+    v = make_space(dim)
+    vp = make_space(dim - 2)
+    ident = np.eye(1 << vp.dim, dtype=np.int64)
+    g_small = sign_transform(vp, ident)
+    for i in range(1, dim + 2):
+        rows = _push_rows(v, vp, i)
+        ok = all(
+            np.array_equal(sign_transform(v, _push(v, rows, ident[:, lo:hi])), 2 * _push(v, rows, g_small[:, lo:hi]))
+            for lo, hi in _column_blocks(1 << dim, 1 << vp.dim)
+        )
+        rep.require(f"i={i}", ok)
+    return rep
+
+
+# -- the basis matrix ---------------------------------------------------------------
 
 
 def basis_matrix(family: Family) -> np.ndarray:
@@ -116,6 +220,52 @@ def basis_matrix(family: Family) -> np.ndarray:
         for v in ent.subspace.vectors():
             mat[v, j] = 1
     return mat
+
+
+def _supports(subspaces: list[Subspace]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form (starts, vecs): the vectors of subspaces[j] are vecs[starts[j]:starts[j+1]]."""
+    starts = np.zeros(len(subspaces) + 1, dtype=np.int64)
+    np.cumsum([1 << s.dim for s in subspaces], out=starts[1:])
+    vecs = np.fromiter(chain.from_iterable(s.vectors() for s in subspaces), np.int64, int(starts[-1]))
+    return starts, vecs
+
+
+def member_supports(family: Family) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the basis matrix in CSR form (see `_supports`)."""
+    return _supports([e.subspace for e in family.entries])
+
+
+def _closed_forms(family: Family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The right-hand sides W in CSR form, with column weights: column r is 2^(dim E_r)
+    on the orthogonal complement of E_r, the closed form of G applied to member r."""
+    starts, vecs = _supports([perp(family.space, e.subspace) for e in family.entries])
+    return starts, vecs, np.array([1 << e.dim for e in family.entries], dtype=np.int64)
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges starts[k] .. starts[k] + counts[k] - 1."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(starts - offsets, counts)
+
+
+def _dense_columns(starts: np.ndarray, vecs: np.ndarray, weights: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi-1 of the dense matrix whose column j is weights[j] on CSR entry j."""
+    counts = starts[lo + 1 : hi + 1] - starts[lo:hi]
+    block = np.zeros((size, hi - lo), dtype=np.int64)
+    block[vecs[starts[lo] : starts[hi]], np.repeat(np.arange(hi - lo), counts)] = np.repeat(weights[lo:hi], counts)
+    return block
+
+
+def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse sum: the distinct keys with a nonzero total, ascending, and their totals."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    if not keys.size:
+        return keys, vals
+    firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, firsts)
+    keep = sums != 0
+    return keys[firsts][keep], sums[keep]
 
 
 # -- certified integer linear algebra ---------------------------------------
@@ -208,6 +358,71 @@ def integer_inverse(mat: np.ndarray) -> np.ndarray:
     raise ValueError("no integer inverse found; matrix is not unimodular")
 
 
+# -- the peel solve ---------------------------------------------------------------
+
+
+def peel_order(starts: np.ndarray, vecs: np.ndarray, size: int) -> np.ndarray:
+    """Peel the 0/1 matrix with `size` rows whose column j has ones at rows vecs[starts[j]:starts[j+1]].
+
+    While columns remain, take a row that lies in exactly one remaining
+    column and remove that column.  Returns the (row, column) pairs in peel
+    order; in that order the matrix is lower unitriangular, so a complete
+    peel proves det = +-1.  Raises FamilyStructureError when the peel stalls.
+    """
+    cols = len(starts) - 1
+    members = [vecs[starts[j] : starts[j + 1]].tolist() for j in range(cols)]
+    holders: list[list[int]] = [[] for _ in range(size)]
+    for j, vs in enumerate(members):
+        for v in vs:
+            holders[v].append(j)
+    count = [len(h) for h in holders]
+    alive = [True] * cols
+    ready = [v for v in range(size) if count[v] == 1]
+    order = []
+    while ready:
+        v = ready.pop()
+        if count[v] != 1:
+            continue
+        j = next(m for m in holders[v] if alive[m])
+        alive[j] = False
+        order.append((v, j))
+        for u in members[j]:
+            count[u] -= 1
+            if count[u] == 1:
+                ready.append(u)
+    if len(order) != cols or cols != size:
+        raise FamilyStructureError(
+            f"basis matrix does not peel: {len(order)} of {cols} columns peeled, {size} rows"
+        )
+    return np.array(order, dtype=np.int64).reshape(-1, 2)
+
+
+def peel_solve(starts: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X with B X = rhs exactly, B the 0/1 matrix of `peel_order`, and the peel order.
+
+    Forward substitution in peel order keeps the residual rhs - B X: step
+    (v, j) takes X[j] = residual[v] and subtracts it from the rows of
+    column j.  A running bound on every residual entry is checked against
+    int64 before each step.  The residual must end identically zero.
+    """
+    order = peel_order(starts, vecs, rhs.shape[0])
+    residual = rhs.astype(np.int64)  # a copy
+    x = np.zeros((len(starts) - 1, rhs.shape[1]), dtype=np.int64)
+    bound = max_abs(residual)
+    for v, j in order.tolist():
+        nz = np.flatnonzero(residual[v])
+        if not nz.size:
+            continue
+        vals = residual[v, nz]
+        x[j, nz] = vals
+        bound += max_abs(vals)
+        check_headroom(bound, "peel solve")
+        residual[np.ix_(vecs[starts[j] : starts[j + 1]], nz)] -= vals
+    if residual.any():
+        raise FamilyStructureError("peel solve left a nonzero residual")
+    return x, order
+
+
 # -- the change of basis -----------------------------------------------------
 
 
@@ -217,12 +432,14 @@ class CobMatrix:
 
     num[r, c] / den is the coefficient of member c in the transform of the
     characteristic function of member r.  The basis order is the family's
-    canonical order: dimension ascending, ties by echelon rows.
+    canonical order: dimension ascending, ties by echelon rows.  `peel` holds
+    the (vector, member) pairs of the peel order that solved for it.
     """
 
     family: Family
     num: np.ndarray
     den: int
+    peel: np.ndarray
 
     @property
     def size(self) -> int:
@@ -238,7 +455,13 @@ class CobMatrix:
         return [self.entry(r, c) for c in range(self.size)]
 
     def trace(self) -> Fraction:
-        return Fraction(int(np.trace(self.num.astype(object))), self.den)
+        return Fraction(sum(np.diagonal(self.num).tolist()), self.den)
+
+    def _entry_strings(self) -> list[list[str]]:
+        """Every entry as its reduced fraction string, through a table of the distinct values."""
+        values, inverse = np.unique(self.num, return_inverse=True)
+        table = np.array([str(Fraction(v, self.den)) for v in values.tolist()], dtype=object)
+        return table[inverse.reshape(self.num.shape)].tolist()
 
     def to_json(self) -> dict:
         fam = self.family
@@ -250,9 +473,7 @@ class CobMatrix:
                 {"index": e.index, "dim": e.dim, "label": entry_compact(e, fam.dim)}
                 for e in fam.entries
             ],
-            "entries": [
-                [str(self.entry(r, c)) for c in range(self.size)] for r in range(self.size)
-            ],
+            "entries": self._entry_strings(),
         }
 
     def to_csv(self) -> str:
@@ -260,8 +481,8 @@ class CobMatrix:
 
         labels = [entry_compact(e, self.family.dim) for e in self.family.entries]
         lines = ["," + ",".join(f'"{lab}"' for lab in labels)]
-        for r in range(self.size):
-            lines.append(f'"{labels[r]}",' + ",".join(str(self.entry(r, c)) for c in range(self.size)))
+        for lab, row in zip(labels, self._entry_strings()):
+            lines.append(f'"{lab}",' + ",".join(row))
         return "\n".join(lines) + "\n"
 
 
@@ -269,72 +490,96 @@ def change_of_basis(family: Family) -> CobMatrix:
     """Solve for the transform's matrix in the family basis, exactly.
 
     The transform of member r's characteristic function is
-    2^(dim - d) * (indicator of the orthogonal complement); expanding those
-    indicators in the family basis via the certified integer inverse of the
-    basis matrix gives integer numerators over the single denominator 2^d.
+    2^(dim - d) * (indicator of the orthogonal complement); the peel solve
+    expands those indicators in the family basis, with integer numerators
+    over the single denominator 2^d.
     """
-    space = family.space
-    b = basis_matrix(family)
-    a = integer_inverse(b)
     size = 1 << family.dim
-    w = np.zeros((size, len(family)), dtype=np.int64)
-    for j, ent in enumerate(family.entries):
-        comp = perp(space, ent.subspace)
-        scale = 1 << ent.dim
-        for v in comp.vectors():
-            w[v, j] = scale
-    if a.dtype == object:
-        prod = a @ w.astype(object)
-    else:
-        bound = int(np.abs(a).astype(object).sum(axis=1).max()) * int(w.max())
-        prod = (a @ w) if bound < 2**62 else (a.astype(object) @ w.astype(object))
-    return CobMatrix(family, prod.T, 1 << family.half)
+    pstarts, pvecs, scale = _closed_forms(family)
+    rhs = _dense_columns(pstarts, pvecs, scale, size, 0, len(family))
+    starts, vecs = member_supports(family)
+    x, order = peel_solve(starts, vecs, rhs)
+    return CobMatrix(family, x.T, 1 << family.half, order)
+
+
+def _is_peel_order(order: np.ndarray, starts: np.ndarray, vecs: np.ndarray, size: int) -> bool:
+    """True iff `order` makes the basis matrix lower unitriangular (so det = +-1).
+
+    Every vector and every member appears once; each member contains the
+    vector of its own step, and no vector of a member is peeled before that
+    member's step.
+    """
+    steps = np.arange(size)
+    if order.shape != (size, 2) or len(starts) - 1 != size:
+        return False
+    if not (np.array_equal(np.sort(order[:, 0]), steps) and np.array_equal(np.sort(order[:, 1]), steps)):
+        return False
+    vec_step = np.empty(size, dtype=np.int64)
+    vec_step[order[:, 0]] = steps
+    member_step = np.empty(size, dtype=np.int64)
+    member_step[order[:, 1]] = steps
+    own = np.repeat(member_step, np.diff(starts))
+    peeled = vec_step[vecs]
+    return bool((peeled >= own).all() and np.count_nonzero(peeled == own) == size)
+
+
+def _closed_form_mismatch(fam: Family, starts, vecs, pstarts, pvecs, scale) -> int | None:
+    """The first member whose indicator the raw transform does not send to its closed form."""
+    size = 1 << fam.dim
+    ones = np.ones(len(fam), dtype=np.int64)
+    for lo, hi in _column_blocks(size, len(fam)):
+        image = sign_transform(fam.space, _dense_columns(starts, vecs, ones, size, lo, hi))
+        wrong = np.flatnonzero((image != _dense_columns(pstarts, pvecs, scale, size, lo, hi)).any(axis=0))
+        if wrong.size:
+            return lo + int(wrong[0])
+    return None
 
 
 def verify_change_of_basis(cob: CobMatrix) -> Report:
-    """Triangularity, diagonal signs, trace, eigenvalue count, involution."""
+    """Peel certificate, solve residual, closed form, triangularity, diagonal signs,
+    trace, eigenvalue count and involution, each over the nonzeros of the matrix."""
     fam = cob.family
     d = fam.half
+    n = cob.size
+    size = 1 << fam.dim
     rep = Report(f"change-of-basis D={fam.dim}")
     num = cob.num
-    dims = [e.dim for e in fam.entries]
-    bad = [
-        (r, c)
-        for r in range(cob.size)
-        for c in range(cob.size)
-        if num[r, c] != 0 and r != c and dims[c] <= dims[r]
-    ]
-    rep.require("triangular", not bad, f"violations at {bad[:3]}")
-    diag_ok = all(int(num[i, i]) == delta(d - dims[i]) * cob.den for i in range(cob.size))
-    rep.require("diagonal signs", diag_ok)
+    rows, cols = np.nonzero(num)
+    vals = num[rows, cols]
+    starts, vecs = member_supports(fam)
+    pstarts, pvecs, scale = _closed_forms(fam)
+
+    rep.require("basis-peelable", _is_peel_order(cob.peel, starts, vecs, size))
+
+    # B X = W with X = num^T: entry (r, c) puts num[r, c] on every vector of member c in column r
+    counts = np.diff(starts)[cols]
+    check_headroom(max_abs(vals) * n, "solve residual")
+    got = _summed(vecs[_segments(starts[cols], counts)] * n + np.repeat(rows, counts), np.repeat(vals, counts))
+    pcounts = np.diff(pstarts)
+    want = _summed(pvecs * n + np.repeat(np.arange(n), pcounts), np.repeat(scale, pcounts))
+    same = all(np.array_equal(a, b) for a, b in zip(got, want))
+    rep.require("solve-residual", same, "W - B X is not zero")
+
+    bad_member = _closed_form_mismatch(fam, starts, vecs, pstarts, pvecs, scale)
+    rep.require("closed-form", bad_member is None, f"member {bad_member}")
+
+    dims = np.array([e.dim for e in fam.entries], dtype=np.int64)
+    bad = np.flatnonzero((rows != cols) & (dims[cols] <= dims[rows]))[:3]
+    rep.require("triangular", not bad.size, f"violations at {list(zip(rows[bad].tolist(), cols[bad].tolist()))}")
+    diag = np.diagonal(num)
+    expect = np.array([delta(d - k) for k in dims.tolist()], dtype=np.int64) * cob.den
+    rep.require("diagonal signs", bool(np.array_equal(diag, expect)))
     rep.require("trace", cob.trace() == 2**d, f"trace={cob.trace()}")
-    plus = sum(1 for i in range(cob.size) if int(num[i, i]) == cob.den)
+    plus = int(np.count_nonzero(diag == cob.den))
     expect_plus = 2 ** (fam.dim - 1) + 2 ** (d - 1) if fam.dim else 1
     rep.require("plus-count", plus == expect_plus, f"{plus} != {expect_plus}")
-    ident = np.zeros((cob.size, cob.size), dtype=np.int64)
-    np.fill_diagonal(ident, cob.den * cob.den)
-    nn = num if num.dtype != object else num
-    rep.require("involution", matmul_equals(nn, nn, ident))
+
+    # M^2 = den^2 I: entry (r, k) pairs with every nonzero (k, c) of row k
+    row_starts = np.searchsorted(rows, np.arange(n + 1))
+    row_counts = np.diff(row_starts)
+    pos = _segments(row_starts[cols], row_counts[cols])
+    check_headroom(max_abs(vals) ** 2 * n, "involution")
+    keys, sums = _summed(np.repeat(rows, row_counts[cols]) * n + cols[pos], np.repeat(vals, row_counts[cols]) * vals[pos])
+    square_ok = np.array_equal(keys, np.arange(n) * (n + 1)) and bool((sums == cob.den * cob.den).all())
+    rep.require("involution", square_ok)
     return rep
-
-
-def verify_z_commutation(dim: int) -> Report:
-    """The push-up maps intertwine the two transforms: G Z = 2 Z G'."""
-    from .gf2 import make_space
-
-    rep = Report(f"z-commutation D={dim}")
-    v = make_space(dim)
-    vp = make_space(dim - 2)
-    g = sign_matrix(v)
-    gp = sign_matrix(vp)
-    for i in range(1, dim + 2):
-        z = z_matrix(v, vp, i)
-        rep.require(f"i={i}", bool(np.array_equal(g @ z, 2 * (z @ gp))))
-    return rep
-
-
-def verify_involution(space: SymplecticSpace) -> bool:
-    """G @ G == 2^D * I for the sign matrix (the transform squares to one)."""
-    g = sign_matrix(space)
-    size = 1 << space.dim
-    return matmul_equals(g, g, (1 << space.dim) * np.eye(size, dtype=np.int64))

@@ -99,14 +99,6 @@ def make_space(dim: int) -> SymplecticSpace:
     return SymplecticSpace(dim)
 
 
-def pairing(space: SymplecticSpace, u: int, v: int) -> int:
-    return space.pairing(u, v)
-
-
-def interval_vector(space: SymplecticSpace, a: int, b: int) -> int:
-    return space.interval_vector(a, b)
-
-
 def rref(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form of the span, pivots scanned from bit 0 up.
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trifourier
 from trifourier.cli import main
 from trifourier.nonabelian import new_basis_to_json, s3_new_basis
 
@@ -165,3 +170,35 @@ def test_dim_above_cap_is_usage_error(capsys):
         main(["family", "--dim", "16"])
     assert err.value.code == 2
     assert "dimension must be <= 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--dim", "14"],
+        ["verify", "--dim", "14", "--suite", "fourier"],
+        ["verify", "--dim", "14", "--suite", "all"],
+    ],
+)
+def test_dense_fourier_above_d12_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--dim 14" in err and "Traceback" not in err
+
+
+def test_family_suite_leaves_numpy_unimported():
+    script = (
+        "import contextlib, io, sys\n"
+        "from trifourier.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', '--dim', '4', '--suite', 'family'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "import trifourier\n"
+        "missing = [n for n in trifourier.__all__ if getattr(trifourier, n, None) is None]\n"
+        "assert not missing, missing\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
