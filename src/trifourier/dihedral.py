@@ -2,70 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .family import Family
-from .gf2 import Subspace, SymplecticSpace, bits_of
+from .gf2 import SymplecticSpace, make_space
 from .report import Report
+from .taumaps import CircularMap, preserves_form, tau
 
 
-@dataclass(frozen=True)
-class SympAuto:
-    """A linear automorphism given by the images of the coordinate vectors."""
-
-    cols: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.cols)
-
-    def apply(self, v: int) -> int:
-        out = 0
-        for j in bits_of(v):
-            out ^= self.cols[j]
-        return out
-
-    def apply_subspace(self, sub: Subspace) -> Subspace:
-        return Subspace.span(self.apply(row) for row in sub.rows)
-
-    def compose(self, other: "SympAuto") -> "SympAuto":
-        return SympAuto(tuple(self.apply(c) for c in other.cols))
-
-    def power(self, n: int) -> "SympAuto":
-        out = identity_auto(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                out = out.compose(base)
-            base = base.compose(base)
-            n >>= 1
-        return out
-
-    def is_identity(self) -> bool:
-        return all(c == 1 << j for j, c in enumerate(self.cols))
-
-
-def identity_auto(dim: int) -> SympAuto:
-    return SympAuto(tuple(1 << j for j in range(dim)))
-
-
-def preserves_form(space: SymplecticSpace, auto: SympAuto) -> bool:
-    d = space.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            if space.pairing(auto.cols[i], auto.cols[j]) != space.pairing(1 << i, 1 << j):
-                return False
-    return True
-
-
-def rotation(space: SymplecticSpace) -> SympAuto:
+def rotation(space: SymplecticSpace) -> CircularMap:
     """R: sends each circular vector e_i to e_{i+1} (cyclically)."""
-    return SympAuto(tuple(space.circular(i + 2) for i in range(space.dim)))
+    return CircularMap(space.dim, space.dim, tuple(space.circular(i + 1) for i in range(1, space.dim + 2)))
 
 
-def reflection(space: SymplecticSpace) -> SympAuto:
+def reflection(space: SymplecticSpace) -> CircularMap:
     """S: sends e_i to e_{D+1-i}, fixing e_{D+1}."""
-    return SympAuto(tuple(space.circular(space.dim + 1 - (i + 1)) for i in range(space.dim)))
+    return CircularMap(space.dim, space.dim, tuple(space.circular(space.dim + 1 - i) for i in range(1, space.dim + 2)))
 
 
 def verify_relations(space: SymplecticSpace) -> Report:
@@ -75,9 +25,12 @@ def verify_relations(space: SymplecticSpace) -> Report:
     s = reflection(space)
     rep.require("R symplectic", preserves_form(space, r))
     rep.require("S symplectic", preserves_form(space, s))
-    rep.require("R^(D+1)=1", r.power(space.dim + 1).is_identity())
+    r_d = CircularMap(space.dim, space.dim, space.circular_vectors())  # R^D, built from R^0
+    for _ in range(space.dim):
+        r_d = r_d.compose(r)
+    rep.require("R^(D+1)=1", r_d.compose(r).is_identity())
     rep.require("S^2=1", s.compose(s).is_identity())
-    rep.require("SRS=R^-1", s.compose(r).compose(s) == r.power(space.dim))
+    rep.require("SRS=R^-1", s.compose(r).compose(s) == r_d)
     return rep
 
 
@@ -89,9 +42,6 @@ def verify_embedding_equivariance(dim: int) -> Report:
     (checked plain, without R', which is what holds).
     S tau_i = tau_{D+1-i} S' for i in [1, D], and S tau_{D+1} = tau_{D+1} S'.
     """
-    from .gf2 import make_space
-    from .taumaps import tau
-
     rep = Report(f"embedding-equivariance D={dim}")
     v = make_space(dim)
     vp = make_space(dim - 2)
@@ -99,21 +49,14 @@ def verify_embedding_equivariance(dim: int) -> Report:
     rp, sp = rotation(vp), reflection(vp)
     for i in range(1, dim + 2):
         t_i = tau(v, vp, i)
-        lhs_r = tuple(r.apply(img) for img in t_i.coordinate_images())
-        lhs_s = tuple(s.apply(img) for img in t_i.coordinate_images())
         t_next = tau(v, vp, i + 1 if i <= dim else 1)
-        if i <= dim - 1:
-            rhs_r = tuple(t_next.apply(rp.apply(1 << j)) for j in range(dim - 2))
-        else:
-            rhs_r = t_next.coordinate_images()
         t_refl = tau(v, vp, dim + 1 - i if i <= dim else dim + 1)
-        rhs_s = tuple(t_refl.apply(sp.apply(1 << j)) for j in range(dim - 2))
-        rep.require(f"R-tau i={i}", lhs_r == rhs_r)
-        rep.require(f"S-tau i={i}", lhs_s == rhs_s)
+        rep.require(f"R-tau i={i}", r.compose(t_i) == (t_next.compose(rp) if i <= dim - 1 else t_next))
+        rep.require(f"S-tau i={i}", s.compose(t_i) == t_refl.compose(sp))
     return rep
 
 
-def family_permutation(family: Family, auto: SympAuto) -> list[int]:
+def family_permutation(family: Family, auto: CircularMap) -> list[int]:
     """The permutation induced on family entries; raises if a member escapes."""
     perm = []
     for ent in family.entries:

@@ -47,22 +47,31 @@ def nested_interval_subspace(space: SymplecticSpace, k: int) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def family_subspaces(dim: int) -> frozenset[Subspace]:
-    """The family for dimension D, via the extension + nested-interval recursion."""
+def standard_paths(dim: int) -> dict[Subspace, str]:
+    """The family for dimension D, each member with the first path that builds it.
+
+    The nested interval subspaces E_0..E_d come first; then every member of
+    the (D-2)-family is pushed up through tau_1..tau_D, and a member met
+    again keeps its earlier path.  The dict is cached and shared: read it only.
+    """
     if dim < 0 or dim % 2 != 0:
         raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
-        return frozenset({ZERO_SUBSPACE})
+        return {ZERO_SUBSPACE: "zero"}
     space = make_space(dim)
     sub_space = make_space(dim - 2)
-    out: set[Subspace] = set()
+    paths = {nested_interval_subspace(space, k): f"E_{k}@D={dim}" for k in range(space.half + 1)}
     for i in range(1, dim + 1):
         emb = tau(space, sub_space, i)
-        for prev in family_subspaces(dim - 2):
-            out.add(pushed_subspace(space, emb, prev, i))
-    for k in range(space.half + 1):
-        out.add(nested_interval_subspace(space, k))
-    return frozenset(out)
+        for sub, path in standard_paths(dim - 2).items():
+            paths.setdefault(pushed_subspace(space, emb, sub, i), f"tau_{i}[{path}]")
+    return paths
+
+
+@lru_cache(maxsize=None)
+def family_subspaces(dim: int) -> frozenset[Subspace]:
+    """The family for dimension D: the members `standard_paths` builds."""
+    return frozenset(standard_paths(dim))
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +109,7 @@ def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
         for gamma in range(1, dim + 2):
             emb = generic_tau(space, sub_space, gamma_p, gamma)
             for prev in family_subspaces_ucb(dim - 2):
-                out.add(emb.apply_subspace(prev).extend(space.circular(gamma)))
+                out.add(pushed_subspace(space, emb, prev, gamma))
     return frozenset(out)
 
 
@@ -226,27 +235,9 @@ class Family:
         return self.entries[ent.shriek_index]
 
 
-def _standard_provenance(dim: int) -> dict[Subspace, str]:
-    """One construction path per member, for display only (dedup is by span)."""
-    if dim == 0:
-        return {ZERO_SUBSPACE: "zero"}
-    space = make_space(dim)
-    sub_space = make_space(dim - 2)
-    prev = _standard_provenance(dim - 2)
-    prov: dict[Subspace, str] = {}
-    for k in range(space.half + 1):
-        prov.setdefault(nested_interval_subspace(space, k), f"E_{k}@D={dim}")
-    for i in range(1, dim + 1):
-        emb = tau(space, sub_space, i)
-        for sub, path in prev.items():
-            made = pushed_subspace(space, emb, sub, i)
-            prov.setdefault(made, f"tau_{i}[{path}]")
-    return prov
-
-
 @lru_cache(maxsize=None)
 def build_family(dim: int) -> Family:
-    return Family(dim, family_subspaces(dim), _standard_provenance(dim))
+    return Family(dim, family_subspaces(dim), standard_paths(dim))
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +248,6 @@ def build_family_prime(dim: int) -> Family:
 @lru_cache(maxsize=None)
 def build_family_ucb(dim: int) -> Family:
     return Family(dim, family_subspaces_ucb(dim), {})
-
-
-def kappa(family: Family, sub: Subspace) -> FamilyEntry:
-    return family.kappa(family.entry(sub))
 
 
 def signed_binomial_sum(d: int) -> int:

@@ -153,19 +153,13 @@ def z_map(space: SymplecticSpace, sub_space: SymplecticSpace, i: int, f_prime: S
     """Push a function on the smaller space up through the i-th embedding.
 
     The image of a point mass at y is the sum of the point masses at
-    tau_i(y) and tau_i(y) + e_i.
+    tau_i(y) and tau_i(y) + e_i.  Values stay Python numbers (object array).
     """
-    emb = tau(space, sub_space, i)
-    ei = space.circular(i)
+    rows = _push_rows(space, sub_space, i)
     size_small = 1 << sub_space.dim
     if len(f_prime) != size_small:
         raise ValueError(f"function vector must have length {size_small}")
-    out = [0] * (1 << space.dim)
-    for y in range(size_small):
-        t = emb.apply(y)
-        out[t] += f_prime[y]
-        out[t ^ ei] += f_prime[y]
-    return out
+    return _push(space, rows, np.array(f_prime, dtype=object)).tolist()
 
 
 def _push_rows(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Subspace, SymplecticSpace, bits_of, kernel_of, rref
+from .gf2 import Subspace, SymplecticSpace, bits_of, kernel_of, make_space, rref
 from .report import Report
 
 
 @dataclass(frozen=True)
-class LinearEmbedding:
-    """An injective, form-compatible linear map between two spaces.
+class CircularMap:
+    """A linear map between two circular-basis spaces, given on the circular vectors.
 
-    `images` lists the images of the src_dim+1 circular vectors of the
-    source; the underlying matrix acts on the src_dim coordinate vectors.
+    `images` lists the images of the src_dim+1 circular vectors e_1..e_{D'+1}
+    of the source; the underlying matrix acts on the src_dim coordinate
+    vectors.  The embeddings tau_i and the dihedral maps R and S are all of
+    this type.
     """
 
     src_dim: int
@@ -36,6 +38,13 @@ class LinearEmbedding:
     def apply_subspace(self, sub: Subspace) -> Subspace:
         return Subspace.span(self.apply(row) for row in sub.rows)
 
+    def compose(self, inner: "CircularMap") -> "CircularMap":
+        """self . inner, a map from the source of inner."""
+        return CircularMap(inner.src_dim, self.dst_dim, tuple(self.apply(img) for img in inner.images))
+
+    def is_identity(self) -> bool:
+        return self.src_dim == self.dst_dim and all(img == 1 << j for j, img in enumerate(self.coordinate_images()))
+
     def coordinate_images(self) -> tuple[int, ...]:
         return self.images[: self.src_dim]
 
@@ -43,7 +52,18 @@ class LinearEmbedding:
         return Subspace.span(self.coordinate_images())
 
 
-def _validate_embedding(emb: LinearEmbedding, src: SymplecticSpace, dst: SymplecticSpace) -> None:
+def preserves_form(space: SymplecticSpace, m: CircularMap) -> bool:
+    """m carries the pairing of every pair of source circular vectors to `space`."""
+    src = make_space(m.src_dim)
+    circ = src.circular_vectors()
+    for i in range(len(circ)):
+        for j in range(i + 1, len(circ)):
+            if src.pairing(circ[i], circ[j]) != space.pairing(m.images[i], m.images[j]):
+                return False
+    return True
+
+
+def _validate_embedding(emb: CircularMap, dst: SymplecticSpace) -> None:
     total = 0
     for img in emb.images:
         total ^= img
@@ -51,14 +71,11 @@ def _validate_embedding(emb: LinearEmbedding, src: SymplecticSpace, dst: Symplec
         raise AssertionError("circular images do not sum to zero")
     if len(rref(emb.coordinate_images())) != emb.src_dim:
         raise AssertionError("embedding is not injective")
-    circ = src.circular_vectors()
-    for i in range(len(circ)):
-        for j in range(i + 1, len(circ)):
-            if src.pairing(circ[i], circ[j]) != dst.pairing(emb.images[i], emb.images[j]):
-                raise AssertionError("embedding is not form compatible")
+    if not preserves_form(dst, emb):
+        raise AssertionError("embedding is not form compatible")
 
 
-def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> LinearEmbedding:
+def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> CircularMap:
     """The i-th embedding of the (D-2)-space into the D-space, i in [1, D+1].
 
     Image sequence of the D-1 circular vectors of the source:
@@ -75,7 +92,7 @@ def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> LinearEmb
     if not 1 <= i <= d_big + 1:
         raise ValueError(f"index {i} out of range [1,{d_big + 1}]")
     if d_big == 2:
-        return LinearEmbedding(0, 2, (0,))
+        return CircularMap(0, 2, (0,))
     e = space.circular
     if i == 1:
         images = [e(j + 2) for j in range(1, d_big - 1)]
@@ -87,19 +104,12 @@ def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> LinearEmb
         images = [e(j) for j in range(1, i - 1)]
         images.append(e(i - 1) ^ e(i) ^ e(i + 1))
         images += [e(j + 2) for j in range(i, d_big)]
-    emb = LinearEmbedding(d_big - 2, d_big, tuple(images))
-    _validate_embedding(emb, sub_space, space)
+    emb = CircularMap(d_big - 2, d_big, tuple(images))
+    _validate_embedding(emb, space)
     return emb
 
 
-def tau_prime(sub_space: SymplecticSpace, subsub_space: SymplecticSpace, i: int) -> LinearEmbedding:
-    """Same shape as tau with all dimensions shifted down by two (zero for D=4)."""
-    if sub_space.dim < 2:
-        raise ValueError("tau_prime needs a source chain starting at dimension >= 4")
-    return tau(sub_space, subsub_space, i)
-
-
-def pushed_subspace(space: SymplecticSpace, emb: LinearEmbedding, sub: Subspace, i: int) -> Subspace:
+def pushed_subspace(space: SymplecticSpace, emb: CircularMap, sub: Subspace, i: int) -> Subspace:
     """tau_i(E') + F2.e_i, the one-dimension-up member produced by an embedding."""
     return emb.apply_subspace(sub).extend(space.circular(i))
 
@@ -115,11 +125,6 @@ def check_complement(space: SymplecticSpace, i: int) -> bool:
     total = image.extend(ei)
     perp_line = kernel_of([space.gram_apply(ei)], space.dim)
     return total == perp_line and total.dim == space.dim - 1
-
-
-def compose(outer: LinearEmbedding, inner: LinearEmbedding) -> tuple[int, ...]:
-    """Coordinate images of outer . inner (a map from the inner source space)."""
-    return tuple(outer.apply(img) for img in inner.coordinate_images())
 
 
 def verify_composition_identity(dim: int) -> Report:
@@ -146,12 +151,12 @@ def verify_composition_identity(dim: int) -> Report:
     vpp = SymplecticSpace(dim - 4)
     members = family_subspaces(dim - 4)
     tau_top = tau(v, vp, dim + 1)
-    tau_last = tau_prime(vp, vpp, dim - 1)
+    tau_last = tau(vp, vpp, dim - 1)
     for i in range(1, dim - 1):
-        ti = tau_prime(vp, vpp, i)
-        lhs = compose(tau_top, ti)
+        ti = tau(vp, vpp, i)
+        lhs = tau_top.compose(ti).coordinate_images()
         for j in ({1, 2} if i == 1 else {i + 1}):
-            rhs = compose(tau(v, vp, j), tau_last)
+            rhs = tau(v, vp, j).compose(tau_last).coordinate_images()
             rep.require(f"matrix i={i} j={j}", lhs == rhs, f"lhs={lhs} rhs={rhs}")
         j = i + 1
         tj = tau(v, vp, j)
@@ -171,7 +176,7 @@ def generic_tau(
     gamma_p: int,
     gamma: int,
     orientation: int = 1,
-) -> LinearEmbedding:
+) -> CircularMap:
     """Embedding determined by a vertex of each circle, walking both circles.
 
     The chosen source vertex gamma_p maps to the sum over the closed
@@ -201,8 +206,8 @@ def generic_tau(
         src = (gamma_p - 1 + orientation * k) % n_src
         dst = (gamma - 1 + orientation * (k + 1)) % n_dst
         images[src] = e(dst + 1)
-    emb = LinearEmbedding(d_big - 2, d_big, tuple(images))
-    _validate_embedding(emb, sub_space, space)
+    emb = CircularMap(d_big - 2, d_big, tuple(images))
+    _validate_embedding(emb, space)
     return emb
 
 

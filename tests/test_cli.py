@@ -202,3 +202,14 @@ def test_family_suite_leaves_numpy_unimported():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark's traced pass wraps module attributes by name; a rename must fail here
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = "import traced\ntraced.instrument(traced.Tracer())\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root / "perfbench", env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

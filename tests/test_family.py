@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -15,13 +16,13 @@ from trifourier.family import (
     family_to_json,
     fiber_lines,
     interval_basis,
-    kappa,
     nested_interval_subspace,
     signed_binomial_sum,
     verify_counts,
     verify_structure,
 )
 from trifourier.gf2 import Subspace, canonical_subspace, make_space
+from trifourier.taumaps import pushed_subspace, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
 # even-interval count.  Line order is immaterial; each line is significant.
@@ -196,12 +197,12 @@ def test_kappa_examples():
     fam2 = build_family(2)
     zero = fam2.entry(Subspace(()))
     line3 = fam2.entry(canonical_subspace([0b11]))
-    assert kappa(fam2, zero.subspace).index == line3.index
-    assert kappa(fam2, line3.subspace).index == zero.index
+    assert fam2.kappa(zero).index == line3.index
+    assert fam2.kappa(line3).index == zero.index
     fam4 = build_family(4)
     e2 = canonical_subspace([0b00010])
     e2_5 = canonical_subspace([0b00010, 0b01111])
-    assert kappa(fam4, e2_5).subspace == e2
+    assert fam4.kappa(fam4.entry(e2_5)).subspace == e2
 
 
 def test_kappa_involution_and_grading():
@@ -257,6 +258,28 @@ def test_decorated_variants_build():
 def test_provenance_present():
     fam = build_family(4)
     assert all(e.provenance for e in fam.entries)
+
+
+def _replay(path: str, dim: int) -> Subspace:
+    """Rebuild a member from its recorded path: zero, E_k@D=dim or tau_i[inner]."""
+    if path == "zero":
+        assert dim == 0
+        return Subspace(())
+    nested = re.fullmatch(r"E_(\d+)@D=(\d+)", path)
+    if nested:
+        assert int(nested[2]) == dim
+        return nested_interval_subspace(make_space(dim), int(nested[1]))
+    pushed = re.fullmatch(r"tau_(\d+)\[(.*)\]", path)
+    assert pushed, path
+    i = int(pushed[1])
+    space = make_space(dim)
+    return pushed_subspace(space, tau(space, make_space(dim - 2), i), _replay(pushed[2], dim - 2), i)
+
+
+@pytest.mark.parametrize("dim", range(0, 11, 2))
+def test_provenance_replays_to_member(dim):
+    for ent in build_family(dim).entries:
+        assert _replay(ent.provenance, dim) == ent.subspace, (ent.index, ent.provenance)
 
 
 def test_family_json_schema():

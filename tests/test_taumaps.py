@@ -1,12 +1,14 @@
 import pytest
 
+from trifourier.dihedral import preserves_form
 from trifourier.gf2 import make_space, rref
 from trifourier.taumaps import (
+    CircularMap,
+    _validate_embedding,
     check_complement,
     generic_tau,
     numbered_pair,
     tau,
-    tau_prime,
     verify_composition_identity,
 )
 
@@ -41,16 +43,16 @@ def test_tau_rejects_bad_index():
 
 def test_tau_prime_d6():
     vp, vpp = make_space(4), make_space(2)
-    t2 = tau_prime(vp, vpp, 2)
+    t2 = tau(vp, vpp, 2)
     assert t2.images == (e(vp, 1) ^ e(vp, 2) ^ e(vp, 3), e(vp, 4), e(vp, 5))
-    t1 = tau_prime(vp, vpp, 1)
+    t1 = tau(vp, vpp, 1)
     assert t1.images == (e(vp, 3), e(vp, 4), e(vp, 5) ^ e(vp, 1) ^ e(vp, 2))
 
 
 def test_tau_prime_d4_zero_map():
     vp, vpp = make_space(2), make_space(0)
     for i in (1, 2, 3):
-        assert tau_prime(vp, vpp, i).images == (0,)
+        assert tau(vp, vpp, i).images == (0,)
 
 
 def test_tau_injective_and_form_compatible():
@@ -63,6 +65,16 @@ def test_tau_injective_and_form_compatible():
             for a in range(dim - 2):
                 for b in range(dim - 2):
                     assert v.pairing(emb.images[a], emb.images[b]) == vp.pairing(1 << a, 1 << b)
+
+
+def test_form_predicate_rejects_swapped_pair():
+    # swapping e_1 and e_2 is injective and keeps the circular sum zero,
+    # but (e_1, e_3) = 0 while (e_2, e_3) = 1
+    v = make_space(4)
+    swap = CircularMap(4, 4, (e(v, 2), e(v, 1), e(v, 3), e(v, 4), e(v, 5)))
+    assert not preserves_form(v, swap)
+    with pytest.raises(AssertionError, match="embedding is not form compatible"):
+        _validate_embedding(swap, v)
 
 
 def test_complement_property():
