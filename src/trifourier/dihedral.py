@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from .family import Family
-from .gf2 import SymplecticSpace, make_space
+from .gf2 import Subspace, SymplecticSpace, make_space
 from .report import Report
-from .taumaps import CircularMap, preserves_form, tau
+from .taumaps import CircularMap, preserves_form, push_rows, tau
 
 
 def rotation(space: SymplecticSpace) -> CircularMap:
@@ -58,9 +58,10 @@ def verify_embedding_equivariance(dim: int) -> Report:
 
 def family_permutation(family: Family, auto: CircularMap) -> list[int]:
     """The permutation induced on family entries; raises if a member escapes."""
+    t = auto.table()
     perm = []
     for ent in family.entries:
-        image = auto.apply_subspace(ent.subspace)
+        image = Subspace(push_rows(t, ent.subspace.rows))
         if image not in family.index_of:
             raise ValueError(f"image of entry {ent.index} is not a family member")
         perm.append(family.index_of[image])

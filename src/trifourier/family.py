@@ -23,7 +23,7 @@ from .gf2 import (
     rref,
 )
 from .report import Report
-from .taumaps import generic_tau, pushed_subspace, tau
+from .taumaps import generic_tau, push_rows, tau
 
 
 class FamilyStructureError(AssertionError):
@@ -62,9 +62,10 @@ def standard_paths(dim: int) -> dict[Subspace, str]:
     sub_space = make_space(dim - 2)
     paths = {nested_interval_subspace(space, k): f"E_{k}@D={dim}" for k in range(space.half + 1)}
     for i in range(1, dim + 1):
-        emb = tau(space, sub_space, i)
+        t = tau(space, sub_space, i).table()
+        ei = space.circular(i)
         for sub, path in standard_paths(dim - 2).items():
-            paths.setdefault(pushed_subspace(space, emb, sub, i), f"tau_{i}[{path}]")
+            paths.setdefault(Subspace(push_rows(t, sub.rows, ei)), f"tau_{i}[{path}]")
     return paths
 
 
@@ -83,12 +84,13 @@ def family_subspaces_prime(dim: int) -> frozenset[Subspace]:
         return frozenset({ZERO_SUBSPACE})
     space = make_space(dim)
     sub_space = make_space(dim - 2)
-    out: set[Subspace] = {ZERO_SUBSPACE}
+    prev_rows = [sub.rows for sub in family_subspaces(dim - 2)]
+    out: set[tuple[int, ...]] = {()}
     for i in range(1, dim + 2):
-        emb = tau(space, sub_space, i)
-        for prev in family_subspaces(dim - 2):
-            out.add(pushed_subspace(space, emb, prev, i))
-    return frozenset(out)
+        t = tau(space, sub_space, i).table()
+        ei = space.circular(i)
+        out.update(push_rows(t, rows, ei) for rows in prev_rows)
+    return frozenset(map(Subspace, out))
 
 
 @lru_cache(maxsize=None)
@@ -104,22 +106,32 @@ def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
         )
     space = make_space(dim)
     sub_space = make_space(dim - 2)
-    out: set[Subspace] = {ZERO_SUBSPACE}
+    prev_rows = [sub.rows for sub in family_subspaces_ucb(dim - 2)]
+    out: set[tuple[int, ...]] = {()}
     for gamma_p in range(1, dim):
         for gamma in range(1, dim + 2):
-            emb = generic_tau(space, sub_space, gamma_p, gamma)
-            for prev in family_subspaces_ucb(dim - 2):
-                out.add(pushed_subspace(space, emb, prev, gamma))
-    return frozenset(out)
+            t = generic_tau(space, sub_space, gamma_p, gamma).table()
+            eg = space.circular(gamma)
+            out.update(push_rows(t, rows, eg) for rows in prev_rows)
+    return frozenset(map(Subspace, out))
+
+
+@lru_cache(maxsize=None)
+def _interval_labels(dim: int) -> dict[int, IntervalLabel]:
+    """Every interval vector of the D-space, mapped to its label."""
+    space = make_space(dim)
+    return {lab.vector(space): lab for lab in all_intervals(dim)}
 
 
 def interval_basis(space: SymplecticSpace, sub: Subspace) -> tuple[IntervalLabel, ...]:
     """All interval vectors lying in the subspace; checked to form a basis.
 
-    Raises FamilyStructureError when the count differs from dim or the
-    vectors are dependent, which signals a non-member.
+    The 2^dim elements of the subspace are looked up among the interval
+    vectors.  Raises FamilyStructureError when the count differs from dim or
+    the vectors are dependent, which signals a non-member.
     """
-    found = [lab for lab in all_intervals(space.dim) if sub.contains(lab.vector(space))]
+    label_of = _interval_labels(space.dim)
+    found = [label_of[v] for v in sub.vectors() if v in label_of]
     if len(found) != sub.dim:
         raise FamilyStructureError(
             f"subspace {sub.rows} contains {len(found)} interval vectors, dim={sub.dim}"

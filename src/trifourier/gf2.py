@@ -105,21 +105,25 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
     The result is a canonical function of the span: two generating sets with
     equal span produce identical tuples.  Rows are returned sorted by pivot.
     """
-    piv: dict[int, int] = {}
-    for v0 in vectors:
-        v = v0
+    piv: dict[int, int] = {}  # pivot bit mask (lowest set bit) -> row
+    for v in vectors:
         while v:
-            p = (v & -v).bit_length() - 1
-            if p in piv:
-                v ^= piv[p]
+            low = v & -v
+            if low in piv:
+                v ^= piv[low]
             else:
-                piv[p] = v
+                piv[low] = v
                 break
-    for p in sorted(piv, reverse=True):
-        for q in piv:
-            if q != p and (piv[q] >> p) & 1:
-                piv[q] ^= piv[p]
-    return tuple(piv[p] for p in sorted(piv))
+    lows = sorted(piv)
+    rows = [piv[low] for low in lows]
+    # a row has no bit below its pivot, so only rows with lower pivots need
+    # clearing; going down from the top pivot, each row used is already reduced
+    for j in range(len(rows) - 1, 0, -1):
+        low, row = lows[j], rows[j]
+        for i in range(j):
+            if rows[i] & low:
+                rows[i] ^= row
+    return tuple(rows)
 
 
 @dataclass(frozen=True, order=True)

@@ -10,6 +10,7 @@ both circles consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .gf2 import Subspace, SymplecticSpace, bits_of, kernel_of, make_space, rref
 from .report import Report
@@ -35,8 +36,12 @@ class CircularMap:
             out ^= self.images[j]
         return out
 
-    def apply_subspace(self, sub: Subspace) -> Subspace:
-        return Subspace.span(self.apply(row) for row in sub.rows)
+    def table(self) -> list[int]:
+        """The images of all 2^src_dim source vectors, indexed by source mask."""
+        t = [0]
+        for img in self.coordinate_images():
+            t += [x ^ img for x in t]
+        return t
 
     def compose(self, inner: "CircularMap") -> "CircularMap":
         """self . inner, a map from the source of inner."""
@@ -109,15 +114,27 @@ def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> CircularM
     return emb
 
 
+def push_rows(table: list[int], rows: Iterable[int], *extra: int) -> tuple[int, ...]:
+    """The reduced rows of the image of span(rows) under a map, plus the vectors `extra`.
+
+    `table` is the map's `CircularMap.table()`; the images and the extra
+    vectors are reduced together, once.
+    """
+    return rref([table[r] for r in rows] + list(extra))
+
+
 def pushed_subspace(space: SymplecticSpace, emb: CircularMap, sub: Subspace, i: int) -> Subspace:
-    """tau_i(E') + F2.e_i, the one-dimension-up member produced by an embedding."""
-    return emb.apply_subspace(sub).extend(space.circular(i))
+    """tau_i(E') + F2.e_i, the one-dimension-up member produced by an embedding.
+
+    Builds the embedding's table on every call; a push of many members builds
+    it once and calls `push_rows`.
+    """
+    return Subspace(push_rows(emb.table(), sub.rows, space.circular(i)))
 
 
 def check_complement(space: SymplecticSpace, i: int) -> bool:
     """tau_i's image is a complement of the line F2.e_i inside the perp of e_i."""
-    sub_space = SymplecticSpace(space.dim - 2)
-    emb = tau(space, sub_space, i)
+    emb = tau(space, make_space(space.dim - 2), i)
     image = emb.image_subspace()
     ei = space.circular(i)
     if image.contains(ei) and ei != 0:
@@ -146,12 +163,15 @@ def verify_composition_identity(dim: int) -> Report:
     if dim < 4 or dim % 2 != 0:
         raise ValueError("identity requires even D >= 4")
     rep = Report(f"composition-identity D={dim}")
-    v = SymplecticSpace(dim)
-    vp = SymplecticSpace(dim - 2)
-    vpp = SymplecticSpace(dim - 4)
+    v = make_space(dim)
+    vp = make_space(dim - 2)
+    vpp = make_space(dim - 4)
     members = family_subspaces(dim - 4)
     tau_top = tau(v, vp, dim + 1)
+    top = tau_top.table()
     tau_last = tau(vp, vpp, dim - 1)
+    last = tau_last.table()
+    e_top, e_last = v.circular(dim + 1), vp.circular(dim - 1)
     for i in range(1, dim - 1):
         ti = tau(vp, vpp, i)
         lhs = tau_top.compose(ti).coordinate_images()
@@ -159,11 +179,12 @@ def verify_composition_identity(dim: int) -> Report:
             rhs = tau(v, vp, j).compose(tau_last).coordinate_images()
             rep.require(f"matrix i={i} j={j}", lhs == rhs, f"lhs={lhs} rhs={rhs}")
         j = i + 1
-        tj = tau(v, vp, j)
+        t_i, t_j = ti.table(), tau(v, vp, j).table()
+        e_i, e_j = vp.circular(i), v.circular(j)
         bad = []
         for sub in members:
-            left = pushed_subspace(v, tau_top, pushed_subspace(vp, ti, sub, i), dim + 1)
-            right = pushed_subspace(v, tj, pushed_subspace(vp, tau_last, sub, dim - 1), j)
+            left = push_rows(top, push_rows(t_i, sub.rows, e_i), e_top)
+            right = push_rows(t_j, push_rows(last, sub.rows, e_last), e_j)
             if left != right:
                 bad.append(sub)
         rep.require(f"subspaces i={i}", not bad, f"{len(bad)} violating members, first={bad[:1]}")

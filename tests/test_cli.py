@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -204,6 +205,25 @@ def test_family_suite_leaves_numpy_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
+    # the family, dihedral and counts paths stay pure Python: numpy would add its import and RSS
+    script = (
+        "import contextlib, io, sys\n"
+        "from trifourier.cli import main\n"
+        "for argv in (['family', '--dim', '4', '--format', 'json'],\n"
+        "             ['verify', '--dim', '4', '--suite', 'dihedral'],\n"
+        "             ['verify', '--dim', '4', '--suite', 'counts']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv)\n"
+        "    assert rc == 0, (argv, rc)\n"
+        "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_trace_hooks_resolve():
     # the benchmark's traced pass wraps module attributes by name; a rename must fail here
     root = Path(__file__).resolve().parent.parent
@@ -213,3 +233,57 @@ def test_benchmark_trace_hooks_resolve():
         [sys.executable, "-c", script], cwd=root / "perfbench", env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# SHA-256 of the standard output of each command, recorded before the interval
+# bases were carried through the recursion; a digest that moves is a change to
+# the bytes the CLI prints.  The outputs do not depend on PYTHONHASHSEED.
+GOLDEN_SHA256 = {
+    "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
+    "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
+    "verify --dim 0 --suite family --format text": "3066ee46a8aff621ba9b123ce9c626dec451b7b75accac83eda4eac3cae16782",
+    "verify --dim 0 --suite family --format json": "9513a738d44299e675e32693f2f51c94a4cc583593fa951a1f1a49901ffaa652",
+    "verify --dim 0 --suite dihedral --format text": "62ebbdc7eb34ded841745106114df00a609f6f586f1414c321118812577bf061",
+    "verify --dim 0 --suite dihedral --format json": "19fb26ce4c884534e7f6b4d7775d656b3ea93a5f3a3f993d03cd722f56649088",
+    "verify --dim 0 --suite counts --format text": "903f1fb4b795b5cafa2c287b68bdb776e2709cc4e1598c9e059371739552c1f7",
+    "verify --dim 0 --suite counts --format json": "859a07a7a256329cdbfe1056b967dc6de974e21131a8172b12371af4aaaf45cb",
+    "family --dim 2 --format text": "20a1f7c1443c24c343eaa83adfe8bb1571b24bd172589736289cf42f53fb490d",
+    "family --dim 2 --format json": "3d7dcdaf00eb999bdecdb7c8dec2c2c4cd73e4bc9b651b519b47149fd735ef99",
+    "verify --dim 2 --suite family --format text": "ede957a51b9ddfcda9aa39f6d20867b7ec7194dde85a27b120fc98062655c955",
+    "verify --dim 2 --suite family --format json": "bc21e33dfd442679a17e53894f87c7b8969f7bb76110bab8c3761c4eb5a588f0",
+    "verify --dim 2 --suite dihedral --format text": "000b5b4f6554d121070c4a24643141a8ab4623b9f926c3c917960aeb6a243b50",
+    "verify --dim 2 --suite dihedral --format json": "b4225856c4aa776aa55260432e8ea30a7ebcd39bfd049d9bc40ebf1e33ccce53",
+    "verify --dim 2 --suite counts --format text": "7b92c84597904b9ce1328a97935e7de204b732a5584cc2064fe7b5c836ec1a66",
+    "verify --dim 2 --suite counts --format json": "2a39922550d6e706681f6f44cc41678a8a1a19853cddccb01c4f2fbffbbe06b9",
+    "family --dim 4 --format text": "e7a7cfba643b882e050a2a8e055fb0050caaea7f8f6a50425233ba2562530cef",
+    "family --dim 4 --format json": "86b65e2d8d56a11246d1b0ab61cfd0c2eb2a0ad2be932a998ce58f80597ae9d5",
+    "verify --dim 4 --suite family --format text": "d127935ffbf15072ad31777ada2b1096ff1641c899d12617340c05be9cde630b",
+    "verify --dim 4 --suite family --format json": "970ca812469304c864e2af4f6720ae777bc47602d5d8822454904889f789a592",
+    "verify --dim 4 --suite dihedral --format text": "b77d6d226b268372f9437920be1d70d884cddb329634d6db0c783400c4c530c9",
+    "verify --dim 4 --suite dihedral --format json": "a81605a9f5c262dec7328fe3b49e293011febc0ead73f70ae925055fd8d06d19",
+    "verify --dim 4 --suite counts --format text": "ad5589e8ac91aed657e09503c541156871c5679d981000787880bbe920d4cfa6",
+    "verify --dim 4 --suite counts --format json": "c8512fafda01fe2265ae9a8d0722f0b296ddcb42e4a08d898d63b6d9e3af7cc4",
+    "family --dim 6 --format text": "2368dd57d623b6cd427a0efb76afa26d6765f32c83868d4ee1bd9c6b97c8b602",
+    "family --dim 6 --format json": "d1bb676394e17012165a03591dcbc710b6ed2e5e80bdf830660edf43ae2f23a3",
+    "verify --dim 6 --suite family --format text": "56d695250cf42f3fb90b2b962b005b951d0dae260b0e24ae96916f9d7bdd1343",
+    "verify --dim 6 --suite family --format json": "d552fc43cb3749a2ad6320b4ee7c6844d15355b390b5b739fe55c109932e0881",
+    "verify --dim 6 --suite dihedral --format text": "3fbaab85ab5ec698a17b164d60f7c3c3f0f72fa8998e1c7932bca8f090c04dc7",
+    "verify --dim 6 --suite dihedral --format json": "e4ac7e7eab576f625b80cd542b85d07d5b31a9a4a12e416c43f0687cc025fbbd",
+    "verify --dim 6 --suite counts --format text": "a3cb38b21100d1bc62749529753c09d1d87a7e13e1811be45ed23d84ccbc4349",
+    "verify --dim 6 --suite counts --format json": "eab850a6462d22e88bcd1ded4b6a2675feb64b280b314078985e2541d4108a69",
+    "family --dim 8 --format text": "816f492514d05cce2743266909c0a5b98901d6ec04bff65d7d817fa8726e5e8c",
+    "family --dim 8 --format json": "f003ce1b8b4e1792c640f7fd537a1bb032880cf86b91acb3c3f00e59b2c21adb",
+    "verify --dim 8 --suite family --format text": "afbe6271372b12633bc0e682dfb36a064ced80e11dbd1a60ae96046198879a34",
+    "verify --dim 8 --suite family --format json": "32d3d46e8accbe44aa81a6c6a77ff50cf04ee29e3f2b593d728504d4e8f8627e",
+    "verify --dim 8 --suite dihedral --format text": "23bf7e3992813e5d583b600a052c54b943f4daa93022889788dc7939cd3d89df",
+    "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
+    "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
+    "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

@@ -21,7 +21,7 @@ from trifourier.family import (
     verify_counts,
     verify_structure,
 )
-from trifourier.gf2 import Subspace, canonical_subspace, make_space
+from trifourier.gf2 import Subspace, all_intervals, canonical_subspace, make_space
 from trifourier.taumaps import pushed_subspace, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
@@ -173,6 +173,13 @@ def test_interval_basis_rejects_non_member():
     sp = make_space(4)
     with pytest.raises(FamilyStructureError):
         interval_basis(sp, canonical_subspace([0b0101]))  # e1+e3: no interval vectors
+    # e_[1,1], e_[2,2] and e_[1,2] lie in one plane: its interval basis is not unique
+    with pytest.raises(FamilyStructureError, match="contains 3 interval vectors, dim=2"):
+        interval_basis(sp, canonical_subspace([0b0001, 0b0010]))
+    # at D = 6, e_[1,1], e_[2,2] and e_[1,2] are the only interval vectors of
+    # <e1, e2, e3+e5>: as many as its dimension, but dependent
+    with pytest.raises(FamilyStructureError, match="dependent"):
+        interval_basis(make_space(6), canonical_subspace([0b000001, 0b000010, 0b010100]))
 
 
 def test_fibers_d4():
@@ -236,7 +243,7 @@ def test_signed_binomial_values():
 
 
 def test_family_variants_agree():
-    for dim in (0, 2, 4, 6, 8):
+    for dim in (0, 2, 4, 6, 8, 10):
         std = family_subspaces(dim)
         assert family_subspaces_prime(dim) == std
         assert family_subspaces_ucb(dim) == std
@@ -280,6 +287,15 @@ def _replay(path: str, dim: int) -> Subspace:
 def test_provenance_replays_to_member(dim):
     for ent in build_family(dim).entries:
         assert _replay(ent.provenance, dim) == ent.subspace, (ent.index, ent.provenance)
+
+
+@pytest.mark.parametrize("dim", range(0, 11, 2))
+def test_interval_basis_matches_scan(dim):
+    # reference: test every interval vector of the space for membership
+    space = make_space(dim)
+    for sub in family_subspaces(dim):
+        scan = sorted(lab for lab in all_intervals(dim) if sub.contains(lab.vector(space)))
+        assert interval_basis(space, sub) == tuple(scan), sub.rows
 
 
 def test_family_json_schema():

@@ -128,6 +128,30 @@ def test_canonical_subspace_retraction():
         assert canonical_subspace(sub.rows) == sub
 
 
+def _gauss_jordan(vectors: list[int], dim: int) -> tuple[int, ...]:
+    """Textbook elimination on coordinate lists, pivot columns taken from e_1 up."""
+    rows = [list(coords_of(v, dim)) for v in vectors]
+    rank = 0
+    for col in range(dim):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(len(rows)):
+            if k != rank and rows[k][col]:
+                rows[k] = [a ^ b for a, b in zip(rows[k], rows[rank])]
+        rank += 1
+    return tuple(vector_from_coords(row) for row in rows[:rank])
+
+
+def test_rref_matches_gauss_jordan():
+    rng = random.Random(20240607)
+    for _ in range(20000):
+        dim = rng.randint(1, 14)
+        vectors = [rng.getrandbits(dim) for _ in range(rng.randint(0, 9))]
+        assert rref(vectors) == _gauss_jordan(vectors, dim), vectors
+
+
 def test_subspace_contains_and_vectors():
     sub = canonical_subspace([0b011, 0b110])
     assert sub.dim == 2

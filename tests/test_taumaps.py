@@ -1,13 +1,15 @@
 import pytest
 
-from trifourier.dihedral import preserves_form
-from trifourier.gf2 import make_space, rref
+from trifourier.dihedral import preserves_form, reflection, rotation
+from trifourier.family import family_subspaces
+from trifourier.gf2 import Subspace, make_space, rref
 from trifourier.taumaps import (
     CircularMap,
     _validate_embedding,
     check_complement,
     generic_tau,
     numbered_pair,
+    pushed_subspace,
     tau,
     verify_composition_identity,
 )
@@ -123,3 +125,25 @@ def test_generic_tau_rejects_bad_vertices():
         generic_tau(v, vp, 1, 8)
     with pytest.raises(ValueError):
         generic_tau(v, vp, 1, 1, orientation=2)
+
+
+def test_table_is_apply_on_every_source_vector():
+    for dim in range(2, 9, 2):
+        v, vp = make_space(dim), make_space(dim - 2)
+        maps = [tau(v, vp, i) for i in range(1, dim + 2)] + [rotation(v), reflection(v)]
+        if dim >= 4:
+            maps += [generic_tau(v, vp, gp, g) for gp in range(1, dim) for g in range(1, dim + 2)]
+        for m in maps:
+            t = m.table()
+            assert len(t) == 2**m.src_dim
+            assert all(t[x] == m.apply(x) for x in range(2**m.src_dim)), m
+
+
+def test_pushed_subspace_is_image_plus_line():
+    for dim in (2, 4, 6, 8):
+        v, vp = make_space(dim), make_space(dim - 2)
+        for i in range(1, dim + 2):
+            emb = tau(v, vp, i)
+            for sub in family_subspaces(dim - 2):
+                two_step = Subspace.span(emb.apply(row) for row in sub.rows).extend(e(v, i))
+                assert pushed_subspace(v, emb, sub, i) == two_step
