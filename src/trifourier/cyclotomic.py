@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .bareiss import adjugate
+
 N = 60
 DEGREE = 16
 # -(coefficients of the minimal polynomial below degree 16): z^16 = _SUBST . (z^0..z^15)
@@ -167,27 +169,17 @@ class Cyc:
         return Cyc._coerce(other) * self.inverse()
 
     def inverse(self) -> "Cyc":
-        """Field inverse via the extended Euclidean algorithm mod the minimal polynomial."""
+        """Field inverse: x with num * x = den, solved as M x = den e_0.
+
+        Column i of the integer matrix M is num * z^i reduced, so
+        x = den * adj(M) e_0 / det M (`bareiss.adjugate`).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        min_poly = [Fraction(c) for c in _MIN_POLY_TAIL] + [Fraction(1)]
-        a = [Fraction(c, self.den) for c in self.num]
-        # invariants: r0 = s0 * self (mod min_poly), r1 = s1 * self (mod min_poly)
-        r0, r1 = min_poly, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = next(c for c in reversed(r0) if c)
-        if len(_poly_trim(r0)) != 1:
-            raise ZeroDivisionError("element is a zero divisor (reduction polynomial not coprime)")
-        inv_coeffs = [c / lead for c in s0]
-        inv_coeffs += [Fraction(0)] * (DEGREE - len(inv_coeffs))
-        den = 1
-        for c in inv_coeffs[:DEGREE]:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Cyc(tuple(int(c * den) for c in inv_coeffs[:DEGREE]), den)
+        m = [[sum(a * _POWERS[i + j][r] for j, a in enumerate(self.num) if a) for i in range(DEGREE)]
+             for r in range(DEGREE)]
+        det, adj = adjugate(m)  # det != 0: the minimal polynomial is irreducible
+        return Cyc(tuple(self.den * row[0] for row in adj), det)
 
     def conj(self) -> "Cyc":
         """Complex conjugation: the base root maps to its inverse."""
@@ -240,39 +232,3 @@ class Cyc:
             for j, c in enumerate(self.num)
             if c
         ]
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    a = a + [Fraction(0)] * (size - len(a))
-    b = b + [Fraction(0)] * (size - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coeff = a[-1] / b[-1]
-        q[shift] = coeff
-        a = _poly_trim([a[i] - coeff * b[i - shift] if i >= shift else a[i] for i in range(len(a))])
-    return q, a

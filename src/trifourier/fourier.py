@@ -33,10 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .bareiss import adjugate
 from .family import Family, FamilyStructureError, delta
 from .gf2 import Subspace, SymplecticSpace, make_space, perp
 from .report import Report
-from .slices import INT64_MAX, check_headroom, max_abs
+from .slices import INT64_MAX, check_headroom, int_array, max_abs
 from .taumaps import tau
 
 # CobMatrix.num and the checks hold dense 2^D x 2^D int64 arrays: 128 MiB at
@@ -45,15 +46,6 @@ MAX_DENSE_DIM = 12
 # Columns per block in the transform checks: about 2^18 int64 entries (2 MiB),
 # which keeps the butterflies near the cache and the temporaries small.
 _BLOCK_ENTRIES = 1 << 18
-
-# The largest primes below 2^31; pivoting products stay within int64.
-_PRIMES31 = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
-# Primes below 2^20 for residue comparisons: n * p^2 stays far inside int64
-# for every matrix size this package can produce.
-_PRIMES20 = (
-    1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
-    1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309,
-)
 
 
 def characteristic(space: SymplecticSpace, subset) -> list[int]:
@@ -164,8 +156,7 @@ def z_map(space: SymplecticSpace, sub_space: SymplecticSpace, i: int, f_prime: S
 
 def _push_rows(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> tuple[np.ndarray, np.ndarray]:
     """The two rows the i-th push-up gives each point mass y: tau_i(y) and tau_i(y) + e_i."""
-    emb = tau(space, sub_space, i)
-    t = np.array([emb.apply(y) for y in range(1 << sub_space.dim)], dtype=np.int64)
+    t = np.array(tau(space, sub_space, i).table(), dtype=np.int64)
     return t, t ^ space.circular(i)
 
 
@@ -216,6 +207,19 @@ def basis_matrix(family: Family) -> np.ndarray:
     return mat
 
 
+def integer_inverse(mat: np.ndarray) -> np.ndarray:
+    """Exact inverse of a unimodular integer matrix, det * adj with det = +-1.
+
+    With `basis_matrix` it is a dense reference for the peel solve, off the
+    command-line path.  Raises ValueError when det != +-1: no integer
+    inverse exists.
+    """
+    det, adj = adjugate(mat.tolist())
+    if det not in (1, -1):
+        raise ValueError(f"det = {det}; matrix is not unimodular")
+    return int_array([[det * v for v in row] for row in adj]).reshape(mat.shape)
+
+
 def _supports(subspaces: list[Subspace]) -> tuple[np.ndarray, np.ndarray]:
     """CSR form (starts, vecs): the vectors of subspaces[j] are vecs[starts[j]:starts[j+1]]."""
     starts = np.zeros(len(subspaces) + 1, dtype=np.int64)
@@ -260,96 +264,6 @@ def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     sums = np.add.reduceat(vals, firsts)
     keep = sums != 0
     return keys[firsts][keep], sums[keep]
-
-
-# -- certified integer linear algebra ---------------------------------------
-
-
-def _mod_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an integer matrix modulo a word-sized prime, or raises."""
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        pivots = np.nonzero(aug[col:, col])[0]
-        if pivots.size == 0:
-            raise ZeroDivisionError(f"matrix is singular modulo {p}")
-        r = col + int(pivots[0])
-        if r != col:
-            aug[[col, r]] = aug[[r, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col] = (aug[col] * inv) % p
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        nz = np.nonzero(factors)[0]
-        if nz.size:
-            aug[nz] = (aug[nz] - factors[nz, None] * aug[col][None, :]) % p
-    return aug[:, n:]
-
-
-def matmul_equals(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
-    """Exact test x @ y == z for integer matrices, immune to overflow.
-
-    Uses a direct int64 product when entry bounds make overflow impossible,
-    otherwise compares modulo enough small primes that the residues
-    determine the bounded integers uniquely (20-bit residues keep every
-    modular product sum far inside int64).
-    """
-    if x.size == 0:
-        return z.size == 0 or not z.any()
-    bound_terms = int(np.abs(x).astype(object).sum(axis=1).max()) * int(np.abs(y).max(initial=0))
-    bound = max(bound_terms, int(np.abs(z).max(initial=0)))
-    if x.dtype != object and y.dtype != object and bound < 2**62:
-        return bool(np.array_equal(x @ y, z))
-    modulus = 1
-    for p in _PRIMES20:
-        xr = (x % p).astype(np.int64)
-        yr = (y % p).astype(np.int64)
-        zr = (z % p).astype(np.int64)
-        if not np.array_equal((xr @ yr) % p, zr):
-            return False
-        modulus *= p
-        if modulus > 2 * bound:
-            return True
-    raise ArithmeticError("entry bounds exceed the available prime pool")
-
-
-def integer_inverse(mat: np.ndarray) -> np.ndarray:
-    """Exact integer inverse of a unimodular integer matrix.
-
-    Candidate inverses are built modulo one or more primes and CRT-lifted to
-    the symmetric range; the return value is certified by the exact product
-    check A @ mat == I, which also proves det(mat) = +-1.  Raises ValueError
-    when no integer inverse exists.
-    """
-    n = mat.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    ident = np.eye(n, dtype=np.int64)
-    residues: list[np.ndarray] = []
-    modulus = 1
-    for p in _PRIMES31:
-        try:
-            residues.append(_mod_inverse(mat, p))
-        except ZeroDivisionError:
-            # det = +-1 is invertible mod every prime; witness non-unimodularity
-            raise ValueError(f"matrix is singular modulo {p}; not unimodular")
-        prev = modulus
-        modulus *= p
-        if len(residues) == 1:
-            combined = residues[0].astype(object)
-        else:
-            # CRT step: combined' = combined + prev * ((r - combined) * inv(prev) mod p)
-            inv_prev = pow(prev % p, p - 2, p)
-            diff = (residues[-1].astype(object) - combined) % p
-            combined = combined + prev * ((diff * inv_prev) % p)
-        lifted = np.where(combined > modulus // 2, combined - modulus, combined)
-        cand = lifted.astype(np.int64) if int(np.abs(lifted).max()) < 2**62 else lifted
-        try:
-            if matmul_equals(cand, mat, ident):
-                return cand
-        except ArithmeticError:
-            pass  # candidate too large to certify; a further prime may shrink it
-    raise ValueError("no integer inverse found; matrix is not unimodular")
 
 
 # -- the peel solve ---------------------------------------------------------------

@@ -82,9 +82,14 @@ class SymplecticSpace:
 
     def pairing(self, u: int, v: int) -> int:
         """The symplectic pairing (u, v) as a bit."""
-        if u >> self.dim or v >> self.dim:
+        return self.pairings((u, v))[0]
+
+    def pairings(self, vectors: tuple[int, ...]) -> list[int]:
+        """The pairings (v_i, v_j), i < j, in row order; each functional (v_i, .) is computed once."""
+        if any(v >> self.dim for v in vectors):
             raise ValueError("vector does not fit in this space")
-        return (u & self.gram_apply(v)).bit_count() & 1
+        forms = [self.gram_apply(v) for v in vectors]
+        return [(f & v).bit_count() & 1 for i, f in enumerate(forms) for v in vectors[i + 1 :]]
 
     def interval_vector(self, a: int, b: int) -> int:
         """e_I for the interval I = [a, b] with 1 <= a <= b <= D."""
@@ -196,12 +201,7 @@ def perp(space: SymplecticSpace, sub: Subspace) -> Subspace:
 
 def is_isotropic(space: SymplecticSpace, sub: Subspace) -> bool:
     """True iff the pairing vanishes on the subspace (alternating: i<j only)."""
-    rows = sub.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if space.pairing(rows[i], rows[j]):
-                return False
-    return True
+    return not any(space.pairings(sub.rows))
 
 
 @dataclass(frozen=True, order=True)

@@ -29,6 +29,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import slices
+from .bareiss import adjugate
 from .cyclotomic import DEGREE, Cyc
 from .groups import (
     CharacterTable,
@@ -460,59 +461,20 @@ def piece_partition(name: str) -> list[list[MPair]]:
     return pieces
 
 
-# -- exact linear algebra over the field --------------------------------------
-
-
-def fraction_matrix_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def fraction_matrix_det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
-def _conjugated_slices(ft: FTMatrix, basis: NewBasis) -> tuple[np.ndarray, int]:
-    """Slices and denominator of U^-1 F U, with U^-1 = V/d for an integer matrix V."""
-    uinv = fraction_matrix_inverse([[Fraction(v) for v in row] for row in basis.matrix])
-    d = lcm(*(q.denominator for row in uinv for q in row))
-    u = slices.rational(slices.int_array(basis.matrix))
-    v = slices.rational(slices.int_array([[int(q * d) for q in row] for row in uinv]))
-    fu = slices.matmul(ft.num, u)
-    return slices.matmul(v, fu), ft.den * d
+def _conjugated_slices(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]) -> tuple[np.ndarray, int]:
+    """Slices and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0)."""
+    g = gcd(det, *(a for row in adj for a in row)) * (1 if det > 0 else -1)
+    v = slices.rational(slices.int_array([[a // g for a in row] for row in adj]))
+    fu = slices.matmul(ft.num, slices.rational(slices.int_array(u)))
+    return slices.matmul(v, fu), ft.den * (det // g)
 
 
 def conjugated_matrix(ft: FTMatrix, basis: NewBasis) -> list[list[Cyc]]:
-    """U^-1 F U: the Fourier matrix written in the new basis."""
-    return slices.to_cyc_rows(*_conjugated_slices(ft, basis))
+    """U^-1 F U: the Fourier matrix written in the new basis; ZeroDivisionError if U is singular."""
+    det, adj = adjugate(basis.matrix)
+    if not det:
+        raise ZeroDivisionError("basis matrix is singular")
+    return slices.to_cyc_rows(*_conjugated_slices(ft, basis.matrix, det, adj))
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
@@ -530,7 +492,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
     rep.require("basis size", basis.size == n, f"{basis.size} != {n}")
     if basis.size != n:
         return rep
-    det = fraction_matrix_det([[Fraction(v) for v in row] for row in basis.matrix])
+    det, adj = adjugate(basis.matrix)
     rep.require("unimodular", det in (1, -1), f"det = {det}")
     if det == 0:
         return rep
@@ -541,7 +503,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
     rep.require("pieces cover basis", len(piece_of) == n, f"{len(piece_of)} != {n}")
     if len(piece_of) != n:
         return rep
-    fh, fden = _conjugated_slices(ft, basis)
+    fh, fden = _conjugated_slices(ft, basis.matrix, det, adj)
     piece = np.array([piece_of[i] for i in range(n)])
     # entry (i, j) must vanish when i != j and piece(i) <= piece(j); scan column by column
     forbidden = (piece[:, None] <= piece[None, :]) & ~np.eye(n, dtype=bool)
@@ -685,6 +647,9 @@ def load_basis(data: dict) -> NewBasis:
     name = _field(data, "group", "basis file")
     if not isinstance(name, str):
         raise ValueError(f"basis file field 'group' must be a string, not {type(name).__name__}")
+    variant = data.get("variant", "")
+    if not isinstance(variant, str):
+        raise ValueError(f"basis file field 'variant' must be a string, not {type(variant).__name__}")
     md = mdata(name)
     n = len(md.pairs)
     mat = [[0] * n for _ in range(n)]
@@ -712,7 +677,7 @@ def load_basis(data: dict) -> NewBasis:
     if len(seen) != n:
         missing = [p for p in md.pairs if p not in seen]
         raise ValueError(f"missing expansions for {missing[:3]} (and {max(len(missing) - 3, 0)} more)")
-    return NewBasis(name, data.get("variant", ""), mat)
+    return NewBasis(name, variant, mat)
 
 
 def load_basis_file(path: str) -> NewBasis:

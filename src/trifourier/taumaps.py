@@ -61,11 +61,7 @@ def preserves_form(space: SymplecticSpace, m: CircularMap) -> bool:
     """m carries the pairing of every pair of source circular vectors to `space`."""
     src = make_space(m.src_dim)
     circ = src.circular_vectors()
-    for i in range(len(circ)):
-        for j in range(i + 1, len(circ)):
-            if src.pairing(circ[i], circ[j]) != space.pairing(m.images[i], m.images[j]):
-                return False
-    return True
+    return src.pairings(circ) == space.pairings(m.images[: len(circ)])
 
 
 def _validate_embedding(emb: CircularMap, dst: SymplecticSpace) -> None:

@@ -166,6 +166,16 @@ def test_nonabelian_basis_file_missing_field(capsys, tmp_path):
     assert err.count("\n") == 1 and str(path) in err and "'rho'" in err and "expansion 2" in err
 
 
+def test_nonabelian_basis_file_non_string_variant(capsys, tmp_path):
+    doc = new_basis_to_json(s3_new_basis("e"))
+    doc["variant"] = {"a": 1}
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "nonabelian", "--group", "s3", "--check", "newbasis", "--basis", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and str(path) in err and "'variant'" in err
+
+
 def test_dim_above_cap_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["family", "--dim", "16"])
@@ -217,6 +227,23 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         "        rc = main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_nonabelian_newbasis_leaves_gf2_pipeline_unimported():
+    # the group checks need neither the family recursion nor the GF(2) transform
+    script = (
+        "import contextlib, io, sys\n"
+        "from trifourier.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['nonabelian', '--group', 's3', '--check', 'newbasis'])\n"
+        "assert rc == 0, rc\n"
+        "loaded = [m for m in ('trifourier.family', 'trifourier.fourier', 'trifourier.taumaps') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}

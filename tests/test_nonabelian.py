@@ -21,6 +21,8 @@ from trifourier.nonabelian import (
     verify_triangular,
 )
 
+from fraction_reference import fraction_det
+
 # image coefficients of the first two basis vectors for the smallest group,
 # frozen as exact fractions
 S3_ROW_TRIVIAL = {
@@ -131,10 +133,8 @@ def test_s3_new_basis_variants():
 
 
 def test_s3_new_basis_unimodular():
-    from trifourier.nonabelian import fraction_matrix_det
-
     for variant in ("g2", "e"):
-        det = fraction_matrix_det([[Fraction(v) for v in row] for row in s3_new_basis(variant).matrix])
+        det = fraction_det([[Fraction(v) for v in row] for row in s3_new_basis(variant).matrix])
         assert det in (1, -1)
 
 

@@ -14,12 +14,13 @@ from trifourier.nonabelian import (
     MPair,
     NewBasis,
     conjugated_matrix,
-    fraction_matrix_inverse,
     hyperplane_check,
     mdata,
     nonabelian_ft,
     s3_new_basis,
 )
+
+from fraction_reference import fraction_inverse
 
 
 def reference_ft(name: str) -> list[list[Cyc]]:
@@ -157,7 +158,7 @@ def test_conjugated_matrix_matches_definition(change):
         u = [row[:5] + [row[5] + 10**25 * row[0]] + row[6:] for row in u]
     if change == "scaled":  # double column 5: the inverse has denominator 2
         u = [row[:5] + [2 * row[5]] + row[6:] for row in u]
-    uinv = fraction_matrix_inverse([[Fraction(v) for v in row] for row in u])
+    uinv = fraction_inverse([[Fraction(v) for v in row] for row in u])
     as_cyc = [[Cyc.from_rational(v) for v in row] for row in uinv]
     want = reference_product(as_cyc, reference_product(ft.matrix, [[Cyc.from_rational(v) for v in row] for row in u]))
     assert conjugated_matrix(ft, NewBasis("s3", "e", u)) == want
