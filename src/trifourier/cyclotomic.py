@@ -35,6 +35,25 @@ def _build_power_table() -> tuple[tuple[int, ...], ...]:
 
 
 _POWERS = _build_power_table()
+# the non-zero (j, coefficient) pairs of each reduced power z^k
+_TERMS = tuple(tuple((j, c) for j, c in enumerate(p) if c) for p in _POWERS)
+
+
+def reduce_powers(coeffs) -> tuple[int, ...]:
+    """The coefficients over z^0..z^15 of sum_k coeffs[k] z^k, for k = 0..60."""
+    out = list(coeffs[:DEGREE])
+    out += [0] * (DEGREE - len(out))
+    for k in range(DEGREE, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for j, p in _TERMS[k]:
+                out[j] += c * p
+    return tuple(out)
+
+
+def conj_coeffs(num) -> tuple[int, ...]:
+    """Complex conjugation on coefficients: z^j maps to z^(60-j)."""
+    return reduce_powers((num[0], *(0,) * (N - DEGREE), *num[:0:-1]))
 
 
 class Cyc:
@@ -136,14 +155,7 @@ class Cyc:
                 for j, b in enumerate(other.num):
                     if b:
                         conv[i + j] += a * b
-        out = [0] * DEGREE
-        for k, c in enumerate(conv):
-            if c:
-                pk = _POWERS[k]
-                for j in range(DEGREE):
-                    if pk[j]:
-                        out[j] += c * pk[j]
-        return Cyc(tuple(out), self.den * other.den)
+        return Cyc(reduce_powers(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -176,21 +188,13 @@ class Cyc:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        m = [[sum(a * _POWERS[i + j][r] for j, a in enumerate(self.num) if a) for i in range(DEGREE)]
-             for r in range(DEGREE)]
+        m = [list(r) for r in zip(*(reduce_powers((0,) * i + self.num) for i in range(DEGREE)))]
         det, adj = adjugate(m)  # det != 0: the minimal polynomial is irreducible
         return Cyc(tuple(self.den * row[0] for row in adj), det)
 
     def conj(self) -> "Cyc":
         """Complex conjugation: the base root maps to its inverse."""
-        out = [0] * DEGREE
-        for j, c in enumerate(self.num):
-            if c:
-                pk = _POWERS[(N - j) % N]
-                for t in range(DEGREE):
-                    if pk[t]:
-                        out[t] += c * pk[t]
-        return Cyc(tuple(out), self.den)
+        return Cyc(conj_coeffs(self.num), self.den)
 
     # -- predicates and conversions -------------------------------------------
 

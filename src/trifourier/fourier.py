@@ -20,7 +20,7 @@ substitution.  `verify_change_of_basis` re-checks the peel order, the
 residual W - B X, and the closed form against the transform.
 
 No float is used.  Every int64 computation runs under an explicit bound on
-its intermediates (`slices.check_headroom` raises OverflowError past 2^63).
+its intermediates (`check_headroom` raises OverflowError past 2^63).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .bareiss import adjugate
 from .family import Family, FamilyStructureError, delta
 from .gf2 import Subspace, SymplecticSpace, make_space, perp
 from .report import Report
-from .slices import INT64_MAX, check_headroom, int_array, max_abs
 from .taumaps import tau
 
 # CobMatrix.num and the checks hold dense 2^D x 2^D int64 arrays: 128 MiB at
@@ -46,6 +45,23 @@ MAX_DENSE_DIM = 12
 # Columns per block in the transform checks: about 2^18 int64 entries (2 MiB),
 # which keeps the butterflies near the cache and the temporaries small.
 _BLOCK_ENTRIES = 1 << 18
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_headroom(bound: int, what: str) -> None:
+    """Refuse an int64 computation whose partial sums may reach 2^63 in absolute value."""
+    if bound > INT64_MAX:
+        raise OverflowError(f"{what}: bound {bound} on an intermediate exceeds int64")
+
+
+def max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def int_array(rows) -> np.ndarray:
+    """Exact integer array from nested lists of ints: int64 when every entry fits, else object."""
+    arr = np.array(rows, dtype=object)
+    return arr if max_abs(arr) > INT64_MAX else arr.astype(np.int64)
 
 
 def characteristic(space: SymplecticSpace, subset) -> list[int]:

@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
 from .cyclotomic import Cyc
-from .slices import FOLD_GAIN, check_headroom, conj, fold, from_cycs, max_abs, rational, to_cyc
+from .packed import ZERO, Vec, conj, from_cycs, matmul
 
 Perm = tuple[int, ...]
 
@@ -43,8 +41,11 @@ def pinv(a: Perm) -> Perm:
 
 
 def pconj(g: Perm, x: Perm) -> Perm:
-    """g x g^{-1}."""
-    return pmul(pmul(g, x), pinv(g))
+    """g x g^{-1}, which sends g(i) to g(x(i))."""
+    out = [0] * len(g)
+    for i, xi in enumerate(x):
+        out[g[i]] = g[xi]
+    return tuple(out)
 
 
 def identity_perm(n: int) -> Perm:
@@ -143,30 +144,26 @@ class CharacterTable:
         ident = identity_perm(len(self.group_elements[0]))
         return self.values[label][ident]
 
-    def coefficients(self) -> tuple[np.ndarray, int]:
-        """Slices x[k, s, u] of the value of character s at element u, and their denominator."""
-        values = [self.values[lab][g] for lab in self.labels for g in self.group_elements]
-        return from_cycs(values, (len(self.labels), self.order))
+    def coefficients(self) -> tuple[list[list[Vec]], int]:
+        """Numerators x[s][u] of the value of character s at element u, and their common denominator."""
+        return from_cycs([[self.values[lab][g] for g in self.group_elements] for lab in self.labels])
 
     def validate(self) -> None:
         """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table."""
         n = self.order
         x, den = self.coefficients()
-        xc = conj(x)
-        deg = x[:, :, self.group_elements.index(identity_perm(len(self.group_elements[0])))]
-        # the degree sum multiplies x by x, the Gram matrix x by conj(x)
-        bound = max_abs(x) * max(max_abs(x), max_abs(xc)) * n * FOLD_GAIN
-        check_headroom(bound, "character table Gram matrix")
-        total = to_cyc(fold(np.einsum("is,js->ij", deg, deg)), den * den)
+        ident = self.group_elements.index(identity_perm(len(self.group_elements[0])))
+        degrees = [row[ident] for row in x]
+        total = Cyc(matmul([degrees], [[d] for d in degrees])[0][0], den * den)
         if not (total.is_rational() and total.to_rational() == n):
             raise AssertionError(f"sum of squared degrees {total!r} != {n}")
-        gram = fold(np.einsum("isu,jtu->ijst", x, xc))
-        want = rational(np.eye(len(self.labels), dtype=gram.dtype) * (n * den * den))
-        bad = np.argwhere(np.triu((gram != want).any(axis=0)))
-        if bad.size:
-            i, j = bad[0]
-            acc = to_cyc(gram[:, i, j], den * den)
-            raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {acc!r}")
+        gram = matmul(x, [list(col) for col in zip(*conj(x))])
+        unit = (n * den * den,) + ZERO[1:]
+        for i, row in enumerate(gram):
+            for j in range(i, len(row)):
+                if row[j] != (unit if i == j else ZERO):
+                    acc = Cyc(row[j], den * den)
+                    raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {acc!r}")
 
 
 def _rat(x: int) -> Cyc:

@@ -7,8 +7,8 @@ centralizer.  The Fourier matrix entry at ((x,sigma),(y,tau)) is
     1/(|Z(x)||Z(y)|) * sum over g in G with x.(g y g^-1) = (g y g^-1).x
         of sigma(g y g^-1) * conj(tau(g^-1 x g)),
 
-computed exactly over the cyclotomic field, as integer coefficient slices
-(see `slices`): for each pair of classes one pass over G counts the pairs
+computed exactly over the cyclotomic field, in Kronecker-packed integers
+(see `packed`): for each pair of classes one pass over G counts the pairs
 (g y g^-1, g^-1 x g), and the block is one contraction of the two character
 tables with those counts.  The conjugation placement is
 pinned by reproducing the two explicit rows checked in the tests; the
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
-import numpy as np
-
-from . import slices
+from . import packed
 from .bareiss import adjugate
-from .cyclotomic import DEGREE, Cyc
+from .cyclotomic import Cyc
 from .groups import (
     CharacterTable,
     PermGroup,
@@ -47,6 +46,7 @@ from .groups import (
     restrict,
     symmetric_group,
 )
+from .packed import ZERO, Vec
 from .report import Report
 
 
@@ -228,24 +228,25 @@ def enumerate_m(name: str) -> list[MPair]:
 class FTMatrix:
     """The symmetric involutive Fourier matrix over the cyclotomic field.
 
-    Stored as F = (1/den) * sum_k z^k num[k]: integer slices num[k] of shape
-    n x n (see `slices`).  `num` and `den` are the only source of truth:
-    `matrix` is a view of the same entries as `Cyc` values, built once for
-    `entry`, `row` and `to_json`, and every check reads the slices, so a
-    change made to `matrix` is not seen by the checks.
+    Stored as F = (1/den) * num: num[i][j] holds the 16 power-basis
+    coefficients of entry (i, j) (a `packed.Vec`), num is a list of n rows.
+    `num` and `den` are the only source of truth: `matrix` is a view of the
+    same entries as `Cyc` values, built once for `entry`, `row` and
+    `to_json`, and every check reads `num`, so a change made to `matrix` is
+    not seen by the checks.
     """
 
     mdata: MData
-    num: np.ndarray
+    num: list[list[Vec]]
     den: int
 
     @cached_property
     def matrix(self) -> list[list[Cyc]]:
-        return slices.to_cyc_rows(self.num, self.den)
+        return packed.to_cyc_rows(self.num, self.den)
 
     @property
     def size(self) -> int:
-        return self.num.shape[1]
+        return len(self.num)
 
     def entry(self, p: MPair, q: MPair) -> Cyc:
         return self.matrix[self.mdata.index[p]][self.mdata.index[q]]
@@ -255,30 +256,27 @@ class FTMatrix:
         return {q: self.matrix[i][j] for j, q in enumerate(self.mdata.pairs)}
 
     def trace(self) -> Cyc:
-        slices.check_headroom(self.size * slices.max_abs(self.num), "trace")
-        return slices.to_cyc(np.trace(self.num, axis1=1, axis2=2), self.den)
+        return Cyc(tuple(map(sum, zip(*(row[i] for i, row in enumerate(self.num))))), self.den)
 
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.num, self.num.transpose(0, 2, 1)))
+        return all(self.num[i][j] == self.num[j][i] for i in range(self.size) for j in range(i))
 
     def is_involution(self) -> bool:
-        """F^2 = I, checked as sum_{a,b} z^(a+b) num[a] num[b] = den^2 I."""
-        square = slices.matmul(self.num, self.num)
-        want = slices.int_array(np.eye(self.size, dtype=object) * self.den**2)
-        return bool(np.array_equal(square, slices.rational(want)))
+        """F^2 = I, checked as num . num = den^2 I."""
+        unit = (self.den**2,) + ZERO[1:]
+        square = packed.matmul(self.num, self.num)
+        return all(v == (unit if i == j else ZERO) for i, row in enumerate(square) for j, v in enumerate(row))
 
     def is_conj_invariant(self) -> bool:
-        return bool(np.array_equal(slices.conj(self.num), self.num))
+        return packed.conj(self.num) == [list(row) for row in self.num]
 
     def all_rational(self) -> bool:
-        return not self.num[1:].any()
+        return not any(any(v[1:]) for row in self.num for v in row)
 
     def apply_columns(self, coeffs: list) -> list[Cyc]:
         """Image of a vector of basis coefficients (matrix acts on columns)."""
-        vec, vden = slices.from_cycs([c if isinstance(c, Cyc) else Cyc.from_rational(c) for c in coeffs],
-                                     (self.size, 1))
-        image = slices.matmul(self.num, vec)
-        return [slices.to_cyc(image[:, i, 0], self.den * vden) for i in range(self.size)]
+        vec, vden = packed.from_cycs([[c if isinstance(c, Cyc) else Cyc.from_rational(c)] for c in coeffs])
+        return [Cyc(v, self.den * vden) for v, in packed.matmul(self.num, vec)]
 
     def to_json(self) -> dict:
         return {
@@ -288,8 +286,8 @@ class FTMatrix:
         }
 
 
-def _pair_counts(md: MData) -> dict[tuple[str, str], np.ndarray]:
-    """For classes x, y: c[u, v] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g}.
+def _pair_counts(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]:
+    """For classes x, y: the non-zero c[u, v] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g}.
 
     u indexes the centralizer of x and v that of y, in table element order.
     """
@@ -303,38 +301,57 @@ def _pair_counts(md: MData) -> dict[tuple[str, str], np.ndarray]:
         in_zx = position[xl]
         for yl in md.class_labels:
             in_zy = position[yl]
-            c = np.zeros((len(in_zx), len(in_zy)), dtype=np.int64)
+            c: dict[tuple[int, int], int] = {}
             for u, v in zip(forward[yl], backward[xl]):
                 if u in in_zx:
-                    c[in_zx[u], in_zy[v]] += 1
+                    key = in_zx[u], in_zy[v]
+                    c[key] = c.get(key, 0) + 1
             counts[xl, yl] = c
     return counts
 
 
 @lru_cache(maxsize=None)
 def nonabelian_ft(name: str) -> FTMatrix:
-    """F[(x,s),(y,t)] = sum_{u,v} s(u) c[u,v] conj(t(v)) / (|Z(x)||Z(y)|), one contraction per block."""
+    """F[(x,s),(y,t)] = sum_{u,v} s(u) c[u,v] conj(t(v)) / (|Z(x)||Z(y)|), one contraction per block.
+
+    Per block, S[s][v] = sum_u s(u) c[u,v] is summed in packed form and
+    F[s][t] = sum_v S[s][v] conj(t(v)) is one packed dot product per entry.
+    Every unreduced coefficient of F[s][t] is a sum of at most 16 sum(c)
+    products of a character coefficient and a conjugate one, which bounds
+    the packing width for every block.
+    """
     md = mdata(name)
     md.validate_tables()
+    counts = _pair_counts(md)
     chars = {lab: md.tables[lab].coefficients() for lab in md.class_labels}
-    conj_chars = {lab: slices.conj(x) for lab, (x, _) in chars.items()}
+    conj_chars = {lab: packed.conj(x) for lab, (x, _) in chars.items()}
+    pk = packed.for_product(
+        max(sum(c.values()) for c in counts.values()),
+        max(packed.max_abs(x) for x, _ in chars.values()),
+        max(packed.max_abs(y) for y in conj_chars.values()),
+    )
+    xp = {lab: pk.pack_rows(x) for lab, (x, _) in chars.items()}
+    yp = {lab: pk.pack_rows(y) for lab, y in conj_chars.items()}
     offset = {lab: md.index[MPair(lab, md.tables[lab].labels[0])] for lab in md.class_labels}
     blocks = []
-    for (xl, yl), c in _pair_counts(md).items():
-        (x, xden), (_, yden) = chars[xl], chars[yl]
-        yc = conj_chars[yl]
-        slices.check_headroom(slices.max_abs(x) * int(c.sum()) * slices.max_abs(yc) * slices.FOLD_GAIN,
-                              f"block ({xl},{yl})")
-        block = slices.fold(np.einsum("isu,uv,jtv->ijst", x, c, yc, optimize=True))
-        blocks.append((offset[xl], offset[yl], block, md.tables[xl].order * md.tables[yl].order * xden * yden))
+    for (xl, yl), c in counts.items():
+        s = [[0] * md.tables[yl].order for _ in xp[xl]]
+        for (u, v), k in c.items():
+            for srow, xrow in zip(s, xp[xl]):
+                srow[v] += k * xrow[u]
+        block = [[pk.unpack(sum(map(mul, srow, yrow))) for yrow in yp[yl]] for srow in s]
+        d = md.tables[xl].order * md.tables[yl].order * chars[xl][1] * chars[yl][1]
+        blocks.append((offset[xl], offset[yl], block, d))
     den = lcm(*(d for *_, d in blocks))
+    # lowest terms: g divides den and every numerator scaled to den
+    g = gcd(den, *(den // d * gcd(*(a for row in block for v in row for a in v)) for *_, block, d in blocks))
     n = len(md.pairs)
-    num = np.zeros((DEGREE, n, n), dtype=np.int64)
+    num = [[ZERO] * n for _ in range(n)]
     for i, j, block, d in blocks:
-        slices.check_headroom(slices.max_abs(block) * (den // d), "common denominator")
-        num[:, i:i + block.shape[1], j:j + block.shape[2]] = block * (den // d)
-    g = gcd(den, int(np.gcd.reduce(num, axis=None)))
-    return FTMatrix(md, num // g, den // g)
+        f = den // d
+        for k, row in enumerate(block):
+            num[i + k][j:j + len(row)] = [tuple(f * a // g for a in v) for v in row]
+    return FTMatrix(md, num, den // g)
 
 
 def kron_ft(a: FTMatrix, b: FTMatrix) -> list[list[Cyc]]:
@@ -461,12 +478,12 @@ def piece_partition(name: str) -> list[list[MPair]]:
     return pieces
 
 
-def _conjugated_slices(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]) -> tuple[np.ndarray, int]:
-    """Slices and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0)."""
+def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]) -> tuple[list[list[Vec]], int]:
+    """Numerators and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0)."""
     g = gcd(det, *(a for row in adj for a in row)) * (1 if det > 0 else -1)
-    v = slices.rational(slices.int_array([[a // g for a in row] for row in adj]))
-    fu = slices.matmul(ft.num, slices.rational(slices.int_array(u)))
-    return slices.matmul(v, fu), ft.den * (det // g)
+    v = packed.rational([[a // g for a in row] for row in adj])
+    fu = packed.matmul(ft.num, packed.rational(u))
+    return packed.matmul(v, fu), ft.den * (det // g)
 
 
 def conjugated_matrix(ft: FTMatrix, basis: NewBasis) -> list[list[Cyc]]:
@@ -474,7 +491,7 @@ def conjugated_matrix(ft: FTMatrix, basis: NewBasis) -> list[list[Cyc]]:
     det, adj = adjugate(basis.matrix)
     if not det:
         raise ZeroDivisionError("basis matrix is singular")
-    return slices.to_cyc_rows(*_conjugated_slices(ft, basis.matrix, det, adj))
+    return packed.to_cyc_rows(*_conjugated(ft, basis.matrix, det, adj))
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
@@ -503,15 +520,14 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
     rep.require("pieces cover basis", len(piece_of) == n, f"{len(piece_of)} != {n}")
     if len(piece_of) != n:
         return rep
-    fh, fden = _conjugated_slices(ft, basis.matrix, det, adj)
-    piece = np.array([piece_of[i] for i in range(n)])
+    fh, fden = _conjugated(ft, basis.matrix, det, adj)
     # entry (i, j) must vanish when i != j and piece(i) <= piece(j); scan column by column
-    forbidden = (piece[:, None] <= piece[None, :]) & ~np.eye(n, dtype=bool)
-    bad = np.argwhere((fh.any(axis=0) & forbidden).T)
+    bad = next(((i, j) for j in range(n) for i in range(n)
+                if i != j and piece_of[i] <= piece_of[j] and any(fh[i][j])), None)
     violation = None
-    if bad.size:
-        j, i = bad[0]
-        violation = (md.pairs[i], md.pairs[j], slices.to_cyc(fh[:, i, j], fden))
+    if bad:
+        i, j = bad
+        violation = (md.pairs[i], md.pairs[j], Cyc(fh[i][j], fden))
     rep.require(
         "triangular",
         violation is None,
@@ -519,7 +535,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
         f"image of hat{violation[1]} has coefficient {violation[2]!r} on hat{violation[0]} "
         f"(piece {piece_of[md.index[violation[0]]] + 1} <= {piece_of[md.index[violation[1]]] + 1})",
     )
-    diag = [fh[:, i, i].tolist() for i in range(n)]
+    diag = [fh[i][i] for i in range(n)]
     diag_bad = [md.pairs[i] for i in range(n) if any(diag[i][1:]) or abs(diag[i][0]) != fden]
     rep.require("diagonal is +-1", not diag_bad, f"first: {diag_bad[:1]}")
     if diag_bad:
@@ -546,21 +562,18 @@ def hyperplane_check(ft: FTMatrix | None = None) -> Report:
         ft = nonabelian_ft("s5")
     md = ft.mdata
     rep = Report("hyperplane s5")
-    phi = np.zeros(ft.size, dtype=np.int64)
+    phi = [0] * ft.size
     for rho, sign in (("zeta", 1), ("zeta4", 1), ("zeta2", -1), ("zeta3", -1)):
         phi[md.index[MPair("g5", rho)]] = sign
-    slices.check_headroom(4 * slices.max_abs(ft.num), "hyperplane")
-    composed = np.einsum("i,kij->kj", phi, ft.num)  # slices of phi . F, over ft.den
-    anchor = md.index[MPair("g5", "zeta")]
-    lam = composed[:, anchor]  # phi has coefficient 1 there
-    residual = composed - np.outer(lam, phi)
-    ok = not residual.any()
+    composed = packed.matmul(packed.rational([phi]), ft.num)[0]  # numerators of phi . F, over ft.den
+    lam = composed[md.index[MPair("g5", "zeta")]]  # phi has coefficient 1 there
+    residual = [j for j, (v, p) in enumerate(zip(composed, phi)) if v != tuple(p * a for a in lam)]
     rep.require(
         "functional is an eigenvector",
-        ok,
-        f"residual at {[str(md.pairs[j]) for j in np.flatnonzero(residual.any(axis=0))][:3]}",
+        not residual,
+        f"residual at {[str(md.pairs[j]) for j in residual][:3]}",
     )
-    lam = slices.to_cyc(lam, ft.den)
+    lam = Cyc(lam, ft.den)
     rep.require("scalar is +-1", lam.is_rational() and lam.to_rational() in (1, -1), f"{lam!r}")
     rep.add("scalar", True, str(lam.to_rational()) if lam.is_rational() else repr(lam))
     return rep

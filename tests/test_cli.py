@@ -9,7 +9,7 @@ import pytest
 
 import trifourier
 from trifourier.cli import main
-from trifourier.nonabelian import new_basis_to_json, s3_new_basis
+from trifourier.nonabelian import NewBasis, new_basis_to_json, s3_new_basis
 
 
 def run(capsys, *argv):
@@ -251,6 +251,35 @@ def test_nonabelian_newbasis_leaves_gf2_pipeline_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
+    # the cyclotomic matrices are packed Python ints: no group check pays for the numpy import
+    bases = {}
+    for group in ("s4", "s5"):
+        n = len(trifourier.enumerate_m(group))
+        identity = NewBasis(group, "", [[int(i == j) for j in range(n)] for i in range(n)])
+        bases[group] = tmp_path / f"{group}-identity.json"
+        bases[group].write_text(json.dumps(new_basis_to_json(identity)), encoding="utf-8")
+    runs = [(["--group", g, "--check", c], 0) for g in ("s3", "s4", "s5") for c in ("matrix", "involution", "trace")]
+    runs += [(["--group", "s5", "--check", "hyperplane"], 0)]
+    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0)
+             for v in ("g2", "e") for f in ("text", "json")]
+    # the identity is not piece-triangular, so these report a failure (exit 1) after the full check
+    runs += [(["--group", g, "--check", "newbasis", "--basis", str(bases[g])], 1) for g in ("s4", "s5")]
+    script = (
+        "import contextlib, io, sys\n"
+        "from trifourier.cli import main\n"
+        f"for argv, want in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(['nonabelian', *argv])\n"
+        "    assert rc == want, (argv, rc)\n"
+        "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_trace_hooks_resolve():
     # the benchmark's traced pass wraps module attributes by name; a rename must fail here
     root = Path(__file__).resolve().parent.parent
@@ -262,9 +291,11 @@ def test_benchmark_trace_hooks_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
-# SHA-256 of the standard output of each command, recorded before the interval
-# bases were carried through the recursion; a digest that moves is a change to
-# the bytes the CLI prints.  The outputs do not depend on PYTHONHASHSEED.
+# SHA-256 of the standard output of each command: the GF(2) outputs recorded
+# before the interval bases were carried through the recursion, the non-abelian
+# ones before the cyclotomic matrices moved from numpy slices to packed ints.  A
+# digest that moves is a change to the bytes the CLI prints.  The outputs do not
+# depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
@@ -306,6 +337,20 @@ GOLDEN_SHA256 = {
     "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
     "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
     "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
+    "nonabelian --group s3 --check matrix": "c810590641db850051e2b3b82a3c6edca95dc1f837ac1cec113daa50c29ba177",
+    "nonabelian --group s3 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
+    "nonabelian --group s3 --check trace": "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "nonabelian --group s4 --check matrix": "8ad839cabbdfb755b70a773bc064eb91fbec4463e06f25314c692d9442463066",
+    "nonabelian --group s4 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
+    "nonabelian --group s4 --check trace": "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a",
+    "nonabelian --group s5 --check matrix": "89a356db1eff56facabdb5b81824139726347feb838ecbe73d070b96a8ca5095",
+    "nonabelian --group s5 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
+    "nonabelian --group s5 --check trace": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    "nonabelian --group s5 --check hyperplane": "0cf810579dc495f90a46f62f023484e1ff09060e51eaa3134be2a5d888c43c94",
+    "nonabelian --group s3 --variant g2 --check newbasis --format text": "c8eda9dfadcc15374621898e1925ace7635f81159ca534c76273969f3f43bb29",
+    "nonabelian --group s3 --variant g2 --check newbasis --format json": "b74e6d2f5ef1e6102d9ec6cdeabe7531e20ca83416964cdbeb99f69a4417fe2a",
+    "nonabelian --group s3 --variant e --check newbasis --format text": "08b559294341da08e1608edeaaa100f507630db83103231fe4b9511031b7dc2c",
+    "nonabelian --group s3 --variant e --check newbasis --format json": "bd9128204ee1a1c92cca0bafe2afec11280e21cf411c2f1adaa924115eabc0b8",
 }
 
 

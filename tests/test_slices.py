@@ -1,12 +1,11 @@
-"""The coefficient-slice kernels against definitional `Cyc` computations."""
+"""The packed cyclotomic-matrix kernel against definitional `Cyc` computations."""
 
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from trifourier import slices
+from trifourier import packed
 from trifourier.cyclotomic import DEGREE, Cyc
 from trifourier.groups import CharacterTable, pconj, pinv, pmul
 from trifourier.nonabelian import (
@@ -80,19 +79,19 @@ def test_fold_and_conj_match_cyc_arithmetic():
     rng = random.Random(5)
     xs = [random_cyc(rng) for _ in range(6)]
     ys = [random_cyc(rng) for _ in range(6)]
-    a, aden = slices.from_cycs(xs, (2, 3))
-    b, bden = slices.from_cycs(ys, (3, 2))
-    got = slices.to_cyc_rows(slices.matmul(a, b), aden * bden)
+    a, aden = packed.from_cycs([xs[0:3], xs[3:6]])
+    b, bden = packed.from_cycs([ys[0:2], ys[2:4], ys[4:6]])
+    got = packed.to_cyc_rows(packed.matmul(a, b), aden * bden)
     assert got == reference_product([xs[0:3], xs[3:6]], [ys[0:2], ys[2:4], ys[4:6]])
-    assert slices.to_cyc_rows(slices.conj(a), aden) == [[v.conj() for v in xs[0:3]], [v.conj() for v in xs[3:6]]]
+    assert packed.to_cyc_rows(packed.conj(a), aden) == [[v.conj() for v in xs[0:3]], [v.conj() for v in xs[3:6]]]
 
 
 def test_perturbed_slice_fails_involution():
     ft = nonabelian_ft("s5")
-    num = ft.num.copy()
+    num = [list(row) for row in ft.num]
     i, j = ft.mdata.index[MPair("g5", "zeta")], ft.mdata.index[MPair("g3", "1")]
-    num[6, i, j] += 1
-    num[6, j, i] += 1  # still symmetric
+    bumped = tuple(c + (k == 6) for k, c in enumerate(num[i][j]))
+    num[i][j] = num[j][i] = bumped  # still symmetric
     broken = FTMatrix(ft.mdata, num, ft.den)
     assert broken.is_symmetric()
     assert not broken.is_involution()
@@ -114,30 +113,55 @@ def test_wrong_character_value_fails_validate():
 
 
 def test_headroom_guard_rejects_out_of_range_product():
-    big = slices.rational(np.full((3, 3), 2**31, dtype=np.int64))
-    prod = np.matmul(big[:1][:, None], big[:1][None, :])  # z^0 * z^0 in int64, each entry 3 * 2^62
-    with pytest.raises(OverflowError, match="fold: .* exceeds int64"):
-        slices.fold(prod, [0], [0])
-    with pytest.raises(OverflowError, match="conjugation: .* exceeds int64"):
-        slices.conj(slices.rational(np.full((2, 2), 2**62, dtype=np.int64)))
-    ft = nonabelian_ft("s3")
-    huge = FTMatrix(ft.mdata, ft.num * (2**62 // slices.max_abs(ft.num)), ft.den)
-    with pytest.raises(OverflowError, match="trace: .* exceeds int64"):
-        huge.trace()
-    with pytest.raises(OverflowError):
-        slices.check_headroom(2**63, "probe")
-    slices.check_headroom(2**63 - 1, "probe")
+    # Python ints cannot overflow; the guard left is the packing width's headroom.  Every
+    # unreduced coefficient of sum_l a_l c_l reaches the proven bound 16 m max|a| max|c|
+    # at z^15, and all 31 lie within it: the chosen width decodes them exactly, and a
+    # packing one bit narrower wraps the digit at z^15
+    m, top_a, top_c = 3, 2**61 + 1, 2**70 - 3
+    bound = m * DEGREE * top_a * top_c
+    for sign in (1, -1):
+        row = [Cyc([sign * top_a] * DEGREE)] * m
+        col = [[Cyc([top_c] * DEGREE)]] * m
+        want = reference_product([row], col)
+        a, _ = packed.from_cycs([row])
+        c, _ = packed.from_cycs(col)
+        assert packed.matmul(a, c) == [[want[0][0].num]]
+        pk = packed.for_product(m, top_a, top_c)
+        assert pk.half > bound >= pk.half // 2
+        dot = sum(pk.pack(u) * pk.pack(v[0]) for u, v in zip(a[0], c))
+        assert pk.unpack(dot) == want[0][0].num
+        narrow = packed.Packing(bound >> 1)
+        assert narrow.half <= bound
+        assert narrow.unpack(sum(narrow.pack(u) * narrow.pack(v[0]) for u, v in zip(a[0], c))) != want[0][0].num
 
 
 def test_slice_product_past_int64_runs_in_python_ints():
-    big = slices.rational(np.full((3, 3), 2**31, dtype=np.int64))
-    wide = slices.matmul(big, big)
-    assert wide.dtype == object
-    assert wide[0].tolist() == [[3 * 2**62] * 3] * 3
-    assert not wide[1:].any()
+    big = packed.rational([[2**31] * 3] * 3)
+    wide = packed.matmul(big, big)
+    assert [[v[0] for v in row] for row in wide] == [[3 * 2**62] * 3] * 3  # past 2^63 - 1
+    assert all(v[1:] == packed.ZERO[1:] for row in wide for v in row)
     ft = nonabelian_ft("s3")
-    scaled = FTMatrix(ft.mdata, ft.num * 2**40, ft.den * 2**40)  # same F, den^2 beyond int64
-    assert scaled.is_involution()
+    scaled = FTMatrix(ft.mdata, [[tuple(x * 2**40 for x in v) for v in row] for row in ft.num], ft.den * 2**40)
+    assert scaled.is_involution()  # the same F, with den^2 and every coefficient of F^2 far past 2^63
+    assert scaled.matrix == ft.matrix
+
+
+def test_unpack_reads_every_degree_exactly():
+    # unpack reads only the digits up to |x|.bit_length() // b; the hardest case for
+    # that cut is a top coefficient of +-1 over lower ones at the bound of the other sign
+    rng = random.Random(11)
+    for bound in (1, 5, 2**31, 3 * 10**40):
+        pk = packed.Packing(bound)
+        for degree in range(2 * DEGREE - 1):
+            for _ in range(6):
+                poly = [rng.choice((-bound, bound, rng.randint(-bound, bound))) for _ in range(degree)]
+                top = rng.choice((-1, 1, -bound, bound))
+                poly.append(top)
+                if rng.random() < 0.5:
+                    poly[:-1] = [-bound if top > 0 else bound] * degree
+                x = sum(c << (pk.bits * s) for s, c in enumerate(poly))
+                want = sum((Cyc.root_of_unity(60, s) * c for s, c in enumerate(poly)), Cyc.zero())
+                assert pk.unpack(x) == want.num
 
 
 def test_apply_columns_with_large_coefficients():
