@@ -3,8 +3,7 @@ plus the non-abelian Fourier matrices of the symmetric groups on up to five
 points.
 
 The names in `__all__` are imported from their modules on first access
-(PEP 562), so `import trifourier` loads neither numpy nor any module it
-does not use.
+(PEP 562), so `import trifourier` loads no module it does not use.
 """
 
 from importlib import import_module

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .gf2 import MAX_DIM
@@ -71,14 +72,15 @@ def _emit_family(args) -> int:
 
 
 def _too_dense(command: str, dim: int) -> bool:
-    """Refuse, with one line on stderr, a Fourier run whose dense 2^D x 2^D arrays are too large."""
+    """Refuse, with one line on stderr, a Fourier run over too many 2^D x 2^D matrix entries."""
     from .fourier import MAX_DENSE_DIM
 
     if dim <= MAX_DENSE_DIM:
         return False
+    n = 1 << dim
     print(
-        f"trifourier: {command} at --dim {dim} needs dense {1 << dim} x {1 << dim} integer "
-        f"matrices ({(8 << 2 * dim) >> 30} GiB each); the largest --dim it accepts is {MAX_DENSE_DIM}",
+        f"trifourier: {command} at --dim {dim} would work through a {n} x {n} matrix "
+        f"({n * n} entries); the largest --dim it accepts is {MAX_DENSE_DIM}",
         file=sys.stderr,
     )
     return True
@@ -199,17 +201,22 @@ def _run_nonabelian(args) -> int:
     return 0 if rep.ok else 1
 
 
+_COMMANDS = {"family": _emit_family, "matrix": _emit_matrix, "verify": _run_verify, "nonabelian": _run_nonabelian}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "family":
-        return _emit_family(args)
-    if args.command == "matrix":
-        return _emit_matrix(args)
-    if args.command == "verify":
-        return _run_verify(args)
-    if args.command == "nonabelian":
-        return _run_nonabelian(args)
-    raise AssertionError("unreachable")
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader closed standard output (`trifourier family --dim 10 | head -1`).
+        # Point it at devnull, so that the flush at exit cannot fail again, and
+        # exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ and documented in the README:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .cyclotomic import Cyc
@@ -97,13 +97,17 @@ class PermGroup:
     name: str
     degree: int
     elements: tuple[Perm, ...]
+    # each centralizer is computed once: the table builders and the coverage check both ask for it
+    _centralizers: dict[Perm, tuple[Perm, ...]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def centralizer(self, x: Perm) -> tuple[Perm, ...]:
-        return tuple(g for g in self.elements if pmul(g, x) == pmul(x, g))
+        if x not in self._centralizers:
+            self._centralizers[x] = tuple(g for g in self.elements if pmul(g, x) == pmul(x, g))
+        return self._centralizers[x]
 
     def conjugacy_class(self, x: Perm) -> frozenset[Perm]:
         return frozenset(pconj(g, x) for g in self.elements)
@@ -148,8 +152,11 @@ class CharacterTable:
         """Numerators x[s][u] of the value of character s at element u, and their common denominator."""
         return from_cycs([[self.values[lab][g] for g in self.group_elements] for lab in self.labels])
 
-    def validate(self) -> None:
-        """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table."""
+    def validate(self) -> tuple[list[list[Vec]], int]:
+        """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table.
+
+        Returns the `coefficients()` it checked, so that a caller needs them only once.
+        """
         n = self.order
         x, den = self.coefficients()
         ident = self.group_elements.index(identity_perm(len(self.group_elements[0])))
@@ -164,6 +171,7 @@ class CharacterTable:
                 if row[j] != (unit if i == j else ZERO):
                     acc = Cyc(row[j], den * den)
                     raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {acc!r}")
+        return x, den
 
 
 def _rat(x: int) -> Cyc:

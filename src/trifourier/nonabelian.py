@@ -71,9 +71,9 @@ class MData:
     pairs: list[MPair]
     index: dict[MPair, int]
 
-    def validate_tables(self) -> None:
-        for lab in self.class_labels:
-            self.tables[lab].validate()
+    def validate_tables(self) -> dict[str, tuple[list[list[Vec]], int]]:
+        """Check every table; returns each table's `coefficients()`, by class label."""
+        return {lab: self.tables[lab].validate() for lab in self.class_labels}
 
 
 def _assemble(name: str, group: PermGroup, classes: list[tuple[str, tuple[int, ...], CharacterTable]]) -> MData:
@@ -321,9 +321,8 @@ def nonabelian_ft(name: str) -> FTMatrix:
     the packing width for every block.
     """
     md = mdata(name)
-    md.validate_tables()
+    chars = md.validate_tables()
     counts = _pair_counts(md)
-    chars = {lab: md.tables[lab].coefficients() for lab in md.class_labels}
     conj_chars = {lab: packed.conj(x) for lab, (x, _) in chars.items()}
     pk = packed.for_product(
         max(sum(c.values()) for c in counts.values()),
@@ -696,4 +695,8 @@ def load_basis(data: dict) -> NewBasis:
 def load_basis_file(path: str) -> NewBasis:
     """Read and parse a basis file; OSError if it cannot be read, ValueError if it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_basis(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    return load_basis(doc)

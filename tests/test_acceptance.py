@@ -128,8 +128,8 @@ def test_criterion_3_triangularity_and_signs():
         dims = [e.dim for e in fam.entries]
         for i in range(len(fam)):
             assert cob.entry(i, i) == delta(d - dims[i])
-            for j in range(len(fam)):
-                if cob.num[i, j] and i != j:
+            for j in cob.num[i]:
+                if i != j:
                     assert dims[j] > dims[i]
         assert cob.trace() == 2**d
         plus = sum(1 for i in range(len(fam)) if cob.entry(i, i) == 1)

@@ -154,6 +154,12 @@ def test_nonabelian_basis_file_top_level_list(capsys, tmp_path):
     code, _, err = run(capsys, "nonabelian", "--group", "s4", "--check", "newbasis", "--basis", str(path))
     assert code == 1
     assert err.count("\n") == 1 and str(path) in err and "JSON object" in err
+    # nested past the parser's recursion limit: a malformed file, not a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, "nonabelian", "--group", "s3", "--check", "newbasis", "--basis", str(deep))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and str(deep) in err and "nested too deeply" in err
 
 
 def test_nonabelian_basis_file_missing_field(capsys, tmp_path):
@@ -216,13 +222,17 @@ def test_family_suite_leaves_numpy_unimported():
 
 
 def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
-    # the family, dihedral and counts paths stay pure Python: numpy would add its import and RSS
+    # every GF(2) path is pure Python: numpy would add its import and RSS
     script = (
         "import contextlib, io, sys\n"
         "from trifourier.cli import main\n"
         "for argv in (['family', '--dim', '4', '--format', 'json'],\n"
         "             ['verify', '--dim', '4', '--suite', 'dihedral'],\n"
-        "             ['verify', '--dim', '4', '--suite', 'counts']):\n"
+        "             ['verify', '--dim', '4', '--suite', 'counts'],\n"
+        "             ['matrix', '--dim', '4', '--format', 'json'],\n"
+        "             ['matrix', '--dim', '4', '--format', 'csv'],\n"
+        "             ['verify', '--dim', '4', '--suite', 'fourier'],\n"
+        "             ['verify', '--dim', '4', '--suite', 'all']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        rc = main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
@@ -232,6 +242,23 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["family", "--dim", "12"], ["family", "--dim", "10", "--format", "json"]])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # The reader stops after one line, as `trifourier family --dim 10 | head -1` does.
+    # Each output (127 KB and 744 KB) is larger than a pipe's 64 KiB buffer, so the
+    # program is still writing when the pipe closes.
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trifourier", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_nonabelian_newbasis_leaves_gf2_pipeline_unimported():
@@ -291,11 +318,13 @@ def test_benchmark_trace_hooks_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
-# SHA-256 of the standard output of each command: the GF(2) outputs recorded
-# before the interval bases were carried through the recursion, the non-abelian
-# ones before the cyclotomic matrices moved from numpy slices to packed ints.  A
-# digest that moves is a change to the bytes the CLI prints.  The outputs do not
-# depend on PYTHONHASHSEED.
+# SHA-256 of the standard output of each command: the family, dihedral and
+# counts outputs recorded before the interval bases were carried through the
+# recursion, the matrix and Fourier outputs before the GF(2) transform moved
+# from numpy arrays to Python ints, the non-abelian ones before the cyclotomic
+# matrices moved from numpy slices to packed ints.  A digest that moves is a
+# change to the bytes the CLI prints.  The outputs do not depend on
+# PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
@@ -337,6 +366,36 @@ GOLDEN_SHA256 = {
     "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
     "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
     "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
+    "matrix --dim 0 --format json": "72ccb852d8ee6a1a08101888511be9eeb72f2d06fa87b02020a11b6a31c8cc17",
+    "matrix --dim 0 --format csv": "916cc3366aae86c3ee776e4bdff3763761f0f3d887959b803fa2ddc26066717a",
+    "verify --dim 0 --suite fourier --format text": "6991d9ec34f2171625d57d60e4612510c855e1660d6534f886d36dd6dc2b3a00",
+    "verify --dim 0 --suite fourier --format json": "57f9b81c979bda759a538b7e0a19f8037460c6f609983f098712668546d67fc3",
+    "verify --dim 0 --suite all --format text": "44396d904e50ede369436d84d8fb91b744d3f38b1f812a22d9e3415854296b47",
+    "verify --dim 0 --suite all --format json": "9312b45e60067b19278cbc40856c3148c7afbbe1679b719c451853deeb6b5b53",
+    "matrix --dim 2 --format json": "84589870eabe70b12158d674100a654f128ac087912a1f6e23ac8ee620ffbb28",
+    "matrix --dim 2 --format csv": "53c2fdcc294efd149daa52db1ec31acfd38dcc71ba91581aa596fb18a9bd4baa",
+    "verify --dim 2 --suite fourier --format text": "e923e4c4e0f1b81225c05505fcbf13a0b531b7b41975df9537ab58c591241732",
+    "verify --dim 2 --suite fourier --format json": "ed81d37ec15131555c90ff9ae08445bbab5327500d4b6545ab261baeca3eb3e9",
+    "verify --dim 2 --suite all --format text": "540dbf93e300e682d643d9b42ce813d87ad6f41e61bf9a3a50a450bc2a53eab7",
+    "verify --dim 2 --suite all --format json": "ecbceeb01f77c68116615824dead5c1766c08dfd446ca95f37bc382cc3193b9f",
+    "matrix --dim 4 --format json": "8cfc08fde2257e69619a721e5b22ed9979293b160bca9b6a294876e41238877a",
+    "matrix --dim 4 --format csv": "f16f3a486f2588870d740dc73d448c23e11be619270fc62aaaa9f0ebbd26db97",
+    "verify --dim 4 --suite fourier --format text": "800b2fa9c6db84a76dd49b46d58242e5b8a2e404e25e94deeaf8d39bf0425502",
+    "verify --dim 4 --suite fourier --format json": "0d98d8c54bd0a2b8dfeb71c55f5b82c11725a8e7b0d387cd239405235ed748a7",
+    "verify --dim 4 --suite all --format text": "06f7822c31cc8d4245282fe740aa40821bed590e872a2e9d0dda953baa6e0507",
+    "verify --dim 4 --suite all --format json": "fd5241a11eb5c9115e534b0ad468ddddfdd54ac9786efd8671f7156ffc5dd6fd",
+    "matrix --dim 6 --format json": "f48b974b5b3dd9436b014fc4d1690425ba6a6145b2677288769fd2f6c6883638",
+    "matrix --dim 6 --format csv": "12cbcde182359c939b2b022002088c8fb9838fc376749ad2355b2f2a787b32f6",
+    "verify --dim 6 --suite fourier --format text": "738b82a69652c975305bc3f32739ce77fbb14978d5c93176cadf9eb63bc30e5b",
+    "verify --dim 6 --suite fourier --format json": "76620650dcad616162e51d97f04ff1e899f93fc3080e96a2f3cf915c67ab5ece",
+    "verify --dim 6 --suite all --format text": "f6507777517e252dbddd42a9c3c8f6bdc49df38ad9bb6f29ca761c0ddd02f0e0",
+    "verify --dim 6 --suite all --format json": "e4669e007d085d69f77daf019dff06647eaa0ea661e26d6a282e620d9ca88269",
+    "matrix --dim 8 --format json": "f5c5c8e87724f1cf162fc79e19dfb0a319e3a9584cc61e8a97a91d3d83bccdf6",
+    "matrix --dim 8 --format csv": "0b20a4d585c71de0f190829939bdcc865a8cf66745bba5ee17d155f6dde2bbd6",
+    "verify --dim 8 --suite fourier --format text": "39034ca779eba6016be64981ff65fe788c2d02ae850d059db7dc6f4428f55670",
+    "verify --dim 8 --suite fourier --format json": "968bf596e8f535e8a777623a7bd9fb5a0931ac6925b20823a88c3758b0aa1c70",
+    "verify --dim 8 --suite all --format text": "1ca0b7e649d6ce0b08a94af2f05bd58cc58cb930e6c831242ed28ee5a10ca76a",
+    "verify --dim 8 --suite all --format json": "c2cfe7ac9d83621cd7dd70caa8468f876a246762aedae4e0ad5b5a17f15989f2",
     "nonabelian --group s3 --check matrix": "c810590641db850051e2b3b82a3c6edca95dc1f837ac1cec113daa50c29ba177",
     "nonabelian --group s3 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
     "nonabelian --group s3 --check trace": "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",

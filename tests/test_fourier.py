@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from trifourier.family import build_family
@@ -16,7 +15,6 @@ from trifourier.fourier import (
     verify_involution,
     verify_z_commutation,
     z_map,
-    z_matrix,
 )
 from trifourier.gf2 import Subspace, canonical_subspace, make_space, perp
 
@@ -141,29 +139,31 @@ def test_basis_matrix_unimodular_small():
 def test_integer_inverse_certifies():
     rng = random.Random(5)
     for n in (1, 3, 6):
-        mat = np.eye(n, dtype=np.int64)
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(20):  # random integer row operations keep det = +-1
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
-                mat[i] += rng.randrange(-3, 4) * mat[j]
+                f = rng.randrange(-3, 4)
+                mat[i] = [a + f * b for a, b in zip(mat[i], mat[j])]
         inv = integer_inverse(mat)
-        assert np.array_equal(inv @ mat, np.eye(n, dtype=np.int64))
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in inv]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_integer_inverse_rejects_non_unimodular():
     with pytest.raises(ValueError):
-        integer_inverse(np.array([[2, 0], [0, 1]], dtype=np.int64))
+        integer_inverse([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
-        integer_inverse(np.array([[1, 1], [1, 1]], dtype=np.int64))
+        integer_inverse([[1, 1], [1, 1]])
 
 
 def test_integer_inverse_beyond_int64():
     big = 2**70
-    mat = np.array([[1, big], [0, 1]], dtype=object)
+    mat = [[1, big], [0, 1]]
     inv = integer_inverse(mat)
-    assert inv.dtype == object
-    assert inv.tolist() == [[1, -big], [0, 1]]
-    assert (inv @ mat).tolist() == [[1, 0], [0, 1]]
+    assert inv == [[1, -big], [0, 1]]
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in inv]
+    assert product == [[1, 0], [0, 1]]
 
 
 def test_change_of_basis_d2_exact_rows():
@@ -214,8 +214,7 @@ def test_cob_serialization():
     assert csv.splitlines()[1].startswith('"∅",-1,1/2,1/2,1/2')
 
 
-def test_z_matrix_shape():
+def test_z_map_shape():
     v, vp = make_space(4), make_space(2)
-    z = z_matrix(v, vp, 1)
-    assert z.shape == (16, 4)
-    assert z.sum() == 8  # two nonzero entries per column
+    columns = [z_map(v, vp, 1, delta_function(vp, y)) for y in range(4)]
+    assert all(len(col) == 16 and sorted(col) == [0] * 14 + [1, 1] for col in columns)
