@@ -5,17 +5,7 @@ from __future__ import annotations
 from .family import Family
 from .gf2 import Subspace, SymplecticSpace, make_space
 from .report import Report
-from .taumaps import CircularMap, preserves_form, push_rows, tau
-
-
-def rotation(space: SymplecticSpace) -> CircularMap:
-    """R: sends each circular vector e_i to e_{i+1} (cyclically)."""
-    return CircularMap(space.dim, space.dim, tuple(space.circular(i + 1) for i in range(1, space.dim + 2)))
-
-
-def reflection(space: SymplecticSpace) -> CircularMap:
-    """S: sends e_i to e_{D+1-i}, fixing e_{D+1}."""
-    return CircularMap(space.dim, space.dim, tuple(space.circular(space.dim + 1 - i) for i in range(1, space.dim + 2)))
+from .taumaps import CircularMap, preserves_form, push_rows, reflection, rotation, tau
 
 
 def verify_relations(space: SymplecticSpace) -> Report:

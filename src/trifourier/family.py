@@ -23,7 +23,7 @@ from .gf2 import (
     rref,
 )
 from .report import Report
-from .taumaps import generic_tau, push_rows, tau
+from .taumaps import close_rows, generic_tau, push_rows, rotation, tau
 
 
 class FamilyStructureError(AssertionError):
@@ -95,7 +95,15 @@ def family_subspaces_prime(dim: int) -> frozenset[Subspace]:
 
 @lru_cache(maxsize=None)
 def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
-    """Graph-invariant recursion over all vertex pairs of the two circles."""
+    """Graph-invariant recursion over all vertex pairs (gamma', gamma) of the two circles.
+
+    Every pair's embedding factors as R^(gamma-1) . T_11 . rho^-(gamma'-1),
+    with R and rho the rotations of the D- and (D-2)-circles and T_11 the
+    pair (1, 1)'s embedding; R^(gamma-1) also sends e_1 to e_gamma.  Each
+    pair's map is built, validated and checked against that factorisation,
+    so the union over all pairs is the rho-closure of the (D-2)-members
+    pushed once through T_11 (with e_1) and then closed under R.
+    """
     if dim < 0 or dim % 2 != 0:
         raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
@@ -106,14 +114,23 @@ def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
         )
     space = make_space(dim)
     sub_space = make_space(dim - 2)
-    prev_rows = [sub.rows for sub in family_subspaces_ucb(dim - 2)]
-    out: set[tuple[int, ...]] = {()}
-    for gamma_p in range(1, dim):
-        for gamma in range(1, dim + 2):
-            t = generic_tau(space, sub_space, gamma_p, gamma).table()
-            eg = space.circular(gamma)
-            out.update(push_rows(t, rows, eg) for rows in prev_rows)
-    return frozenset(map(Subspace, out))
+    t11 = generic_tau(space, sub_space, 1, 1)
+    e1 = space.circular(1)
+    for gamma in range(1, dim + 2):
+        r_gamma = rotation(space, gamma - 1)
+        if r_gamma.apply(e1) != space.circular(gamma):
+            raise FamilyStructureError(f"R^{gamma - 1} does not send e_1 to e_{gamma}")
+        outer = r_gamma.compose(t11)
+        for gamma_p in range(1, dim):
+            factored = outer.compose(rotation(sub_space, 1 - gamma_p))
+            if generic_tau(space, sub_space, gamma_p, gamma) != factored:
+                raise FamilyStructureError(
+                    f"the embedding of pair ({gamma_p}, {gamma}) is not R^{gamma - 1} T_11 rho^-{gamma_p - 1}"
+                )
+    prev = close_rows(rotation(sub_space).table(), (sub.rows for sub in family_subspaces_ucb(dim - 2)))
+    t = t11.table()
+    pushed = close_rows(rotation(space).table(), (push_rows(t, rows, e1) for rows in prev))
+    return frozenset(map(Subspace, pushed | {()}))
 
 
 @lru_cache(maxsize=None)

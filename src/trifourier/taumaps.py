@@ -4,7 +4,8 @@ For each vertex index i of the larger circle there is an embedding sending
 the D-1 circular vectors of the smaller space to a sequence of circular
 vectors of the larger one, with one triple sum e_{i-1}+e_i+e_{i+1} inserted.
 The generic form takes an arbitrary vertex pair (one per circle) and walks
-both circles consistently.
+both circles consistently.  The rotation R and the reflection S of one circle
+are maps of the same kind.
 """
 
 from __future__ import annotations
@@ -55,6 +56,16 @@ class CircularMap:
 
     def image_subspace(self) -> Subspace:
         return Subspace.span(self.coordinate_images())
+
+
+def rotation(space: SymplecticSpace, steps: int = 1) -> CircularMap:
+    """R^steps: sends each circular vector e_i to e_{i+steps} (cyclically)."""
+    return CircularMap(space.dim, space.dim, tuple(space.circular(i + steps) for i in range(1, space.dim + 2)))
+
+
+def reflection(space: SymplecticSpace) -> CircularMap:
+    """S: sends e_i to e_{D+1-i}, fixing e_{D+1}."""
+    return CircularMap(space.dim, space.dim, tuple(space.circular(space.dim + 1 - i) for i in range(1, space.dim + 2)))
 
 
 def preserves_form(space: SymplecticSpace, m: CircularMap) -> bool:
@@ -117,6 +128,19 @@ def push_rows(table: list[int], rows: Iterable[int], *extra: int) -> tuple[int, 
     vectors are reduced together, once.
     """
     return rref([table[r] for r in rows] + list(extra))
+
+
+def close_rows(table: list[int], members: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The reduced row tuples `members`, closed under the map with this `table()`.
+
+    Each round pushes only the subspaces the previous round added.
+    """
+    out = set(members)
+    frontier = out
+    while frontier:
+        frontier = {push_rows(table, rows) for rows in frontier} - out
+        out |= frontier
+    return out
 
 
 def pushed_subspace(space: SymplecticSpace, emb: CircularMap, sub: Subspace, i: int) -> Subspace:

@@ -322,9 +322,10 @@ def test_benchmark_trace_hooks_resolve():
 # counts outputs recorded before the interval bases were carried through the
 # recursion, the matrix and Fourier outputs before the GF(2) transform moved
 # from numpy arrays to Python ints, the non-abelian ones before the cyclotomic
-# matrices moved from numpy slices to packed ints.  A digest that moves is a
-# change to the bytes the CLI prints.  The outputs do not depend on
-# PYTHONHASHSEED.
+# matrices moved from numpy slices to packed ints, the two D = 10 family-suite
+# ones before the graph-invariant recursion became two rotation closures.  A
+# digest that moves is a change to the bytes the CLI prints.  The outputs do
+# not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
@@ -366,6 +367,8 @@ GOLDEN_SHA256 = {
     "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
     "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
     "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
+    "verify --dim 10 --suite family --format text": "5ba9399ac94e3bfb87c9fc5d5b2ae78cb0dcf8fd6d8c57e849007402256eb719",
+    "verify --dim 10 --suite family --format json": "3ee422c6fe5934b6c4dd514cb38820b4d1a85b986b7648d8b7ecdcc906590c7c",
     "matrix --dim 0 --format json": "72ccb852d8ee6a1a08101888511be9eeb72f2d06fa87b02020a11b6a31c8cc17",
     "matrix --dim 0 --format csv": "916cc3366aae86c3ee776e4bdff3763761f0f3d887959b803fa2ddc26066717a",
     "verify --dim 0 --suite fourier --format text": "6991d9ec34f2171625d57d60e4612510c855e1660d6534f886d36dd6dc2b3a00",

@@ -2,7 +2,9 @@ import json
 import re
 
 import pytest
+from ucb_reference import ucb_all_pairs
 
+import trifourier.family as family_module
 from trifourier.family import (
     FamilyStructureError,
     build_family,
@@ -22,7 +24,7 @@ from trifourier.family import (
     verify_structure,
 )
 from trifourier.gf2 import Subspace, all_intervals, canonical_subspace, make_space
-from trifourier.taumaps import pushed_subspace, tau
+from trifourier.taumaps import CircularMap, generic_tau, pushed_subspace, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
 # even-interval count.  Line order is immaterial; each line is significant.
@@ -243,10 +245,58 @@ def test_signed_binomial_values():
 
 
 def test_family_variants_agree():
-    for dim in (0, 2, 4, 6, 8, 10):
+    for dim in (0, 2, 4, 6, 8, 10, 12):
         std = family_subspaces(dim)
         assert family_subspaces_prime(dim) == std
         assert family_subspaces_ucb(dim) == std
+
+
+@pytest.mark.parametrize("dim", range(0, 11, 2))
+def test_ucb_matches_all_pairs_reference(dim):
+    assert family_subspaces_ucb(dim) == ucb_all_pairs(dim)
+
+
+@pytest.mark.parametrize("dim", range(4, 13, 2))
+def test_ucb_pair_factorisation(dim):
+    # every pair's embedding is R^(gamma-1) . T_11 . rho^-(gamma'-1), and R^(gamma-1) e_1 = e_gamma
+    space, sub_space = make_space(dim), make_space(dim - 2)
+    t11 = generic_tau(space, sub_space, 1, 1)
+    for gamma_p in range(1, dim):
+        for gamma in range(1, dim + 2):
+            r = rotation(space, gamma - 1)
+            factored = r.compose(t11).compose(rotation(sub_space, -(gamma_p - 1)))
+            assert generic_tau(space, sub_space, gamma_p, gamma) == factored, (gamma_p, gamma)
+            assert r.apply(space.circular(1)) == space.circular(gamma)
+
+
+def _opposite_walk(space, sub_space, gamma_p, gamma):
+    """The pair's embedding with the two circles walked in opposite directions."""
+    n_src, n_dst = space.dim - 1, space.dim + 1
+    images = [0] * n_src
+    images[gamma_p - 1] = space.circular(gamma - 1) ^ space.circular(gamma) ^ space.circular(gamma + 1)
+    for k in range(1, n_src):
+        images[(gamma_p - 1 + k) % n_src] = space.circular(gamma - 1 - k)
+    return CircularMap(space.dim - 2, space.dim, tuple(images))
+
+
+def test_ucb_guard_rejects_a_wrong_pair(monkeypatch):
+    dim, bad = 8, (3, 5)
+    real = family_module.generic_tau
+    space, sub_space = make_space(dim), make_space(dim - 2)
+    assert _opposite_walk(space, sub_space, *bad) != real(space, sub_space, *bad)
+
+    def patched(space, sub_space, gamma_p, gamma, orientation=1):
+        if space.dim == dim and (gamma_p, gamma) == bad:
+            return _opposite_walk(space, sub_space, gamma_p, gamma)
+        return real(space, sub_space, gamma_p, gamma, orientation)
+
+    monkeypatch.setattr(family_module, "generic_tau", patched)
+    family_subspaces_ucb.cache_clear()
+    try:
+        with pytest.raises(FamilyStructureError, match=r"pair \(3, 5\)"):
+            family_subspaces_ucb(dim)
+    finally:
+        family_subspaces_ucb.cache_clear()
 
 
 def test_prime_recursion_contains_nested_line():

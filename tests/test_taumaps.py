@@ -1,6 +1,5 @@
 import pytest
 
-from trifourier.dihedral import preserves_form, reflection, rotation
 from trifourier.family import family_subspaces
 from trifourier.gf2 import Subspace, make_space, rref
 from trifourier.taumaps import (
@@ -8,8 +7,13 @@ from trifourier.taumaps import (
     _validate_embedding,
     check_complement,
     generic_tau,
+    close_rows,
     numbered_pair,
+    preserves_form,
+    push_rows,
     pushed_subspace,
+    reflection,
+    rotation,
     tau,
     verify_composition_identity,
 )
@@ -147,3 +151,29 @@ def test_pushed_subspace_is_image_plus_line():
             for sub in family_subspaces(dim - 2):
                 two_step = Subspace.span(emb.apply(row) for row in sub.rows).extend(e(v, i))
                 assert pushed_subspace(v, emb, sub, i) == two_step
+
+
+def test_rotation_powers():
+    for dim in (2, 4, 6):
+        v = make_space(dim)
+        r = rotation(v)
+        power = CircularMap(dim, dim, v.circular_vectors())
+        for k in range(dim + 2):
+            assert rotation(v, k) == power
+            assert rotation(v, k - (dim + 1)) == power
+            power = power.compose(r)
+        assert rotation(v, dim + 1).is_identity()
+
+
+def test_close_rows_is_the_orbit_union():
+    v = make_space(6)
+    t = rotation(v).table()
+    line = push_rows(t, [0b1])  # <e_2>
+    orbit = {(v.circular(i),) for i in range(1, 8)}
+    assert close_rows(t, [line]) == orbit
+    assert close_rows(t, []) == set()
+    members = [sub.rows for sub in family_subspaces(6)]
+    assert close_rows(t, members) == set(members)
+    plane = rref([v.circular(1), v.circular(3)])
+    assert len(close_rows(t, [plane])) == 7
+    assert close_rows(reflection(v).table(), [plane]) == {plane, rref([v.circular(6), v.circular(4)])}
