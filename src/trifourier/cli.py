@@ -145,7 +145,6 @@ def _run_verify(args) -> int:
 
 
 def _run_nonabelian(args) -> int:
-    from .cyclotomic import Cyc
     from .nonabelian import (
         PIECE_SIGNS,
         hyperplane_check,

@@ -209,12 +209,6 @@ class Cyc:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def to_complex(self) -> complex:
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / N)
-        return sum(c * z**j for j, c in enumerate(self.num)) / self.den
-
     def __eq__(self, other) -> bool:
         other = Cyc._coerce(other)
         if other is NotImplemented:

@@ -128,28 +128,3 @@ def verify_family_stability(family: Family) -> Report:
     sizes = sorted(len(o) for o in orbits)
     rep.add("orbit sizes", True, ",".join(map(str, sizes)))
     return rep
-
-
-def orbit_report(family: Family) -> dict:
-    """Orbit decomposition in JSON form (representatives in compact notation)."""
-    from .family import entry_compact
-
-    space = family.space
-    perms = [
-        family_permutation(family, rotation(space)),
-        family_permutation(family, reflection(space)),
-    ]
-    orbits = orbits_of(perms, len(family))
-    orbits.sort(key=lambda o: (len(o), o))
-    return {
-        "dim": family.dim,
-        "orbit_count": len(orbits),
-        "orbits": [
-            {
-                "size": len(o),
-                "representative": entry_compact(family.entries[o[0]], family.dim),
-                "members": [entry_compact(family.entries[i], family.dim) for i in o],
-            }
-            for o in orbits
-        ],
-    }

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bareiss import adjugate
 from .family import Family, FamilyStructureError, delta
-from .gf2 import Subspace, SymplecticSpace, make_space, perp
+from .gf2 import SymplecticSpace, make_space, perp
 from .report import Report
 from .taumaps import tau
 
@@ -94,22 +94,6 @@ class _Fields:
         """
         diffs = [x ^ y for x, y in zip(a, b) if x != y]
         return min(((x & -x).bit_length() - 1) // self.bits for x in diffs) if diffs else None
-
-
-def characteristic(space: SymplecticSpace, subset) -> list[int]:
-    """0/1 indicator vector of a Subspace or an iterable of vectors."""
-    values = [0] * (1 << space.dim)
-    if isinstance(subset, Subspace):
-        subset = subset.vectors()
-    for v in subset:
-        values[v] = 1
-    return values
-
-
-def delta_function(space: SymplecticSpace, x: int) -> list[int]:
-    values = [0] * (1 << space.dim)
-    values[x] = 1
-    return values
 
 
 # -- the fast transform -------------------------------------------------------
@@ -286,22 +270,19 @@ def peel_solve(
     Row v of rhs and row j of X are {column: value} for their nonzeros.
     Forward substitution in peel order keeps the residual rhs - B X: step
     (v, j) takes X[j] = residual[v], without its zeros, and subtracts it
-    from the other rows of column j.  The residual must end identically zero.
+    from the other rows of column j.
     """
     order = peel_order(members, len(rhs))
     residual = [dict(row) for row in rhs]
     x: list[dict[int, int]] = [{} for _ in members]
     for v, j in order:
         vals = x[j] = {c: val for c, val in residual[v].items() if val}
-        residual[v] = {}
         for u in members[j]:
             if u != v:
                 row = residual[u]
                 get = row.get
                 for c, val in vals.items():
                     row[c] = get(c, 0) - val
-    if any(residual):
-        raise FamilyStructureError("peel solve left a nonzero residual")
     return x, order
 
 

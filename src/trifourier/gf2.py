@@ -33,11 +33,6 @@ def vector_from_coords(coords: Iterable[int]) -> int:
     return mask
 
 
-def coords_of(mask: int, dim: int) -> tuple[int, ...]:
-    """Unpack a mask into its D coordinates with respect to (e_1,...,e_D)."""
-    return tuple((mask >> i) & 1 for i in range(dim))
-
-
 class SymplecticSpace:
     """GF(2) space of even dimension D with the circularly-adjacent pairing.
 

@@ -100,30 +100,14 @@ class PermGroup:
     # each centralizer is computed once: the table builders and the coverage check both ask for it
     _centralizers: dict[Perm, tuple[Perm, ...]] = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def centralizer(self, x: Perm) -> tuple[Perm, ...]:
         if x not in self._centralizers:
             self._centralizers[x] = tuple(g for g in self.elements if pmul(g, x) == pmul(x, g))
         return self._centralizers[x]
 
-    def conjugacy_class(self, x: Perm) -> frozenset[Perm]:
-        return frozenset(pconj(g, x) for g in self.elements)
-
 
 def symmetric_group(n: int) -> PermGroup:
     return PermGroup(f"s{n}", n, tuple(permutations(range(n))))
-
-
-def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
-    """Direct product acting on the disjoint union of the two point sets."""
-    shift = a.degree
-    elems = tuple(
-        ga + tuple(x + shift for x in gb) for ga in a.elements for gb in b.elements
-    )
-    return PermGroup(f"{a.name}x{b.name}", a.degree + b.degree, elems)
 
 
 # -- character tables --------------------------------------------------------
@@ -140,13 +124,6 @@ class CharacterTable:
     @property
     def order(self) -> int:
         return len(self.group_elements)
-
-    def value(self, label: str, g: Perm) -> Cyc:
-        return self.values[label][g]
-
-    def degree(self, label: str) -> Cyc:
-        ident = identity_perm(len(self.group_elements[0]))
-        return self.values[label][ident]
 
     def coefficients(self) -> tuple[list[list[Vec]], int]:
         """Numerators x[s][u] of the value of character s at element u, and their common denominator."""
@@ -200,9 +177,7 @@ def _table_by_classifier(elements, labels, classify, rows) -> CharacterTable:
 
 
 def _sym_table(n: int, elements: tuple[Perm, ...]) -> CharacterTable:
-    """Character table of a symmetric group of degree <= 5, by cycle type."""
-    if n == 1:
-        return _table_by_classifier(elements, ["1"], cycle_type, {"1": {(1,): _rat(1)}})
+    """Character table of a symmetric group of degree 2 to 5, by cycle type."""
     if n == 2:
         rows = {
             "1": {(1, 1): _rat(1), (2,): _rat(1)},

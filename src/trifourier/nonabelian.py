@@ -14,8 +14,7 @@ tables with those counts.  The conjugation placement is
 pinned by reproducing the two explicit rows checked in the tests; the
 matrix is symmetric and squares to the identity for every supported group.
 
-Supported groups: s2, s3, s4, s5, and direct products written "s3xs2",
-which are needed only for consistency cross-checks.
+Supported groups: s3, s4 and s5, the groups the command line accepts.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from .groups import (
     identity_perm,
     pconj,
     pinv,
-    product_group,
-    restrict,
     symmetric_group,
 )
 from .packed import ZERO, Vec
@@ -91,22 +88,15 @@ def _assemble(name: str, group: PermGroup, classes: list[tuple[str, tuple[int, .
 
 @lru_cache(maxsize=None)
 def mdata(name: str) -> MData:
+    """The pairs, class representatives and centralizer tables of s3, s4 or s5.
+
+    Any other name raises ValueError before anything is built.
+    """
     theta = Cyc.theta()
     imag = Cyc.imag_unit()
     zeta = Cyc.zeta5()
     one = Cyc.one()
     minus = Cyc.from_rational(-1)
-    if "x" in name:
-        left, _, right = name.partition("x")
-        return _product_mdata(mdata(left), mdata(right))
-    if name == "s2":
-        g = symmetric_group(2)
-        swap = from_cycles(2, (0, 1))
-        classes = [
-            ("1", identity_perm(2), _sym_table(2, g.elements)),
-            ("g2", swap, _cyclic_table(swap, [("1", one), ("eps", minus)])),
-        ]
-        return _assemble(name, g, classes)
     if name == "s3":
         g = symmetric_group(3)
         g2 = from_cycles(3, (0, 1))
@@ -189,36 +179,6 @@ def mdata(name: str) -> MData:
     raise ValueError(f"unsupported group {name!r}")
 
 
-def _product_mdata(a: MData, b: MData) -> MData:
-    group = product_group(a.group, b.group)
-    shift = a.group.degree
-    support_a = tuple(range(shift))
-    support_b = tuple(range(shift, group.degree))
-    classes = []
-    for la in a.class_labels:
-        for lb in b.class_labels:
-            rep = a.reps[la] + tuple(x + shift for x in b.reps[lb])
-            elements = tuple(
-                ga + tuple(x + shift for x in gb)
-                for ga in a.tables[la].group_elements
-                for gb in b.tables[lb].group_elements
-            )
-            labels = []
-            values = {}
-            for ra in a.tables[la].labels:
-                for rb in b.tables[lb].labels:
-                    lab = f"{ra}*{rb}"
-                    labels.append(lab)
-                    values[lab] = {
-                        g: a.tables[la].values[ra][restrict(g, support_a)]
-                        * b.tables[lb].values[rb][restrict(g, support_b)]
-                        for g in elements
-                    }
-            table = CharacterTable(elements, tuple(labels), values)
-            classes.append((f"{la}*{lb}", rep, table))
-    return _assemble(f"{a.name}x{b.name}", group, classes)
-
-
 def enumerate_m(name: str) -> list[MPair]:
     """The canonical ordered list of pairs (class label, character label)."""
     return list(mdata(name).pairs)
@@ -230,10 +190,9 @@ class FTMatrix:
 
     Stored as F = (1/den) * num: num[i][j] holds the 16 power-basis
     coefficients of entry (i, j) (a `packed.Vec`), num is a list of n rows.
-    `num` and `den` are the only source of truth: `matrix` is a view of the
-    same entries as `Cyc` values, built once for `entry`, `row` and
-    `to_json`, and every check reads `num`, so a change made to `matrix` is
-    not seen by the checks.
+    `num` and `den` are the only source of truth: every check reads them.
+    `matrix` is a view of the same entries as `Cyc` values, built once for
+    `to_json`, so a change made to `matrix` is not seen by the checks.
     """
 
     mdata: MData
@@ -248,13 +207,6 @@ class FTMatrix:
     def size(self) -> int:
         return len(self.num)
 
-    def entry(self, p: MPair, q: MPair) -> Cyc:
-        return self.matrix[self.mdata.index[p]][self.mdata.index[q]]
-
-    def row(self, p: MPair) -> dict[MPair, Cyc]:
-        i = self.mdata.index[p]
-        return {q: self.matrix[i][j] for j, q in enumerate(self.mdata.pairs)}
-
     def trace(self) -> Cyc:
         return Cyc(tuple(map(sum, zip(*(row[i] for i, row in enumerate(self.num))))), self.den)
 
@@ -266,17 +218,6 @@ class FTMatrix:
         unit = (self.den**2,) + ZERO[1:]
         square = packed.matmul(self.num, self.num)
         return all(v == (unit if i == j else ZERO) for i, row in enumerate(square) for j, v in enumerate(row))
-
-    def is_conj_invariant(self) -> bool:
-        return packed.conj(self.num) == [list(row) for row in self.num]
-
-    def all_rational(self) -> bool:
-        return not any(any(v[1:]) for row in self.num for v in row)
-
-    def apply_columns(self, coeffs: list) -> list[Cyc]:
-        """Image of a vector of basis coefficients (matrix acts on columns)."""
-        vec, vden = packed.from_cycs([[c if isinstance(c, Cyc) else Cyc.from_rational(c)] for c in coeffs])
-        return [Cyc(v, self.den * vden) for v, in packed.matmul(self.num, vec)]
 
     def to_json(self) -> dict:
         return {
@@ -312,6 +253,11 @@ def _pair_counts(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]
 
 @lru_cache(maxsize=None)
 def nonabelian_ft(name: str) -> FTMatrix:
+    """The Fourier matrix of s3, s4 or s5."""
+    return _fourier_matrix(mdata(name))
+
+
+def _fourier_matrix(md: MData) -> FTMatrix:
     """F[(x,s),(y,t)] = sum_{u,v} s(u) c[u,v] conj(t(v)) / (|Z(x)||Z(y)|), one contraction per block.
 
     Per block, S[s][v] = sum_u s(u) c[u,v] is summed in packed form and
@@ -320,7 +266,6 @@ def nonabelian_ft(name: str) -> FTMatrix:
     products of a character coefficient and a conjugate one, which bounds
     the packing width for every block.
     """
-    md = mdata(name)
     chars = md.validate_tables()
     counts = _pair_counts(md)
     conj_chars = {lab: packed.conj(x) for lab, (x, _) in chars.items()}
@@ -351,23 +296,6 @@ def nonabelian_ft(name: str) -> FTMatrix:
         for k, row in enumerate(block):
             num[i + k][j:j + len(row)] = [tuple(f * a // g for a in v) for v in row]
     return FTMatrix(md, num, den // g)
-
-
-def kron_ft(a: FTMatrix, b: FTMatrix) -> list[list[Cyc]]:
-    """Kronecker product in the pair order of the corresponding product group."""
-    na, nb = a.size, b.size
-    out = [[Cyc.zero()] * (na * nb) for _ in range(na * nb)]
-    order_a = a.mdata.pairs
-    order_b = b.mdata.pairs
-    md_prod = mdata(f"{a.mdata.name}x{b.mdata.name}")
-    for ia, pa in enumerate(order_a):
-        for ib, pb in enumerate(order_b):
-            i = md_prod.index[MPair(f"{pa.x}*{pb.x}", f"{pa.rho}*{pb.rho}")]
-            for ja, qa in enumerate(order_a):
-                for jb, qb in enumerate(order_b):
-                    j = md_prod.index[MPair(f"{qa.x}*{qb.x}", f"{qa.rho}*{qb.rho}")]
-                    out[i][j] = a.matrix[ia][ja] * b.matrix[ib][jb]
-    return out
 
 
 # -- new bases and pieces -----------------------------------------------------
@@ -485,14 +413,6 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]
     return packed.matmul(v, fu), ft.den * (det // g)
 
 
-def conjugated_matrix(ft: FTMatrix, basis: NewBasis) -> list[list[Cyc]]:
-    """U^-1 F U: the Fourier matrix written in the new basis; ZeroDivisionError if U is singular."""
-    det, adj = adjugate(basis.matrix)
-    if not det:
-        raise ZeroDivisionError("basis matrix is singular")
-    return packed.to_cyc_rows(*_conjugated(ft, basis.matrix, det, adj))
-
-
 def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
                       expected_signs: list[int] | None = None) -> Report:
     """Certify the piece-triangular shape and the per-piece diagonal signs.
@@ -550,15 +470,13 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
     return rep
 
 
-def hyperplane_check(ft: FTMatrix | None = None) -> Report:
+def hyperplane_check(ft: FTMatrix) -> Report:
     """The signed order-five functional is preserved up to an exact scalar.
 
     The hyperplane is cut out by a(g5,zeta) + a(g5,zeta4) - a(g5,zeta2)
     - a(g5,zeta3) = 0; its stability under the matrix is equivalent to the
     functional composing to a scalar multiple of itself.
     """
-    if ft is None:
-        ft = nonabelian_ft("s5")
     md = ft.mdata
     rep = Report("hyperplane s5")
     phi = [0] * ft.size
@@ -578,55 +496,7 @@ def hyperplane_check(ft: FTMatrix | None = None) -> Report:
     return rep
 
 
-def sign_consistency_report() -> Report:
-    """Replay of the trace bookkeeping pinning the first two piece signs.
-
-    The piece sizes and signs from the stored data must reproduce the exact
-    matrix trace for each group; for the largest group, subtracting the
-    contribution of pieces three onward from the trace (13) leaves -2 for
-    the two singleton pieces, forcing both signs to be -1.
-    """
-    rep = Report("sign-consistency")
-    for name in ("s3", "s4", "s5"):
-        ft = nonabelian_ft(name)
-        tr = ft.trace()
-        rep.require(f"{name} trace rational", tr.is_rational(), repr(tr))
-        pieces = piece_partition(name)
-        signed = sum(PIECE_SIGNS[name][k] * len(piece) for k, piece in enumerate(pieces))
-        rep.require(
-            f"{name} trace matches signed piece sizes",
-            tr.is_rational() and tr.to_rational() == signed,
-            f"trace={tr!r} signed={signed}",
-        )
-    ft5 = nonabelian_ft("s5")
-    tail = sum(PIECE_SIGNS["s5"][k] * len(piece) for k, piece in enumerate(piece_partition("s5")) if k >= 2)
-    head = ft5.trace().to_rational() - tail
-    rep.require("s5 head pieces sum to -2", head == -2, f"{head}")
-    ft3, ft2 = nonabelian_ft("s3"), nonabelian_ft("s2")
-    prod = nonabelian_ft("s3xs2")
-    rep.require("product matrix is the tensor product", prod.matrix == kron_ft(ft3, ft2))
-    rep.require(
-        "product trace multiplies",
-        prod.trace() == ft3.trace() * ft2.trace(),
-        f"{prod.trace()!r} != {ft3.trace()!r}*{ft2.trace()!r}",
-    )
-    return rep
-
-
 # -- basis files ---------------------------------------------------------------
-
-
-def new_basis_to_json(basis: NewBasis) -> dict:
-    md = mdata(basis.group)
-    expansions = []
-    for j, p in enumerate(md.pairs):
-        terms = [
-            {"x": md.pairs[i].x, "rho": md.pairs[i].rho, "coeff_num": basis.matrix[i][j], "coeff_den": 1}
-            for i in range(len(md.pairs))
-            if basis.matrix[i][j]
-        ]
-        expansions.append({"label": {"x": p.x, "rho": p.rho}, "terms": terms})
-    return {"group": basis.group, "variant": basis.variant, "expansions": expansions}
 
 
 def _field(obj, key: str, where: str):

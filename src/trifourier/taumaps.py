@@ -143,15 +143,6 @@ def close_rows(table: list[int], members: Iterable[tuple[int, ...]]) -> set[tupl
     return out
 
 
-def pushed_subspace(space: SymplecticSpace, emb: CircularMap, sub: Subspace, i: int) -> Subspace:
-    """tau_i(E') + F2.e_i, the one-dimension-up member produced by an embedding.
-
-    Builds the embedding's table on every call; a push of many members builds
-    it once and calls `push_rows`.
-    """
-    return Subspace(push_rows(emb.table(), sub.rows, space.circular(i)))
-
-
 def check_complement(space: SymplecticSpace, i: int) -> bool:
     """tau_i's image is a complement of the line F2.e_i inside the perp of e_i."""
     emb = tau(space, make_space(space.dim - 2), i)

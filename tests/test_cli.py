@@ -9,7 +9,9 @@ import pytest
 
 import trifourier
 from trifourier.cli import main
-from trifourier.nonabelian import NewBasis, new_basis_to_json, s3_new_basis
+from trifourier.nonabelian import NewBasis, s3_new_basis
+
+from nonabelian_reference import new_basis_to_json
 
 
 def run(capsys, *argv):
@@ -125,6 +127,22 @@ def test_nonabelian_bad_basis_file(capsys, tmp_path):
     code, _, err = run(capsys, "nonabelian", "--group", "s4", "--check", "newbasis", "--basis", str(path))
     assert code == 1
     assert "missing" in err
+
+
+@pytest.mark.parametrize("group", ["s5xs5", "s5xs5xs2", "s3xs2", "s2", ""])
+def test_nonabelian_basis_file_unsupported_group(tmp_path, group):
+    # refused before the named group is built: the command line knows s3, s4 and s5 only
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"group": group, "expansions": []}))
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trifourier", "nonabelian", "--group", "s4", "--check", "newbasis", "--basis", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and str(path) in proc.stderr
+    assert f"unsupported group {group!r}" in proc.stderr
 
 
 def test_nonabelian_hyperplane(capsys):

@@ -2,7 +2,6 @@ import pytest
 
 from trifourier.dihedral import (
     family_permutation,
-    orbit_report,
     orbits_of,
     preserves_form,
     reflection,
@@ -79,14 +78,16 @@ def test_induced_group_is_full_dihedral_d4():
     assert len(generated_permutation_group(perms)) == 10
 
 
+def _dihedral_orbits(fam):
+    perms = [family_permutation(fam, rotation(fam.space)), family_permutation(fam, reflection(fam.space))]
+    return orbits_of(perms, len(fam))
+
+
 def test_orbit_sizes_partition_d4():
-    fam = build_family(4)
-    doc = orbit_report(fam)
-    sizes = [o["size"] for o in doc["orbits"]]
+    sizes = [len(o) for o in _dihedral_orbits(build_family(4))]
     assert sum(sizes) == 16
     assert all(10 % s == 0 for s in sizes)
 
 
 def test_orbit_report_is_deterministic():
-    fam = build_family(4)
-    assert orbit_report(fam) == orbit_report(fam)
+    assert _dihedral_orbits(build_family(4)) == _dihedral_orbits(build_family(4))

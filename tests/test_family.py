@@ -24,7 +24,7 @@ from trifourier.family import (
     verify_structure,
 )
 from trifourier.gf2 import Subspace, all_intervals, canonical_subspace, make_space
-from trifourier.taumaps import CircularMap, generic_tau, pushed_subspace, rotation, tau
+from trifourier.taumaps import CircularMap, generic_tau, push_rows, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
 # even-interval count.  Line order is immaterial; each line is significant.
@@ -330,7 +330,8 @@ def _replay(path: str, dim: int) -> Subspace:
     assert pushed, path
     i = int(pushed[1])
     space = make_space(dim)
-    return pushed_subspace(space, tau(space, make_space(dim - 2), i), _replay(pushed[2], dim - 2), i)
+    inner = _replay(pushed[2], dim - 2)
+    return Subspace(push_rows(tau(space, make_space(dim - 2), i).table(), inner.rows, space.circular(i)))
 
 
 @pytest.mark.parametrize("dim", range(0, 11, 2))

@@ -7,8 +7,6 @@ from trifourier.family import build_family
 from trifourier.fourier import (
     basis_matrix,
     change_of_basis,
-    characteristic,
-    delta_function,
     integer_inverse,
     phi,
     verify_change_of_basis,
@@ -19,6 +17,7 @@ from trifourier.fourier import (
 from trifourier.gf2 import Subspace, canonical_subspace, make_space, perp
 
 from fraction_reference import fraction_det, fraction_inverse
+from gf2_reference import characteristic
 
 
 def phi_reference(space, values):
@@ -41,7 +40,7 @@ def test_phi_d0_identity():
 def test_phi_worked_example_d2():
     sp = make_space(2)
     # the four basis functions: point mass at 0, and pair masses {0, x}
-    f0 = delta_function(sp, 0)
+    f0 = characteristic(sp, [0])
     pair = {x: characteristic(sp, canonical_subspace([x])) for x in (1, 2, 3)}
     for x, fx in pair.items():
         assert phi(sp, fx) == [Fraction(v) for v in fx]
@@ -103,7 +102,7 @@ def test_z_map_point_mass():
 
     emb = tau(v, vp, 2)
     for y in range(4):
-        out = z_map(v, vp, 2, delta_function(vp, y))
+        out = z_map(v, vp, 2, characteristic(vp, [y]))
         t = emb.apply(y)
         expect = [0] * 16
         expect[t] += 1
@@ -122,7 +121,7 @@ def test_z_commutation_pointwise_d4():
     v, vp = make_space(4), make_space(2)
     for i in range(1, 6):
         for y in range(4):
-            f = delta_function(vp, y)
+            f = characteristic(vp, [y])
             lhs = phi(v, z_map(v, vp, i, f))
             rhs = z_map(v, vp, i, phi(vp, f))
             assert lhs == rhs
@@ -216,5 +215,5 @@ def test_cob_serialization():
 
 def test_z_map_shape():
     v, vp = make_space(4), make_space(2)
-    columns = [z_map(v, vp, 1, delta_function(vp, y)) for y in range(4)]
+    columns = [z_map(v, vp, 1, characteristic(vp, [y])) for y in range(4)]
     assert all(len(col) == 16 and sorted(col) == [0] * 14 + [1, 1] for col in columns)

@@ -10,7 +10,6 @@ from trifourier.fourier import (
     _Fields,
     basis_matrix,
     change_of_basis,
-    delta_function,
     integer_inverse,
     peel_order,
     peel_solve,
@@ -22,6 +21,8 @@ from trifourier.fourier import (
     z_map,
 )
 from trifourier.gf2 import make_space, perp
+
+from gf2_reference import characteristic
 
 
 def matmul(a, b):
@@ -100,7 +101,7 @@ def test_z_commutation_matches_dense_sign_matrices(dim):
     v, vp = make_space(dim), make_space(dim - 2)
     g, gp = dense_sign_matrix(v), dense_sign_matrix(vp)
     for i in range(1, dim + 2):
-        z = transpose([z_map(v, vp, i, delta_function(vp, y)) for y in range(1 << vp.dim)])
+        z = transpose([z_map(v, vp, i, characteristic(vp, [y])) for y in range(1 << vp.dim)])
         assert transform_columns(v, z) == matmul(g, z)
         assert matmul(g, z) == [[2 * x for x in row] for row in matmul(z, gp)]
     assert verify_z_commutation(dim).ok

@@ -7,7 +7,6 @@ from trifourier.gf2 import (
     Subspace,
     all_intervals,
     canonical_subspace,
-    coords_of,
     is_isotropic,
     kernel_of,
     make_space,
@@ -15,6 +14,8 @@ from trifourier.gf2 import (
     rref,
     vector_from_coords,
 )
+
+from gf2_reference import coords_of
 
 
 def test_make_space_gram_d2():

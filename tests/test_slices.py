@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from trifourier import packed
+from trifourier.bareiss import adjugate
 from trifourier.cyclotomic import DEGREE, Cyc
 from trifourier.groups import CharacterTable, pconj, pinv, pmul
 from trifourier.nonabelian import (
     FTMatrix,
     MPair,
-    NewBasis,
-    conjugated_matrix,
+    _conjugated,
     hyperplane_check,
     mdata,
     nonabelian_ft,
@@ -20,12 +20,13 @@ from trifourier.nonabelian import (
 )
 
 from fraction_reference import fraction_inverse
+from nonabelian_reference import apply_columns, group_data, group_ft
 
 
 def reference_ft(name: str) -> list[list[Cyc]]:
     """F[(x,s),(y,t)] = 1/(|Z(x)||Z(y)|) sum over g in G with x.u = u.x, u = g y g^-1,
     of s(u) conj(t(g^-1 x g)), summed entry by entry in `Cyc` arithmetic."""
-    md = mdata(name)
+    md = group_data(name)
     n = len(md.pairs)
     matrix = [[Cyc.zero()] * n for _ in range(n)]
     for xl in md.class_labels:
@@ -60,7 +61,7 @@ def random_cyc(rng: random.Random, size: int = 5) -> Cyc:
 
 @pytest.mark.parametrize("name", ["s2", "s3", "s4", "s5", "s3xs2"])
 def test_slice_build_matches_definition(name):
-    ft = nonabelian_ft(name)
+    ft = group_ft(name)
     assert ft.matrix == reference_ft(name)
 
 
@@ -71,8 +72,8 @@ def test_slice_predicates_match_cyc(name):
     n = ft.size
     assert ft.trace() == sum((m[i][i] for i in range(n)), Cyc.zero())
     assert ft.is_symmetric() == all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-    assert ft.is_conj_invariant() == all(v.conj() == v for row in m for v in row)
-    assert ft.all_rational() == all(v.is_rational() for row in m for v in row)
+    assert (packed.conj(ft.num) == ft.num) == all(v.conj() == v for row in m for v in row)
+    assert (not any(any(v[1:]) for row in ft.num for v in row)) == all(v.is_rational() for row in m for v in row)
 
 
 def test_fold_and_conj_match_cyc_arithmetic():
@@ -171,7 +172,7 @@ def test_apply_columns_with_large_coefficients():
         sum((ft.matrix[i][j] * Cyc.from_rational(c) for j, c in enumerate(coeffs)), Cyc.zero())
         for i in range(ft.size)
     ]
-    assert ft.apply_columns(coeffs) == want
+    assert apply_columns(ft, coeffs) == want
 
 
 @pytest.mark.parametrize("change", ["none", "huge", "scaled"])
@@ -185,7 +186,8 @@ def test_conjugated_matrix_matches_definition(change):
     uinv = fraction_inverse([[Fraction(v) for v in row] for row in u])
     as_cyc = [[Cyc.from_rational(v) for v in row] for row in uinv]
     want = reference_product(as_cyc, reference_product(ft.matrix, [[Cyc.from_rational(v) for v in row] for row in u]))
-    assert conjugated_matrix(ft, NewBasis("s3", "e", u)) == want
+    det, adj = adjugate(u)
+    assert packed.to_cyc_rows(*_conjugated(ft, u, det, adj)) == want
 
 
 @pytest.mark.parametrize("name", ["s3", "s5"])
