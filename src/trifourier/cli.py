@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .gf2 import MAX_DIM
 from .report import Report
 
 
 def even_dim(text: str) -> int:
+    from .gf2 import MAX_DIM
+
     try:
         value = int(text)
     except ValueError as exc:
@@ -59,12 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(doc) -> None:
+    """Print doc as json.dumps(doc, indent=2, sort_keys=True) would, streamed in batches."""
+    from .jsonout import dump
+
+    dump(doc, sys.stdout.write)
+
+
 def _emit_family(args) -> int:
     from .family import build_family, family_to_json, fiber_lines
 
     fam = build_family(args.dim)
     if args.format == "json":
-        print(json.dumps(family_to_json(fam), indent=2, sort_keys=True))
+        _print_json(family_to_json(fam))
     else:
         for line in fiber_lines(fam):
             print(line)
@@ -94,9 +101,11 @@ def _emit_matrix(args) -> int:
         return 2
     cob = change_of_basis(build_family(args.dim))
     if args.format == "csv":
-        sys.stdout.write(cob.to_csv())
+        from .jsonout import write_batched
+
+        write_batched(cob.to_csv(), sys.stdout.write)
     else:
-        print(json.dumps(cob.to_json(), indent=2, sort_keys=True))
+        _print_json(cob.to_json())
     return 0
 
 
@@ -138,7 +147,7 @@ def _run_verify(args) -> int:
         return 2
     rep = run_suite(args.dim, args.suite)
     if args.format == "json":
-        print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+        _print_json(rep.to_json())
     else:
         print(rep.summary())
     return 0 if rep.ok else 1
@@ -157,7 +166,7 @@ def _run_nonabelian(args) -> int:
 
     ft = nonabelian_ft(args.group)
     if args.check == "matrix":
-        print(json.dumps(ft.to_json(), indent=2, sort_keys=True))
+        _print_json(ft.to_json())
         return 0
     if args.check == "involution":
         ok = ft.is_involution() and ft.is_symmetric()
@@ -194,7 +203,7 @@ def _run_nonabelian(args) -> int:
         return 2
     rep = verify_triangular(ft, basis, piece_partition(args.group), PIECE_SIGNS[args.group])
     if args.format == "json":
-        print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+        _print_json(rep.to_json())
     else:
         print(rep.summary())
     return 0 if rep.ok else 1

@@ -331,6 +331,7 @@ class CobMatrix:
             yield cells
 
     def to_json(self) -> dict:
+        """The JSON export's document.  Its entries are a row iterator, to be written once."""
         fam = self.family
         from .family import entry_compact
 
@@ -340,17 +341,17 @@ class CobMatrix:
                 {"index": e.index, "dim": e.dim, "label": entry_compact(e, fam.dim)}
                 for e in fam.entries
             ],
-            "entries": list(self._entry_strings()),
+            "entries": self._entry_strings(),
         }
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> Iterator[str]:
+        """The CSV text, one line (newline included) at a time."""
         from .family import entry_compact
 
         labels = [entry_compact(e, self.family.dim) for e in self.family.entries]
-        lines = ["," + ",".join(f'"{lab}"' for lab in labels)]
+        yield "," + ",".join(f'"{lab}"' for lab in labels) + "\n"
         for lab, row in zip(labels, self._entry_strings()):
-            lines.append(f'"{lab}",' + ",".join(row))
-        return "\n".join(lines) + "\n"
+            yield f'"{lab}",' + ",".join(row) + "\n"
 
 
 def _members(family: Family) -> list[list[int]]:

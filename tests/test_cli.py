@@ -262,11 +262,21 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["family", "--dim", "12"], ["family", "--dim", "10", "--format", "json"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--dim", "12"],
+        ["family", "--dim", "10", "--format", "json"],
+        ["matrix", "--dim", "10", "--format", "json"],
+        ["matrix", "--dim", "10", "--format", "csv"],
+    ],
+)
 def test_closed_stdout_exits_1_without_traceback(argv):
     # The reader stops after one line, as `trifourier family --dim 10 | head -1` does.
-    # Each output (127 KB and 744 KB) is larger than a pipe's 64 KiB buffer, so the
-    # program is still writing when the pipe closes.
+    # Each output (127 KB, 744 KB, 11.7 MB and 2.2 MB) is larger than a pipe's 64 KiB
+    # buffer, so the program is still writing when the pipe closes.  On an unbuffered
+    # stdout (PYTHONUNBUFFERED) one large write that the closed pipe cuts short fails
+    # silently; the export writes in batches, so the next batch reports it.
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.Popen(
@@ -318,11 +328,34 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
         "        rc = main(['nonabelian', *argv])\n"
         "    assert rc == want, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
+        "    loaded = [m for m in ('trifourier.gf2', 'trifourier.family') if m in sys.modules]\n"
+        "    assert not loaded, (loaded, argv)\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_matrix_export_memory_is_bounded():
+    # The export streams its rows: the peak holds the change of basis, one row and one
+    # output batch, not the 11.7 MB of text (111 MB peak when the document was built
+    # whole).  A small helper interpreter starts the export and reads its peak RSS with
+    # os.wait4, so the figure does not start from this test runner's RSS.
+    helper = (
+        "import os, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'trifourier', 'matrix', '--dim', '10', '--format', 'json']\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", helper], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss_kib = map(int, proc.stdout.split())
+    assert rc == 0
+    assert maxrss_kib < 60 * 1024, f"peak RSS {maxrss_kib / 1024:.0f} MB"
 
 
 def test_benchmark_trace_hooks_resolve():
@@ -341,9 +374,10 @@ def test_benchmark_trace_hooks_resolve():
 # recursion, the matrix and Fourier outputs before the GF(2) transform moved
 # from numpy arrays to Python ints, the non-abelian ones before the cyclotomic
 # matrices moved from numpy slices to packed ints, the two D = 10 family-suite
-# ones before the graph-invariant recursion became two rotation closures.  A
-# digest that moves is a change to the bytes the CLI prints.  The outputs do
-# not depend on PYTHONHASHSEED.
+# ones before the graph-invariant recursion became two rotation closures, the
+# D = 10 matrix exports before the exports were streamed.  A digest that moves
+# is a change to the bytes the CLI prints.  The outputs do not depend on
+# PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
@@ -413,6 +447,8 @@ GOLDEN_SHA256 = {
     "verify --dim 6 --suite all --format json": "e4669e007d085d69f77daf019dff06647eaa0ea661e26d6a282e620d9ca88269",
     "matrix --dim 8 --format json": "f5c5c8e87724f1cf162fc79e19dfb0a319e3a9584cc61e8a97a91d3d83bccdf6",
     "matrix --dim 8 --format csv": "0b20a4d585c71de0f190829939bdcc865a8cf66745bba5ee17d155f6dde2bbd6",
+    "matrix --dim 10 --format json": "735b147a2a3672b4171f22393530e30cf76fa924a3e0b9fc392f466175f6170c",
+    "matrix --dim 10 --format csv": "30c0c8181db1018a9259b76d8ed371204ab77d97525b9141976687c6e016105b",
     "verify --dim 8 --suite fourier --format text": "39034ca779eba6016be64981ff65fe788c2d02ae850d059db7dc6f4428f55670",
     "verify --dim 8 --suite fourier --format json": "968bf596e8f535e8a777623a7bd9fb5a0931ac6925b20823a88c3758b0aa1c70",
     "verify --dim 8 --suite all --format text": "1ca0b7e649d6ce0b08a94af2f05bd58cc58cb930e6c831242ed28ee5a10ca76a",
