@@ -9,10 +9,11 @@ with a common positive denominator, reduced by the minimal polynomial
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .bareiss import adjugate
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 N = 60
 DEGREE = 16
@@ -91,6 +92,10 @@ class Cyc:
 
     @staticmethod
     def from_rational(q) -> "Cyc":
+        if isinstance(q, int):
+            return Cyc((q,) + (0,) * (DEGREE - 1))
+        from fractions import Fraction
+
         q = Fraction(q)
         return Cyc((q.numerator,) + (0,) * (DEGREE - 1), q.denominator)
 
@@ -120,7 +125,11 @@ class Cyc:
     def _coerce(value) -> "Cyc":
         if isinstance(value, Cyc):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
+            return Cyc.from_rational(value)
+        from fractions import Fraction
+
+        if isinstance(value, Fraction):
             return Cyc.from_rational(value)
         return NotImplemented
 
@@ -186,6 +195,8 @@ class Cyc:
         Column i of the integer matrix M is num * z^i reduced, so
         x = den * adj(M) e_0 / det M (`bareiss.adjugate`).
         """
+        from .bareiss import adjugate
+
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         m = [list(r) for r in zip(*(reduce_powers((0,) * i + self.num) for i in range(DEGREE)))]
@@ -205,6 +216,8 @@ class Cyc:
         return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
@@ -219,14 +232,18 @@ class Cyc:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
+        from fractions import Fraction
+
         if self.is_rational():
             return f"Cyc({self.to_rational()})"
         terms = [f"{Fraction(c, self.den)}*z^{j}" for j, c in enumerate(self.num) if c]
         return "Cyc(" + " + ".join(terms) + ")"
 
     def to_json(self) -> list[dict]:
-        return [
-            {"num": Fraction(c, self.den).numerator, "den": Fraction(c, self.den).denominator, "exp": j}
-            for j, c in enumerate(self.num)
-            if c
-        ]
+        """The nonzero terms, each coefficient c/den in lowest terms (den > 0)."""
+        terms = []
+        for j, c in enumerate(self.num):
+            if c:
+                g = gcd(c, self.den)
+                terms.append({"num": c // g, "den": self.den // g, "exp": j})
+        return terms

@@ -8,7 +8,6 @@ of interval vectors; the even-length interval count grades each fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -158,17 +157,28 @@ def interval_basis(space: SymplecticSpace, sub: Subspace) -> tuple[IntervalLabel
     return tuple(sorted(found))
 
 
-@dataclass
 class FamilyEntry:
-    index: int
-    subspace: Subspace
-    intervals: tuple[IntervalLabel, ...]
-    n_even: int
-    shriek_index: int = -1
-    fiber_index: int = -1
-    fiber_pos: int = -1
-    kappa_index: int = -1
-    provenance: str = ""
+    def __init__(
+        self,
+        index: int,
+        subspace: Subspace,
+        intervals: tuple[IntervalLabel, ...],
+        n_even: int,
+        shriek_index: int = -1,
+        fiber_index: int = -1,
+        fiber_pos: int = -1,
+        kappa_index: int = -1,
+        provenance: str = "",
+    ) -> None:
+        self.index = index
+        self.subspace = subspace
+        self.intervals = intervals
+        self.n_even = n_even
+        self.shriek_index = shriek_index
+        self.fiber_index = fiber_index
+        self.fiber_pos = fiber_pos
+        self.kappa_index = kappa_index
+        self.provenance = provenance
 
     @property
     def dim(self) -> int:
@@ -180,11 +190,11 @@ class FamilyEntry:
         return tuple(sorted(runs, key=lambda r: (len(r), r[0])))
 
 
-@dataclass
 class Fiber:
-    index: int
-    shriek_index: int
-    members: tuple[int, ...]  # entry indices ordered by even-interval count
+    def __init__(self, index: int, shriek_index: int, members: tuple[int, ...]) -> None:
+        self.index = index
+        self.shriek_index = shriek_index
+        self.members = members  # entry indices ordered by even-interval count
 
 
 class Family:

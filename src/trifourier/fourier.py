@@ -31,14 +31,12 @@ overflows, so no computation here needs a headroom check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
-from .bareiss import adjugate
 from .family import Family, FamilyStructureError, delta
 from .gf2 import SymplecticSpace, make_space, perp
 from .report import Report
@@ -218,6 +216,8 @@ def integer_inverse(mat: list[list[int]]) -> list[list[int]]:
     command-line path.  Raises ValueError when det != +-1: no integer
     inverse exists.
     """
+    from .bareiss import adjugate
+
     det, adj = adjugate(mat)
     if det not in (1, -1):
         raise ValueError(f"det = {det}; matrix is not unimodular")
@@ -289,7 +289,6 @@ def peel_solve(
 # -- the change of basis -----------------------------------------------------
 
 
-@dataclass
 class CobMatrix:
     """Exact change-of-basis matrix in the family basis.
 
@@ -300,10 +299,11 @@ class CobMatrix:
     member) pairs of the peel order that solved for it.
     """
 
-    family: Family
-    num: list[dict[int, int]]
-    den: int
-    peel: list[tuple[int, int]]
+    def __init__(self, family: Family, num: list[dict[int, int]], den: int, peel: list[tuple[int, int]]) -> None:
+        self.family = family
+        self.num = num
+        self.den = den
+        self.peel = peel
 
     @property
     def size(self) -> int:

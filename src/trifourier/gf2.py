@@ -7,9 +7,8 @@ e_1 + ... + e_D and is kept as derived data, so that e_1 + ... + e_{D+1} = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 # Cap on the ambient dimension: the function space has 2**D coordinates and
 # every check here is meant to run exactly at desk scale.
@@ -126,8 +125,7 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True, order=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace held as its canonical reduced-echelon basis rows."""
 
     rows: tuple[int, ...]
@@ -199,8 +197,7 @@ def is_isotropic(space: SymplecticSpace, sub: Subspace) -> bool:
     return not any(space.pairings(sub.rows))
 
 
-@dataclass(frozen=True, order=True)
-class IntervalLabel:
+class IntervalLabel(NamedTuple):
     """The interval I = [a, b] inside [1, D], with its normalized print form.
 
     The normalized set I' is I itself when |I| is odd and the complement

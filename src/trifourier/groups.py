@@ -20,7 +20,6 @@ and documented in the README:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from .cyclotomic import Cyc
@@ -92,13 +91,13 @@ def restrict(p: Perm, support: tuple[int, ...]) -> Perm:
     return tuple(pos[p[pt]] for pt in support)
 
 
-@dataclass(frozen=True)
 class PermGroup:
-    name: str
-    degree: int
-    elements: tuple[Perm, ...]
-    # each centralizer is computed once: the table builders and the coverage check both ask for it
-    _centralizers: dict[Perm, tuple[Perm, ...]] = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, name: str, degree: int, elements: tuple[Perm, ...]) -> None:
+        self.name = name
+        self.degree = degree
+        self.elements = elements
+        # each centralizer is computed once: the table builders and the coverage check both ask for it
+        self._centralizers: dict[Perm, tuple[Perm, ...]] = {}
 
     def centralizer(self, x: Perm) -> tuple[Perm, ...]:
         if x not in self._centralizers:
@@ -113,13 +112,15 @@ def symmetric_group(n: int) -> PermGroup:
 # -- character tables --------------------------------------------------------
 
 
-@dataclass
 class CharacterTable:
     """Irreducible characters of a centralizer, as element -> value maps."""
 
-    group_elements: tuple[Perm, ...]
-    labels: tuple[str, ...]
-    values: dict[str, dict[Perm, Cyc]]
+    def __init__(
+        self, group_elements: tuple[Perm, ...], labels: tuple[str, ...], values: dict[str, dict[Perm, Cyc]]
+    ) -> None:
+        self.group_elements = group_elements
+        self.labels = labels
+        self.values = values
 
     @property
     def order(self) -> int:
@@ -139,7 +140,7 @@ class CharacterTable:
         ident = self.group_elements.index(identity_perm(len(self.group_elements[0])))
         degrees = [row[ident] for row in x]
         total = Cyc(matmul([degrees], [[d] for d in degrees])[0][0], den * den)
-        if not (total.is_rational() and total.to_rational() == n):
+        if total != Cyc.from_rational(n):
             raise AssertionError(f"sum of squared degrees {total!r} != {n}")
         gram = matmul(x, [list(col) for col in zip(*conj(x))])
         unit = (n * den * den,) + ZERO[1:]

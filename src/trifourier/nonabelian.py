@@ -19,15 +19,12 @@ Supported groups: s3, s4 and s5, the groups the command line accepts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import packed
-from .bareiss import adjugate
 from .cyclotomic import Cyc
 from .groups import (
     CharacterTable,
@@ -47,8 +44,7 @@ from .packed import ZERO, Vec
 from .report import Report
 
 
-@dataclass(frozen=True, order=True)
-class MPair:
+class MPair(NamedTuple):
     x: str
     rho: str
 
@@ -56,17 +52,26 @@ class MPair:
         return f"({self.x},{self.rho})"
 
 
-@dataclass
 class MData:
     """Everything needed to build the Fourier matrix of one group."""
 
-    name: str
-    group: PermGroup
-    class_labels: tuple[str, ...]
-    reps: dict[str, tuple[int, ...]]
-    tables: dict[str, CharacterTable]
-    pairs: list[MPair]
-    index: dict[MPair, int]
+    def __init__(
+        self,
+        name: str,
+        group: PermGroup,
+        class_labels: tuple[str, ...],
+        reps: dict[str, tuple[int, ...]],
+        tables: dict[str, CharacterTable],
+        pairs: list[MPair],
+        index: dict[MPair, int],
+    ) -> None:
+        self.name = name
+        self.group = group
+        self.class_labels = class_labels
+        self.reps = reps
+        self.tables = tables
+        self.pairs = pairs
+        self.index = index
 
     def validate_tables(self) -> dict[str, tuple[list[list[Vec]], int]]:
         """Check every table; returns each table's `coefficients()`, by class label."""
@@ -184,7 +189,6 @@ def enumerate_m(name: str) -> list[MPair]:
     return list(mdata(name).pairs)
 
 
-@dataclass(eq=False)
 class FTMatrix:
     """The symmetric involutive Fourier matrix over the cyclotomic field.
 
@@ -195,9 +199,10 @@ class FTMatrix:
     `to_json`, so a change made to `matrix` is not seen by the checks.
     """
 
-    mdata: MData
-    num: list[list[Vec]]
-    den: int
+    def __init__(self, mdata: MData, num: list[list[Vec]], den: int) -> None:
+        self.mdata = mdata
+        self.num = num
+        self.den = den
 
     @cached_property
     def matrix(self) -> list[list[Cyc]]:
@@ -301,16 +306,16 @@ def _fourier_matrix(md: MData) -> FTMatrix:
 # -- new bases and pieces -----------------------------------------------------
 
 
-@dataclass
 class NewBasis:
     """An integer expansion of a candidate basis indexed like the pairs.
 
     column j of `matrix` expands the j-th new-basis element over the pairs.
     """
 
-    group: str
-    variant: str
-    matrix: list[list[int]]
+    def __init__(self, group: str, variant: str, matrix: list[list[int]]) -> None:
+        self.group = group
+        self.variant = variant
+        self.matrix = matrix
 
     @property
     def size(self) -> int:
@@ -422,6 +427,8 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
     reported.  When expected per-piece signs are given they are compared
     against the observed diagonal.
     """
+    from .bareiss import adjugate
+
     md = ft.mdata
     rep = Report(f"triangular {md.name}" + (f" variant={basis.variant}" if basis.variant else ""))
     n = ft.size
@@ -526,6 +533,8 @@ def load_basis(data: dict) -> NewBasis:
 
     Every malformed input raises ValueError with a message naming the bad field.
     """
+    from fractions import Fraction
+
     name = _field(data, "group", "basis file")
     if not isinstance(name, str):
         raise ValueError(f"basis file field 'group' must be a string, not {type(name).__name__}")
@@ -564,6 +573,8 @@ def load_basis(data: dict) -> NewBasis:
 
 def load_basis_file(path: str) -> NewBasis:
     """Read and parse a basis file; OSError if it cannot be read, ValueError if it is malformed."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

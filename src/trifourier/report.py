@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    check_id: str
-    ok: bool
-    details: str = ""
+    def __init__(self, check_id: str, ok: bool, details: str = "") -> None:
+        self.check_id = check_id
+        self.ok = ok
+        self.details = details
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, suite: str, checks: list[Check] | None = None) -> None:
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, ok: bool, details: str = "") -> None:
         self.checks.append(Check(check_id, bool(ok), details))

@@ -10,15 +10,13 @@ are maps of the same kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .gf2 import Subspace, SymplecticSpace, bits_of, kernel_of, make_space, rref
 from .report import Report
 
 
-@dataclass(frozen=True)
-class CircularMap:
+class CircularMap(NamedTuple):
     """A linear map between two circular-basis spaces, given on the circular vectors.
 
     `images` lists the images of the src_dim+1 circular vectors e_1..e_{D'+1}

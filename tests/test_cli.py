@@ -229,9 +229,14 @@ def test_family_suite_leaves_numpy_unimported():
         "    rc = main(['verify', '--dim', '4', '--suite', 'family'])\n"
         "assert rc == 0, rc\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "def unloaded(*names):\n"
+        "    loaded = [m for m in names if m in sys.modules]\n"
+        "    assert not loaded, loaded\n"
+        "unloaded('dataclasses', 'inspect')\n"
         "import trifourier\n"
         "missing = [n for n in trifourier.__all__ if getattr(trifourier, n, None) is None]\n"
         "assert not missing, missing\n"
+        "unloaded('dataclasses', 'inspect')\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -255,6 +260,8 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         "        rc = main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
+        "    loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "    assert not loaded, (loaded, argv)\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -314,21 +321,30 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
         identity = NewBasis(group, "", [[int(i == j) for j in range(n)] for i in range(n)])
         bases[group] = tmp_path / f"{group}-identity.json"
         bases[group].write_text(json.dumps(new_basis_to_json(identity)), encoding="utf-8")
-    runs = [(["--group", g, "--check", c], 0) for g in ("s3", "s4", "s5") for c in ("matrix", "involution", "trace")]
-    runs += [(["--group", "s5", "--check", "hyperplane"], 0)]
-    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0)
-             for v in ("g2", "e") for f in ("text", "json")]
+    # Each run lists the modules it must leave unimported on top of the shared ones.  One
+    # process runs them in order and a module stays loaded once imported, so the runs
+    # that need neither json nor fractions come first: the involution checks and the s3
+    # new bases in text; the JSON writer then brings in json, and only the trace and
+    # hyperplane checks and the basis files need fractions.
+    lean = ("json", "fractions")
+    runs = [(["--group", g, "--check", "involution"], 0, lean) for g in ("s3", "s4", "s5")]
+    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0,
+              lean if f == "text" else ("fractions",))
+             for f in ("text", "json") for v in ("g2", "e")]
+    runs += [(["--group", g, "--check", c], 0, ()) for g in ("s3", "s4", "s5") for c in ("matrix", "trace")]
+    runs += [(["--group", "s5", "--check", "hyperplane"], 0, ())]
     # the identity is not piece-triangular, so these report a failure (exit 1) after the full check
-    runs += [(["--group", g, "--check", "newbasis", "--basis", str(bases[g])], 1) for g in ("s4", "s5")]
+    runs += [(["--group", g, "--check", "newbasis", "--basis", str(bases[g])], 1, ()) for g in ("s4", "s5")]
     script = (
         "import contextlib, io, sys\n"
         "from trifourier.cli import main\n"
-        f"for argv, want in {runs!r}:\n"
+        f"for argv, want, absent in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        rc = main(['nonabelian', *argv])\n"
         "    assert rc == want, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
-        "    loaded = [m for m in ('trifourier.gf2', 'trifourier.family') if m in sys.modules]\n"
+        "    unwanted = ('trifourier.gf2', 'trifourier.family', 'dataclasses', 'inspect', *absent)\n"
+        "    loaded = [m for m in unwanted if m in sys.modules]\n"
         "    assert not loaded, (loaded, argv)\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)

@@ -1,10 +1,19 @@
-"""Every function in src/ is reached by the program: code that only the tests
-call lives under tests/ (see the *_reference.py modules)."""
+"""The shape of src/.  Every function in it is reached by the program: code
+that only the tests call lives under tests/ (see the *_reference.py modules).
+No module imports `dataclasses`, which costs every command line its import,
+and the value types keep the contract that sets, dict keys, sorting and
+printed details rely on."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 from trifourier import _EXPORTS
+from trifourier.gf2 import IntervalLabel, Subspace
+from trifourier.nonabelian import MPair
+from trifourier.report import Check, Report
+from trifourier.taumaps import CircularMap
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "trifourier"
@@ -79,3 +88,58 @@ def test_every_src_function_is_reached():
                 unreached.add(f"{module}:{fn.name}")
     assert {name.split(":")[1] for name in unreached} == ALLOWED_UNREACHED, sorted(unreached)
 
+
+
+def test_no_src_module_imports_dataclasses():
+    # dataclasses pulls in inspect, and building each class execs its methods: more
+    # than 10 ms of every command's start.  The value types are NamedTuples and the
+    # records plain classes.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+# each value type, its field names in order, and two values whose field tuples differ
+VALUE_TYPES = [
+    (Subspace, ("rows",), ((1, 6),), ((2,),)),
+    (IntervalLabel, ("a", "b"), (1, 3), (2, 2)),
+    (CircularMap, ("src_dim", "dst_dim", "images"), (2, 4, (1, 2, 3)), (2, 4, (1, 2, 12))),
+    (MPair, ("x", "rho"), ("g2", "eps"), ("1", "r")),
+]
+
+
+@pytest.mark.parametrize("cls, names, first, second", VALUE_TYPES, ids=[v[0].__name__ for v in VALUE_TYPES])
+def test_value_type_contract(cls, names, first, second):
+    a, b = cls(*first), cls(*second)
+    assert tuple(getattr(a, n) for n in names) == first
+    # equal values are equal and hash as the tuple of their fields
+    assert a == cls(*first) and a != b
+    assert hash(a) == hash(first) and len({a, cls(*first), b}) == 2
+    # ordered by that tuple
+    assert (a < b) == (first < second) and sorted([a, b]) == [cls(*t) for t in sorted([first, second])]
+    # immutable
+    for n in names:
+        with pytest.raises(AttributeError):
+            setattr(a, n, getattr(b, n))
+    assert a == cls(*first)
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, first))
+    assert repr(a) == f"{cls.__name__}({fields})"
+
+
+def test_report_constructs_with_and_without_checks():
+    empty, other = Report("s"), Report("s")
+    empty.add("one", True)
+    assert [c.check_id for c in empty.checks] == ["one"] and other.checks == []  # no shared default list
+    given = [Check("a", True), Check("b", False, "why")]
+    rep = Report("t", given)
+    assert rep.checks is given and not rep.ok
+    assert rep.summary() == "[PASS] a\n[FAIL] b: why\nsuite t: FAIL (2 checks)"
