@@ -85,8 +85,7 @@ def generated_permutation_group(perms: list[list[int]]) -> set[tuple[int, ...]]:
     """Closure of the given permutations under composition."""
     if not perms:
         return set()
-    n = len(perms[0])
-    group = {tuple(range(n))}
+    group = {tuple(range(len(perms[0])))}
     frontier = [tuple(p) for p in perms]
     while frontier:
         nxt = []
@@ -95,8 +94,8 @@ def generated_permutation_group(perms: list[list[int]]) -> set[tuple[int, ...]]:
                 continue
             group.add(p)
             for g in perms:
-                nxt.append(tuple(g[p[i]] for i in range(n)))
-                nxt.append(tuple(p[g[i]] for i in range(n)))
+                nxt.append(tuple(map(g.__getitem__, p)))
+                nxt.append(tuple(map(p.__getitem__, g)))
         frontier = nxt
     return group
 

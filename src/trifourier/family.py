@@ -16,10 +16,8 @@ from .gf2 import (
     Subspace,
     SymplecticSpace,
     ZERO_SUBSPACE,
-    all_intervals,
     is_isotropic,
     make_space,
-    rref,
 )
 from .report import Report
 from .taumaps import close_rows, generic_tau, push_rows, rotation, tau
@@ -132,29 +130,51 @@ def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
     return frozenset(map(Subspace, pushed | {()}))
 
 
-@lru_cache(maxsize=None)
-def _interval_labels(dim: int) -> dict[int, IntervalLabel]:
-    """Every interval vector of the D-space, mapped to its label."""
-    space = make_space(dim)
-    return {lab.vector(space): lab for lab in all_intervals(dim)}
+# one shared label per interval, not one per member that holds it
+_label = lru_cache(maxsize=None)(IntervalLabel)
 
 
 def interval_basis(space: SymplecticSpace, sub: Subspace) -> tuple[IntervalLabel, ...]:
     """All interval vectors lying in the subspace; checked to form a basis.
 
-    The 2^dim elements of the subspace are looked up among the interval
-    vectors.  Raises FamilyStructureError when the count differs from dim or
-    the vectors are dependent, which signals a non-member.
+    With the prefix sums p_k = e_1 + ... + e_k (p_0 = 0), the interval vector
+    e_[a,b] is p_(a-1) + p_b, so it lies in E exactly when p_(a-1) and p_b lie
+    in one coset of E.  For reduced echelon rows, p_k + (the sum of the rows
+    whose pivot is below bit k) is that coset's element that is zero at every
+    pivot, which names the coset.  One pass over k = 0..D sorts the D+1
+    points into classes.  p_1..p_D are independent, so a class of n points
+    holds C(n, 2) interval vectors of rank n - 1, and the classes' spans are
+    independent.  Hence E holds exactly dim E interval vectors, all
+    independent, when every class has at most 2 points and exactly dim E
+    classes have 2: O(D) steps, with no vector of E listed.  E must lie in
+    the space (`is_isotropic` checks that first in `Family`).  Raises
+    FamilyStructureError when the count differs from dim or the vectors are
+    dependent, which signals a non-member.
     """
-    label_of = _interval_labels(space.dim)
-    found = [label_of[v] for v in sub.vectors() if v in label_of]
-    if len(found) != sub.dim:
-        raise FamilyStructureError(
-            f"subspace {sub.rows} contains {len(found)} interval vectors, dim={sub.dim}"
-        )
-    if len(rref(lab.vector(space) for lab in found)) != sub.dim:
+    classes: dict[int, list[int]] = {}  # coset name -> its points k, ascending
+    stop = space.dim + 1
+    acc = 0  # the sum of the rows whose pivot is below bit k
+    k = 0
+    for row in sub.rows:  # sorted by pivot, each pivot below bit D
+        pivot_end = (row & -row).bit_length()
+        while k < pivot_end:
+            classes.setdefault(((1 << k) - 1) ^ acc, []).append(k)
+            k += 1
+        acc ^= row
+    while k < stop:
+        classes.setdefault(((1 << k) - 1) ^ acc, []).append(k)
+        k += 1
+    # dim E classes of 2 points and D+1 points in all leave no class larger than 2
+    pairs = [c for c in classes.values() if len(c) > 1]
+    if len(pairs) != sub.dim or len(classes) + sub.dim != stop:
+        count = sum(len(c) * (len(c) - 1) // 2 for c in pairs)
+        if count != sub.dim:
+            raise FamilyStructureError(
+                f"subspace {sub.rows} contains {count} interval vectors, dim={sub.dim}"
+            )
         raise FamilyStructureError(f"interval vectors in {sub.rows} are dependent")
-    return tuple(sorted(found))
+    # the classes come in the order of their first points, so the labels come sorted
+    return tuple(_label(c[0] + 1, c[1]) for c in pairs)
 
 
 class FamilyEntry:
@@ -220,12 +240,15 @@ class Family:
 
     def _attach_fibers(self) -> None:
         d = self.half
+        # Every member's interval basis was checked unique, so span(odd) is a
+        # member exactly when some member's basis is `odd`: that member holds
+        # the dim independent odd vectors and no other interval vector.
+        index_of_basis = {ent.intervals: ent.index for ent in self.entries}
         for ent in self.entries:
-            odd = [lab.vector(self.space) for lab in ent.intervals if not lab.is_even]
-            shriek = Subspace.span(odd)
-            if shriek not in self.index_of:
+            odd = tuple(lab for lab in ent.intervals if not lab.is_even)
+            if odd not in index_of_basis:
                 raise FamilyStructureError(f"odd-interval span of entry {ent.index} escapes the family")
-            ent.shriek_index = self.index_of[shriek]
+            ent.shriek_index = index_of_basis[odd]
             if self.entries[ent.shriek_index].n_even != 0:
                 raise FamilyStructureError("odd-interval span has a nonzero even count")
         groups: dict[int, list[int]] = {}
@@ -300,17 +323,15 @@ def verify_counts(family: Family) -> Report:
     d = family.half
     n = family.dim + 1
     rep.require("total", len(family) == 2**family.dim, f"{len(family)} != 2^{family.dim}")
+    # a member's dimension and even count are at most D: one walk tallies both
+    by_dim = [0] * n
+    by_n = [0] * n
+    for e in family.entries:
+        by_dim[e.dim] += 1
+        by_n[e.n_even] += 1
     for k in range(d + 1):
-        rep.require(
-            f"dim[{k}]",
-            len(family.by_dim(k)) == comb(n, k),
-            f"{len(family.by_dim(k))} != C({n},{k})",
-        )
-        rep.require(
-            f"ncount[{k}]",
-            len(family.by_n(k)) == comb(n, d - k),
-            f"{len(family.by_n(k))} != C({n},{d - k})",
-        )
+        rep.require(f"dim[{k}]", by_dim[k] == comb(n, k), f"{by_dim[k]} != C({n},{k})")
+        rep.require(f"ncount[{k}]", by_n[k] == comb(n, d - k), f"{by_n[k]} != C({n},{d - k})")
     for dd in range(17):
         rep.require(f"signed-binomial d={dd}", signed_binomial_sum(dd) == 2**dd)
     return rep

@@ -31,16 +31,18 @@ overflows, so no computation here needs a headroom check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .family import Family, FamilyStructureError, delta
 from .gf2 import SymplecticSpace, make_space, perp
 from .report import Report
 from .taumaps import tau
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # The change of basis has 2^D x 2^D entries and the transform checks transform
 # 2^D rows of 2^D fields each: 16.8M entries at D = 12, 268M at D = 14.  The
@@ -103,9 +105,7 @@ def _gram_inverse(space: SymplecticSpace) -> list[int]:
     The Gram map must be a bijection (the pairing is nondegenerate); G f =
     WHT(f o Gram^-1) rests on it, so it is checked here.
     """
-    images = [0]  # images[y] = Gram y, by doubling over the bits of y
-    for row in space.gram:
-        images += [x ^ row for x in images]
+    images = space.forms  # images[y] = Gram y
     if len(set(images)) != len(images):
         raise ValueError(f"the pairing of {space} is degenerate")
     perm = [0] * len(images)
@@ -136,6 +136,8 @@ def sign_transform(space: SymplecticSpace, f: Sequence[int]) -> list[int]:
 
 def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
     """The transform of an exact function vector, as Fractions."""
+    from fractions import Fraction
+
     size = 1 << space.dim
     if len(values) != size:
         raise ValueError(f"function vector must have length {size}")
@@ -310,6 +312,8 @@ class CobMatrix:
         return len(self.family)
 
     def entry(self, r: int, c: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num[r].get(c, 0), self.den)
 
     def diagonal(self) -> list[Fraction]:
@@ -319,11 +323,13 @@ class CobMatrix:
         return [self.entry(r, c) for c in range(self.size)]
 
     def trace(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(row.get(i, 0) for i, row in enumerate(self.num)), self.den)
 
     def _entry_strings(self) -> Iterator[list[str]]:
         """Every row as reduced fraction strings: "0", and a table of the distinct nonzero values."""
-        table = {v: str(Fraction(v, self.den)) for v in {v for row in self.num for v in row.values()}}
+        table = {v: _fraction_string(v, self.den) for v in {v for row in self.num for v in row.values()}}
         for row in self.num:
             cells = ["0"] * self.size
             for c, v in row.items():
@@ -352,6 +358,13 @@ class CobMatrix:
         yield "," + ",".join(f'"{lab}"' for lab in labels) + "\n"
         for lab, row in zip(labels, self._entry_strings()):
             yield f'"{lab}",' + ",".join(row) + "\n"
+
+
+def _fraction_string(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _members(family: Family) -> list[list[int]]:
@@ -441,7 +454,8 @@ def verify_change_of_basis(cob: CobMatrix) -> Report:
     rep.require("triangular", not bad, f"violations at {bad}")
     diag = [row.get(i, 0) for i, row in enumerate(num)]
     rep.require("diagonal signs", diag == [delta(d - k) * cob.den for k in dims])
-    rep.require("trace", cob.trace() == 2**d, f"trace={cob.trace()}")
+    trace_ok = sum(diag) == 2**d * cob.den
+    rep.require("trace", trace_ok, "" if trace_ok else f"trace={cob.trace()}")
     plus = diag.count(cob.den)
     expect_plus = 2 ** (fam.dim - 1) + 2 ** (d - 1) if fam.dim else 1
     rep.require("plus-count", plus == expect_plus, f"{plus} != {expect_plus}")

@@ -53,6 +53,11 @@ class SymplecticSpace:
             )
             for i in range(dim)
         )
+        # forms[v] is Gram v, by doubling over the bits of v: 2^D ints, 16,384 at D = 14
+        forms = [0]
+        for row in self.gram:
+            forms += [x ^ row for x in forms]
+        self.forms = forms
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(dim={self.dim})"
@@ -68,11 +73,8 @@ class SymplecticSpace:
         return tuple(self.circular(i) for i in range(1, self.dim + 2))
 
     def gram_apply(self, v: int) -> int:
-        """The mask of the linear functional (., v): bit i-1 is (e_i, v)."""
-        out = 0
-        for j in bits_of(v):
-            out ^= self.gram[j]
-        return out
+        """The mask of the linear functional (., v): bit i-1 is (e_i, v); 0 <= v < 2^D."""
+        return self.forms[v]
 
     def pairing(self, u: int, v: int) -> int:
         """The symplectic pairing (u, v) as a bit."""
@@ -82,7 +84,7 @@ class SymplecticSpace:
         """The pairings (v_i, v_j), i < j, in row order; each functional (v_i, .) is computed once."""
         if any(v >> self.dim for v in vectors):
             raise ValueError("vector does not fit in this space")
-        forms = [self.gram_apply(v) for v in vectors]
+        forms = [self.forms[v] for v in vectors]
         return [(f & v).bit_count() & 1 for i, f in enumerate(forms) for v in vectors[i + 1 :]]
 
     def interval_vector(self, a: int, b: int) -> int:
@@ -209,27 +211,19 @@ class IntervalLabel(NamedTuple):
     b: int
 
     @property
-    def length(self) -> int:
-        return self.b - self.a + 1
-
-    @property
     def is_even(self) -> bool:
-        return self.length % 2 == 0
-
-    def vector(self, space: SymplecticSpace) -> int:
-        return space.interval_vector(self.a, self.b)
+        """|I| = b - a + 1 is even."""
+        return (self.b - self.a) % 2 == 1
 
     def iprime(self, dim: int) -> tuple[int, ...]:
         """I' as a run of vertices in circular order, starting vertex first."""
-        n = dim + 1
-        if not self.is_even:
-            return tuple(range(self.a, self.b + 1))
-        run_len = n - self.length
-        start = self.b + 1
-        return tuple((start - 1 + k) % n + 1 for k in range(run_len))
+        return _iprime(self.a, self.b, dim)
 
 
-def all_intervals(dim: int) -> Iterator[IntervalLabel]:
-    for a in range(1, dim + 1):
-        for b in range(a, dim + 1):
-            yield IntervalLabel(a, b)
+@lru_cache(maxsize=None)
+def _iprime(a: int, b: int, dim: int) -> tuple[int, ...]:
+    """The body of `IntervalLabel.iprime`, computed once per interval and D."""
+    if (b - a) % 2 == 0:  # |I| = b - a + 1 is odd
+        return tuple(range(a, b + 1))
+    n = dim + 1  # the complement's run starts at b + 1
+    return tuple((b + k) % n + 1 for k in range(n - (b - a + 1)))

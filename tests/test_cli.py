@@ -245,7 +245,9 @@ def test_family_suite_leaves_numpy_unimported():
 
 
 def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
-    # every GF(2) path is pure Python: numpy would add its import and RSS
+    # every GF(2) path is pure Python: numpy would add its import and RSS.  The change of
+    # basis prints and checks its entries as integers over one denominator, so no GF(2)
+    # path imports fractions (and decimal with it) either.
     script = (
         "import contextlib, io, sys\n"
         "from trifourier.cli import main\n"
@@ -255,12 +257,16 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         "             ['matrix', '--dim', '4', '--format', 'json'],\n"
         "             ['matrix', '--dim', '4', '--format', 'csv'],\n"
         "             ['verify', '--dim', '4', '--suite', 'fourier'],\n"
-        "             ['verify', '--dim', '4', '--suite', 'all']):\n"
+        "             ['verify', '--dim', '4', '--suite', 'all'],\n"
+        "             ['verify', '--dim', '8', '--suite', 'all'],\n"
+        "             ['matrix', '--dim', '8', '--format', 'json'],\n"
+        "             ['matrix', '--dim', '8', '--format', 'csv']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        rc = main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
-        "    loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "    unwanted = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "    loaded = [m for m in unwanted if m in sys.modules]\n"
         "    assert not loaded, (loaded, argv)\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)

@@ -1,7 +1,9 @@
 import json
+import random
 import re
 
 import pytest
+from gf2_reference import all_intervals, interval_basis_by_enumeration
 from ucb_reference import ucb_all_pairs
 
 import trifourier.family as family_module
@@ -23,7 +25,7 @@ from trifourier.family import (
     verify_counts,
     verify_structure,
 )
-from trifourier.gf2 import Subspace, all_intervals, canonical_subspace, make_space
+from trifourier.gf2 import Subspace, canonical_subspace, make_space
 from trifourier.taumaps import CircularMap, generic_tau, push_rows, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
@@ -345,8 +347,37 @@ def test_interval_basis_matches_scan(dim):
     # reference: test every interval vector of the space for membership
     space = make_space(dim)
     for sub in family_subspaces(dim):
-        scan = sorted(lab for lab in all_intervals(dim) if sub.contains(lab.vector(space)))
+        scan = sorted(lab for lab in all_intervals(dim) if sub.contains(space.interval_vector(lab.a, lab.b)))
         assert interval_basis(space, sub) == tuple(scan), sub.rows
+
+
+def _interval_basis_outcome(fn, space, sub):
+    try:
+        return fn(space, sub)
+    except FamilyStructureError as exc:
+        return str(exc)
+
+
+def test_interval_basis_matches_enumeration_on_random_subspaces():
+    # Spans of a few interval vectors and a few random vectors: members, subspaces with
+    # too many interval vectors and subspaces with dependent ones all occur, and the
+    # prefix-coset classes give the enumeration's basis or its error message.
+    rng = random.Random(14)
+    kinds = {"basis": 0, "contains": 0, "dependent": 0}
+    for dim in range(2, 11, 2):
+        space = make_space(dim)
+        intervals = list(all_intervals(dim))
+        for _ in range(300):
+            gens = [space.interval_vector(lab.a, lab.b) for lab in rng.sample(intervals, rng.randint(0, min(4, len(intervals))))]
+            gens += [rng.randrange(1 << dim) for _ in range(rng.randint(0, 2))]
+            sub = Subspace.span(gens)
+            got = _interval_basis_outcome(interval_basis, space, sub)
+            assert got == _interval_basis_outcome(interval_basis_by_enumeration, space, sub), sub.rows
+            kinds["basis" if isinstance(got, tuple) else "dependent" if "dependent" in got else "contains"] += 1
+        members = sorted(family_subspaces(dim))
+        for sub in rng.sample(members, min(20, len(members))):
+            assert interval_basis(space, sub) == interval_basis_by_enumeration(space, sub)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_family_json_schema():

@@ -5,6 +5,7 @@ import pytest
 
 from trifourier.family import build_family
 from trifourier.fourier import (
+    _fraction_string,
     basis_matrix,
     change_of_basis,
     integer_inverse,
@@ -212,6 +213,12 @@ def test_cob_serialization():
     assert first[1] == "1/2"
     csv = "".join(cob.to_csv())
     assert csv.splitlines()[1].startswith('"∅",-1,1/2,1/2,1/2')
+
+
+def test_fraction_string_is_the_reduced_fraction():
+    for den in (1, 2, 4, 8, 64, 6):
+        for num in range(-3 * den, 3 * den + 1):
+            assert _fraction_string(num, den) == str(Fraction(num, den)), (num, den)
 
 
 def test_z_map_shape():

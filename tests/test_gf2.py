@@ -5,7 +5,6 @@ import pytest
 from trifourier.gf2 import (
     IntervalLabel,
     Subspace,
-    all_intervals,
     canonical_subspace,
     is_isotropic,
     kernel_of,
@@ -15,7 +14,7 @@ from trifourier.gf2 import (
     vector_from_coords,
 )
 
-from gf2_reference import coords_of
+from gf2_reference import all_intervals, coords_of
 
 
 def test_make_space_gram_d2():
@@ -86,6 +85,17 @@ def test_gram_invariants_up_to_12():
         for i in range(1, dim + 1):
             total ^= sp.circular(i)
         assert total == sp.circular(dim + 1)
+
+
+def test_gram_apply_is_the_xor_of_gram_rows():
+    for dim in range(0, 11, 2):
+        sp = make_space(dim)
+        for v in range(1 << dim):
+            expect = 0
+            for j in range(dim):
+                if (v >> j) & 1:
+                    expect ^= sp.gram[j]
+            assert sp.gram_apply(v) == expect, (dim, v)
 
 
 def test_any_d_circular_vectors_form_basis():
