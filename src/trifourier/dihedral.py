@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from .family import Family
-from .gf2 import Subspace, SymplecticSpace, make_space
+from .gf2 import SymplecticSpace, make_space
 from .report import Report
-from .taumaps import CircularMap, preserves_form, push_rows, reflection, rotation, tau
+from .taumaps import CircularMap, preserves_form, push_key, reflection, rotation, tau
 
 
 def verify_relations(space: SymplecticSpace) -> Report:
@@ -48,13 +48,14 @@ def verify_embedding_equivariance(dim: int) -> Report:
 
 def family_permutation(family: Family, auto: CircularMap) -> list[int]:
     """The permutation induced on family entries; raises if a member escapes."""
-    t = auto.table()
+    table = auto.key_table()
+    index_of = family.index_of_key
     perm = []
     for ent in family.entries:
-        image = Subspace(push_rows(t, ent.subspace.rows))
-        if image not in family.index_of:
+        image = index_of.get(push_key(table, ent.key))
+        if image is None:
             raise ValueError(f"image of entry {ent.index} is not a family member")
-        perm.append(family.index_of[image])
+        perm.append(image)
     return perm
 
 

@@ -4,23 +4,20 @@ Construction by induction on D: a member either extends a member of the
 (D-2)-dimensional family through one of the embeddings, or is one of the
 nested interval subspaces E_k.  Every member has a unique basis consisting
 of interval vectors; the even-length interval count grades each fiber.
+The recursions carry each member as the key of that basis (see
+`SymplecticSpace.intervals`) and push keys through one table per map, so no
+push reduces rows; `Family` reduces them once per member.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from typing import Iterable
 
-from .gf2 import (
-    IntervalLabel,
-    Subspace,
-    SymplecticSpace,
-    ZERO_SUBSPACE,
-    is_isotropic,
-    make_space,
-)
+from .gf2 import IntervalLabel, Subspace, SymplecticSpace, bits_of, is_isotropic, make_space
 from .report import Report
-from .taumaps import close_rows, generic_tau, push_rows, rotation, tau
+from .taumaps import close_keys, generic_tau, push_key, rotation, tau
 
 
 class FamilyStructureError(AssertionError):
@@ -34,64 +31,62 @@ def delta(n: int) -> int:
     return -1 if (n * (n + 1) // 2) % 2 else 1
 
 
-def nested_interval_subspace(space: SymplecticSpace, k: int) -> Subspace:
-    """E_k: span of the k nested interval vectors e_[1,D], e_[2,D-1], ..."""
-    if not 0 <= k <= space.half:
-        raise ValueError(f"k={k} out of range [0,{space.half}]")
-    return Subspace.span(
-        space.interval_vector(j, space.dim + 1 - j) for j in range(1, k + 1)
-    )
-
-
 @lru_cache(maxsize=None)
-def standard_paths(dim: int) -> dict[Subspace, str]:
-    """The family for dimension D, each member with the first path that builds it.
+def standard_paths(dim: int) -> dict[int, str]:
+    """The family for dimension D as interval keys, each with the first path that builds it.
 
-    The nested interval subspaces E_0..E_d come first; then every member of
-    the (D-2)-family is pushed up through tau_1..tau_D, and a member met
-    again keeps its earlier path.  The dict is cached and shared: read it only.
+    The nested interval subspaces E_0..E_d come first: E_k holds the k nested
+    intervals [1, D], [2, D-1], ...  Then every member of the (D-2)-family is
+    pushed up through tau_1..tau_D, and a member met again keeps its earlier
+    path.  The dict is cached and shared: read it only.
     """
     if dim < 0 or dim % 2 != 0:
         raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
-        return {ZERO_SUBSPACE: "zero"}
+        return {0: "zero"}
     space = make_space(dim)
     sub_space = make_space(dim - 2)
-    paths = {nested_interval_subspace(space, k): f"E_{k}@D={dim}" for k in range(space.half + 1)}
+    keys = space.interval_keys
+    nested = [0]
+    for j in range(1, space.half + 1):
+        nested.append(nested[-1] | keys[space.interval_vector(j, dim + 1 - j)])
+    paths = {key: f"E_{k}@D={dim}" for k, key in enumerate(nested)}
     for i in range(1, dim + 1):
-        t = tau(space, sub_space, i).table()
-        ei = space.circular(i)
-        for sub, path in standard_paths(dim - 2).items():
-            paths.setdefault(Subspace(push_rows(t, sub.rows, ei)), f"tau_{i}[{path}]")
+        table = tau(space, sub_space, i).key_table()
+        ei = keys[space.circular(i)]
+        for key, path in standard_paths(dim - 2).items():
+            pushed = push_key(table, key, ei)
+            if pushed not in paths:
+                paths[pushed] = f"tau_{i}[{path}]"
     return paths
 
 
 @lru_cache(maxsize=None)
-def family_subspaces(dim: int) -> frozenset[Subspace]:
-    """The family for dimension D: the members `standard_paths` builds."""
+def family_subspaces(dim: int) -> frozenset[int]:
+    """The family for dimension D: the interval keys of the members `standard_paths` builds."""
     return frozenset(standard_paths(dim))
 
 
 @lru_cache(maxsize=None)
-def family_subspaces_prime(dim: int) -> frozenset[Subspace]:
+def family_subspaces_prime(dim: int) -> frozenset[int]:
     """Variant recursion: zero, or an extension with i running over all D+1 vertices."""
     if dim < 0 or dim % 2 != 0:
         raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
-        return frozenset({ZERO_SUBSPACE})
+        return frozenset({0})
     space = make_space(dim)
     sub_space = make_space(dim - 2)
-    prev_rows = [sub.rows for sub in family_subspaces(dim - 2)]
-    out: set[tuple[int, ...]] = {()}
+    prev = family_subspaces(dim - 2)
+    out = {0}
     for i in range(1, dim + 2):
-        t = tau(space, sub_space, i).table()
-        ei = space.circular(i)
-        out.update(push_rows(t, rows, ei) for rows in prev_rows)
-    return frozenset(map(Subspace, out))
+        table = tau(space, sub_space, i).key_table()
+        ei = space.interval_keys[space.circular(i)]
+        out.update(push_key(table, key, ei) for key in prev)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
-def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
+def family_subspaces_ucb(dim: int) -> frozenset[int]:
     """Graph-invariant recursion over all vertex pairs (gamma', gamma) of the two circles.
 
     Every pair's embedding factors as R^(gamma-1) . T_11 . rho^-(gamma'-1),
@@ -104,12 +99,10 @@ def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
     if dim < 0 or dim % 2 != 0:
         raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
-        return frozenset({ZERO_SUBSPACE})
-    if dim == 2:
-        return frozenset(
-            {ZERO_SUBSPACE, Subspace.span([1]), Subspace.span([2]), Subspace.span([3])}
-        )
+        return frozenset({0})
     space = make_space(dim)
+    if dim == 2:
+        return frozenset({0, *space.interval_keys.values()})
     sub_space = make_space(dim - 2)
     t11 = generic_tau(space, sub_space, 1, 1)
     e1 = space.circular(1)
@@ -124,57 +117,44 @@ def family_subspaces_ucb(dim: int) -> frozenset[Subspace]:
                 raise FamilyStructureError(
                     f"the embedding of pair ({gamma_p}, {gamma}) is not R^{gamma - 1} T_11 rho^-{gamma_p - 1}"
                 )
-    prev = close_rows(rotation(sub_space).table(), (sub.rows for sub in family_subspaces_ucb(dim - 2)))
-    t = t11.table()
-    pushed = close_rows(rotation(space).table(), (push_rows(t, rows, e1) for rows in prev))
-    return frozenset(map(Subspace, pushed | {()}))
+    prev = close_keys(rotation(sub_space).key_table(), family_subspaces_ucb(dim - 2))
+    table = t11.key_table()
+    k1 = space.interval_keys[e1]
+    pushed = close_keys(rotation(space).key_table(), (push_key(table, key, k1) for key in prev))
+    return frozenset(pushed | {0})
 
 
-# one shared label per interval, not one per member that holds it
-_label = lru_cache(maxsize=None)(IntervalLabel)
+def interval_basis_rows(space: SymplecticSpace, bits: list[int]) -> tuple[int, ...] | None:
+    """The reduced rows of the span of the intervals `bits` (the set bits of
+    a key, ascending), when they are its unique interval basis; else None.
 
-
-def interval_basis(space: SymplecticSpace, sub: Subspace) -> tuple[IntervalLabel, ...]:
-    """All interval vectors lying in the subspace; checked to form a basis.
-
-    With the prefix sums p_k = e_1 + ... + e_k (p_0 = 0), the interval vector
-    e_[a,b] is p_(a-1) + p_b, so it lies in E exactly when p_(a-1) and p_b lie
-    in one coset of E.  For reduced echelon rows, p_k + (the sum of the rows
-    whose pivot is below bit k) is that coset's element that is zero at every
-    pivot, which names the coset.  One pass over k = 0..D sorts the D+1
-    points into classes.  p_1..p_D are independent, so a class of n points
-    holds C(n, 2) interval vectors of rank n - 1, and the classes' spans are
-    independent.  Hence E holds exactly dim E interval vectors, all
-    independent, when every class has at most 2 points and exactly dim E
-    classes have 2: O(D) steps, with no vector of E listed.  E must lie in
-    the space (`is_isotropic` checks that first in `Family`).  Raises
-    FamilyStructureError when the count differs from dim or the vectors are
-    dependent, which signals a non-member.
+    The interval e_[a,b] = p_(a-1) + p_b joins the points a-1 and b of 0..D,
+    and p_1..p_D are independent (p_0 = 0).  So a set of intervals is
+    independent exactly when, as edges on the points, it has no cycle, and
+    its span holds the interval vector of every pair of points that it
+    connects: C(n, 2) of them for a component of n points, against n - 1
+    edges.  The set is thus the only interval basis of its span exactly when
+    every component has at most two points, that is when no two of its
+    intervals share a point: one OR of endpoint bits and one popcount.
+    Then no two intervals start at one point either, so in key order their
+    vectors have ascending pivots (lowest bits), and reducing them is the
+    back substitution of `gf2.rref` alone.
     """
-    classes: dict[int, list[int]] = {}  # coset name -> its points k, ascending
-    stop = space.dim + 1
-    acc = 0  # the sum of the rows whose pivot is below bit k
-    k = 0
-    for row in sub.rows:  # sorted by pivot, each pivot below bit D
-        pivot_end = (row & -row).bit_length()
-        while k < pivot_end:
-            classes.setdefault(((1 << k) - 1) ^ acc, []).append(k)
-            k += 1
-        acc ^= row
-    while k < stop:
-        classes.setdefault(((1 << k) - 1) ^ acc, []).append(k)
-        k += 1
-    # dim E classes of 2 points and D+1 points in all leave no class larger than 2
-    pairs = [c for c in classes.values() if len(c) > 1]
-    if len(pairs) != sub.dim or len(classes) + sub.dim != stop:
-        count = sum(len(c) * (len(c) - 1) // 2 for c in pairs)
-        if count != sub.dim:
-            raise FamilyStructureError(
-                f"subspace {sub.rows} contains {count} interval vectors, dim={sub.dim}"
-            )
-        raise FamilyStructureError(f"interval vectors in {sub.rows} are dependent")
-    # the classes come in the order of their first points, so the labels come sorted
-    return tuple(_label(c[0] + 1, c[1]) for c in pairs)
+    ends = space.interval_ends
+    seen = 0
+    for k in bits:
+        seen |= ends[k]
+    if seen.bit_count() != 2 * len(bits):
+        return None
+    vectors = space.interval_vectors
+    rows = [vectors[k] for k in bits]
+    for j in range(len(rows) - 1, 0, -1):
+        row = rows[j]
+        low = row & -row
+        for i in range(j):
+            if rows[i] & low:
+                rows[i] ^= row
+    return tuple(rows)
 
 
 class FamilyEntry:
@@ -182,6 +162,7 @@ class FamilyEntry:
         self,
         index: int,
         subspace: Subspace,
+        key: int,
         intervals: tuple[IntervalLabel, ...],
         n_even: int,
         shriek_index: int = -1,
@@ -192,6 +173,7 @@ class FamilyEntry:
     ) -> None:
         self.index = index
         self.subspace = subspace
+        self.key = key  # the interval key: bit k for space.intervals[k]
         self.intervals = intervals
         self.n_even = n_even
         self.shriek_index = shriek_index
@@ -218,45 +200,64 @@ class Fiber:
 
 
 class Family:
-    """The decorated family: entries in canonical order plus fiber structure."""
+    """The decorated family: entries in canonical order plus fiber structure.
 
-    def __init__(self, dim: int, subspaces: frozenset[Subspace], provenance: dict[Subspace, str]):
+    `keys` are the members' interval keys (see `SymplecticSpace.intervals`)
+    and `provenance` maps a key to the path that built it.  Each key is
+    checked to be the unique interval basis of its span, so distinct keys
+    are distinct members, and its span to be isotropic; its rows are
+    reduced once, and the entries are sorted by (dim, rows).
+    """
+
+    def __init__(self, dim: int, keys: Iterable[int], provenance: dict[int, str]):
         self.dim = dim
         self.half = dim // 2
-        self.space = make_space(dim)
-        ordered = sorted(subspaces, key=lambda s: (s.dim, s.rows))
+        self.space = space = make_space(dim)
+        labels = space.intervals
+        members = []
+        for key in keys:
+            bits = list(bits_of(key))
+            rows = interval_basis_rows(space, bits)
+            if rows is None:
+                labs = ", ".join(f"[{labels[k].a},{labels[k].b}]" for k in bits)
+                raise FamilyStructureError(
+                    f"family member {space.interval_span(key).rows} has no unique interval basis: "
+                    f"two of its intervals {labs} share an endpoint"
+                )
+            sub = Subspace(rows)
+            if not is_isotropic(space, sub):
+                raise FamilyStructureError(f"family member {rows} is not isotropic")
+            members.append((len(rows), sub, key, tuple(map(labels.__getitem__, bits))))
+        members.sort()
+        even = sum(1 << k for k, lab in enumerate(labels) if lab.is_even)
         self.entries: list[FamilyEntry] = []
         self.index_of: dict[Subspace, int] = {}
-        for idx, sub in enumerate(ordered):
-            if not is_isotropic(self.space, sub):
-                raise FamilyStructureError(f"family member {sub.rows} is not isotropic")
-            labs = interval_basis(self.space, sub)
-            n_even = sum(1 for lab in labs if lab.is_even)
+        self.index_of_key: dict[int, int] = {}
+        for idx, (_, sub, key, labs) in enumerate(members):
             self.entries.append(
-                FamilyEntry(idx, sub, labs, n_even, provenance=provenance.get(sub, ""))
+                FamilyEntry(idx, sub, key, labs, (key & even).bit_count(), provenance=provenance.get(key, ""))
             )
             self.index_of[sub] = idx
-        self._attach_fibers()
+            self.index_of_key[key] = idx
+        self._attach_fibers(((1 << len(labels)) - 1) ^ even)
 
-    def _attach_fibers(self) -> None:
+    def _attach_fibers(self, odd: int) -> None:
         d = self.half
-        # Every member's interval basis was checked unique, so span(odd) is a
-        # member exactly when some member's basis is `odd`: that member holds
-        # the dim independent odd vectors and no other interval vector.
-        index_of_basis = {ent.intervals: ent.index for ent in self.entries}
+        # span(odd intervals of a member) has those intervals as its unique
+        # interval basis, so it is a member exactly when that key is one
         for ent in self.entries:
-            odd = tuple(lab for lab in ent.intervals if not lab.is_even)
-            if odd not in index_of_basis:
+            shriek = self.index_of_key.get(ent.key & odd)
+            if shriek is None:
                 raise FamilyStructureError(f"odd-interval span of entry {ent.index} escapes the family")
-            ent.shriek_index = index_of_basis[odd]
-            if self.entries[ent.shriek_index].n_even != 0:
+            ent.shriek_index = shriek
+            if self.entries[shriek].n_even != 0:
                 raise FamilyStructureError("odd-interval span has a nonzero even count")
         groups: dict[int, list[int]] = {}
         for ent in self.entries:
             groups.setdefault(ent.shriek_index, []).append(ent.index)
         self.fibers: list[Fiber] = []
-        order = sorted(groups, key=lambda si: (self.entries[si].dim, self.entries[si].subspace.rows))
-        for f_idx, shriek_idx in enumerate(order):
+        # entries are in (dim, rows) order, so fibers come in their shriek members' order
+        for f_idx, shriek_idx in enumerate(sorted(groups)):
             members = sorted(groups[shriek_idx], key=lambda i: self.entries[i].n_even)
             base = self.entries[shriek_idx]
             k = d - base.dim

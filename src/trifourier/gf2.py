@@ -58,6 +58,15 @@ class SymplecticSpace:
         for row in self.gram:
             forms += [x ^ row for x in forms]
         self.forms = forms
+        # The D(D+1)/2 intervals [a, b] of [1, D] in (a, b) order.  A family
+        # member travels as its key: bit k is set when interval k is in its
+        # interval basis.  e_[a,b] = p_(a-1) + p_b for the prefix sums
+        # p_k = e_1 + ... + e_k, so the interval joins the points a-1 and b
+        # of 0..D; interval_ends[k] has the bits of its two points.
+        self.intervals = tuple(IntervalLabel(a, b) for a in range(1, dim + 1) for b in range(a, dim + 1))
+        self.interval_vectors = tuple(((1 << b) - 1) ^ ((1 << (a - 1)) - 1) for a, b in self.intervals)
+        self.interval_ends = tuple((1 << (a - 1)) | (1 << b) for a, b in self.intervals)
+        self.interval_keys = {v: 1 << k for k, v in enumerate(self.interval_vectors)}  # vector -> key bit
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(dim={self.dim})"
@@ -92,6 +101,11 @@ class SymplecticSpace:
         if not 1 <= a <= b <= self.dim:
             raise ValueError(f"interval [{a},{b}] out of range [1,{self.dim}]")
         return ((1 << b) - 1) ^ ((1 << (a - 1)) - 1)
+
+    def interval_span(self, key: int) -> "Subspace":
+        """The span of the intervals of a key."""
+        vectors = self.interval_vectors
+        return Subspace.span(vectors[k] for k in bits_of(key))
 
 
 @lru_cache(maxsize=None)

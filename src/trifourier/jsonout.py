@@ -13,9 +13,10 @@ bool and None; anything else, floats included, raises TypeError.
 
 from __future__ import annotations
 
+# the C encoder that json.encoder uses, without the import of the json package
+from _json import encode_basestring_ascii as _str
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _str
 
 BATCH = 1 << 16  # characters per write; with unbuffered stdout each write is one system call
 

@@ -194,9 +194,10 @@ class FTMatrix:
 
     Stored as F = (1/den) * num: num[i][j] holds the 16 power-basis
     coefficients of entry (i, j) (a `packed.Vec`), num is a list of n rows.
-    `num` and `den` are the only source of truth: every check reads them.
-    `matrix` is a view of the same entries as `Cyc` values, built once for
-    `to_json`, so a change made to `matrix` is not seen by the checks.
+    `num` and `den` are the only source of truth: every check and the
+    export read them.  `matrix` is a view of the same entries as `Cyc`
+    values, built on first use (the benchmark's multiplication probe reads
+    it), so a change made to `matrix` is not seen by the checks.
     """
 
     def __init__(self, mdata: MData, num: list[list[Vec]], den: int) -> None:
@@ -225,10 +226,12 @@ class FTMatrix:
         return all(v == (unit if i == j else ZERO) for i, row in enumerate(square) for j, v in enumerate(row))
 
     def to_json(self) -> dict:
+        # each distinct entry is rendered once: s5 has 28 values among its 1,521 entries
+        table = {v: Cyc(v, self.den).to_json() for v in {v for row in self.num for v in row}}
         return {
             "group": self.mdata.name,
             "pairs": [{"x": p.x, "rho": p.rho} for p in self.mdata.pairs],
-            "entries": [[v.to_json() for v in row] for row in self.matrix],
+            "entries": [[table[v] for v in row] for row in self.num],
         }
 
 
@@ -411,11 +414,28 @@ def piece_partition(name: str) -> list[list[MPair]]:
 
 
 def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]) -> tuple[list[list[Vec]], int]:
-    """Numerators and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0)."""
+    """Numerators and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0).
+
+    V and U are integer matrices, so every entry of V F U is an integer
+    combination of the entries of F, and packing commutes with that: F is
+    packed once and V F U is unpacked once.  Power s of entry (i, j) is
+    sum_k sum_l V[i][k] F[k][l]_s U[l][j], at most max|F| times the largest
+    absolute row sum of V times the largest absolute column sum of U, which
+    sets the packing width; there is no product of two polynomials.
+    """
     g = gcd(det, *(a for row in adj for a in row)) * (1 if det > 0 else -1)
-    v = packed.rational([[a // g for a in row] for row in adj])
-    fu = packed.matmul(ft.num, packed.rational(u))
-    return packed.matmul(v, fu), ft.den * (det // g)
+    v = [[a // g for a in row] for row in adj]
+    u_cols = [[(l, a) for l, a in enumerate(col) if a] for col in zip(*u)]
+    v_rows = [[(k, a) for k, a in enumerate(row) if a] for row in v]
+    pk = packed.Packing(
+        packed.max_abs(ft.num)
+        * max((sum(abs(a) for _, a in row) for row in v_rows), default=0)
+        * max((sum(abs(a) for _, a in col) for col in u_cols), default=0)
+    )
+    fu = [[sum(row[l] * a for l, a in col) for col in u_cols] for row in pk.pack_rows(ft.num)]
+    cols = range(len(u_cols))
+    vfu = [[pk.unpack(sum(fu[k][j] * a for k, a in row)) for j in cols] for row in v_rows]
+    return vfu, ft.den * (det // g)
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],

@@ -42,6 +42,23 @@ class CircularMap(NamedTuple):
             t += [x ^ img for x in t]
         return t
 
+    def key_table(self) -> dict[int, int]:
+        """The map on interval keys (see `SymplecticSpace.intervals`): source key bit -> image key bit.
+
+        The map sends a circular run of source vectors to a circular run of
+        target vectors, and a run through e_{D+1} sums to the complementary
+        interval, so the image of every interval vector is an interval
+        vector; the table checks that it is.
+        """
+        dst = make_space(self.dst_dim).interval_keys
+        out = {}
+        for v, bit in make_space(self.src_dim).interval_keys.items():
+            image = self.apply(v)
+            if image not in dst:
+                raise AssertionError(f"{self} sends the interval vector {v:#b} to {image:#b}, not an interval vector")
+            out[bit] = dst[image]
+        return out
+
     def compose(self, inner: "CircularMap") -> "CircularMap":
         """self . inner, a map from the source of inner."""
         return CircularMap(inner.src_dim, self.dst_dim, tuple(self.apply(img) for img in inner.images))
@@ -119,24 +136,34 @@ def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> CircularM
     return emb
 
 
-def push_rows(table: list[int], rows: Iterable[int], *extra: int) -> tuple[int, ...]:
-    """The reduced rows of the image of span(rows) under a map, plus the vectors `extra`.
+def push_key(table: dict[int, int], key: int, extra: int = 0) -> int:
+    """The key of the image of a member under a map, plus the interval key `extra`.
 
-    `table` is the map's `CircularMap.table()`; the images and the extra
-    vectors are reduced together, once.
+    `table` is the map's `CircularMap.key_table()`.  Each map here moves the
+    points 0..D' of the intervals (see `SymplecticSpace.intervals`)
+    injectively: an embedding skips the two points that its extra vector
+    (e_i for tau_i) joins, and R and S permute them.  So intervals with no
+    shared point push to intervals with no shared point, and the pushed key
+    is again the unique interval basis of the pushed member, with no row
+    reduction.
     """
-    return rref([table[r] for r in rows] + list(extra))
+    out = extra
+    while key:
+        low = key & -key
+        out |= table[low]
+        key ^= low
+    return out
 
 
-def close_rows(table: list[int], members: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The reduced row tuples `members`, closed under the map with this `table()`.
+def close_keys(table: dict[int, int], keys: Iterable[int]) -> set[int]:
+    """The member keys `keys`, closed under the map with this `key_table()`.
 
-    Each round pushes only the subspaces the previous round added.
+    Each round pushes only the members the previous round added.
     """
-    out = set(members)
+    out = set(keys)
     frontier = out
     while frontier:
-        frontier = {push_rows(table, rows) for rows in frontier} - out
+        frontier = {push_key(table, key) for key in frontier} - out
         out |= frontier
     return out
 
@@ -177,10 +204,10 @@ def verify_composition_identity(dim: int) -> Report:
     vpp = make_space(dim - 4)
     members = family_subspaces(dim - 4)
     tau_top = tau(v, vp, dim + 1)
-    top = tau_top.table()
+    top = tau_top.key_table()
     tau_last = tau(vp, vpp, dim - 1)
-    last = tau_last.table()
-    e_top, e_last = v.circular(dim + 1), vp.circular(dim - 1)
+    last = tau_last.key_table()
+    e_top, e_last = v.interval_keys[v.circular(dim + 1)], vp.interval_keys[vp.circular(dim - 1)]
     for i in range(1, dim - 1):
         ti = tau(vp, vpp, i)
         lhs = tau_top.compose(ti).coordinate_images()
@@ -188,15 +215,16 @@ def verify_composition_identity(dim: int) -> Report:
             rhs = tau(v, vp, j).compose(tau_last).coordinate_images()
             rep.require(f"matrix i={i} j={j}", lhs == rhs, f"lhs={lhs} rhs={rhs}")
         j = i + 1
-        t_i, t_j = ti.table(), tau(v, vp, j).table()
-        e_i, e_j = vp.circular(i), v.circular(j)
-        bad = []
-        for sub in members:
-            left = push_rows(top, push_rows(t_i, sub.rows, e_i), e_top)
-            right = push_rows(t_j, push_rows(last, sub.rows, e_last), e_j)
-            if left != right:
-                bad.append(sub)
-        rep.require(f"subspaces i={i}", not bad, f"{len(bad)} violating members, first={bad[:1]}")
+        t_i, t_j = ti.key_table(), tau(v, vp, j).key_table()
+        e_i, e_j = vp.interval_keys[vp.circular(i)], v.interval_keys[v.circular(j)]
+        # Keys compare as subspaces: each side pushes a member's interval basis,
+        # which the maps carry to the unique interval basis of the image.
+        bad = [
+            key for key in members
+            if push_key(top, push_key(t_i, key, e_i), e_top) != push_key(t_j, push_key(last, key, e_last), e_j)
+        ]
+        first = [vpp.interval_span(key) for key in bad[:1]]
+        rep.require(f"subspaces i={i}", not bad, f"{len(bad)} violating members, first={first}")
     return rep
 
 

@@ -232,7 +232,7 @@ def test_family_suite_leaves_numpy_unimported():
         "def unloaded(*names):\n"
         "    loaded = [m for m in names if m in sys.modules]\n"
         "    assert not loaded, loaded\n"
-        "unloaded('dataclasses', 'inspect')\n"
+        "unloaded('dataclasses', 'inspect', 'json', 'trifourier.dihedral', 'trifourier.fourier')\n"
         "import trifourier\n"
         "missing = [n for n in trifourier.__all__ if getattr(trifourier, n, None) is None]\n"
         "assert not missing, missing\n"
@@ -247,7 +247,8 @@ def test_family_suite_leaves_numpy_unimported():
 def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
     # every GF(2) path is pure Python: numpy would add its import and RSS.  The change of
     # basis prints and checks its entries as integers over one denominator, so no GF(2)
-    # path imports fractions (and decimal with it) either.
+    # path imports fractions (and decimal with it) either.  The exports write JSON with
+    # the C string encoder from _json, without the json package.
     script = (
         "import contextlib, io, sys\n"
         "from trifourier.cli import main\n"
@@ -265,7 +266,7 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         "        rc = main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
-        "    unwanted = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "    unwanted = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json')\n"
         "    loaded = [m for m in unwanted if m in sys.modules]\n"
         "    assert not loaded, (loaded, argv)\n"
     )
@@ -330,15 +331,15 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
     # Each run lists the modules it must leave unimported on top of the shared ones.  One
     # process runs them in order and a module stays loaded once imported, so the runs
     # that need neither json nor fractions come first: the involution checks and the s3
-    # new bases in text; the JSON writer then brings in json, and only the trace and
-    # hyperplane checks and the basis files need fractions.
+    # new bases, in text and JSON (the JSON writer takes its string encoder from the C
+    # module _json); only the trace and hyperplane checks and the basis files need
+    # fractions, and only reading a basis file needs json.
     lean = ("json", "fractions")
     runs = [(["--group", g, "--check", "involution"], 0, lean) for g in ("s3", "s4", "s5")]
-    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0,
-              lean if f == "text" else ("fractions",))
+    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0, lean)
              for f in ("text", "json") for v in ("g2", "e")]
-    runs += [(["--group", g, "--check", c], 0, ()) for g in ("s3", "s4", "s5") for c in ("matrix", "trace")]
-    runs += [(["--group", "s5", "--check", "hyperplane"], 0, ())]
+    runs += [(["--group", g, "--check", c], 0, ("json",)) for g in ("s3", "s4", "s5") for c in ("matrix", "trace")]
+    runs += [(["--group", "s5", "--check", "hyperplane"], 0, ("json",))]
     # the identity is not piece-triangular, so these report a failure (exit 1) after the full check
     runs += [(["--group", g, "--check", "newbasis", "--basis", str(bases[g])], 1, ()) for g in ("s4", "s5")]
     script = (

@@ -3,11 +3,19 @@ import random
 import re
 
 import pytest
-from gf2_reference import all_intervals, interval_basis_by_enumeration
+from gf2_reference import (
+    all_intervals,
+    interval_basis,
+    interval_basis_by_enumeration,
+    nested_interval_subspace,
+    push_rows,
+    standard_paths_by_rows,
+)
 from ucb_reference import ucb_all_pairs
 
 import trifourier.family as family_module
 from trifourier.family import (
+    Family,
     FamilyStructureError,
     build_family,
     build_family_prime,
@@ -19,14 +27,14 @@ from trifourier.family import (
     family_subspaces_ucb,
     family_to_json,
     fiber_lines,
-    interval_basis,
-    nested_interval_subspace,
+    interval_basis_rows,
     signed_binomial_sum,
+    standard_paths,
     verify_counts,
     verify_structure,
 )
-from trifourier.gf2 import Subspace, canonical_subspace, make_space
-from trifourier.taumaps import CircularMap, generic_tau, push_rows, rotation, tau
+from trifourier.gf2 import Subspace, bits_of, canonical_subspace, is_isotropic, make_space, rref
+from trifourier.taumaps import CircularMap, generic_tau, push_key, reflection, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
 # even-interval count.  Line order is immaterial; each line is significant.
@@ -255,7 +263,7 @@ def test_family_variants_agree():
 
 @pytest.mark.parametrize("dim", range(0, 11, 2))
 def test_ucb_matches_all_pairs_reference(dim):
-    assert family_subspaces_ucb(dim) == ucb_all_pairs(dim)
+    assert set(map(make_space(dim).interval_span, family_subspaces_ucb(dim))) == ucb_all_pairs(dim)
 
 
 @pytest.mark.parametrize("dim", range(4, 13, 2))
@@ -303,8 +311,8 @@ def test_ucb_guard_rejects_a_wrong_pair(monkeypatch):
 
 def test_prime_recursion_contains_nested_line():
     # pushing the zero subspace through the top vertex gives the first nested member
-    fam = family_subspaces_prime(4)
     sp = make_space(4)
+    fam = set(map(sp.interval_span, family_subspaces_prime(4)))
     assert canonical_subspace([sp.circular(5)]) in fam
     assert canonical_subspace([sp.circular(5)]) == nested_interval_subspace(sp, 1)
 
@@ -346,7 +354,7 @@ def test_provenance_replays_to_member(dim):
 def test_interval_basis_matches_scan(dim):
     # reference: test every interval vector of the space for membership
     space = make_space(dim)
-    for sub in family_subspaces(dim):
+    for sub in map(space.interval_span, family_subspaces(dim)):
         scan = sorted(lab for lab in all_intervals(dim) if sub.contains(space.interval_vector(lab.a, lab.b)))
         assert interval_basis(space, sub) == tuple(scan), sub.rows
 
@@ -374,10 +382,117 @@ def test_interval_basis_matches_enumeration_on_random_subspaces():
             got = _interval_basis_outcome(interval_basis, space, sub)
             assert got == _interval_basis_outcome(interval_basis_by_enumeration, space, sub), sub.rows
             kinds["basis" if isinstance(got, tuple) else "dependent" if "dependent" in got else "contains"] += 1
-        members = sorted(family_subspaces(dim))
+        members = sorted(map(space.interval_span, family_subspaces(dim)))
         for sub in rng.sample(members, min(20, len(members))):
             assert interval_basis(space, sub) == interval_basis_by_enumeration(space, sub)
     assert min(kinds.values()) >= 20, kinds
+
+
+def _key(space, intervals):
+    """The key of the intervals [a, b]."""
+    return sum(space.interval_keys[space.interval_vector(a, b)] for a, b in intervals)
+
+
+def test_endpoint_criterion_matches_enumeration_on_random_interval_sets():
+    # A set of intervals is the unique interval basis of its span exactly when no two
+    # of them share an endpoint; the enumeration lists every vector of the span.  On a
+    # set of distinct intervals, sharing an endpoint is also exactly non-isotropy.
+    rng = random.Random(15)
+    kinds = {"basis": 0, "not": 0}
+    for dim in range(2, 13, 2):
+        space = make_space(dim)
+        n = len(space.intervals)
+        for _ in range(850):
+            key = sum(1 << k for k in rng.sample(range(n), rng.randint(0, min(n, dim // 2 + 1))))
+            bits = list(bits_of(key))
+            span = space.interval_span(key)
+            try:
+                unique = interval_basis_by_enumeration(space, span) == tuple(space.intervals[k] for k in bits)
+            except FamilyStructureError:
+                unique = False
+            rows = interval_basis_rows(space, bits)
+            assert (rows is not None) == unique, (dim, bits)
+            assert rows is None or rows == span.rows, (dim, bits)
+            assert is_isotropic(space, span) == unique, (dim, bits)
+            kinds["basis" if unique else "not"] += 1
+    assert sum(kinds.values()) >= 5000 and min(kinds.values()) >= 1000, kinds
+
+
+def _member_maps(dim):
+    """Each map a member of the D-family is pushed through, with its extra circular vector."""
+    space, sub_space = make_space(dim), make_space(dim - 2)
+    maps = [(tau(space, sub_space, i), space.circular(i)) for i in range(1, dim + 2)]
+    if dim >= 4:
+        maps += [
+            (generic_tau(space, sub_space, gp, g), space.circular(g))
+            for gp in range(1, dim) for g in range(1, dim + 2)
+        ]
+    return maps
+
+
+@pytest.mark.parametrize("dim", range(2, 11, 2))
+def test_key_push_matches_row_push(dim):
+    # every tau_i, every generic_tau pair, R and S, pushed by key and by rows (reduced per push)
+    space = make_space(dim)
+    pushes = [(m, extra, dim - 2) for m, extra in _member_maps(dim)]
+    pushes += [(rotation(space, k), 0, dim) for k in range(dim + 1)] + [(reflection(space), 0, dim)]
+    for m, extra, src_dim in pushes:
+        table, rows_table = m.key_table(), m.table()
+        src = make_space(src_dim)
+        extra_key = space.interval_keys[extra] if extra else 0
+        for key in family_subspaces(src_dim):
+            pushed = push_key(table, key, extra_key)
+            by_rows = Subspace(push_rows(rows_table, src.interval_span(key).rows, *([extra] if extra else [])))
+            assert space.interval_span(pushed) == by_rows, (m, key)
+            # and the pushed key is the unique interval basis of its span
+            assert interval_basis_rows(space, list(bits_of(pushed))) == by_rows.rows, (m, key)
+
+
+def test_key_table_rejects_a_map_that_breaks_an_interval():
+    # e_1 -> e_1 + e_3 is no circular run
+    bent = CircularMap(2, 4, (0b0101, 0b0010, 0b0111))
+    with pytest.raises(AssertionError, match="not an interval vector"):
+        bent.key_table()
+
+
+@pytest.mark.parametrize("dim", range(0, 13, 2))
+def test_standard_paths_match_row_recursion(dim):
+    # the same members in the same order, with the same first paths
+    space = make_space(dim)
+    by_keys = [(space.interval_span(key), path) for key, path in standard_paths(dim).items()]
+    assert by_keys == list(standard_paths_by_rows(dim).items())
+
+
+def test_family_rejects_a_key_with_a_shared_endpoint():
+    space = make_space(4)
+    # [1,1] and [2,2] share the point 1, and with [1,2] they close a cycle; [1,2] and [3,4] share 2
+    for intervals, rows in ([(1, 1), (2, 2)], (1, 2)), ([(1, 1), (1, 2), (2, 2)], (1, 2)), ([(1, 2), (3, 4)], (3, 12)):
+        with pytest.raises(FamilyStructureError, match=re.escape(f"family member {rows} has no unique interval basis")):
+            Family(4, [0, _key(space, intervals)], {})
+
+
+def test_family_rejects_a_key_that_is_not_isotropic(monkeypatch):
+    # <e_1, e_2> is not isotropic; with the endpoint check bypassed, the isotropy check names it
+    space = make_space(4)
+    key = _key(space, [(1, 1), (2, 2)])
+    assert not is_isotropic(space, space.interval_span(key))
+    with pytest.raises(FamilyStructureError, match=re.escape("family member (1, 2)")):
+        Family(4, [key], {})
+    monkeypatch.setattr(
+        family_module, "interval_basis_rows", lambda sp, bits: rref(sp.interval_vectors[k] for k in bits)
+    )
+    with pytest.raises(FamilyStructureError, match=re.escape("family member (1, 2) is not isotropic")):
+        Family(4, [key], {})
+
+
+def test_family_entries_carry_their_interval_keys():
+    for dim in range(0, 11, 2):
+        fam = build_family(dim)
+        space = fam.space
+        for ent in fam.entries:
+            assert space.interval_span(ent.key) == ent.subspace
+            assert ent.intervals == interval_basis(space, ent.subspace)
+            assert fam.index_of_key[ent.key] == fam.index_of[ent.subspace] == ent.index
 
 
 def test_family_json_schema():

@@ -1,16 +1,18 @@
 import pytest
 
+from gf2_reference import close_rows, push_rows
+
 from trifourier.family import family_subspaces
 from trifourier.gf2 import Subspace, make_space, rref
 from trifourier.taumaps import (
     CircularMap,
     _validate_embedding,
     check_complement,
+    close_keys,
     generic_tau,
-    close_rows,
     numbered_pair,
     preserves_form,
-    push_rows,
+    push_key,
     reflection,
     rotation,
     tau,
@@ -147,7 +149,7 @@ def test_pushed_subspace_is_image_plus_line():
         v, vp = make_space(dim), make_space(dim - 2)
         for i in range(1, dim + 2):
             emb = tau(v, vp, i)
-            for sub in family_subspaces(dim - 2):
+            for sub in map(vp.interval_span, family_subspaces(dim - 2)):
                 two_step = Subspace.span(emb.apply(row) for row in sub.rows).extend(e(v, i))
                 assert Subspace(push_rows(emb.table(), sub.rows, e(v, i))) == two_step
 
@@ -171,8 +173,24 @@ def test_close_rows_is_the_orbit_union():
     orbit = {(v.circular(i),) for i in range(1, 8)}
     assert close_rows(t, [line]) == orbit
     assert close_rows(t, []) == set()
-    members = [sub.rows for sub in family_subspaces(6)]
+    members = [v.interval_span(key).rows for key in family_subspaces(6)]
     assert close_rows(t, members) == set(members)
     plane = rref([v.circular(1), v.circular(3)])
     assert len(close_rows(t, [plane])) == 7
     assert close_rows(reflection(v).table(), [plane]) == {plane, rref([v.circular(6), v.circular(4)])}
+
+
+def test_close_keys_is_the_orbit_union():
+    v = make_space(6)
+    table = rotation(v).key_table()
+    keys = v.interval_keys
+    line = push_key(table, keys[0b1])  # <e_2>
+    assert line == keys[0b10]
+    orbit = {keys[v.circular(i)] for i in range(1, 8)}
+    assert close_keys(table, [line]) == orbit
+    assert close_keys(table, []) == set()
+    members = family_subspaces(6)
+    assert close_keys(table, members) == set(members)
+    plane = keys[v.circular(1)] | keys[v.circular(3)]
+    assert len(close_keys(table, [plane])) == 7
+    assert close_keys(reflection(v).key_table(), [plane]) == {plane, keys[v.circular(6)] | keys[v.circular(4)]}

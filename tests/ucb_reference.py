@@ -6,7 +6,9 @@ every vertex pair (gamma', gamma), sharing no closure or factorisation with
 from functools import lru_cache
 
 from trifourier.gf2 import Subspace, ZERO_SUBSPACE, make_space
-from trifourier.taumaps import generic_tau, push_rows
+from trifourier.taumaps import generic_tau
+
+from gf2_reference import push_rows
 
 
 @lru_cache(maxsize=None)
