@@ -398,9 +398,10 @@ def test_benchmark_trace_hooks_resolve():
 # from numpy arrays to Python ints, the non-abelian ones before the cyclotomic
 # matrices moved from numpy slices to packed ints, the two D = 10 family-suite
 # ones before the graph-invariant recursion became two rotation closures, the
-# D = 10 matrix exports before the exports were streamed.  A digest that moves
-# is a change to the bytes the CLI prints.  The outputs do not depend on
-# PYTHONHASHSEED.
+# D = 10 matrix exports before the exports were streamed, the D = 10 and D = 12
+# Fourier suites while the change of basis was still one 2^D-column peel solve.
+# A digest that moves is a change to the bytes the CLI prints.  The outputs do
+# not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
@@ -476,6 +477,9 @@ GOLDEN_SHA256 = {
     "verify --dim 8 --suite fourier --format json": "968bf596e8f535e8a777623a7bd9fb5a0931ac6925b20823a88c3758b0aa1c70",
     "verify --dim 8 --suite all --format text": "1ca0b7e649d6ce0b08a94af2f05bd58cc58cb930e6c831242ed28ee5a10ca76a",
     "verify --dim 8 --suite all --format json": "c2cfe7ac9d83621cd7dd70caa8468f876a246762aedae4e0ad5b5a17f15989f2",
+    "verify --dim 10 --suite all --format text": "a64eae1cd448bad94db4e4f3f2f06613af6f3a5513caae731fe57072df0c69c4",
+    "verify --dim 10 --suite all --format json": "58a9e737eb47de1fe80d129ba13640d5655388143a6650dec2493558eeb77ff6",
+    "verify --dim 12 --suite fourier --format text": "fdaeddb68e703a23fb1e8f29ff6a1f90ba195ff34524ca92e9fadd513cf8d269",
     "nonabelian --group s3 --check matrix": "c810590641db850051e2b3b82a3c6edca95dc1f837ac1cec113daa50c29ba177",
     "nonabelian --group s3 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
     "nonabelian --group s3 --check trace": "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
