@@ -78,26 +78,17 @@ def _emit_family(args) -> int:
     return 0
 
 
-def _too_dense(command: str, dim: int) -> bool:
-    """Refuse, with one line on stderr, a Fourier run over too many 2^D x 2^D matrix entries."""
-    from .fourier import MAX_DENSE_DIM
-
-    if dim <= MAX_DENSE_DIM:
-        return False
-    n = 1 << dim
-    print(
-        f"trifourier: {command} at --dim {dim} would work through a {n} x {n} matrix "
-        f"({n * n} entries); the largest --dim it accepts is {MAX_DENSE_DIM}",
-        file=sys.stderr,
-    )
-    return True
-
-
 def _emit_matrix(args) -> int:
     from .family import build_family
-    from .fourier import change_of_basis
+    from .fourier import MAX_DENSE_DIM, change_of_basis
 
-    if _too_dense("matrix", args.dim):
+    if args.dim > MAX_DENSE_DIM:
+        n = 1 << args.dim
+        print(
+            f"trifourier: matrix at --dim {args.dim} would write a {n} x {n} matrix "
+            f"({n * n} entries); the largest --dim it accepts is {MAX_DENSE_DIM}",
+            file=sys.stderr,
+        )
         return 2
     cob = change_of_basis(build_family(args.dim))
     if args.format == "csv":
@@ -145,8 +136,6 @@ def run_suite(dim: int, suite: str) -> Report:
 
 
 def _run_verify(args) -> int:
-    if args.suite in ("all", "fourier") and _too_dense(f"verify --suite {args.suite}", args.dim):
-        return 2
     rep = run_suite(args.dim, args.suite)
     if args.format == "json":
         _print_json(rep.to_json())

@@ -231,13 +231,11 @@ class Family:
         members.sort()
         even = sum(1 << k for k, lab in enumerate(labels) if lab.is_even)
         self.entries: list[FamilyEntry] = []
-        self.index_of: dict[Subspace, int] = {}
         self.index_of_key: dict[int, int] = {}
         for idx, (_, sub, key, labs) in enumerate(members):
             self.entries.append(
                 FamilyEntry(idx, sub, key, labs, (key & even).bit_count(), provenance=provenance.get(key, ""))
             )
-            self.index_of[sub] = idx
             self.index_of_key[key] = idx
         self._attach_fibers(((1 << len(labels)) - 1) ^ even)
 
@@ -283,7 +281,16 @@ class Family:
         return len(self.entries)
 
     def entry(self, sub: Subspace) -> FamilyEntry:
-        return self.entries[self.index_of[sub]]
+        """The member equal to sub; KeyError when sub is not one.
+
+        A member holds exactly the intervals of its interval basis, so its
+        key sets the bit of every interval vector in sub.
+        """
+        key = sum(1 << k for k, v in enumerate(self.space.interval_vectors) if sub.contains(v))
+        idx = self.index_of_key.get(key)
+        if idx is None or self.entries[idx].subspace != sub:
+            raise KeyError(sub)
+        return self.entries[idx]
 
     def by_dim(self, k: int) -> list[FamilyEntry]:
         return [e for e in self.entries if e.dim == k]

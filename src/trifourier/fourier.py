@@ -6,48 +6,57 @@ of the argument.  The transform is
 an involution of trace 2^d.  Write G[x, y] = (-1)^((x,y)).  Since
 (x, y) = popcount(x & Gram y) mod 2, G f is the Walsh-Hadamard transform of
 f o Gram^-1; `sign_transform` computes it with integer butterflies, O(D 2^D)
-additions, and every use of G goes through it: phi, G^2 = 2^D I
-(`verify_involution`), the intertwining G Z = 2 Z G' (`verify_z_commutation`)
-and the closed form below.
+additions, and every use of G goes through it.  The butterflies only add
+and subtract, so they transform a whole matrix at once when each of its
+rows is packed into one int by Kronecker substitution (`_Fields`); each
+check states the bound on every field that sets the field width.
 
-The butterflies only add and subtract, so they transform a whole matrix at
-once when each of its rows is packed into one int by Kronecker substitution,
-column j in field j (`_Fields`).  Packing is linear, and with the field width
-set by a bound on every field of both sides, two packed rows are equal
-exactly when their entries are.  Each check states the bound it packs by.
+G sends the indicator of a subspace E to 2^(dim E) times the indicator of
+its orthogonal complement.  The change of basis X expands those closed
+forms in the family basis: B X = W, the columns of B the member indicators
+and those of W the closed forms.  `expansion_rows` builds it by the paper's
+recursion: the push-up Z_i sends the indicator of a (D-2)-member E' to that
+of push_i(E') = tau_i(E') + F2 e_i (`taumaps.check_complement`), so
+G Z_i = 2 Z_i G' makes the row of push_i(E') the row of E', re-indexed by
+push_i and doubled over 2^d.  The pushes through tau_1..tau_{D+1} give every
+row but the zero member's and must agree; the zero row, which expands 1_V,
+is one right-hand side through a peel order of B.  A complete peel order
+(some vector lies in exactly one remaining member, at every step) makes B
+lower unitriangular and proves det B = +-1.
 
-On the characteristic function of a subspace E, G gives 2^(dim E) times the
-characteristic function of the orthogonal complement.  The change of basis
-solves B X = W, where the columns of B are the member indicators and the
-columns of W those closed forms.  B peels: while members remain, some vector
-lies in exactly one of them.  In that order B is permuted lower
-unitriangular, which proves det B = +-1 and yields X by forward
-substitution.  `verify_change_of_basis` re-checks the peel order, the
-residual W - B X, and the closed form against the transform.
-
-Every value is a Python int or Fraction: nothing is rounded and nothing
-overflows, so no computation here needs a headroom check.
+`verify_change_of_basis` checks the result on its own: the peel
+certificate, then up to MAX_DENSE_DIM the residual W - B X and the closed
+form against the transform, above it the lemmas the recursion rests on
+(`lemmas.lemma_checks`), and the triangular form, signs, trace and M^2 over
+the nonzeros.  Every value is a Python int or Fraction: nothing is rounded
+and nothing overflows.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .family import Family, FamilyStructureError, delta
-from .gf2 import SymplecticSpace, make_space, perp
+from .family import Family, FamilyStructureError, delta, family_subspaces
+from .gf2 import SymplecticSpace, bits_of, make_space, perp_vectors, span_vectors
 from .report import Report
-from .taumaps import tau
+from .taumaps import check_complement, push_key, tau
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# The change of basis has 2^D x 2^D entries and the transform checks transform
+# The change of basis has 2^D x 2^D entries and the dense checks transform
 # 2^D rows of 2^D fields each: 16.8M entries at D = 12, 268M at D = 14.  The
-# command line refuses the Fourier path above this.
+# command line refuses the matrix export above this, and `verify` checks the
+# recursion's lemmas in place of the dense checks.
 MAX_DENSE_DIM = 12
+
+# G G = 2^D I packs the columns of I in batches of at most this many bytes per
+# packed array: one batch up to D = 12, sixteen of 1,024 columns at D = 14.
+INVOLUTION_BATCH_BYTES = 1 << 25
 
 
 class _Fields:
@@ -148,16 +157,31 @@ def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
     return [Fraction(v, scale) for v in image]
 
 
-def verify_involution(space: SymplecticSpace) -> bool:
-    """G G == 2^D I, on the rows of I packed into one int each.
+def involution_batches(
+    space: SymplecticSpace, batch_bytes: int = INVOLUTION_BATCH_BYTES
+) -> Iterator[tuple[range, _Fields, list[int], list[int]]]:
+    """G G I in batches of columns: (the columns, their fields, the packed rows of I on them, of G G I).
 
-    G is +-1, so every field of G G I is at most 2^D in absolute value, as is
-    every field of 2^D I.
+    Each packed array holds at most `batch_bytes`.  G is +-1, so every field
+    of G G I is at most 2^D in absolute value, as is every field of 2^D I;
+    G is linear, so the batches side by side are G G I.
     """
     size = 1 << space.dim
-    fields = _Fields(size, size)
-    ident = [fields.unit(j) for j in range(size)]
-    return sign_transform(space, sign_transform(space, ident)) == [x << space.dim for x in ident]
+    step = max(1, batch_bytes // (size * _Fields(size, 1).width))
+    for lo in range(0, size, step):
+        cols = range(lo, min(lo + step, size))
+        fields = _Fields(size, len(cols))
+        ident = [0] * size
+        for j, v in enumerate(cols):
+            ident[v] = fields.unit(j)
+        yield cols, fields, ident, sign_transform(space, sign_transform(space, ident))
+
+
+def verify_involution(space: SymplecticSpace, batch_bytes: int = INVOLUTION_BATCH_BYTES) -> bool:
+    """G G == 2^D I, on the rows of I packed one int per row, batch by batch of its columns."""
+    return all(
+        square == [x << space.dim for x in ident] for _, _, ident, square in involution_batches(space, batch_bytes)
+    )
 
 
 # -- the push-up maps -----------------------------------------------------------
@@ -226,7 +250,7 @@ def integer_inverse(mat: list[list[int]]) -> list[list[int]]:
     return [[det * v for v in row] for row in adj]
 
 
-# -- the peel solve ---------------------------------------------------------------
+# -- the peel order ---------------------------------------------------------------
 
 
 def peel_order(members: list[list[int]], size: int) -> list[tuple[int, int]]:
@@ -264,28 +288,77 @@ def peel_order(members: list[list[int]], size: int) -> list[tuple[int, int]]:
     return order
 
 
-def peel_solve(
-    members: list[list[int]], rhs: list[dict[int, int]]
-) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
-    """X with B X = rhs exactly, B the 0/1 matrix of `peel_order`, and the peel order.
+# -- the recursion -------------------------------------------------------------
 
-    Row v of rhs and row j of X are {column: value} for their nonzeros.
-    Forward substitution in peel order keeps the residual rhs - B X: step
-    (v, j) takes X[j] = residual[v], without its zeros, and subtracts it
-    from the other rows of column j.
+
+@lru_cache(maxsize=None)
+def zero_row_solve(dim: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """The zero member's row by key, the expansion of G 1_{0} = 1_V in the
+    family basis, and the (vector, member key) pairs of the peel order it
+    was solved through.
+
+    One right-hand side through the peel order: step (v, j) takes member j's
+    coefficient from the residual at v and subtracts it on member j.
     """
-    order = peel_order(members, len(rhs))
-    residual = [dict(row) for row in rhs]
-    x: list[dict[int, int]] = [{} for _ in members]
+    space = make_space(dim)
+    keys = sorted(family_subspaces(dim))
+    vectors = space.interval_vectors
+    # a member's intervals are independent
+    members = [span_vectors(vectors[k] for k in bits_of(key)) for key in keys]
+    residual = [1] * (1 << dim)
+    row = {}
+    order = peel_order(members, 1 << dim)
     for v, j in order:
-        vals = x[j] = {c: val for c, val in residual[v].items() if val}
-        for u in members[j]:
-            if u != v:
-                row = residual[u]
-                get = row.get
-                for c, val in vals.items():
-                    row[c] = get(c, 0) - val
-    return x, order
+        value = residual[v]
+        if value:
+            row[keys[j]] = value
+            for u in members[j]:
+                residual[u] -= value
+    return row, [(v, keys[j]) for v, j in order]
+
+
+def push_up(dim: int, below: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The rows of the nonzero D-members by key, pushed up from the (D-2)-rows `below`.
+
+    The row of push_i(E') is the row of E' with each column pushed the same
+    way and each numerator doubled: G Z_i = 2 Z_i G', and 2^d is twice
+    2^(d-1).  Z_i sends the indicator of E' to that of push_i(E') since
+    tau_i's image misses e_i, which `check_complement` shows for each i.
+    Raises FamilyStructureError naming the member when two pushes give it
+    different rows.
+    """
+    space, sub_space = make_space(dim), make_space(dim - 2)
+    rows: dict[int, dict[int, int]] = {}
+    for i in range(1, dim + 2):
+        if not check_complement(space, i):
+            raise FamilyStructureError(f"the image of tau_{i} at D={dim} is not a complement of e_{i} in its perp")
+        table = tau(space, sub_space, i).key_table()
+        ei = space.interval_keys[space.circular(i)]
+        pushed = {key: push_key(table, key, ei) for key in below}
+        for key, row in below.items():
+            new = {pushed[c]: 2 * v for c, v in row.items()}
+            first = rows.setdefault(pushed[key], new)
+            if first is not new and first != new:
+                raise FamilyStructureError(
+                    f"member {space.interval_span(pushed[key]).rows} at D={dim}: its push through tau_{i} "
+                    f"from {sub_space.interval_span(key).rows} gives a row that differs from an earlier push"
+                )
+    return rows
+
+
+@lru_cache(maxsize=None)
+def expansion_rows(dim: int) -> dict[int, dict[int, int]]:
+    """The change of basis for dimension D by interval key: {member key: {column key: numerator}}.
+
+    The numerators are over 2^d.  The nonzero members' rows come from
+    `push_up`, the zero member's from `zero_row_solve`.  The dict is cached and
+    shared: read it only.
+    """
+    rows = push_up(dim, expansion_rows(dim - 2)) if dim else {}
+    rows[0] = zero_row_solve(dim)[0]
+    if rows.keys() != family_subspaces(dim):
+        raise FamilyStructureError(f"the pushes and the zero member do not give the D={dim} family")
+    return rows
 
 
 # -- the change of basis -----------------------------------------------------
@@ -297,15 +370,28 @@ class CobMatrix:
     num[r][c] / den is the coefficient of member c in the transform of the
     characteristic function of member r; row r of num holds {c: numerator}
     for its nonzeros.  The basis order is the family's canonical order:
-    dimension ascending, ties by echelon rows.  `peel` holds the (vector,
-    member) pairs of the peel order that solved for it.
+    dimension ascending, ties by echelon rows.
     """
 
-    def __init__(self, family: Family, num: list[dict[int, int]], den: int, peel: list[tuple[int, int]]) -> None:
+    def __init__(
+        self, family: Family, num: list[dict[int, int]], den: int, peel: list[tuple[int, int]] | None = None
+    ) -> None:
         self.family = family
         self.num = num
         self.den = den
-        self.peel = peel
+        if peel is not None:
+            self.peel = peel
+
+    @cached_property
+    def members(self) -> list[list[int]]:
+        """The vectors of each member: the columns of the basis matrix."""
+        return [list(e.subspace.vectors()) for e in self.family.entries]
+
+    @cached_property
+    def peel(self) -> list[tuple[int, int]]:
+        """The (vector, member) pairs of the peel order the zero row was solved through, on first use."""
+        index = self.family.index_of_key
+        return [(v, index[key]) for v, key in zero_row_solve(self.family.dim)[1]]
 
     @property
     def size(self) -> int:
@@ -367,36 +453,25 @@ def _fraction_string(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _members(family: Family) -> list[list[int]]:
-    """The vectors of each member: the columns of the basis matrix."""
-    return [list(e.subspace.vectors()) for e in family.entries]
-
-
-def _w_columns(family: Family) -> Iterator[tuple[int, Iterator[int], int]]:
+def _w_columns(family: Family) -> Iterator[tuple[int, list[int], int]]:
     """W by columns (r, vectors, value): column r is 2^(dim E_r) on the orthogonal
     complement of E_r, the closed form of G applied to member r."""
     for r, e in enumerate(family.entries):
-        yield r, perp(family.space, e.subspace).vectors(), 1 << e.dim
+        yield r, perp_vectors(family.space, e.subspace), 1 << e.dim
 
 
 def change_of_basis(family: Family) -> CobMatrix:
-    """Solve for the transform's matrix in the family basis, exactly.
+    """The transform's matrix in the family basis, exactly: `expansion_rows` by member index.
 
-    The transform of member r's characteristic function is
-    2^(dim - d) * (indicator of the orthogonal complement); the peel solve
-    expands those indicators in the family basis, with integer numerators
-    over the single denominator 2^d.
+    Row r expands 2^(dim E_r) * (indicator of the orthogonal complement), the
+    transform of member r's characteristic function times 2^d, in the family
+    basis: integer numerators over the single denominator 2^d.
     """
-    rhs: list[dict[int, int]] = [{} for _ in range(1 << family.dim)]
-    for r, vectors, weight in _w_columns(family):
-        for v in vectors:
-            rhs[v][r] = weight
-    x, order = peel_solve(_members(family), rhs)
+    index = family.index_of_key
     num: list[dict[int, int]] = [{} for _ in range(len(family))]
-    for c, col in enumerate(x):
-        for r, val in col.items():
-            num[r][c] = val
-    return CobMatrix(family, num, 1 << family.half, order)
+    for key, row in expansion_rows(family.dim).items():
+        num[index[key]] = {index[c]: v for c, v in row.items()}
+    return CobMatrix(family, num, 1 << family.half)
 
 
 def _is_peel_order(order: list[tuple[int, int]], members: list[list[int]], size: int) -> bool:
@@ -417,37 +492,62 @@ def _is_peel_order(order: list[tuple[int, int]], members: list[list[int]], size:
     return all(min(vec_step[v] for v in vs) == member_step[j] for j, vs in enumerate(members))
 
 
-def verify_change_of_basis(cob: CobMatrix) -> Report:
-    """Peel certificate, solve residual, closed form, triangularity, diagonal signs,
-    trace, eigenvalue count and involution, each over the nonzeros of the matrix."""
+def _packed_bx(cob: CobMatrix, fields: _Fields) -> list[int]:
+    """B X packed over the members r, X_c = column c of num: row v sums X_c over the members c that hold v."""
+    x = fields.rows(cob.size, ((r, (c,), val) for r, row in enumerate(cob.num) for c, val in row.items()))
+    got = [0] * (1 << cob.family.dim)
+    for c, vs in enumerate(cob.members):
+        for v in vs:
+            got[v] += x[c]
+    return got
+
+
+def dense_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
+    """The peel certificate, the residual W - B X and the closed form G B = W, as (check, ok, details)."""
     fam = cob.family
-    d = fam.half
     n = cob.size
     size = 1 << fam.dim
-    rep = Report(f"change-of-basis D={fam.dim}")
-    num = cob.num
-    members = _members(fam)
-
-    rep.require("basis-peelable", _is_peel_order(cob.peel, members, size))
+    members = cob.members
+    checks = [("basis-peelable", _is_peel_order(cob.peel, members, size), "")]
 
     # Packed over the members r.  Row v of B X sums, over the members c that
     # hold v, the rows X_c = column c of num, so each of its fields is at most
     # n max|num|; each field of G 1_{E_r} is at most |E_r| <= 2^d, and each of
     # W is 2^(dim E_r) <= 2^d.
-    num_max = max((abs(v) for row in num for v in row.values()), default=0)
-    fields = _Fields(max(n * num_max, 1 << d), n)
+    num_max = max((abs(v) for row in cob.num for v in row.values()), default=0)
+    fields = _Fields(max(n * num_max, 1 << fam.half), n)
     w = fields.rows(size, _w_columns(fam))
 
-    x = fields.rows(n, ((r, (c,), val) for r, row in enumerate(num) for c, val in row.items()))
-    got = [0] * size
-    for c, vs in enumerate(members):
-        for v in vs:
-            got[v] += x[c]
-    rep.require("solve-residual", got == w, "W - B X is not zero")
+    checks.append(("solve-residual", _packed_bx(cob, fields) == w, "W - B X is not zero"))
 
     indicators = fields.rows(size, ((r, vs, 1) for r, vs in enumerate(members)))
     bad_member = fields.first_difference(sign_transform(fam.space, indicators), w)
-    rep.require("closed-form", bad_member is None, f"member {bad_member}")
+    checks.append(("closed-form", bad_member is None, f"member {bad_member}"))
+    return checks
+
+
+def verify_change_of_basis(cob: CobMatrix, dense: bool | None = None) -> Report:
+    """Peel certificate, solve residual, closed form, triangularity, diagonal signs,
+    trace, eigenvalue count and involution, each over the nonzeros of the matrix.
+
+    With `dense` false (the default above MAX_DENSE_DIM) the residual and
+    the closed form give way to `lemmas.lemma_checks`.
+    """
+    fam = cob.family
+    d = fam.half
+    rep = Report(f"change-of-basis D={fam.dim}")
+    num = cob.num
+
+    if dense is None:
+        dense = fam.dim <= MAX_DENSE_DIM
+    if dense:
+        checks = dense_checks(cob)
+    else:
+        from .lemmas import lemma_checks
+
+        checks = [("basis-peelable", _is_peel_order(cob.peel, cob.members, cob.size), ""), *lemma_checks(cob)]
+    for check, ok, details in checks:
+        rep.require(check, ok, details)
 
     dims = [e.dim for e in fam.entries]
     bad = list(islice(((r, c) for r, row in enumerate(num) for c in sorted(row) if c != r and dims[c] <= dims[r]), 3))

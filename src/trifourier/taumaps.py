@@ -10,9 +10,10 @@ are maps of the same kind.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .gf2 import Subspace, SymplecticSpace, bits_of, kernel_of, make_space, rref
+from .gf2 import Subspace, SymplecticSpace, bits_of, make_space, perp, rref
 from .report import Report
 
 
@@ -48,16 +49,10 @@ class CircularMap(NamedTuple):
         The map sends a circular run of source vectors to a circular run of
         target vectors, and a run through e_{D+1} sums to the complementary
         interval, so the image of every interval vector is an interval
-        vector; the table checks that it is.
+        vector; the table checks that it is.  It is made once per map and
+        shared: read it only.
         """
-        dst = make_space(self.dst_dim).interval_keys
-        out = {}
-        for v, bit in make_space(self.src_dim).interval_keys.items():
-            image = self.apply(v)
-            if image not in dst:
-                raise AssertionError(f"{self} sends the interval vector {v:#b} to {image:#b}, not an interval vector")
-            out[bit] = dst[image]
-        return out
+        return _key_table(self)
 
     def compose(self, inner: "CircularMap") -> "CircularMap":
         """self . inner, a map from the source of inner."""
@@ -69,8 +64,18 @@ class CircularMap(NamedTuple):
     def coordinate_images(self) -> tuple[int, ...]:
         return self.images[: self.src_dim]
 
-    def image_subspace(self) -> Subspace:
-        return Subspace.span(self.coordinate_images())
+
+@lru_cache(maxsize=None)
+def _key_table(m: CircularMap) -> dict[int, int]:
+    """The body of `CircularMap.key_table`."""
+    dst = make_space(m.dst_dim).interval_keys
+    out = {}
+    for v, bit in make_space(m.src_dim).interval_keys.items():
+        image = m.apply(v)
+        if image not in dst:
+            raise AssertionError(f"{m} sends the interval vector {v:#b} to {image:#b}, not an interval vector")
+        out[bit] = dst[image]
+    return out
 
 
 def rotation(space: SymplecticSpace, steps: int = 1) -> CircularMap:
@@ -102,8 +107,12 @@ def _validate_embedding(emb: CircularMap, dst: SymplecticSpace) -> None:
         raise AssertionError("embedding is not form compatible")
 
 
+@lru_cache(maxsize=None)
 def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> CircularMap:
     """The i-th embedding of the (D-2)-space into the D-space, i in [1, D+1].
+
+    Built and validated once per (space, sub_space, i): the recursions, the
+    change of basis and the checks all use the same maps.
 
     Image sequence of the D-1 circular vectors of the source:
       1 < i <= D : e_1,...,e_{i-2}, e_{i-1}+e_i+e_{i+1}, e_{i+2},...,e_{D+1}
@@ -169,15 +178,15 @@ def close_keys(table: dict[int, int], keys: Iterable[int]) -> set[int]:
 
 
 def check_complement(space: SymplecticSpace, i: int) -> bool:
-    """tau_i's image is a complement of the line F2.e_i inside the perp of e_i."""
-    emb = tau(space, make_space(space.dim - 2), i)
-    image = emb.image_subspace()
+    """tau_i's image is a complement of the line F2.e_i inside the perp of e_i.
+
+    The D-2 images of the coordinate vectors and e_i span such a complement
+    plus the line exactly when they lie in the perp and have its rank, D - 1.
+    """
+    images = tau(space, make_space(space.dim - 2), i).coordinate_images()
     ei = space.circular(i)
-    if image.contains(ei) and ei != 0:
-        return False
-    total = image.extend(ei)
-    perp_line = kernel_of([space.gram_apply(ei)], space.dim)
-    return total == perp_line and total.dim == space.dim - 1
+    perp_line = perp(space, Subspace.span([ei]))
+    return all(map(perp_line.contains, images)) and len(rref((*images, ei))) == perp_line.dim == space.dim - 1
 
 
 def verify_composition_identity(dim: int) -> Report:

@@ -1,12 +1,14 @@
 """Test-only GF(2) helpers: masks as coordinate tuples, functions on the
 space as plain 0/1 value lists, the enumeration oracle for interval bases,
-and the row-space forms of the family recursion: members as reduced rows,
-pushed through a map's table of all source vectors and reduced per push."""
+the row-space forms of the family recursion (members as reduced rows,
+pushed through a map's table of all source vectors and reduced per push),
+and the change of basis by one peel solve over all 2^D right-hand sides."""
 
 from functools import lru_cache
 from typing import Iterable
 
-from trifourier.family import FamilyStructureError
+from trifourier.family import Family, FamilyStructureError
+from trifourier.fourier import CobMatrix, _w_columns, peel_order
 from trifourier.gf2 import IntervalLabel, Subspace, SymplecticSpace, ZERO_SUBSPACE, make_space, rref
 from trifourier.taumaps import tau
 
@@ -134,3 +136,46 @@ def standard_paths_by_rows(dim: int) -> dict[Subspace, str]:
         for sub, path in standard_paths_by_rows(dim - 2).items():
             paths.setdefault(Subspace(push_rows(t, sub.rows, ei)), f"tau_{i}[{path}]")
     return paths
+
+
+def peel_solve(
+    members: list[list[int]], rhs: list[dict[int, int]]
+) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
+    """X with B X = rhs exactly, B the 0/1 matrix of `peel_order`, and the peel order.
+
+    Row v of rhs and row j of X are {column: value} for their nonzeros.
+    Forward substitution in peel order keeps the residual rhs - B X: step
+    (v, j) takes X[j] = residual[v], without its zeros, and subtracts it
+    from the other rows of column j.
+    """
+    order = peel_order(members, len(rhs))
+    residual = [dict(row) for row in rhs]
+    x: list[dict[int, int]] = [{} for _ in members]
+    for v, j in order:
+        vals = x[j] = {c: val for c, val in residual[v].items() if val}
+        for u in members[j]:
+            if u != v:
+                row = residual[u]
+                get = row.get
+                for c, val in vals.items():
+                    row[c] = get(c, 0) - val
+    return x, order
+
+
+def change_of_basis_by_solve(family: Family) -> CobMatrix:
+    """The change of basis by one peel solve of B X = W over all 2^D columns of W.
+
+    Column r of W is 2^(dim E_r) on the orthogonal complement of member r;
+    row r of the matrix is column r of X, over the denominator 2^d.
+    """
+    rhs: list[dict[int, int]] = [{} for _ in range(1 << family.dim)]
+    for r, vectors, weight in _w_columns(family):
+        for v in vectors:
+            rhs[v][r] = weight
+    members = [list(e.subspace.vectors()) for e in family.entries]
+    x, order = peel_solve(members, rhs)
+    num: list[dict[int, int]] = [{} for _ in range(len(family))]
+    for c, col in enumerate(x):
+        for r, val in col.items():
+            num[r][c] = val
+    return CobMatrix(family, num, 1 << family.half, order)

@@ -120,7 +120,7 @@ def test_criterion_3_triangularity_and_signs():
     for dim in (2, 4, 6, 8, 10):
         start = time.time()
         fam = build_family(dim)
-        cob = change_of_basis(fam)  # a complete peel order inside proves det = +-1
+        cob = change_of_basis(fam)  # verify derives a complete peel order: det = +-1
         rep = verify_change_of_basis(cob)
         assert rep.ok, f"D={dim}: {rep.summary()}"
         d = fam.half

@@ -51,9 +51,9 @@ def test_equivariance(dim):
 def test_stability_and_orbits_d2():
     fam = build_family(2)
     perm_r = family_permutation(fam, rotation(fam.space))
-    zero_idx = fam.index_of[canonical_subspace([])]
+    zero_idx = fam.entry(canonical_subspace([])).index
     assert perm_r[zero_idx] == zero_idx
-    lines = [fam.index_of[canonical_subspace([m])] for m in (1, 2, 3)]
+    lines = [fam.entry(canonical_subspace([m])).index for m in (1, 2, 3)]
     # rotation cycles the three lines
     assert sorted(perm_r[i] for i in lines) == sorted(lines)
     assert all(perm_r[i] != i for i in lines)

@@ -196,13 +196,24 @@ def test_interval_basis_rejects_non_member():
 
 def test_fibers_d4():
     fam = build_family(4)
-    zero_fiber = fam.fibers[fam.entries[fam.index_of[Subspace(())]].fiber_index]
+    zero_fiber = fam.fibers[fam.entry(Subspace(())).fiber_index]
     labels = [entry_compact(fam.entries[m], 4) for m in zero_fiber.members]
     assert labels == ["∅", "<5>", "<5,451>"]
     assert [fam.entries[m].n_even for m in zero_fiber.members] == [0, 1, 2]
     e2 = canonical_subspace([0b00010])
     fib = fam.fibers[fam.entry(e2).fiber_index]
     assert [entry_compact(fam.entries[m], 4) for m in fib.members] == ["<2>", "<2,5>"]
+
+
+def test_entry_refuses_a_subspace_outside_the_family():
+    fam = build_family(4)
+    for sub in (
+        canonical_subspace([0b0101]),  # a line, but not a circular vector's
+        canonical_subspace([0b0001, 0b0010]),  # e_[1,1], e_[2,2] and e_[1,2] share endpoints
+        canonical_subspace([0b0011, 0b0101]),  # isotropic, and no member
+    ):
+        with pytest.raises(KeyError):
+            fam.entry(sub)
 
 
 def test_fiber_singleton_d2():
@@ -492,7 +503,8 @@ def test_family_entries_carry_their_interval_keys():
         for ent in fam.entries:
             assert space.interval_span(ent.key) == ent.subspace
             assert ent.intervals == interval_basis(space, ent.subspace)
-            assert fam.index_of_key[ent.key] == fam.index_of[ent.subspace] == ent.index
+            assert fam.index_of_key[ent.key] == ent.index
+            assert fam.entry(ent.subspace) is ent
 
 
 def test_family_json_schema():
@@ -502,7 +514,7 @@ def test_family_json_schema():
     assert json.loads(text) == doc
     assert doc["dim"] == 4 and doc["size"] == 16
     assert len(doc["entries"]) == 16 and len(doc["fibers"]) == 10
-    entry = doc["entries"][fam.index_of[canonical_subspace([0b00001])]]
+    entry = doc["entries"][fam.entry(canonical_subspace([0b00001])).index]
     assert entry["iprime"] == [[1]]
     for ent in doc["entries"]:
         assert set(ent) == {

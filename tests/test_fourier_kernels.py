@@ -1,4 +1,6 @@
-"""Cross-checks of the peel solve and the fast sign transform against dense references."""
+"""Cross-checks of the change of basis by the recursion, the peel solve and the fast
+sign transform against dense references, and of the checks that replace the dense
+ones above D = 12."""
 
 import random
 
@@ -8,11 +10,14 @@ from trifourier.family import FamilyStructureError, build_family
 from trifourier.fourier import (
     CobMatrix,
     _Fields,
+    _is_peel_order,
     basis_matrix,
     change_of_basis,
+    expansion_rows,
     integer_inverse,
+    involution_batches,
     peel_order,
-    peel_solve,
+    push_up,
     phi,
     sign_transform,
     verify_change_of_basis,
@@ -21,8 +26,9 @@ from trifourier.fourier import (
     z_map,
 )
 from trifourier.gf2 import make_space, perp
+from trifourier.taumaps import push_key, tau
 
-from gf2_reference import characteristic
+from gf2_reference import change_of_basis_by_solve, characteristic, peel_solve
 
 
 def matmul(a, b):
@@ -78,9 +84,48 @@ def members_of(fam):
 def test_peel_solve_matches_certified_inverse(dim):
     fam = build_family(dim)
     old = matmul(integer_inverse(basis_matrix(fam)), closed_form_rhs(fam))
+    for cob in (change_of_basis_by_solve(fam), change_of_basis(fam)):
+        assert all(type(v) is int and v for row in cob.num for v in row.values())
+        assert dense(cob) == transpose(old)
+
+
+@pytest.mark.parametrize("dim", range(0, 11, 2))
+def test_recursion_rows_match_the_solve_oracle(dim):
+    # the oracle solves B X = W over all 2^D columns of W; the recursion pushes the
+    # rows of D - 2 up and solves for the zero member's row alone
+    fam = build_family(dim)
+    oracle = change_of_basis_by_solve(fam)
     cob = change_of_basis(fam)
-    assert all(type(v) is int and v for row in cob.num for v in row.values())
-    assert dense(cob) == transpose(old)
+    assert cob.den == oracle.den == 1 << fam.half
+    assert cob.num == oracle.num
+    # the export never walks the peel; verify derives an order as valid as the oracle's
+    assert "peel" not in vars(cob)
+    members = members_of(fam)
+    assert _is_peel_order(cob.peel, members, 1 << dim) and _is_peel_order(oracle.peel, members, 1 << dim)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_a_corrupted_row_below_fails_push_agreement(dim):
+    below = expansion_rows(dim - 2)
+    assert push_up(dim, below) == {key: row for key, row in expansion_rows(dim).items() if key}
+    space, sub_space = make_space(dim), make_space(dim - 2)
+    for key in below:
+        corrupted = {k: dict(row) for k, row in below.items()}
+        column = next(iter(corrupted[key]))
+        corrupted[key][column] += 1
+        if key == 0:
+            # the zero member pushes to the lines, which no other push meets: its
+            # row rests on the dense checks one level down
+            push_up(dim, corrupted)
+            continue
+        with pytest.raises(FamilyStructureError, match="differs from an earlier push") as err:
+            push_up(dim, corrupted)
+        # the named member is a push of the corrupted one
+        pushes = {
+            push_key(tau(space, sub_space, i).key_table(), key, space.interval_keys[space.circular(i)])
+            for i in range(1, dim + 2)
+        }
+        assert any(f"member {space.interval_span(t).rows} at D={dim}:" in str(err.value) for t in pushes)
 
 
 @pytest.mark.parametrize("dim", [0, 2, 4, 6])
@@ -192,3 +237,62 @@ def test_verify_change_of_basis_rejects_corruptions():
 
     bad_peel = CobMatrix(cob.family, cob.num, cob.den, cob.peel[::-1])
     assert _failed(verify_change_of_basis(bad_peel)) == {"basis-peelable"}
+
+
+LEMMA_CHECKS = ["lemma:preserves-form", "lemma:complement", "lemma:push-agreement", "lemma:zero-row-residual"]
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_lemma_checks_pass_and_catch_corruptions(dim):
+    cob = change_of_basis(build_family(dim))
+    rep = verify_change_of_basis(cob, dense=False)
+    assert rep.ok, rep.summary()
+    below = [f"lemma:{check} D={dim - 2}" for check in ("basis-peelable", "solve-residual", "closed-form")]
+    ids = [c.check_id for c in rep.checks]
+    assert ids == ["basis-peelable", *below, *LEMMA_CHECKS, *ids[8:]]
+    assert ids[8:] == [c.check_id for c in verify_change_of_basis(cob).checks][3:]
+
+    # a pushed row off by one fails push agreement; the zero row its residual
+    r = len(cob.num) - 1
+    c = next(iter(cob.num[r]))
+    assert "lemma:push-agreement" in _failed(verify_change_of_basis(_corrupted(cob, r, c, cob.num[r][c] + 1), dense=False))
+    c = max(cob.num[0])
+    failed = _failed(verify_change_of_basis(_corrupted(cob, 0, c, cob.num[0][c] + 1), dense=False))
+    assert "lemma:zero-row-residual" in failed and "lemma:push-agreement" not in failed
+
+
+def _unpack(fields, packed, count):
+    """The `count` signed fields of one packed row, lowest first."""
+    out = []
+    mask = (1 << fields.bits) - 1
+    for _ in range(count):
+        c = packed & mask
+        if c >= 1 << (fields.bits - 1):
+            c -= 1 << fields.bits
+        out.append(c)
+        packed = (packed - c) >> fields.bits
+    return out
+
+
+def _square_columns(space, batch_bytes):
+    """G G I as a list of columns, assembled from the batches."""
+    columns = []
+    for cols, fields, _, square in involution_batches(space, batch_bytes):
+        rows = [_unpack(fields, x, len(cols)) for x in square]
+        columns += [[row[j] for row in rows] for j in range(len(cols))]
+    return columns
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_batched_involution_equals_one_batch(dim):
+    space = make_space(dim)
+    size = 1 << dim
+    assert len(list(involution_batches(space))) == 1
+    width = _Fields(size, 1).width
+    eight = size * width * 8  # eight columns per batch, and a last, shorter batch
+    assert [len(cols) for cols, *_ in involution_batches(space, eight + 1)] == [8] * (size // 8)
+    assert [len(cols) for cols, *_ in involution_batches(space, size * width * 7)][-1] == size % 7
+    one = _square_columns(space, 1 << 40)
+    assert one == [[size * (x == v) for x in range(size)] for v in range(size)]
+    assert _square_columns(space, size * width * 7) == one
+    assert verify_involution(space, size * width * 7) and verify_involution(space, 1)

@@ -1,5 +1,7 @@
 import pytest
 
+import trifourier.taumaps as taumaps
+
 from gf2_reference import close_rows, push_rows
 
 from trifourier.family import family_subspaces
@@ -90,6 +92,24 @@ def test_complement_property():
         sp = make_space(dim)
         for i in range(1, dim + 2):
             assert check_complement(sp, i)
+
+
+def test_complement_check_matches_its_definition(monkeypatch):
+    for dim in (2, 4, 6, 8):
+        sp, sub = make_space(dim), make_space(dim - 2)
+        for i in range(1, dim + 2):
+            image = Subspace.span(tau(sp, sub, i).coordinate_images())
+            ei = sp.circular(i)
+            perp_line = Subspace.span(x for x in range(1 << dim) if sp.pairing(x, ei) == 0)
+            assert not image.contains(ei) and image.extend(ei) == perp_line
+            assert check_complement(sp, i)
+    # at D = 4 the perp of e_1 is {x : x_2 = 0}, spanned by e_1, e_3 and e_4
+    sp = make_space(4)
+    e = sp.circular
+    for images, expected in (((e(3), e(4)), True), ((e(1), e(3)), False), ((e(2), e(3)), False)):
+        fake = CircularMap(2, 4, (*images, images[0] ^ images[1]))
+        monkeypatch.setattr(taumaps, "tau", lambda *args, fake=fake: fake)
+        assert check_complement(sp, 1) is expected, images
 
 
 @pytest.mark.parametrize("dim", [4, 6, 8])
