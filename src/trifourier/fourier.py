@@ -41,7 +41,7 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .family import Family, FamilyStructureError, delta, family_subspaces
-from .gf2 import SymplecticSpace, bits_of, make_space, perp_vectors, span_vectors
+from .gf2 import SymplecticSpace, bits_of, make_space, span_vectors
 from .report import Report
 from .taumaps import check_complement, push_key, tau
 
@@ -455,9 +455,28 @@ def _fraction_string(num: int, den: int) -> str:
 
 def _w_columns(family: Family) -> Iterator[tuple[int, list[int], int]]:
     """W by columns (r, vectors, value): column r is 2^(dim E_r) on the orthogonal
-    complement of E_r, the closed form of G applied to member r."""
+    complement of E_r, the closed form of G applied to member r.
+
+    With s_k = x_k + x_(k+1) for k = 0..D (x_0 = x_(D+1) = 0), the pairing
+    (x, e_[a,b]) is s_(a-1) + s_b, and the s of every x sums to 0.  So x is
+    orthogonal to a member exactly when s agrees on the two points of each
+    of its intervals.  The interval joining points p < q is the x of
+    s = e_p + e_q, so the perp is spanned by the member and by the intervals
+    joining the lowest point that no interval of the member touches to each
+    other such point.
+    """
+    space = family.space
+    by_ends = dict(zip(space.interval_ends, space.interval_vectors))
+    points = (1 << (family.dim + 1)) - 1
     for r, e in enumerate(family.entries):
-        yield r, perp_vectors(family.space, e.subspace), 1 << e.dim
+        touched = 0
+        for k in bits_of(e.key):
+            touched |= space.interval_ends[k]
+        free = points & ~touched
+        first = free & -free
+        basis = list(e.subspace.rows)
+        basis += (by_ends[first | (1 << p)] for p in bits_of(free ^ first))
+        yield r, span_vectors(basis), 1 << e.dim
 
 
 def change_of_basis(family: Family) -> CobMatrix:

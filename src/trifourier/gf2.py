@@ -193,12 +193,6 @@ def span_vectors(basis: Iterable[int]) -> list[int]:
 
 def kernel_of(constraints: Iterable[int], dim: int) -> Subspace:
     """Solution space of parity(x & c) = 0 for every constraint mask c."""
-    return Subspace.span(kernel_basis(constraints, dim))
-
-
-def kernel_basis(constraints: Iterable[int], dim: int) -> list[int]:
-    """A basis of `kernel_of`: for each coordinate f that is no pivot of the
-    reduced constraints, e_f plus the pivots of the rows that hold f."""
     rows = rref(constraints)
     pivots = [(row & -row).bit_length() - 1 for row in rows]
     pivot_set = set(pivots)
@@ -211,17 +205,12 @@ def kernel_basis(constraints: Iterable[int], dim: int) -> list[int]:
             if (row >> f) & 1:
                 v |= 1 << p
         basis.append(v)
-    return basis
+    return Subspace.span(basis)
 
 
 def perp(space: SymplecticSpace, sub: Subspace) -> Subspace:
     """The orthogonal complement {x : (x, u) = 0 for all u in sub}."""
     return kernel_of((space.gram_apply(row) for row in sub.rows), space.dim)
-
-
-def perp_vectors(space: SymplecticSpace, sub: Subspace) -> list[int]:
-    """The vectors of `perp`, listed from a kernel basis without reducing it."""
-    return span_vectors(kernel_basis((space.gram_apply(row) for row in sub.rows), space.dim))
 
 
 def is_isotropic(space: SymplecticSpace, sub: Subspace) -> bool:

@@ -11,6 +11,7 @@ from trifourier.fourier import (
     CobMatrix,
     _Fields,
     _is_peel_order,
+    _w_columns,
     basis_matrix,
     change_of_basis,
     expansion_rows,
@@ -87,6 +88,15 @@ def test_peel_solve_matches_certified_inverse(dim):
     for cob in (change_of_basis_by_solve(fam), change_of_basis(fam)):
         assert all(type(v) is int and v for row in cob.num for v in row.values())
         assert dense(cob) == transpose(old)
+
+
+@pytest.mark.parametrize("dim", range(0, 11, 2))
+def test_w_columns_are_the_closed_forms(dim):
+    # the columns of W come from the interval structure, not from a kernel: hold them to perp
+    fam = build_family(dim)
+    assert [(r, sorted(vectors), weight) for r, vectors, weight in _w_columns(fam)] == [
+        (r, sorted(perp(fam.space, e.subspace).vectors()), 1 << e.dim) for r, e in enumerate(fam.entries)
+    ]
 
 
 @pytest.mark.parametrize("dim", range(0, 11, 2))
