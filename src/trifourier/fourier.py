@@ -157,31 +157,24 @@ def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
     return [Fraction(v, scale) for v in image]
 
 
-def involution_batches(
-    space: SymplecticSpace, batch_bytes: int = INVOLUTION_BATCH_BYTES
-) -> Iterator[tuple[range, _Fields, list[int], list[int]]]:
-    """G G I in batches of columns: (the columns, their fields, the packed rows of I on them, of G G I).
+def verify_involution(space: SymplecticSpace) -> bool:
+    """G G == 2^D I, on the rows of I packed one int per row, batch by batch of its columns.
 
-    Each packed array holds at most `batch_bytes`.  G is +-1, so every field
-    of G G I is at most 2^D in absolute value, as is every field of 2^D I;
-    G is linear, so the batches side by side are G G I.
+    Each packed array holds at most INVOLUTION_BATCH_BYTES.  G is +-1, so
+    every field of G G I is at most 2^D in absolute value, as is every field
+    of 2^D I; G is linear, so the batches side by side are G G I.
     """
     size = 1 << space.dim
-    step = max(1, batch_bytes // (size * _Fields(size, 1).width))
+    step = max(1, INVOLUTION_BATCH_BYTES // (size * _Fields(size, 1).width))
     for lo in range(0, size, step):
-        cols = range(lo, min(lo + step, size))
-        fields = _Fields(size, len(cols))
+        count = min(step, size - lo)
+        fields = _Fields(size, count)
         ident = [0] * size
-        for j, v in enumerate(cols):
-            ident[v] = fields.unit(j)
-        yield cols, fields, ident, sign_transform(space, sign_transform(space, ident))
-
-
-def verify_involution(space: SymplecticSpace, batch_bytes: int = INVOLUTION_BATCH_BYTES) -> bool:
-    """G G == 2^D I, on the rows of I packed one int per row, batch by batch of its columns."""
-    return all(
-        square == [x << space.dim for x in ident] for _, _, ident, square in involution_batches(space, batch_bytes)
-    )
+        for j in range(count):
+            ident[lo + j] = fields.unit(j)
+        if sign_transform(space, sign_transform(space, ident)) != [x << space.dim for x in ident]:
+            return False
+    return True
 
 
 # -- the push-up maps -----------------------------------------------------------
@@ -545,21 +538,19 @@ def dense_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def verify_change_of_basis(cob: CobMatrix, dense: bool | None = None) -> Report:
+def verify_change_of_basis(cob: CobMatrix) -> Report:
     """Peel certificate, solve residual, closed form, triangularity, diagonal signs,
     trace, eigenvalue count and involution, each over the nonzeros of the matrix.
 
-    With `dense` false (the default above MAX_DENSE_DIM) the residual and
-    the closed form give way to `lemmas.lemma_checks`.
+    Above MAX_DENSE_DIM the residual and the closed form give way to
+    `lemmas.lemma_checks`.
     """
     fam = cob.family
     d = fam.half
     rep = Report(f"change-of-basis D={fam.dim}")
     num = cob.num
 
-    if dense is None:
-        dense = fam.dim <= MAX_DENSE_DIM
-    if dense:
+    if fam.dim <= MAX_DENSE_DIM:
         checks = dense_checks(cob)
     else:
         from .lemmas import lemma_checks

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from trifourier import fourier
 from trifourier.family import FamilyStructureError, build_family
 from trifourier.fourier import (
     CobMatrix,
@@ -16,7 +17,6 @@ from trifourier.fourier import (
     change_of_basis,
     expansion_rows,
     integer_inverse,
-    involution_batches,
     peel_order,
     push_up,
     phi,
@@ -253,21 +253,23 @@ LEMMA_CHECKS = ["lemma:preserves-form", "lemma:complement", "lemma:push-agreemen
 
 
 @pytest.mark.parametrize("dim", [6, 8])
-def test_lemma_checks_pass_and_catch_corruptions(dim):
+def test_lemma_checks_pass_and_catch_corruptions(dim, monkeypatch):
     cob = change_of_basis(build_family(dim))
-    rep = verify_change_of_basis(cob, dense=False)
+    dense_ids = [c.check_id for c in verify_change_of_basis(cob).checks]
+    monkeypatch.setattr(fourier, "MAX_DENSE_DIM", dim - 2)  # the path verify takes above D = 12
+    rep = verify_change_of_basis(cob)
     assert rep.ok, rep.summary()
     below = [f"lemma:{check} D={dim - 2}" for check in ("basis-peelable", "solve-residual", "closed-form")]
     ids = [c.check_id for c in rep.checks]
     assert ids == ["basis-peelable", *below, *LEMMA_CHECKS, *ids[8:]]
-    assert ids[8:] == [c.check_id for c in verify_change_of_basis(cob).checks][3:]
+    assert ids[8:] == dense_ids[3:]
 
     # a pushed row off by one fails push agreement; the zero row its residual
     r = len(cob.num) - 1
     c = next(iter(cob.num[r]))
-    assert "lemma:push-agreement" in _failed(verify_change_of_basis(_corrupted(cob, r, c, cob.num[r][c] + 1), dense=False))
+    assert "lemma:push-agreement" in _failed(verify_change_of_basis(_corrupted(cob, r, c, cob.num[r][c] + 1)))
     c = max(cob.num[0])
-    failed = _failed(verify_change_of_basis(_corrupted(cob, 0, c, cob.num[0][c] + 1), dense=False))
+    failed = _failed(verify_change_of_basis(_corrupted(cob, 0, c, cob.num[0][c] + 1)))
     assert "lemma:zero-row-residual" in failed and "lemma:push-agreement" not in failed
 
 
@@ -284,25 +286,57 @@ def _unpack(fields, packed, count):
     return out
 
 
-def _square_columns(space, batch_bytes):
-    """G G I as a list of columns, assembled from the batches."""
-    columns = []
-    for cols, fields, _, square in involution_batches(space, batch_bytes):
-        rows = [_unpack(fields, x, len(cols)) for x in square]
-        columns += [[row[j] for row in rows] for j in range(len(cols))]
-    return columns
+def _square_columns(space, monkeypatch, budget):
+    """G G I as a list of columns, assembled from the batches `verify_involution` transforms
+    with INVOLUTION_BATCH_BYTES = budget, and the number of columns in each batch."""
+    calls = []
+
+    def spy(sp, f):
+        out = sign_transform(sp, f)
+        calls.append((f, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(fourier, "INVOLUTION_BATCH_BYTES", budget)
+        m.setattr(fourier, "sign_transform", spy)
+        assert verify_involution(space)
+    columns, sizes = [], []
+    for (ident, _), (_, square) in zip(calls[::2], calls[1::2]):
+        count = sum(1 for x in ident if x)
+        fields = _Fields(1 << space.dim, count)
+        rows = [_unpack(fields, x, count) for x in square]
+        columns += [[row[j] for row in rows] for j in range(count)]
+        sizes.append(count)
+    return columns, sizes
 
 
 @pytest.mark.parametrize("dim", [6, 8])
-def test_batched_involution_equals_one_batch(dim):
+def test_batched_involution_equals_one_batch(dim, monkeypatch):
     space = make_space(dim)
     size = 1 << dim
-    assert len(list(involution_batches(space))) == 1
-    width = _Fields(size, 1).width
-    eight = size * width * 8  # eight columns per batch, and a last, shorter batch
-    assert [len(cols) for cols, *_ in involution_batches(space, eight + 1)] == [8] * (size // 8)
-    assert [len(cols) for cols, *_ in involution_batches(space, size * width * 7)][-1] == size % 7
-    one = _square_columns(space, 1 << 40)
+    column_bytes = size * _Fields(size, 1).width
+    one, sizes = _square_columns(space, monkeypatch, fourier.INVOLUTION_BATCH_BYTES)
+    assert sizes == [size]
     assert one == [[size * (x == v) for x in range(size)] for v in range(size)]
-    assert _square_columns(space, size * width * 7) == one
-    assert verify_involution(space, size * width * 7) and verify_involution(space, 1)
+    # eight columns per batch; seven, with a last, shorter batch; one
+    for budget, expect in [
+        (8 * column_bytes + 1, [8] * (size // 8)),
+        (7 * column_bytes, [7] * (size // 7) + [size % 7]),
+        (1, [1] * size),
+    ]:
+        assert _square_columns(space, monkeypatch, budget) == (one, expect)
+
+    # one wrong field in the last, shorter batch fails the check
+    calls = []
+
+    def off_in_last_batch(sp, f):
+        out = sign_transform(sp, f)
+        calls.append(None)
+        if len(calls) == 2 * (size // 7 + 1):
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(fourier, "INVOLUTION_BATCH_BYTES", 7 * column_bytes)
+    monkeypatch.setattr(fourier, "sign_transform", off_in_last_batch)
+    assert not verify_involution(space)
+    assert len(calls) == 2 * (size // 7 + 1)
