@@ -20,8 +20,6 @@ _EXPORTS = {
     "Subspace": "gf2",
     "SymplecticSpace": "gf2",
     "build_family": "family",
-    "build_family_prime": "family",
-    "build_family_ucb": "family",
     "canonical_subspace": "gf2",
     "change_of_basis": "fourier",
     "delta": "family",

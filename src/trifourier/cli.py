@@ -145,15 +145,7 @@ def _run_verify(args) -> int:
 
 
 def _run_nonabelian(args) -> int:
-    from .nonabelian import (
-        PIECE_SIGNS,
-        hyperplane_check,
-        load_basis_file,
-        nonabelian_ft,
-        piece_partition,
-        s3_new_basis,
-        verify_triangular,
-    )
+    from .nonabelian import hyperplane_check, load_basis_file, nonabelian_ft, s3_new_basis, verify_triangular
 
     ft = nonabelian_ft(args.group)
     if args.check == "matrix":
@@ -170,7 +162,7 @@ def _run_nonabelian(args) -> int:
     if args.check == "hyperplane":
         if args.group != "s5":
             print("hyperplane check applies to s5 only", file=sys.stderr)
-            return 1
+            return 2
         rep = hyperplane_check(ft)
         print(rep.summary())
         return 0 if rep.ok else 1
@@ -192,7 +184,7 @@ def _run_nonabelian(args) -> int:
     else:
         print(f"--basis FILE is required for {args.group} newbasis", file=sys.stderr)
         return 2
-    rep = verify_triangular(ft, basis, piece_partition(args.group), PIECE_SIGNS[args.group])
+    rep = verify_triangular(ft, basis)
     if args.format == "json":
         _print_json(rep.to_json())
     else:

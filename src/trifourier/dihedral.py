@@ -38,9 +38,9 @@ def verify_embedding_equivariance(dim: int) -> Report:
     r, s = rotation(v), reflection(v)
     rp, sp = rotation(vp), reflection(vp)
     for i in range(1, dim + 2):
-        t_i = tau(v, vp, i)
-        t_next = tau(v, vp, i + 1 if i <= dim else 1)
-        t_refl = tau(v, vp, dim + 1 - i if i <= dim else dim + 1)
+        t_i = tau(v, i)
+        t_next = tau(v, i + 1 if i <= dim else 1)
+        t_refl = tau(v, dim + 1 - i if i <= dim else dim + 1)
         rep.require(f"R-tau i={i}", r.compose(t_i) == (t_next.compose(rp) if i <= dim - 1 else t_next))
         rep.require(f"S-tau i={i}", s.compose(t_i) == t_refl.compose(sp))
     return rep

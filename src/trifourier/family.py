@@ -45,14 +45,13 @@ def standard_paths(dim: int) -> dict[int, str]:
     if dim == 0:
         return {0: "zero"}
     space = make_space(dim)
-    sub_space = make_space(dim - 2)
     keys = space.interval_keys
     nested = [0]
     for j in range(1, space.half + 1):
         nested.append(nested[-1] | keys[space.interval_vector(j, dim + 1 - j)])
     paths = {key: f"E_{k}@D={dim}" for k, key in enumerate(nested)}
     for i in range(1, dim + 1):
-        table = tau(space, sub_space, i).key_table()
+        table = tau(space, i).key_table()
         ei = keys[space.circular(i)]
         for key, path in standard_paths(dim - 2).items():
             pushed = push_key(table, key, ei)
@@ -75,11 +74,10 @@ def family_subspaces_prime(dim: int) -> frozenset[int]:
     if dim == 0:
         return frozenset({0})
     space = make_space(dim)
-    sub_space = make_space(dim - 2)
     prev = family_subspaces(dim - 2)
     out = {0}
     for i in range(1, dim + 2):
-        table = tau(space, sub_space, i).key_table()
+        table = tau(space, i).key_table()
         ei = space.interval_keys[space.circular(i)]
         out.update(push_key(table, key, ei) for key in prev)
     return frozenset(out)
@@ -101,10 +99,8 @@ def family_subspaces_ucb(dim: int) -> frozenset[int]:
     if dim == 0:
         return frozenset({0})
     space = make_space(dim)
-    if dim == 2:
-        return frozenset({0, *space.interval_keys.values()})
     sub_space = make_space(dim - 2)
-    t11 = generic_tau(space, sub_space, 1, 1)
+    t11 = generic_tau(space, 1, 1)
     e1 = space.circular(1)
     for gamma in range(1, dim + 2):
         r_gamma = rotation(space, gamma - 1)
@@ -113,7 +109,7 @@ def family_subspaces_ucb(dim: int) -> frozenset[int]:
         outer = r_gamma.compose(t11)
         for gamma_p in range(1, dim):
             factored = outer.compose(rotation(sub_space, 1 - gamma_p))
-            if generic_tau(space, sub_space, gamma_p, gamma) != factored:
+            if generic_tau(space, gamma_p, gamma) != factored:
                 raise FamilyStructureError(
                     f"the embedding of pair ({gamma_p}, {gamma}) is not R^{gamma - 1} T_11 rho^-{gamma_p - 1}"
                 )
@@ -205,8 +201,10 @@ class Family:
     `keys` are the members' interval keys (see `SymplecticSpace.intervals`)
     and `provenance` maps a key to the path that built it.  Each key is
     checked to be the unique interval basis of its span, so distinct keys
-    are distinct members, and its span to be isotropic; its rows are
-    reduced once, and the entries are sorted by (dim, rows).
+    are distinct members; its rows are reduced once, and the entries are
+    sorted by (dim, rows).  The check also makes each span isotropic: the
+    pairing (e_[c,d], e_[a,b]) is [a-1 in {c-1, d}] + [b in {c-1, d}], so
+    two intervals with no shared endpoint pair to 0.
     """
 
     def __init__(self, dim: int, keys: Iterable[int], provenance: dict[int, str]):
@@ -224,10 +222,7 @@ class Family:
                     f"family member {space.interval_span(key).rows} has no unique interval basis: "
                     f"two of its intervals {labs} share an endpoint"
                 )
-            sub = Subspace(rows)
-            if not is_isotropic(space, sub):
-                raise FamilyStructureError(f"family member {rows} is not isotropic")
-            members.append((len(rows), sub, key, tuple(map(labels.__getitem__, bits))))
+            members.append((len(rows), Subspace(rows), key, tuple(map(labels.__getitem__, bits))))
         members.sort()
         even = sum(1 << k for k, lab in enumerate(labels) if lab.is_even)
         self.entries: list[FamilyEntry] = []
@@ -298,9 +293,6 @@ class Family:
     def by_n(self, k: int) -> list[FamilyEntry]:
         return [e for e in self.entries if e.n_even == k]
 
-    def kappa(self, ent: FamilyEntry) -> FamilyEntry:
-        return self.entries[ent.kappa_index]
-
     def shriek(self, ent: FamilyEntry) -> FamilyEntry:
         return self.entries[ent.shriek_index]
 
@@ -308,16 +300,6 @@ class Family:
 @lru_cache(maxsize=None)
 def build_family(dim: int) -> Family:
     return Family(dim, family_subspaces(dim), standard_paths(dim))
-
-
-@lru_cache(maxsize=None)
-def build_family_prime(dim: int) -> Family:
-    return Family(dim, family_subspaces_prime(dim), {})
-
-
-@lru_cache(maxsize=None)
-def build_family_ucb(dim: int) -> Family:
-    return Family(dim, family_subspaces_ucb(dim), {})
 
 
 def signed_binomial_sum(d: int) -> int:

@@ -180,18 +180,18 @@ def verify_involution(space: SymplecticSpace) -> bool:
 # -- the push-up maps -----------------------------------------------------------
 
 
-def z_map(space: SymplecticSpace, sub_space: SymplecticSpace, i: int, f_prime: Sequence) -> list:
+def z_map(space: SymplecticSpace, i: int, f_prime: Sequence) -> list:
     """Z f' for the i-th push-up Z, on values that add: numbers, or packed rows.
 
     The image of a point mass at y is the sum of the point masses at
     tau_i(y) and tau_i(y) + e_i.
     """
-    size_small = 1 << sub_space.dim
+    size_small = 1 << (space.dim - 2)
     if len(f_prime) != size_small:
         raise ValueError(f"function vector must have length {size_small}")
     e = space.circular(i)
     out = [0] * (1 << space.dim)
-    for t, value in zip(tau(space, sub_space, i).table(), f_prime):
+    for t, value in zip(tau(space, i).table(), f_prime):
         out[t] += value
         out[t ^ e] += value
     return out
@@ -211,8 +211,8 @@ def verify_z_commutation(dim: int) -> Report:
     ident = [fields.unit(j) for j in range(1 << vp.dim)]
     g_small = sign_transform(vp, ident)
     for i in range(1, dim + 2):
-        lhs = sign_transform(v, z_map(v, vp, i, ident))
-        rep.require(f"i={i}", lhs == [2 * x for x in z_map(v, vp, i, g_small)])
+        lhs = sign_transform(v, z_map(v, i, ident))
+        rep.require(f"i={i}", lhs == [2 * x for x in z_map(v, i, g_small)])
     return rep
 
 
@@ -320,12 +320,12 @@ def push_up(dim: int, below: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     Raises FamilyStructureError naming the member when two pushes give it
     different rows.
     """
-    space, sub_space = make_space(dim), make_space(dim - 2)
+    space = make_space(dim)
     rows: dict[int, dict[int, int]] = {}
     for i in range(1, dim + 2):
         if not check_complement(space, i):
             raise FamilyStructureError(f"the image of tau_{i} at D={dim} is not a complement of e_{i} in its perp")
-        table = tau(space, sub_space, i).key_table()
+        table = tau(space, i).key_table()
         ei = space.interval_keys[space.circular(i)]
         pushed = {key: push_key(table, key, ei) for key in below}
         for key, row in below.items():
@@ -334,7 +334,7 @@ def push_up(dim: int, below: dict[int, dict[int, int]]) -> dict[int, dict[int, i
             if first is not new and first != new:
                 raise FamilyStructureError(
                     f"member {space.interval_span(pushed[key]).rows} at D={dim}: its push through tau_{i} "
-                    f"from {sub_space.interval_span(key).rows} gives a row that differs from an earlier push"
+                    f"from {make_space(dim - 2).interval_span(key).rows} gives a row that differs from an earlier push"
                 )
     return rows
 

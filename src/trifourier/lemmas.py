@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .family import FamilyStructureError, build_family
 from .fourier import CobMatrix, change_of_basis, dense_checks, push_up
-from .gf2 import make_space
 from .taumaps import check_complement, preserves_form, tau
 
 
@@ -28,9 +27,9 @@ def lemma_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
     below = change_of_basis(build_family(dim - 2))
     checks = [(f"lemma:{check} D={dim - 2}", ok, details) for check, ok, details in dense_checks(below)]
 
-    space, sub_space = fam.space, make_space(dim - 2)
+    space = fam.space
     maps = range(1, dim + 2)
-    bad_maps = [f"tau_{i}" for i in maps if not preserves_form(space, tau(space, sub_space, i))]
+    bad_maps = [f"tau_{i}" for i in maps if not preserves_form(space, tau(space, i))]
     checks.append(("lemma:preserves-form", not bad_maps, ", ".join(bad_maps)))
     bad_maps = [f"tau_{i}" for i in maps if not check_complement(space, i)]
     checks.append(("lemma:complement", not bad_maps, ", ".join(bad_maps)))

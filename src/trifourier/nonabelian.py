@@ -438,18 +438,18 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]
     return vfu, ft.den * (det // g)
 
 
-def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
-                      expected_signs: list[int] | None = None) -> Report:
+def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
     """Certify the piece-triangular shape and the per-piece diagonal signs.
 
     The image of each new-basis element must be +-itself plus a combination
-    of elements in strictly later pieces; the first violating entry is
-    reported.  When expected per-piece signs are given they are compared
-    against the observed diagonal.
+    of elements in strictly later pieces of the group's `piece_partition`;
+    the first violating entry is reported.  The observed diagonal signs are
+    compared against the group's `PIECE_SIGNS`.
     """
     from .bareiss import adjugate
 
     md = ft.mdata
+    pieces, expected_signs = piece_partition(md.name), PIECE_SIGNS[md.name]
     rep = Report(f"triangular {md.name}" + (f" variant={basis.variant}" if basis.variant else ""))
     n = ft.size
     rep.require("basis size", basis.size == n, f"{basis.size} != {n}")
@@ -492,8 +492,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis, pieces: list[list[MPair]],
         rep.require(f"piece {k + 1} sign constant", len(signs) == 1, f"signs {signs}")
         observed.append(signs.pop() if len(signs) == 1 else 0)
     rep.add("observed signs", True, ",".join(str(s) for s in observed))
-    if expected_signs is not None:
-        rep.require("signs match", observed == list(expected_signs), f"{observed} != {expected_signs}")
+    rep.require("signs match", observed == expected_signs, f"{observed} != {expected_signs}")
     return rep
 
 

@@ -33,9 +33,6 @@ class Report:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

@@ -3,9 +3,9 @@
 For each vertex index i of the larger circle there is an embedding sending
 the D-1 circular vectors of the smaller space to a sequence of circular
 vectors of the larger one, with one triple sum e_{i-1}+e_i+e_{i+1} inserted.
-The generic form takes an arbitrary vertex pair (one per circle) and walks
-both circles consistently.  The rotation R and the reflection S of one circle
-are maps of the same kind.
+Each is built by the generic form, which takes a vertex pair (one per
+circle) and walks both circles consistently.  The rotation R and the
+reflection S of one circle are maps of the same kind.
 """
 
 from __future__ import annotations
@@ -108,41 +108,17 @@ def _validate_embedding(emb: CircularMap, dst: SymplecticSpace) -> None:
 
 
 @lru_cache(maxsize=None)
-def tau(space: SymplecticSpace, sub_space: SymplecticSpace, i: int) -> CircularMap:
-    """The i-th embedding of the (D-2)-space into the D-space, i in [1, D+1].
+def tau(space: SymplecticSpace, i: int) -> CircularMap:
+    """The i-th embedding of the (D-2)-space into `space`, i in [1, D+1]: the
+    vertex-pair embedding at `numbered_pair(D, i)`.
 
-    Built and validated once per (space, sub_space, i): the recursions, the
-    change of basis and the checks all use the same maps.
-
-    Image sequence of the D-1 circular vectors of the source:
-      1 < i <= D : e_1,...,e_{i-2}, e_{i-1}+e_i+e_{i+1}, e_{i+2},...,e_{D+1}
-      i = 1      : e_3,...,e_D, e_{D+1}+e_1+e_2
-      i = D+1    : e_2,...,e_{D-1}, e_D+e_{D+1}+e_1
-    For D = 2 the source is the zero space and the map is zero.
+    tau_i sends one source vector (e_{i-1}, or e_{D-1} for i = 1 and
+    i = D+1) to e_{i-1}+e_i+e_{i+1}, indices mod D+1, and the others, in
+    circular order, onto the circular vectors outside that sum.  Built and
+    validated once per (space, i): the recursions, the change of basis and
+    the checks all use the same maps.
     """
-    d_big = space.dim
-    if d_big < 2 or d_big % 2 != 0:
-        raise ValueError(f"target dimension must be even and >= 2, got {d_big}")
-    if sub_space.dim != d_big - 2:
-        raise ValueError("source space must have dimension D-2")
-    if not 1 <= i <= d_big + 1:
-        raise ValueError(f"index {i} out of range [1,{d_big + 1}]")
-    if d_big == 2:
-        return CircularMap(0, 2, (0,))
-    e = space.circular
-    if i == 1:
-        images = [e(j + 2) for j in range(1, d_big - 1)]
-        images.append(e(d_big + 1) ^ e(1) ^ e(2))
-    elif i == d_big + 1:
-        images = [e(j + 1) for j in range(1, d_big - 1)]
-        images.append(e(d_big) ^ e(d_big + 1) ^ e(1))
-    else:
-        images = [e(j) for j in range(1, i - 1)]
-        images.append(e(i - 1) ^ e(i) ^ e(i + 1))
-        images += [e(j + 2) for j in range(i, d_big)]
-    emb = CircularMap(d_big - 2, d_big, tuple(images))
-    _validate_embedding(emb, space)
-    return emb
+    return generic_tau(space, *numbered_pair(space.dim, i))
 
 
 def push_key(table: dict[int, int], key: int, extra: int = 0) -> int:
@@ -183,7 +159,7 @@ def check_complement(space: SymplecticSpace, i: int) -> bool:
     The D-2 images of the coordinate vectors and e_i span such a complement
     plus the line exactly when they lie in the perp and have its rank, D - 1.
     """
-    images = tau(space, make_space(space.dim - 2), i).coordinate_images()
+    images = tau(space, i).coordinate_images()
     ei = space.circular(i)
     perp_line = perp(space, Subspace.span([ei]))
     return all(map(perp_line.contains, images)) and len(rref((*images, ei))) == perp_line.dim == space.dim - 1
@@ -212,19 +188,19 @@ def verify_composition_identity(dim: int) -> Report:
     vp = make_space(dim - 2)
     vpp = make_space(dim - 4)
     members = family_subspaces(dim - 4)
-    tau_top = tau(v, vp, dim + 1)
+    tau_top = tau(v, dim + 1)
     top = tau_top.key_table()
-    tau_last = tau(vp, vpp, dim - 1)
+    tau_last = tau(vp, dim - 1)
     last = tau_last.key_table()
     e_top, e_last = v.interval_keys[v.circular(dim + 1)], vp.interval_keys[vp.circular(dim - 1)]
     for i in range(1, dim - 1):
-        ti = tau(vp, vpp, i)
+        ti = tau(vp, i)
         lhs = tau_top.compose(ti).coordinate_images()
         for j in ({1, 2} if i == 1 else {i + 1}):
-            rhs = tau(v, vp, j).compose(tau_last).coordinate_images()
+            rhs = tau(v, j).compose(tau_last).coordinate_images()
             rep.require(f"matrix i={i} j={j}", lhs == rhs, f"lhs={lhs} rhs={rhs}")
         j = i + 1
-        t_i, t_j = ti.key_table(), tau(v, vp, j).key_table()
+        t_i, t_j = ti.key_table(), tau(v, j).key_table()
         e_i, e_j = vp.interval_keys[vp.circular(i)], v.interval_keys[v.circular(j)]
         # Keys compare as subspaces: each side pushes a member's interval basis,
         # which the maps carry to the unique interval basis of the image.
@@ -237,49 +213,37 @@ def verify_composition_identity(dim: int) -> Report:
     return rep
 
 
-def generic_tau(
-    space: SymplecticSpace,
-    sub_space: SymplecticSpace,
-    gamma_p: int,
-    gamma: int,
-    orientation: int = 1,
-) -> CircularMap:
-    """Embedding determined by a vertex of each circle, walking both circles.
+def generic_tau(space: SymplecticSpace, gamma_p: int, gamma: int) -> CircularMap:
+    """The embedding of the (D-2)-space into `space` determined by a vertex of each circle.
 
     The chosen source vertex gamma_p maps to the sum over the closed
     neighborhood of gamma; the remaining source vertices map bijectively,
-    in circular order, onto the vertices outside that neighborhood.  The
-    two walk directions (orientation +-1) produce the same map; walking the
-    circles in opposite directions would give the reflected map instead,
-    which fails the pinning identities against the numbered embeddings.
+    in circular order, onto the vertices outside that neighborhood.  Walking
+    both circles backwards gives the same map; walking them in opposite
+    directions would give the reflected map instead, which fails the
+    pinning identities against the numbered embeddings.  For D = 2 the
+    source is the zero space and e_1+e_2+e_3 = 0, so the map is zero.
     """
     d_big = space.dim
-    if d_big < 4:
-        raise ValueError("generic embedding requires D >= 4")
-    if sub_space.dim != d_big - 2:
-        raise ValueError("source space must have dimension D-2")
+    if d_big < 2:
+        raise ValueError(f"target dimension must be even and >= 2, got {d_big}")
     n_src = d_big - 1
-    n_dst = d_big + 1
     if not 1 <= gamma_p <= n_src:
         raise ValueError(f"source vertex {gamma_p} out of range [1,{n_src}]")
-    if not 1 <= gamma <= n_dst:
-        raise ValueError(f"target vertex {gamma} out of range [1,{n_dst}]")
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    e = space.circular
+    if not 1 <= gamma <= d_big + 1:
+        raise ValueError(f"target vertex {gamma} out of range [1,{d_big + 1}]")
+    e = space.circular  # indices taken cyclically
     images: list[int] = [0] * n_src
     images[gamma_p - 1] = e(gamma - 1) ^ e(gamma) ^ e(gamma + 1)
     for k in range(1, n_src):
-        src = (gamma_p - 1 + orientation * k) % n_src
-        dst = (gamma - 1 + orientation * (k + 1)) % n_dst
-        images[src] = e(dst + 1)
+        images[(gamma_p - 1 + k) % n_src] = e(gamma + k + 1)
     emb = CircularMap(d_big - 2, d_big, tuple(images))
     _validate_embedding(emb, space)
     return emb
 
 
 def numbered_pair(dim: int, i: int) -> tuple[int, int]:
-    """The (gamma_p, gamma) pair whose generic embedding equals tau_i."""
+    """The (gamma_p, gamma) pair whose vertex-pair embedding is tau_i."""
     if 2 <= i <= dim:
         return i - 1, i
     if i == 1:

@@ -1,8 +1,9 @@
 """Test-only GF(2) helpers: masks as coordinate tuples, functions on the
 space as plain 0/1 value lists, the enumeration oracle for interval bases,
-the row-space forms of the family recursion (members as reduced rows,
-pushed through a map's table of all source vectors and reduced per push),
-and the change of basis by one peel solve over all 2^D right-hand sides."""
+the paper's three-case formula for the embeddings tau_i, the row-space
+forms of the family recursion (members as reduced rows, pushed through a
+map's table of all source vectors and reduced per push), and the change of
+basis by one peel solve over all 2^D right-hand sides."""
 
 from functools import lru_cache
 from typing import Iterable
@@ -122,16 +123,38 @@ def close_rows(table: list[int], members: Iterable[tuple[int, ...]]) -> set[tupl
     return out
 
 
+def tau_by_cases(space: SymplecticSpace, i: int) -> tuple[int, ...]:
+    """The images of tau_i by the paper's three cases, i in [1, D+1], D >= 2.
+
+    Image sequence of the D-1 circular vectors of the (D-2)-space:
+      1 < i <= D : e_1,...,e_{i-2}, e_{i-1}+e_i+e_{i+1}, e_{i+2},...,e_{D+1}
+      i = 1      : e_3,...,e_D, e_{D+1}+e_1+e_2
+      i = D+1    : e_2,...,e_{D-1}, e_D+e_{D+1}+e_1
+    For D = 2 the source is the zero space and the map is zero.
+    """
+    d_big, e = space.dim, space.circular
+    if d_big == 2:
+        return (0,)
+    if i == 1:
+        return (*(e(j + 2) for j in range(1, d_big - 1)), e(d_big + 1) ^ e(1) ^ e(2))
+    if i == d_big + 1:
+        return (*(e(j + 1) for j in range(1, d_big - 1)), e(d_big) ^ e(d_big + 1) ^ e(1))
+    return (
+        *(e(j) for j in range(1, i - 1)),
+        e(i - 1) ^ e(i) ^ e(i + 1),
+        *(e(j + 2) for j in range(i, d_big)),
+    )
+
+
 @lru_cache(maxsize=None)
 def standard_paths_by_rows(dim: int) -> dict[Subspace, str]:
     """`family.standard_paths` in row space: each member as a Subspace, with its first path."""
     if dim == 0:
         return {ZERO_SUBSPACE: "zero"}
     space = make_space(dim)
-    sub_space = make_space(dim - 2)
     paths = {nested_interval_subspace(space, k): f"E_{k}@D={dim}" for k in range(space.half + 1)}
     for i in range(1, dim + 1):
-        t = tau(space, sub_space, i).table()
+        t = tau(space, i).table()
         ei = space.circular(i)
         for sub, path in standard_paths_by_rows(dim - 2).items():
             paths.setdefault(Subspace(push_rows(t, sub.rows, ei)), f"tau_{i}[{path}]")

@@ -25,13 +25,11 @@ from trifourier.fourier import (
 )
 from trifourier.gf2 import canonical_subspace, make_space, rref
 from trifourier.nonabelian import (
-    PIECE_SIGNS,
     MPair,
     hyperplane_check,
     load_basis,
     mdata,
     nonabelian_ft,
-    piece_partition,
     s3_new_basis,
     verify_triangular,
 )
@@ -164,9 +162,9 @@ def test_criterion_5_family_equivalences():
 
 def test_criterion_6_structural_maps():
     for dim in (4, 6, 8):
-        v, vp = make_space(dim), make_space(dim - 2)
+        v = make_space(dim)
         for i in range(1, dim + 2):
-            emb = tau(v, vp, i)  # constructor validates injectivity + form
+            emb = tau(v, i)  # constructor validates injectivity + form
             assert len(rref(emb.coordinate_images())) == dim - 2
     for dim in (2, 4, 6, 8):
         sp = make_space(dim)
@@ -206,7 +204,7 @@ def test_criterion_7_smallest_group():
         ("g3", "1"): Fraction(0), ("g3", "theta"): Fraction(0), ("g3", "theta2"): Fraction(0),
     }
     for variant in ("g2", "e"):
-        rep = verify_triangular(ft, s3_new_basis(variant), piece_partition("s3"), PIECE_SIGNS["s3"])
+        rep = verify_triangular(ft, s3_new_basis(variant))
         assert rep.ok, rep.summary()
     _ok(7, "rows match, both basis variants triangular with signs -1,-1,1")
 
@@ -228,12 +226,12 @@ def test_criterion_9_verify_basis_pathway():
     # a valid unimodular file round-trips to a certificate
     doc = new_basis_to_json(s3_new_basis("g2"))
     loaded = load_basis(json.loads(json.dumps(doc)))
-    rep = verify_triangular(nonabelian_ft("s3"), loaded, piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep = verify_triangular(nonabelian_ft("s3"), loaded)
     assert rep.ok, rep.summary()
     # deliberately corrupted bases must fail with a pinpointed check
     broken = s3_new_basis("g2")
     broken.matrix[0] = [2 * v for v in broken.matrix[0]]
-    rep_bad = verify_triangular(nonabelian_ft("s3"), broken, piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep_bad = verify_triangular(nonabelian_ft("s3"), broken)
     assert not rep_bad.ok
     assert any(c.check_id == "unimodular" and not c.ok for c in rep_bad.checks)
     md = nonabelian_ft("s3").mdata
@@ -241,7 +239,7 @@ def test_criterion_9_verify_basis_pathway():
     j = md.index[MPair("1", "eps")]
     for i in range(8):
         flat.matrix[i][j] = 1 if i == j else 0
-    rep_flat = verify_triangular(nonabelian_ft("s3"), flat, piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep_flat = verify_triangular(nonabelian_ft("s3"), flat)
     assert not rep_flat.ok
     first = next(c for c in rep_flat.checks if not c.ok)
     assert first.check_id == "triangular" and "hat" in first.details

@@ -149,7 +149,7 @@ def test_nonabelian_hyperplane(capsys):
     code, out, _ = run(capsys, "nonabelian", "--group", "s5", "--check", "hyperplane")
     assert code == 0
     code_bad, _, err = run(capsys, "nonabelian", "--group", "s3", "--check", "hyperplane")
-    assert code_bad == 1 and "s5" in err
+    assert code_bad == 2 and "s5" in err
 
 
 def test_nonabelian_matrix_json(capsys):

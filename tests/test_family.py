@@ -18,8 +18,6 @@ from trifourier.family import (
     Family,
     FamilyStructureError,
     build_family,
-    build_family_prime,
-    build_family_ucb,
     delta,
     entry_compact,
     family_subspaces,
@@ -33,7 +31,7 @@ from trifourier.family import (
     verify_counts,
     verify_structure,
 )
-from trifourier.gf2 import Subspace, bits_of, canonical_subspace, is_isotropic, make_space, rref
+from trifourier.gf2 import Subspace, bits_of, canonical_subspace, is_isotropic, make_space
 from trifourier.taumaps import CircularMap, generic_tau, push_key, reflection, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
@@ -227,12 +225,12 @@ def test_kappa_examples():
     fam2 = build_family(2)
     zero = fam2.entry(Subspace(()))
     line3 = fam2.entry(canonical_subspace([0b11]))
-    assert fam2.kappa(zero).index == line3.index
-    assert fam2.kappa(line3).index == zero.index
+    assert zero.kappa_index == line3.index
+    assert line3.kappa_index == zero.index
     fam4 = build_family(4)
     e2 = canonical_subspace([0b00010])
     e2_5 = canonical_subspace([0b00010, 0b01111])
-    assert fam4.kappa(fam4.entry(e2_5)).subspace == e2
+    assert fam4.entries[fam4.entry(e2_5).kappa_index].subspace == e2
 
 
 def test_kappa_involution_and_grading():
@@ -281,18 +279,18 @@ def test_ucb_matches_all_pairs_reference(dim):
 def test_ucb_pair_factorisation(dim):
     # every pair's embedding is R^(gamma-1) . T_11 . rho^-(gamma'-1), and R^(gamma-1) e_1 = e_gamma
     space, sub_space = make_space(dim), make_space(dim - 2)
-    t11 = generic_tau(space, sub_space, 1, 1)
+    t11 = generic_tau(space, 1, 1)
     for gamma_p in range(1, dim):
         for gamma in range(1, dim + 2):
             r = rotation(space, gamma - 1)
             factored = r.compose(t11).compose(rotation(sub_space, -(gamma_p - 1)))
-            assert generic_tau(space, sub_space, gamma_p, gamma) == factored, (gamma_p, gamma)
+            assert generic_tau(space, gamma_p, gamma) == factored, (gamma_p, gamma)
             assert r.apply(space.circular(1)) == space.circular(gamma)
 
 
-def _opposite_walk(space, sub_space, gamma_p, gamma):
+def _opposite_walk(space, gamma_p, gamma):
     """The pair's embedding with the two circles walked in opposite directions."""
-    n_src, n_dst = space.dim - 1, space.dim + 1
+    n_src = space.dim - 1
     images = [0] * n_src
     images[gamma_p - 1] = space.circular(gamma - 1) ^ space.circular(gamma) ^ space.circular(gamma + 1)
     for k in range(1, n_src):
@@ -303,13 +301,13 @@ def _opposite_walk(space, sub_space, gamma_p, gamma):
 def test_ucb_guard_rejects_a_wrong_pair(monkeypatch):
     dim, bad = 8, (3, 5)
     real = family_module.generic_tau
-    space, sub_space = make_space(dim), make_space(dim - 2)
-    assert _opposite_walk(space, sub_space, *bad) != real(space, sub_space, *bad)
+    space = make_space(dim)
+    assert _opposite_walk(space, *bad) != real(space, *bad)
 
-    def patched(space, sub_space, gamma_p, gamma, orientation=1):
+    def patched(space, gamma_p, gamma):
         if space.dim == dim and (gamma_p, gamma) == bad:
-            return _opposite_walk(space, sub_space, gamma_p, gamma)
-        return real(space, sub_space, gamma_p, gamma, orientation)
+            return _opposite_walk(space, gamma_p, gamma)
+        return real(space, gamma_p, gamma)
 
     monkeypatch.setattr(family_module, "generic_tau", patched)
     family_subspaces_ucb.cache_clear()
@@ -329,8 +327,8 @@ def test_prime_recursion_contains_nested_line():
 
 
 def test_decorated_variants_build():
-    assert len(build_family_prime(6)) == 64
-    assert len(build_family_ucb(6)) == 64
+    assert len(Family(6, family_subspaces_prime(6), {})) == 64
+    assert len(Family(6, family_subspaces_ucb(6), {})) == 64
 
 
 def test_provenance_present():
@@ -352,7 +350,7 @@ def _replay(path: str, dim: int) -> Subspace:
     i = int(pushed[1])
     space = make_space(dim)
     inner = _replay(pushed[2], dim - 2)
-    return Subspace(push_rows(tau(space, make_space(dim - 2), i).table(), inner.rows, space.circular(i)))
+    return Subspace(push_rows(tau(space, i).table(), inner.rows, space.circular(i)))
 
 
 @pytest.mark.parametrize("dim", range(0, 11, 2))
@@ -431,13 +429,9 @@ def test_endpoint_criterion_matches_enumeration_on_random_interval_sets():
 
 def _member_maps(dim):
     """Each map a member of the D-family is pushed through, with its extra circular vector."""
-    space, sub_space = make_space(dim), make_space(dim - 2)
-    maps = [(tau(space, sub_space, i), space.circular(i)) for i in range(1, dim + 2)]
-    if dim >= 4:
-        maps += [
-            (generic_tau(space, sub_space, gp, g), space.circular(g))
-            for gp in range(1, dim) for g in range(1, dim + 2)
-        ]
+    space = make_space(dim)
+    maps = [(tau(space, i), space.circular(i)) for i in range(1, dim + 2)]
+    maps += [(generic_tau(space, gp, g), space.circular(g)) for gp in range(1, dim) for g in range(1, dim + 2)]
     return maps
 
 
@@ -482,18 +476,25 @@ def test_family_rejects_a_key_with_a_shared_endpoint():
             Family(4, [0, _key(space, intervals)], {})
 
 
-def test_family_rejects_a_key_that_is_not_isotropic(monkeypatch):
-    # <e_1, e_2> is not isotropic; with the endpoint check bypassed, the isotropy check names it
+def test_family_rejects_a_key_that_is_not_isotropic():
+    # <e_1, e_2> is not isotropic; the endpoint check names it
     space = make_space(4)
     key = _key(space, [(1, 1), (2, 2)])
     assert not is_isotropic(space, space.interval_span(key))
     with pytest.raises(FamilyStructureError, match=re.escape("family member (1, 2)")):
         Family(4, [key], {})
-    monkeypatch.setattr(
-        family_module, "interval_basis_rows", lambda sp, bits: rref(sp.interval_vectors[k] for k in bits)
-    )
-    with pytest.raises(FamilyStructureError, match=re.escape("family member (1, 2) is not isotropic")):
-        Family(4, [key], {})
+
+
+@pytest.mark.parametrize("dim", range(2, 15, 2))
+def test_interval_pairing_is_the_shared_endpoint_count(dim):
+    # (e_[c,d], e_[a,b]) = [a-1 in {c-1, d}] + [b in {c-1, d}]: intervals with no
+    # shared endpoint pair to 0, so the endpoint check in Family implies isotropy
+    space = make_space(dim)
+    for c, d in all_intervals(dim):
+        for a, b in all_intervals(dim):
+            ends = {c - 1, d}
+            expected = ((a - 1 in ends) + (b in ends)) % 2
+            assert space.pairing(space.interval_vector(c, d), space.interval_vector(a, b)) == expected, (c, d, a, b)
 
 
 def test_family_entries_carry_their_interval_keys():

@@ -93,7 +93,7 @@ def test_phi_of_subspace_indicator_hits_perp():
 
 def test_z_map_pushes_zero_subspace():
     v, vp = make_space(4), make_space(2)
-    out = z_map(v, vp, 5, characteristic(vp, Subspace(())))
+    out = z_map(v, 5, characteristic(vp, Subspace(())))
     assert out == characteristic(v, canonical_subspace([v.circular(5)]))
 
 
@@ -101,9 +101,9 @@ def test_z_map_point_mass():
     v, vp = make_space(4), make_space(2)
     from trifourier.taumaps import tau
 
-    emb = tau(v, vp, 2)
+    emb = tau(v, 2)
     for y in range(4):
-        out = z_map(v, vp, 2, characteristic(vp, [y]))
+        out = z_map(v, 2, characteristic(vp, [y]))
         t = emb.apply(y)
         expect = [0] * 16
         expect[t] += 1
@@ -123,8 +123,8 @@ def test_z_commutation_pointwise_d4():
     for i in range(1, 6):
         for y in range(4):
             f = characteristic(vp, [y])
-            lhs = phi(v, z_map(v, vp, i, f))
-            rhs = z_map(v, vp, i, phi(vp, f))
+            lhs = phi(v, z_map(v, i, f))
+            rhs = z_map(v, i, phi(vp, f))
             assert lhs == rhs
 
 
@@ -223,5 +223,5 @@ def test_fraction_string_is_the_reduced_fraction():
 
 def test_z_map_shape():
     v, vp = make_space(4), make_space(2)
-    columns = [z_map(v, vp, 1, characteristic(vp, [y])) for y in range(4)]
+    columns = [z_map(v, 1, characteristic(vp, [y])) for y in range(4)]
     assert all(len(col) == 16 and sorted(col) == [0] * 14 + [1, 1] for col in columns)

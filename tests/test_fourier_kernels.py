@@ -118,7 +118,7 @@ def test_recursion_rows_match_the_solve_oracle(dim):
 def test_a_corrupted_row_below_fails_push_agreement(dim):
     below = expansion_rows(dim - 2)
     assert push_up(dim, below) == {key: row for key, row in expansion_rows(dim).items() if key}
-    space, sub_space = make_space(dim), make_space(dim - 2)
+    space = make_space(dim)
     for key in below:
         corrupted = {k: dict(row) for k, row in below.items()}
         column = next(iter(corrupted[key]))
@@ -132,7 +132,7 @@ def test_a_corrupted_row_below_fails_push_agreement(dim):
             push_up(dim, corrupted)
         # the named member is a push of the corrupted one
         pushes = {
-            push_key(tau(space, sub_space, i).key_table(), key, space.interval_keys[space.circular(i)])
+            push_key(tau(space, i).key_table(), key, space.interval_keys[space.circular(i)])
             for i in range(1, dim + 2)
         }
         assert any(f"member {space.interval_span(t).rows} at D={dim}:" in str(err.value) for t in pushes)
@@ -156,7 +156,7 @@ def test_z_commutation_matches_dense_sign_matrices(dim):
     v, vp = make_space(dim), make_space(dim - 2)
     g, gp = dense_sign_matrix(v), dense_sign_matrix(vp)
     for i in range(1, dim + 2):
-        z = transpose([z_map(v, vp, i, characteristic(vp, [y])) for y in range(1 << vp.dim)])
+        z = transpose([z_map(v, i, characteristic(vp, [y])) for y in range(1 << vp.dim)])
         assert transform_columns(v, z) == matmul(g, z)
         assert matmul(g, z) == [[2 * x for x in row] for row in matmul(z, gp)]
     assert verify_z_commutation(dim).ok
@@ -226,7 +226,7 @@ def _corrupted(cob, r, c, value):
 
 
 def _failed(rep):
-    return {c.check_id for c in rep.failures()}
+    return {c.check_id for c in rep.checks if not c.ok}
 
 
 def test_verify_change_of_basis_rejects_corruptions():

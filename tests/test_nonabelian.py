@@ -147,7 +147,7 @@ def test_s3_new_basis_unimodular():
 @pytest.mark.parametrize("variant", ["g2", "e"])
 def test_s3_triangularity_and_signs(variant):
     ft = nonabelian_ft("s3")
-    rep = verify_triangular(ft, s3_new_basis(variant), piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep = verify_triangular(ft, s3_new_basis(variant))
     assert rep.ok, rep.summary()
 
 
@@ -196,14 +196,14 @@ def test_basis_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = load_basis_file(str(path))
     assert loaded.matrix == nb.matrix
-    rep = verify_triangular(nonabelian_ft("s3"), loaded, piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep = verify_triangular(nonabelian_ft("s3"), loaded)
     assert rep.ok
 
 
 def test_corrupted_basis_non_unimodular():
     nb = s3_new_basis("g2")
     nb.matrix[0] = [2 * v for v in nb.matrix[0]]  # scale a row: det becomes +-2
-    rep = verify_triangular(nonabelian_ft("s3"), nb, piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep = verify_triangular(nonabelian_ft("s3"), nb)
     assert not rep.ok
     assert any(c.check_id == "unimodular" and not c.ok for c in rep.checks)
 
@@ -214,17 +214,17 @@ def test_corrupted_basis_breaks_triangularity():
     j = md.index[MPair("1", "eps")]
     for i in range(8):  # replace hat(1,eps) by the bare pair (unimodular change)
         nb.matrix[i][j] = 1 if i == j else 0
-    rep = verify_triangular(nonabelian_ft("s3"), nb, piece_partition("s3"), PIECE_SIGNS["s3"])
+    rep = verify_triangular(nonabelian_ft("s3"), nb)
     assert not rep.ok
     failing = [c for c in rep.checks if not c.ok]
     assert failing and failing[0].check_id == "triangular"
     assert "hat" in failing[0].details
 
 
-def test_misordered_pieces_detected():
-    ft = nonabelian_ft("s3")
-    pieces = list(reversed(piece_partition("s3")))
-    rep = verify_triangular(ft, s3_new_basis("g2"), pieces, list(reversed(PIECE_SIGNS["s3"])))
+def test_misordered_pieces_detected(monkeypatch):
+    monkeypatch.setitem(PIECES, "s3", list(reversed(PIECES["s3"])))
+    monkeypatch.setitem(PIECE_SIGNS, "s3", list(reversed(PIECE_SIGNS["s3"])))
+    rep = verify_triangular(nonabelian_ft("s3"), s3_new_basis("g2"))
     assert not rep.ok
 
 

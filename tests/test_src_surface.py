@@ -18,9 +18,7 @@ from trifourier.taumaps import CircularMap
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "trifourier"
 
-# A paper lemma with no caller yet.  It is to be run by a `verify` suite;
-# adding it to a suite now would change the bytes that `verify` prints.
-ALLOWED_UNREACHED = {"numbered_pair"}
+ALLOWED_UNREACHED = set()
 
 
 def _wrapped_by_benchmark() -> set[str]:

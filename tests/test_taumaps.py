@@ -2,7 +2,7 @@ import pytest
 
 import trifourier.taumaps as taumaps
 
-from gf2_reference import close_rows, push_rows
+from gf2_reference import close_rows, push_rows, tau_by_cases
 
 from trifourier.family import family_subspaces
 from trifourier.gf2 import Subspace, make_space, rref
@@ -27,41 +27,43 @@ def e(sp, i):
 
 
 def test_tau_d4_cases():
-    v, vp = make_space(4), make_space(2)
-    t2 = tau(v, vp, 2)
+    v = make_space(4)
+    t2 = tau(v, 2)
     assert t2.images == (e(v, 1) ^ e(v, 2) ^ e(v, 3), e(v, 4), e(v, 5))
-    t1 = tau(v, vp, 1)
+    t1 = tau(v, 1)
     assert t1.images == (e(v, 3), e(v, 4), e(v, 5) ^ e(v, 1) ^ e(v, 2))
-    t5 = tau(v, vp, 5)
+    t5 = tau(v, 5)
     assert t5.images == (e(v, 2), e(v, 3), e(v, 4) ^ e(v, 5) ^ e(v, 1))
 
 
 def test_tau_d2_zero_map():
-    v, vp = make_space(2), make_space(0)
+    v = make_space(2)
     for i in (1, 2, 3):
-        assert tau(v, vp, i).images == (0,)
+        assert tau(v, i).images == (0,)
 
 
 def test_tau_rejects_bad_index():
-    v, vp = make_space(4), make_space(2)
+    v = make_space(4)
     with pytest.raises(ValueError):
-        tau(v, vp, 0)
+        tau(v, 0)
     with pytest.raises(ValueError):
-        tau(v, vp, 6)
+        tau(v, 6)
+    with pytest.raises(ValueError):
+        tau(make_space(0), 1)
 
 
 def test_tau_prime_d6():
-    vp, vpp = make_space(4), make_space(2)
-    t2 = tau(vp, vpp, 2)
+    vp = make_space(4)
+    t2 = tau(vp, 2)
     assert t2.images == (e(vp, 1) ^ e(vp, 2) ^ e(vp, 3), e(vp, 4), e(vp, 5))
-    t1 = tau(vp, vpp, 1)
+    t1 = tau(vp, 1)
     assert t1.images == (e(vp, 3), e(vp, 4), e(vp, 5) ^ e(vp, 1) ^ e(vp, 2))
 
 
 def test_tau_prime_d4_zero_map():
-    vp, vpp = make_space(2), make_space(0)
+    vp = make_space(2)
     for i in (1, 2, 3):
-        assert tau(vp, vpp, i).images == (0,)
+        assert tau(vp, i).images == (0,)
 
 
 def test_tau_injective_and_form_compatible():
@@ -69,7 +71,8 @@ def test_tau_injective_and_form_compatible():
     for dim in (4, 6, 8):
         v, vp = make_space(dim), make_space(dim - 2)
         for i in range(1, dim + 2):
-            emb = tau(v, vp, i)
+            emb = tau(v, i)
+            assert (emb.src_dim, emb.dst_dim) == (dim - 2, dim)
             assert len(rref(emb.coordinate_images())) == dim - 2
             for a in range(dim - 2):
                 for b in range(dim - 2):
@@ -96,9 +99,9 @@ def test_complement_property():
 
 def test_complement_check_matches_its_definition(monkeypatch):
     for dim in (2, 4, 6, 8):
-        sp, sub = make_space(dim), make_space(dim - 2)
+        sp = make_space(dim)
         for i in range(1, dim + 2):
-            image = Subspace.span(tau(sp, sub, i).coordinate_images())
+            image = Subspace.span(tau(sp, i).coordinate_images())
             ei = sp.circular(i)
             perp_line = Subspace.span(x for x in range(1 << dim) if sp.pairing(x, ei) == 0)
             assert not image.contains(ei) and image.extend(ei) == perp_line
@@ -120,44 +123,56 @@ def test_composition_identity(dim):
 
 def test_generic_tau_reproduces_numbered_maps():
     for dim in (4, 6):
-        v, vp = make_space(dim), make_space(dim - 2)
-        numbered = {tau(v, vp, i).images for i in range(1, dim + 2)}
-        for orientation in (1, -1):
-            produced = set()
-            for i in range(1, dim + 2):
-                gp, g = numbered_pair(dim, i)
-                emb = generic_tau(v, vp, gp, g, orientation=orientation)
-                assert emb.images == tau(v, vp, i).images
-                produced.add(emb.images)
-            assert produced == numbered and len(produced) == dim + 1
+        v = make_space(dim)
+        produced = set()
+        for i in range(1, dim + 2):
+            emb = generic_tau(v, *numbered_pair(dim, i))
+            assert emb.images == tau(v, i).images
+            produced.add(emb.images)
+        assert len(produced) == dim + 1
 
 
-def test_generic_tau_orientation_independent():
+@pytest.mark.parametrize("dim", range(2, 15, 2))
+def test_tau_matches_the_three_case_formula(dim):
+    v = make_space(dim)
+    for i in range(1, dim + 2):
+        assert tau(v, i).images == tau_by_cases(v, i), i
+
+
+def _backward_walk(space, gamma_p, gamma):
+    """The pair's embedding with both circles walked backwards from the chosen vertices."""
+    n_src = space.dim - 1
+    images = [0] * n_src
+    images[gamma_p - 1] = space.circular(gamma - 1) ^ space.circular(gamma) ^ space.circular(gamma + 1)
+    for k in range(1, n_src):
+        images[(gamma_p - 1 - k) % n_src] = space.circular(gamma - 1 - k)
+    return CircularMap(space.dim - 2, space.dim, tuple(images))
+
+
+@pytest.mark.parametrize("dim", range(2, 15, 2))
+def test_generic_tau_matches_the_backward_walk(dim):
     # walking both circles backwards gives the identical map, for every pair
-    v, vp = make_space(6), make_space(4)
-    for gp in range(1, 6):
-        for g in range(1, 8):
-            fwd = generic_tau(v, vp, gp, g, orientation=1)
-            bwd = generic_tau(v, vp, gp, g, orientation=-1)
-            assert fwd.images == bwd.images
+    v = make_space(dim)
+    for gp in range(1, dim):
+        for g in range(1, dim + 2):
+            assert generic_tau(v, gp, g).images == _backward_walk(v, gp, g).images, (gp, g)
 
 
 def test_generic_tau_rejects_bad_vertices():
-    v, vp = make_space(6), make_space(4)
+    v = make_space(6)
     with pytest.raises(ValueError):
-        generic_tau(v, vp, 0, 1)
+        generic_tau(v, 0, 1)
     with pytest.raises(ValueError):
-        generic_tau(v, vp, 1, 8)
+        generic_tau(v, 1, 8)
     with pytest.raises(ValueError):
-        generic_tau(v, vp, 1, 1, orientation=2)
+        generic_tau(make_space(0), 1, 1)
 
 
 def test_table_is_apply_on_every_source_vector():
     for dim in range(2, 9, 2):
-        v, vp = make_space(dim), make_space(dim - 2)
-        maps = [tau(v, vp, i) for i in range(1, dim + 2)] + [rotation(v), reflection(v)]
-        if dim >= 4:
-            maps += [generic_tau(v, vp, gp, g) for gp in range(1, dim) for g in range(1, dim + 2)]
+        v = make_space(dim)
+        maps = [tau(v, i) for i in range(1, dim + 2)] + [rotation(v), reflection(v)]
+        maps += [generic_tau(v, gp, g) for gp in range(1, dim) for g in range(1, dim + 2)]
         for m in maps:
             t = m.table()
             assert len(t) == 2**m.src_dim
@@ -168,7 +183,7 @@ def test_pushed_subspace_is_image_plus_line():
     for dim in (2, 4, 6, 8):
         v, vp = make_space(dim), make_space(dim - 2)
         for i in range(1, dim + 2):
-            emb = tau(v, vp, i)
+            emb = tau(v, i)
             for sub in map(vp.interval_span, family_subspaces(dim - 2)):
                 two_step = Subspace.span(emb.apply(row) for row in sub.rows).extend(e(v, i))
                 assert Subspace(push_rows(emb.table(), sub.rows, e(v, i))) == two_step

@@ -21,12 +21,11 @@ def ucb_all_pairs(dim: int) -> frozenset[Subspace]:
             {ZERO_SUBSPACE, Subspace.span([1]), Subspace.span([2]), Subspace.span([3])}
         )
     space = make_space(dim)
-    sub_space = make_space(dim - 2)
     prev_rows = [sub.rows for sub in ucb_all_pairs(dim - 2)]
     out: set[tuple[int, ...]] = {()}
     for gamma_p in range(1, dim):
         for gamma in range(1, dim + 2):
-            t = generic_tau(space, sub_space, gamma_p, gamma).table()
+            t = generic_tau(space, gamma_p, gamma).table()
             eg = space.circular(gamma)
             out.update(push_rows(t, rows, eg) for rows in prev_rows)
     return frozenset(map(Subspace, out))
