@@ -28,8 +28,8 @@ _EXPORTS = {
     "make_space": "gf2",
     "nonabelian_ft": "nonabelian",
     "phi": "fourier",
-    "piece_partition": "nonabelian",
-    "s3_new_basis": "nonabelian",
+    "piece_partition": "newbasis",
+    "s3_new_basis": "newbasis",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

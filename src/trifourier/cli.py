@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .report import Report
+from .report import Report, fraction_string
 
 
 def even_dim(text: str) -> int:
@@ -145,9 +145,35 @@ def _run_verify(args) -> int:
 
 
 def _run_nonabelian(args) -> int:
-    from .nonabelian import hyperplane_check, load_basis_file, nonabelian_ft, s3_new_basis, verify_triangular
+    from . import nonabelian
 
-    ft = nonabelian_ft(args.group)
+    # usage errors and bad basis files are refused before the Fourier matrix is built
+    if args.format == "json" and args.check in ("involution", "trace"):
+        print(f"--format json does not apply to --check {args.check}, which prints no report", file=sys.stderr)
+        return 2
+    if args.check == "hyperplane" and args.group != "s5":
+        print("hyperplane check applies to s5 only", file=sys.stderr)
+        return 2
+    if args.check == "newbasis":
+        # the embedded variants for s3 unless a file is supplied explicitly
+        if args.basis:
+            try:
+                basis = nonabelian.load_basis_file(args.basis)
+            except OSError as exc:
+                print(f"bad basis file {args.basis}: {exc.strerror or exc}", file=sys.stderr)
+                return 1
+            except ValueError as exc:  # includes JSON syntax and text-encoding errors
+                print(f"bad basis file {args.basis}: {exc}", file=sys.stderr)
+                return 1
+            if basis.group != args.group:
+                print(f"basis file is for {basis.group}, not {args.group}", file=sys.stderr)
+                return 1
+        elif args.group == "s3":
+            basis = nonabelian.s3_new_basis(args.variant)
+        else:
+            print(f"--basis FILE is required for {args.group} newbasis", file=sys.stderr)
+            return 2
+    ft = nonabelian.nonabelian_ft(args.group)
     if args.check == "matrix":
         _print_json(ft.to_json())
         return 0
@@ -157,34 +183,12 @@ def _run_nonabelian(args) -> int:
         return 0 if ok else 1
     if args.check == "trace":
         tr = ft.trace()
-        print(tr.to_rational() if tr.is_rational() else repr(tr))
+        print(fraction_string(tr.num[0], tr.den) if tr.is_rational() else repr(tr))  # a Cyc is in lowest terms
         return 0
     if args.check == "hyperplane":
-        if args.group != "s5":
-            print("hyperplane check applies to s5 only", file=sys.stderr)
-            return 2
-        rep = hyperplane_check(ft)
-        print(rep.summary())
-        return 0 if rep.ok else 1
-    # newbasis: embedded variants for s3 unless a file is supplied explicitly
-    if args.basis:
-        try:
-            basis = load_basis_file(args.basis)
-        except OSError as exc:
-            print(f"bad basis file {args.basis}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:  # includes JSON syntax and text-encoding errors
-            print(f"bad basis file {args.basis}: {exc}", file=sys.stderr)
-            return 1
-        if basis.group != args.group:
-            print(f"basis file is for {basis.group}, not {args.group}", file=sys.stderr)
-            return 1
-    elif args.group == "s3":
-        basis = s3_new_basis(args.variant)
+        rep = nonabelian.hyperplane_check(ft)
     else:
-        print(f"--basis FILE is required for {args.group} newbasis", file=sys.stderr)
-        return 2
-    rep = verify_triangular(ft, basis)
+        rep = nonabelian.verify_triangular(ft, basis)
     if args.format == "json":
         _print_json(rep.to_json())
     else:

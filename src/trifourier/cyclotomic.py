@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import gcd
 from typing import TYPE_CHECKING
 
+from .report import fraction_string
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -232,11 +234,9 @@ class Cyc:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        from fractions import Fraction
-
         if self.is_rational():
-            return f"Cyc({self.to_rational()})"
-        terms = [f"{Fraction(c, self.den)}*z^{j}" for j, c in enumerate(self.num) if c]
+            return f"Cyc({fraction_string(self.num[0], self.den)})"
+        terms = [f"{fraction_string(c, self.den)}*z^{j}" for j, c in enumerate(self.num) if c]
         return "Cyc(" + " + ".join(terms) + ")"
 
     def to_json(self) -> list[dict]:

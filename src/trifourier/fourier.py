@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .family import Family, FamilyStructureError, delta, family_subspaces
 from .gf2 import SymplecticSpace, bits_of, make_space, span_vectors
-from .report import Report
+from .report import Report, fraction_string
 from .taumaps import check_complement, push_key, tau
 
 if TYPE_CHECKING:
@@ -408,7 +408,7 @@ class CobMatrix:
 
     def _entry_strings(self) -> Iterator[list[str]]:
         """Every row as reduced fraction strings: "0", and a table of the distinct nonzero values."""
-        table = {v: _fraction_string(v, self.den) for v in {v for row in self.num for v in row.values()}}
+        table = {v: fraction_string(v, self.den) for v in {v for row in self.num for v in row.values()}}
         for row in self.num:
             cells = ["0"] * self.size
             for c, v in row.items():
@@ -437,13 +437,6 @@ class CobMatrix:
         yield "," + ",".join(f'"{lab}"' for lab in labels) + "\n"
         for lab, row in zip(labels, self._entry_strings()):
             yield f'"{lab}",' + ",".join(row) + "\n"
-
-
-def _fraction_string(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _w_columns(family: Family) -> Iterator[tuple[int, list[int], int]]:

@@ -96,13 +96,19 @@ class PermGroup:
         self.name = name
         self.degree = degree
         self.elements = elements
-        # each centralizer is computed once: the table builders and the coverage check both ask for it
-        self._centralizers: dict[Perm, tuple[Perm, ...]] = {}
+        # one conjugation row per class representative: the table builders, the coverage
+        # check and the pair counts of the Fourier matrix all read it
+        self._conjugates: dict[Perm, list[Perm]] = {}
+
+    def conjugates(self, x: Perm) -> list[Perm]:
+        """g x g^-1 for every element g, in element order; computed once per x."""
+        row = self._conjugates.get(x)
+        if row is None:
+            row = self._conjugates[x] = [pconj(g, x) for g in self.elements]
+        return row
 
     def centralizer(self, x: Perm) -> tuple[Perm, ...]:
-        if x not in self._centralizers:
-            self._centralizers[x] = tuple(g for g in self.elements if pmul(g, x) == pmul(x, g))
-        return self._centralizers[x]
+        return tuple(g for g, c in zip(self.elements, self.conjugates(x)) if c == x)
 
 
 def symmetric_group(n: int) -> PermGroup:
@@ -113,7 +119,15 @@ def symmetric_group(n: int) -> PermGroup:
 
 
 class CharacterTable:
-    """Irreducible characters of a centralizer, as element -> value maps."""
+    """Irreducible characters of a centralizer, as element -> value maps.
+
+    The elements are grouped by their column of character values: `column[k]`
+    is the column of element k and `weights[c]` counts the elements of column
+    c.  Every character is constant on a column, so a sum over the elements
+    of a product of character values is the sum over the columns weighted by
+    `weights`.  For a valid table the columns are the conjugacy classes of
+    the centralizer: s5 has 7 columns for its 120 elements.
+    """
 
     def __init__(
         self, group_elements: tuple[Perm, ...], labels: tuple[str, ...], values: dict[str, dict[Perm, Cyc]]
@@ -121,28 +135,38 @@ class CharacterTable:
         self.group_elements = group_elements
         self.labels = labels
         self.values = values
+        rows = [values[lab] for lab in labels]
+        columns: dict[tuple[Cyc, ...], int] = {}
+        self.column = [columns.setdefault(tuple(row[g] for row in rows), len(columns)) for g in group_elements]
+        self.weights = [0] * len(columns)
+        for c in self.column:
+            self.weights[c] += 1
+        self._column_values = list(columns)
 
     @property
     def order(self) -> int:
         return len(self.group_elements)
 
     def coefficients(self) -> tuple[list[list[Vec]], int]:
-        """Numerators x[s][u] of the value of character s at element u, and their common denominator."""
-        return from_cycs([[self.values[lab][g] for g in self.group_elements] for lab in self.labels])
+        """Numerators x[s][c] of the value of character s on column c, and their common denominator."""
+        return from_cycs([list(row) for row in zip(*self._column_values)])
 
     def validate(self) -> tuple[list[list[Vec]], int]:
         """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table.
 
-        Returns the `coefficients()` it checked, so that a caller needs them only once.
+        The Gram matrix sums over the columns, each weighted by its number of
+        elements.  Returns the `coefficients()` it checked, so that a caller
+        needs them only once.
         """
         n = self.order
         x, den = self.coefficients()
-        ident = self.group_elements.index(identity_perm(len(self.group_elements[0])))
+        ident = self.column[self.group_elements.index(identity_perm(len(self.group_elements[0])))]
         degrees = [row[ident] for row in x]
         total = Cyc(matmul([degrees], [[d] for d in degrees])[0][0], den * den)
         if total != Cyc.from_rational(n):
             raise AssertionError(f"sum of squared degrees {total!r} != {n}")
-        gram = matmul(x, [list(col) for col in zip(*conj(x))])
+        weighted = [[tuple(w * a for a in v) for w, v in zip(self.weights, row)] for row in x]
+        gram = matmul(weighted, [list(col) for col in zip(*conj(x))])
         unit = (n * den * den,) + ZERO[1:]
         for i, row in enumerate(gram):
             for j in range(i, len(row)):
@@ -164,15 +188,19 @@ def _cyclic_table(gen: Perm, labels_and_values: list[tuple[str, Cyc]]) -> Charac
     for _ in range(order):
         elements.append(g)
         g = pmul(gen, g)
-    values = {
-        lab: {elements[j]: val**j for j in range(order)} for lab, val in labels_and_values
-    }
+    values = {}
+    for lab, val in labels_and_values:
+        powers = [Cyc.one()]  # val**j, one multiplication per power
+        for _ in range(order - 1):
+            powers.append(powers[-1] * val)
+        values[lab] = dict(zip(elements, powers))
     return CharacterTable(tuple(elements), tuple(lab for lab, _ in labels_and_values), values)
 
 
 def _table_by_classifier(elements, labels, classify, rows) -> CharacterTable:
+    classes = [classify(g) for g in elements]  # each element classified once, for every character
     values = {
-        lab: {g: rows[lab][classify(g)] for g in elements} for lab in labels
+        lab: dict(zip(elements, map(rows[lab].__getitem__, classes))) for lab in labels
     }
     return CharacterTable(tuple(elements), tuple(labels), values)
 
@@ -238,10 +266,8 @@ def _klein_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
         "eps''": lambda a, b: (-1) ** b,
         "eps": lambda a, b: (-1) ** (a + b),
     }
-    values = {
-        lab: {g: _rat(fn(*split(g))) for g in elements} for lab, fn in rows.items()
-    }
-    return CharacterTable(tuple(elements), ("1", "eps'", "eps''", "eps"), values)
+    values = {lab: {(a, b): _rat(fn(a, b)) for a in (0, 1) for b in (0, 1)} for lab, fn in rows.items()}
+    return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps"), split, values)
 
 
 def _dihedral8_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
@@ -267,10 +293,8 @@ def _dihedral8_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
         "eps": {"id": 1, "center": 1, "rot": -1, "refl-h": -1, "refl-v": 1},
         "r": {"id": 2, "center": -2, "rot": 0, "refl-h": 0, "refl-v": 0},
     }
-    values = {
-        lab: {g: _rat(row[classify(g)]) for g in elements} for lab, row in rows.items()
-    }
-    return CharacterTable(tuple(elements), ("1", "eps'", "eps''", "eps", "r"), values)
+    values = {lab: {cls: _rat(v) for cls, v in row.items()} for lab, row in rows.items()}
+    return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps", "r"), classify, values)
 
 
 def _split_product_table(

@@ -8,13 +8,21 @@ centralizer.  The Fourier matrix entry at ((x,sigma),(y,tau)) is
         of sigma(g y g^-1) * conj(tau(g^-1 x g)),
 
 computed exactly over the cyclotomic field, in Kronecker-packed integers
-(see `packed`): for each pair of classes one pass over G counts the pairs
+(see `packed`).  The group keeps one conjugation row g x g^-1 (g in G) per
+class representative x; the centralizers and both conjugates of the sum are
+read from those rows.  Each centralizer's elements are grouped by their
+column of character values (for a valid table, its conjugacy classes), so
+for each pair of classes one pass over G counts the pairs of columns of
 (g y g^-1, g^-1 x g), and the block is one contraction of the two character
-tables with those counts.  The conjugation placement is
-pinned by reproducing the two explicit rows checked in the tests; the
-matrix is symmetric and squares to the identity for every supported group.
+tables, column by column, with those counts.  For s5 the largest
+centralizer, S5 itself, has 7 columns for 120 elements.  The conjugation
+placement is pinned by reproducing the two explicit rows checked in the
+tests; the matrix is symmetric and squares to the identity for every
+supported group.
 
-Supported groups: s3, s4 and s5, the groups the command line accepts.
+Supported groups: s3, s4 and s5, the groups the command line accepts.  The
+new bases and the piece-triangular certificate live in `newbasis`, which only
+the newbasis check loads; its names are attributes of this module too.
 """
 
 from __future__ import annotations
@@ -36,12 +44,27 @@ from .groups import (
     _sym_table,
     from_cycles,
     identity_perm,
-    pconj,
     pinv,
     symmetric_group,
 )
 from .packed import ZERO, Vec
-from .report import Report
+from .report import Report, fraction_string
+
+# names defined in `newbasis`, imported from there on first access (PEP 562)
+_NEWBASIS = frozenset({
+    "NewBasis", "s3_new_basis", "PIECES", "PIECE_SIGNS", "piece_partition",
+    "_conjugated", "verify_triangular", "load_basis", "load_basis_file",
+})
+
+
+def __getattr__(name: str):
+    if name not in _NEWBASIS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import newbasis
+
+    value = getattr(newbasis, name)
+    globals()[name] = value
+    return value
 
 
 class MPair(NamedTuple):
@@ -236,24 +259,29 @@ class FTMatrix:
 
 
 def _pair_counts(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]:
-    """For classes x, y: the non-zero c[u, v] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g}.
+    """For classes x, y: the non-zero c[a, b] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g},
+    with a the column of u in the table of Z(x) and b the column of v in the table of Z(y).
 
-    u indexes the centralizer of x and v that of y, in table element order.
+    g y g^-1 is read from the conjugation row of y, and g^-1 x g from that
+    of x at the index of g^-1: one conjugation per element and class.
     """
-    position = {lab: {e: k for k, e in enumerate(md.tables[lab].group_elements)} for lab in md.class_labels}
-    inverses = [pinv(g) for g in md.group.elements]
-    # g y g^-1 and g^-1 x g for every element g and class representative
-    forward = {lab: [pconj(g, md.reps[lab]) for g in md.group.elements] for lab in md.class_labels}
-    backward = {lab: [pconj(gi, md.reps[lab]) for gi in inverses] for lab in md.class_labels}
+    elements = md.group.elements
+    at = {g: k for k, g in enumerate(elements)}
+    inverse = [at[pinv(g)] for g in elements]
+    column = {lab: dict(zip(md.tables[lab].group_elements, md.tables[lab].column)) for lab in md.class_labels}
+    forward = {lab: md.group.conjugates(md.reps[lab]) for lab in md.class_labels}
     counts = {}
     for xl in md.class_labels:
-        in_zx = position[xl]
+        in_zx = column[xl]
+        row = forward[xl]
+        backward = [row[k] for k in inverse]
         for yl in md.class_labels:
-            in_zy = position[yl]
+            in_zy = column[yl]
             c: dict[tuple[int, int], int] = {}
-            for u, v in zip(forward[yl], backward[xl]):
-                if u in in_zx:
-                    key = in_zx[u], in_zy[v]
+            for u, v in zip(forward[yl], backward):
+                a = in_zx.get(u)
+                if a is not None:
+                    key = a, in_zy[v]
                     c[key] = c.get(key, 0) + 1
             counts[xl, yl] = c
     return counts
@@ -266,13 +294,17 @@ def nonabelian_ft(name: str) -> FTMatrix:
 
 
 def _fourier_matrix(md: MData) -> FTMatrix:
-    """F[(x,s),(y,t)] = sum_{u,v} s(u) c[u,v] conj(t(v)) / (|Z(x)||Z(y)|), one contraction per block.
+    """F[(x,s),(y,t)] = sum_{a,b} s(a) c[a,b] conj(t(b)) / (|Z(x)||Z(y)|), one contraction per block.
 
-    Per block, S[s][v] = sum_u s(u) c[u,v] is summed in packed form and
-    F[s][t] = sum_v S[s][v] conj(t(v)) is one packed dot product per entry.
-    Every unreduced coefficient of F[s][t] is a sum of at most 16 sum(c)
-    products of a character coefficient and a conjugate one, which bounds
-    the packing width for every block.
+    a and b run over the columns of the two centralizer tables (`_pair_counts`):
+    every character is constant on a column, so this only collects equal
+    terms of the sum over G.  Per block, S[s][b] = sum_a s(a) c[a,b] is summed
+    in packed form and F[s][t] = sum_b S[s][b] conj(t(b)) is one packed dot
+    product per entry.  Every unreduced coefficient of F[s][t] is a sum of at
+    most 16 sum(c) products of a character coefficient and a conjugate one,
+    which bounds the packing width for every block.  Equal packed sums over
+    equal block denominators are the same entry, so unpacking, the
+    lowest-terms gcd and the rescaling run once per distinct value.
     """
     chars = md.validate_tables()
     counts = _pair_counts(md)
@@ -287,213 +319,25 @@ def _fourier_matrix(md: MData) -> FTMatrix:
     offset = {lab: md.index[MPair(lab, md.tables[lab].labels[0])] for lab in md.class_labels}
     blocks = []
     for (xl, yl), c in counts.items():
-        s = [[0] * md.tables[yl].order for _ in xp[xl]]
-        for (u, v), k in c.items():
+        s = [[0] * len(md.tables[yl].weights) for _ in xp[xl]]
+        for (a, b), k in c.items():
             for srow, xrow in zip(s, xp[xl]):
-                srow[v] += k * xrow[u]
-        block = [[pk.unpack(sum(map(mul, srow, yrow))) for yrow in yp[yl]] for srow in s]
+                srow[b] += k * xrow[a]
+        block = [[sum(map(mul, srow, yrow)) for yrow in yp[yl]] for srow in s]
         d = md.tables[xl].order * md.tables[yl].order * chars[xl][1] * chars[yl][1]
         blocks.append((offset[xl], offset[yl], block, d))
+    distinct = {(p, d) for *_, block, d in blocks for row in block for p in row}
+    values = {(p, d): pk.unpack(p) for p, d in distinct}
     den = lcm(*(d for *_, d in blocks))
     # lowest terms: g divides den and every numerator scaled to den
-    g = gcd(den, *(den // d * gcd(*(a for row in block for v in row for a in v)) for *_, block, d in blocks))
+    g = gcd(den, *(den // d * a for (_, d), v in values.items() for a in v))
+    scaled = {(p, d): tuple(den // d * a // g for a in v) for (p, d), v in values.items()}
     n = len(md.pairs)
     num = [[ZERO] * n for _ in range(n)]
     for i, j, block, d in blocks:
-        f = den // d
         for k, row in enumerate(block):
-            num[i + k][j:j + len(row)] = [tuple(f * a // g for a in v) for v in row]
+            num[i + k][j:j + len(row)] = [scaled[p, d] for p in row]
     return FTMatrix(md, num, den // g)
-
-
-# -- new bases and pieces -----------------------------------------------------
-
-
-class NewBasis:
-    """An integer expansion of a candidate basis indexed like the pairs.
-
-    column j of `matrix` expands the j-th new-basis element over the pairs.
-    """
-
-    def __init__(self, group: str, variant: str, matrix: list[list[int]]) -> None:
-        self.group = group
-        self.variant = variant
-        self.matrix = matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
-
-_S3_EXPANSIONS_COMMON: dict[tuple[str, str], list[tuple[str, str, int]]] = {
-    ("1", "1"): [("1", "1", 1)],
-    ("1", "r"): [("1", "1", 1), ("1", "r", 1)],
-    ("1", "eps"): [("1", "1", 1), ("1", "r", 2), ("1", "eps", 1)],
-    ("g2", "1"): [("1", "1", 1), ("1", "r", 1), ("g2", "1", 1)],
-    ("g2", "eps"): [("1", "1", 1), ("1", "r", 1), ("g2", "eps", 1)],
-    ("g3", "1"): [("1", "1", 1), ("g2", "1", 1), ("g3", "1", 1)],
-}
-
-
-def s3_new_basis(variant: str) -> NewBasis:
-    """The two embedded eight-element bases; they differ in which involution
-    character accompanies the order-three pairs ("g2" variant uses (g2,1),
-    "e" uses (g2,eps))."""
-    variant = variant.lower()
-    if variant not in ("g2", "e"):
-        raise ValueError("variant must be 'g2' or 'e'")
-    companion = "1" if variant == "g2" else "eps"
-    expansions = dict(_S3_EXPANSIONS_COMMON)
-    for rho in ("theta", "theta2"):
-        expansions[("g3", rho)] = [("1", "1", 1), ("g2", companion, 1), ("g3", rho, 1)]
-    md = mdata("s3")
-    n = len(md.pairs)
-    mat = [[0] * n for _ in range(n)]
-    for (x, rho), terms in expansions.items():
-        j = md.index[MPair(x, rho)]
-        for tx, trho, coeff in terms:
-            mat[md.index[MPair(tx, trho)]][j] = coeff
-    return NewBasis("s3", variant, mat)
-
-
-PIECES: dict[str, list[list[tuple[str, str]]]] = {
-    "s3": [
-        [("1", "1")],
-        [("1", "r")],
-        [("1", "eps"), ("g2", "1"), ("g2", "eps"), ("g3", "1"), ("g3", "theta"), ("g3", "theta2")],
-    ],
-    "s4": [
-        [("1", "1")],
-        [("1", "lambda1")],
-        [("1", "sigma")],
-        [("1", "lambda2"), ("g2", "1"), ("g2'", "1"), ("g2", "eps''"), ("g2", "eps'")],
-        [
-            ("g3", "1"), ("g4", "1"), ("g2'", "eps''"), ("g2'", "eps'"), ("g2'", "r"),
-            ("g4", "-1"), ("1", "lambda3"), ("g2", "eps"), ("g2'", "eps"),
-            ("g3", "theta"), ("g3", "theta2"), ("g4", "i"), ("g4", "-i"),
-        ],
-    ],
-    "s5": [
-        [("g5", "zeta")],
-        [("1", "1")],
-        [("1", "lambda1")],
-        [("1", "nu")],
-        [("1", "nu'")],
-        [("1", "lambda2"), ("g2", "1"), ("g2", "-1")],
-        [
-            ("1", "lambda3"), ("g2", "r"), ("g3", "1"), ("g2'", "1"),
-            ("g2", "-r"), ("g2'", "r"), ("g3", "theta"), ("g3", "theta2"),
-        ],
-        [
-            ("g2'", "eps''"), ("g6", "1"), ("g2", "eps"), ("g3", "eps"), ("g4", "1"),
-            ("g5", "1"), ("g2'", "eps'"), ("g4", "-1"), ("g6", "-1"), ("g6", "theta"),
-            ("g6", "theta2"), ("1", "lambda4"), ("g2", "-eps"), ("g3", "eps*theta"),
-            ("g3", "eps*theta2"), ("g2'", "eps"), ("g6", "-theta"), ("g6", "-theta2"),
-            ("g4", "i"), ("g4", "-i"), ("g5", "zeta2"), ("g5", "zeta3"), ("g5", "zeta4"),
-        ],
-    ],
-}
-
-PIECE_SIGNS: dict[str, list[int]] = {
-    "s3": [-1, -1, 1],
-    "s4": [1, -1, 1, -1, 1],
-    "s5": [-1, -1, 1, 1, 1, -1, -1, 1],
-}
-
-
-def piece_partition(name: str) -> list[list[MPair]]:
-    """The ordered partition of the pairs; the same for every basis variant."""
-    if name not in PIECES:
-        raise ValueError(f"no piece data for group {name!r}")
-    md = mdata(name)
-    pieces = [[MPair(x, rho) for x, rho in piece] for piece in PIECES[name]]
-    flat = [p for piece in pieces for p in piece]
-    if sorted(flat) != sorted(md.pairs) or len(flat) != len(md.pairs):
-        raise AssertionError(f"piece data for {name} does not partition the pairs")
-    return pieces
-
-
-def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]) -> tuple[list[list[Vec]], int]:
-    """Numerators and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0).
-
-    V and U are integer matrices, so every entry of V F U is an integer
-    combination of the entries of F, and packing commutes with that: F is
-    packed once and V F U is unpacked once.  Power s of entry (i, j) is
-    sum_k sum_l V[i][k] F[k][l]_s U[l][j], at most max|F| times the largest
-    absolute row sum of V times the largest absolute column sum of U, which
-    sets the packing width; there is no product of two polynomials.
-    """
-    g = gcd(det, *(a for row in adj for a in row)) * (1 if det > 0 else -1)
-    v = [[a // g for a in row] for row in adj]
-    u_cols = [[(l, a) for l, a in enumerate(col) if a] for col in zip(*u)]
-    v_rows = [[(k, a) for k, a in enumerate(row) if a] for row in v]
-    pk = packed.Packing(
-        packed.max_abs(ft.num)
-        * max((sum(abs(a) for _, a in row) for row in v_rows), default=0)
-        * max((sum(abs(a) for _, a in col) for col in u_cols), default=0)
-    )
-    fu = [[sum(row[l] * a for l, a in col) for col in u_cols] for row in pk.pack_rows(ft.num)]
-    cols = range(len(u_cols))
-    vfu = [[pk.unpack(sum(fu[k][j] * a for k, a in row)) for j in cols] for row in v_rows]
-    return vfu, ft.den * (det // g)
-
-
-def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
-    """Certify the piece-triangular shape and the per-piece diagonal signs.
-
-    The image of each new-basis element must be +-itself plus a combination
-    of elements in strictly later pieces of the group's `piece_partition`;
-    the first violating entry is reported.  The observed diagonal signs are
-    compared against the group's `PIECE_SIGNS`.
-    """
-    from .bareiss import adjugate
-
-    md = ft.mdata
-    pieces, expected_signs = piece_partition(md.name), PIECE_SIGNS[md.name]
-    rep = Report(f"triangular {md.name}" + (f" variant={basis.variant}" if basis.variant else ""))
-    n = ft.size
-    rep.require("basis size", basis.size == n, f"{basis.size} != {n}")
-    if basis.size != n:
-        return rep
-    det, adj = adjugate(basis.matrix)
-    rep.require("unimodular", det in (1, -1), f"det = {det}")
-    if det == 0:
-        return rep
-    piece_of = {}
-    for k, piece in enumerate(pieces):
-        for p in piece:
-            piece_of[md.index[p]] = k
-    rep.require("pieces cover basis", len(piece_of) == n, f"{len(piece_of)} != {n}")
-    if len(piece_of) != n:
-        return rep
-    fh, fden = _conjugated(ft, basis.matrix, det, adj)
-    # entry (i, j) must vanish when i != j and piece(i) <= piece(j); scan column by column
-    bad = next(((i, j) for j in range(n) for i in range(n)
-                if i != j and piece_of[i] <= piece_of[j] and any(fh[i][j])), None)
-    violation = None
-    if bad:
-        i, j = bad
-        violation = (md.pairs[i], md.pairs[j], Cyc(fh[i][j], fden))
-    rep.require(
-        "triangular",
-        violation is None,
-        "" if violation is None else
-        f"image of hat{violation[1]} has coefficient {violation[2]!r} on hat{violation[0]} "
-        f"(piece {piece_of[md.index[violation[0]]] + 1} <= {piece_of[md.index[violation[1]]] + 1})",
-    )
-    diag = [fh[i][i] for i in range(n)]
-    diag_bad = [md.pairs[i] for i in range(n) if any(diag[i][1:]) or abs(diag[i][0]) != fden]
-    rep.require("diagonal is +-1", not diag_bad, f"first: {diag_bad[:1]}")
-    if diag_bad:
-        return rep
-    observed: list[int] = []
-    for k, piece in enumerate(pieces):
-        signs = {1 if diag[md.index[p]][0] > 0 else -1 for p in piece}
-        rep.require(f"piece {k + 1} sign constant", len(signs) == 1, f"signs {signs}")
-        observed.append(signs.pop() if len(signs) == 1 else 0)
-    rep.add("observed signs", True, ",".join(str(s) for s in observed))
-    rep.require("signs match", observed == expected_signs, f"{observed} != {expected_signs}")
-    return rep
 
 
 def hyperplane_check(ft: FTMatrix) -> Report:
@@ -517,86 +361,7 @@ def hyperplane_check(ft: FTMatrix) -> Report:
         f"residual at {[str(md.pairs[j]) for j in residual][:3]}",
     )
     lam = Cyc(lam, ft.den)
-    rep.require("scalar is +-1", lam.is_rational() and lam.to_rational() in (1, -1), f"{lam!r}")
-    rep.add("scalar", True, str(lam.to_rational()) if lam.is_rational() else repr(lam))
+    unit = lam.is_rational() and lam.den == 1 and lam.num[0] in (1, -1)
+    rep.require("scalar is +-1", unit, "" if unit else repr(lam))
+    rep.add("scalar", True, fraction_string(lam.num[0], lam.den) if lam.is_rational() else repr(lam))
     return rep
-
-
-# -- basis files ---------------------------------------------------------------
-
-
-def _field(obj, key: str, where: str):
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
-    if key not in obj:
-        raise ValueError(f"{where} has no field {key!r}")
-    return obj[key]
-
-
-def _list_field(obj, key: str, where: str) -> list:
-    value = _field(obj, key, where)
-    if not isinstance(value, list):
-        raise ValueError(f"{where} field {key!r} must be a list, not {type(value).__name__}")
-    return value
-
-
-def _pair_field(obj, where: str) -> MPair:
-    x, rho = _field(obj, "x", where), _field(obj, "rho", where)
-    if not (isinstance(x, str) and isinstance(rho, str)):
-        raise ValueError(f"{where} labels must be strings")
-    return MPair(x, rho)
-
-
-def load_basis(data: dict) -> NewBasis:
-    """Parse a basis file; entries must be integers and labels must be exact.
-
-    Every malformed input raises ValueError with a message naming the bad field.
-    """
-    from fractions import Fraction
-
-    name = _field(data, "group", "basis file")
-    if not isinstance(name, str):
-        raise ValueError(f"basis file field 'group' must be a string, not {type(name).__name__}")
-    variant = data.get("variant", "")
-    if not isinstance(variant, str):
-        raise ValueError(f"basis file field 'variant' must be a string, not {type(variant).__name__}")
-    md = mdata(name)
-    n = len(md.pairs)
-    mat = [[0] * n for _ in range(n)]
-    seen = set()
-    for k, exp in enumerate(_list_field(data, "expansions", "basis file")):
-        lab = _pair_field(_field(exp, "label", f"expansion {k}"), f"label of expansion {k}")
-        if lab not in md.index:
-            raise ValueError(f"unknown pair {lab}")
-        if lab in seen:
-            raise ValueError(f"duplicate expansion for {lab}")
-        seen.add(lab)
-        j = md.index[lab]
-        for t, term in enumerate(_list_field(exp, "terms", f"expansion of {lab}")):
-            where = f"term {t} in expansion of {lab}"
-            q = _pair_field(term, where)
-            if q not in md.index:
-                raise ValueError(f"unknown pair {q} in expansion of {lab}")
-            num, den = _field(term, "coeff_num", where), term.get("coeff_den", 1)
-            if not (type(num) is int and type(den) is int and den):
-                raise ValueError(f"{where}: coeff_num and coeff_den must be integers, coeff_den non-zero")
-            coeff = Fraction(num, den)
-            if coeff.denominator != 1:
-                raise ValueError(f"non-integer coefficient {coeff} in expansion of {lab}")
-            mat[md.index[q]][j] = int(coeff)
-    if len(seen) != n:
-        missing = [p for p in md.pairs if p not in seen]
-        raise ValueError(f"missing expansions for {missing[:3]} (and {max(len(missing) - 3, 0)} more)")
-    return NewBasis(name, variant, mat)
-
-
-def load_basis_file(path: str) -> NewBasis:
-    """Read and parse a basis file; OSError if it cannot be read, ValueError if it is malformed."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-    return load_basis(doc)

@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+from math import gcd
+
+
+def fraction_string(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms, without importing fractions."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
 
 class Check:
     def __init__(self, check_id: str, ok: bool, details: str = "") -> None:

@@ -152,6 +152,38 @@ def test_nonabelian_hyperplane(capsys):
     assert code_bad == 2 and "s5" in err
 
 
+def test_nonabelian_refusals_come_before_the_matrix(capsys, tmp_path, monkeypatch):
+    # every usage error and bad basis file is refused with its exit code and one line
+    # before the Fourier matrix is built.  --format json prints the Report JSON of the
+    # hyperplane and newbasis checks; involution and trace print one line and have no
+    # report, so asking them for JSON is a usage error.
+    import trifourier.nonabelian
+
+    def unbuilt(name):
+        raise AssertionError(f"the Fourier matrix of {name} was built")
+
+    monkeypatch.setattr(trifourier.nonabelian, "nonabelian_ft", unbuilt)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"group": "s4", "expansions": []}')
+    other = tmp_path / "s3.json"
+    other.write_text(json.dumps(new_basis_to_json(s3_new_basis("g2"))))
+    cases = [
+        (["--group", "s3", "--check", "hyperplane"], 2, "hyperplane check applies to s5 only"),
+        (["--group", "s4", "--check", "hyperplane", "--format", "json"], 2, "hyperplane check applies to s5 only"),
+        (["--group", "s4", "--check", "newbasis"], 2, "--basis FILE is required for s4 newbasis"),
+        (["--group", "s5", "--check", "newbasis"], 2, "--basis FILE is required for s5 newbasis"),
+        *((["--group", "s5", "--check", c, "--format", "json"], 2,
+           f"--format json does not apply to --check {c}, which prints no report") for c in ("involution", "trace")),
+        (["--group", "s4", "--check", "newbasis", "--basis", str(bad)], 1, f"bad basis file {bad}: missing"),
+        (["--group", "s5", "--check", "newbasis", "--basis", str(tmp_path / "absent.json")], 1, "No such file"),
+        (["--group", "s4", "--check", "newbasis", "--basis", str(other)], 1, "basis file is for s3, not s4"),
+    ]
+    for argv, want, line in cases:
+        code, out, err = run(capsys, "nonabelian", *argv)
+        assert (code, out) == (want, ""), argv
+        assert err.count("\n") == 1 and line in err, (argv, err)
+
+
 def test_nonabelian_matrix_json(capsys):
     code, out, _ = run(capsys, "nonabelian", "--group", "s3", "--check", "matrix")
     assert code == 0
@@ -325,18 +357,18 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
         bases[group].write_text(json.dumps(new_basis_to_json(identity)), encoding="utf-8")
     # Each run lists the modules it must leave unimported on top of the shared ones.  One
     # process runs them in order and a module stays loaded once imported, so the runs
-    # that need neither json nor fractions come first: the involution checks and the s3
-    # new bases, in text and JSON (the JSON writer takes its string encoder from the C
-    # module _json); only the trace and hyperplane checks and the basis files need
-    # fractions, and only reading a basis file needs json.
-    lean = ("json", "fractions")
-    runs = [(["--group", g, "--check", "involution"], 0, lean) for g in ("s3", "s4", "s5")]
-    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0, lean)
+    # that need the least come first.  Only the newbasis check compiles the new-basis
+    # module, and no check imports fractions: the trace, the hyperplane scalar, a
+    # failing entry and a non-integer basis coefficient are printed from integers.  The
+    # JSON writer takes its string encoder from the C module _json; only reading a basis
+    # file needs json.
+    lean = ("json", "fractions", "trifourier.newbasis")
+    runs = [(["--group", g, "--check", c], 0, lean) for g in ("s3", "s4", "s5") for c in ("involution", "trace", "matrix")]
+    runs += [(["--group", "s5", "--check", "hyperplane", "--format", f], 0, lean) for f in ("text", "json")]
+    runs += [(["--group", "s3", "--variant", v, "--check", "newbasis", "--format", f], 0, ("json", "fractions"))
              for f in ("text", "json") for v in ("g2", "e")]
-    runs += [(["--group", g, "--check", c], 0, ("json",)) for g in ("s3", "s4", "s5") for c in ("matrix", "trace")]
-    runs += [(["--group", "s5", "--check", "hyperplane"], 0, ("json",))]
     # the identity is not piece-triangular, so these report a failure (exit 1) after the full check
-    runs += [(["--group", g, "--check", "newbasis", "--basis", str(bases[g])], 1, ()) for g in ("s4", "s5")]
+    runs += [(["--group", g, "--check", "newbasis", "--basis", str(bases[g])], 1, ("fractions",)) for g in ("s4", "s5")]
     script = (
         "import contextlib, io, sys\n"
         "from trifourier.cli import main\n"
@@ -420,7 +452,9 @@ GOLDEN_D14_SHA256 = "e80a85ead8a479822d7bd33e409f19972a07f77fdb25e11a210e1774f91
 # matrices moved from numpy slices to packed ints, the two D = 10 family-suite
 # ones before the graph-invariant recursion became two rotation closures, the
 # D = 10 matrix exports before the exports were streamed, the D = 10 and D = 12
-# Fourier suites while the change of basis was still one 2^D-column peel solve.
+# Fourier suites while the change of basis was still one 2^D-column peel solve,
+# the s5 hyperplane JSON when `--format json` first applied to it (the same bytes
+# as the check's Report JSON before the Fourier matrix was built over columns).
 # A digest that moves is a change to the bytes the CLI prints.  The outputs do
 # not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
@@ -511,6 +545,7 @@ GOLDEN_SHA256 = {
     "nonabelian --group s5 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
     "nonabelian --group s5 --check trace": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
     "nonabelian --group s5 --check hyperplane": "0cf810579dc495f90a46f62f023484e1ff09060e51eaa3134be2a5d888c43c94",
+    "nonabelian --group s5 --check hyperplane --format json": "d8270018c072cfe0866e31817b7657b783a979d68c3150b43adfe16295cc76ae",
     "nonabelian --group s3 --variant g2 --check newbasis --format text": "c8eda9dfadcc15374621898e1925ace7635f81159ca534c76273969f3f43bb29",
     "nonabelian --group s3 --variant g2 --check newbasis --format json": "b74e6d2f5ef1e6102d9ec6cdeabe7531e20ca83416964cdbeb99f69a4417fe2a",
     "nonabelian --group s3 --variant e --check newbasis --format text": "08b559294341da08e1608edeaaa100f507630db83103231fe4b9511031b7dc2c",

@@ -5,7 +5,6 @@ import pytest
 
 from trifourier.family import build_family
 from trifourier.fourier import (
-    _fraction_string,
     basis_matrix,
     change_of_basis,
     integer_inverse,
@@ -16,6 +15,7 @@ from trifourier.fourier import (
     z_map,
 )
 from trifourier.gf2 import Subspace, canonical_subspace, make_space, perp
+from trifourier.report import fraction_string
 
 from fraction_reference import fraction_det, fraction_inverse
 from gf2_reference import characteristic
@@ -218,7 +218,7 @@ def test_cob_serialization():
 def test_fraction_string_is_the_reduced_fraction():
     for den in (1, 2, 4, 8, 64, 6):
         for num in range(-3 * den, 3 * den + 1):
-            assert _fraction_string(num, den) == str(Fraction(num, den)), (num, den)
+            assert fraction_string(num, den) == str(Fraction(num, den)), (num, den)
 
 
 def test_z_map_shape():

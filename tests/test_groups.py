@@ -163,3 +163,20 @@ def test_mdata_rejects_unknown():
     for name in ("s6", "s2", "s3xs2", "s5xs5", ""):
         with pytest.raises(ValueError, match="unsupported group"):
             mdata(name)
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "s5", "s3xs2"])
+def test_columns_are_the_conjugacy_classes(name):
+    # the Fourier matrix contracts over the columns of character values; for a valid
+    # table they are the orbits of conjugation inside the centralizer, one per character
+    md = group_data(name)
+    for lab in md.class_labels:
+        table = md.tables[lab]
+        elems = table.group_elements
+        by_column = {}
+        for g, c in zip(elems, table.column):
+            by_column.setdefault(c, set()).add(g)
+        orbits = {frozenset(pconj(z, g) for z in elems) for g in elems}
+        assert set(map(frozenset, by_column.values())) == orbits, (name, lab)
+        assert len(by_column) == len(table.labels), (name, lab)
+        assert table.weights == [len(by_column[c]) for c in range(len(by_column))]

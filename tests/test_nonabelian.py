@@ -246,6 +246,20 @@ def test_load_basis_validation_errors():
         load_basis(frac)
 
 
+def test_load_basis_integrality_reads_like_fractions():
+    # integrality is tested with num % den; the entry and the refusal read as Fraction(num, den) does
+    for num, den in ((3, 2), (3, -2), (-6, 4), (4, -2), (-4, -1), (0, -5), (10**30 + 1, 10**30 + 1)):
+        doc = new_basis_to_json(s3_new_basis("g2"))
+        doc["expansions"][0]["terms"][0].update(coeff_num=num, coeff_den=den)
+        coeff = Fraction(num, den)
+        if coeff.denominator == 1:
+            assert load_basis(doc).matrix[0][0] == int(coeff)
+        else:
+            with pytest.raises(ValueError) as err:
+                load_basis(doc)
+            assert str(err.value) == f"non-integer coefficient {coeff} in expansion of (1,1)"
+
+
 def test_ft_json_shape():
     doc = nonabelian_ft("s3").to_json()
     assert doc["group"] == "s3"
