@@ -445,6 +445,29 @@ def test_verify_d14_runs_in_bounded_memory():
 GOLDEN_D14_SHA256 = "e80a85ead8a479822d7bd33e409f19972a07f77fdb25e11a210e1774f91acbb5"
 
 
+def test_matrix_d12_json_digest_from_the_pipe():
+    # The D = 12 change of basis is 185 MB of JSON: a helper interpreter hashes it from
+    # the pipe one MiB at a time, so neither it nor this test runner holds it whole.
+    helper = (
+        "import hashlib, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'trifourier', 'matrix', '--dim', '12', '--format', 'json']\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.PIPE)\n"
+        "digest = hashlib.sha256()\n"
+        "while chunk := proc.stdout.read(1 << 20):\n"
+        "    digest.update(chunk)\n"
+        "print(proc.wait(), digest.hexdigest())\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", helper], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", GOLDEN_MATRIX_D12_JSON_SHA256]
+
+
+# SHA-256 of `matrix --dim 12 --format json`, recorded before the JSON writer became one recursive encoder.
+GOLDEN_MATRIX_D12_JSON_SHA256 = "3446c2d31a9f0c4da56c3ed09a4e5e18b838d7141f099c5cdc93c883b5be00cb"
+
+
 # SHA-256 of the standard output of each command: the family, dihedral and
 # counts outputs recorded before the interval bases were carried through the
 # recursion, the matrix and Fourier outputs before the GF(2) transform moved
@@ -454,7 +477,8 @@ GOLDEN_D14_SHA256 = "e80a85ead8a479822d7bd33e409f19972a07f77fdb25e11a210e1774f91
 # D = 10 matrix exports before the exports were streamed, the D = 10 and D = 12
 # Fourier suites while the change of basis was still one 2^D-column peel solve,
 # the s5 hyperplane JSON when `--format json` first applied to it (the same bytes
-# as the check's Report JSON before the Fourier matrix was built over columns).
+# as the check's Report JSON before the Fourier matrix was built over columns), and
+# the two D = 10 family exports before the JSON writer became one recursive encoder.
 # A digest that moves is a change to the bytes the CLI prints.  The outputs do
 # not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
@@ -498,6 +522,8 @@ GOLDEN_SHA256 = {
     "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
     "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
     "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
+    "family --dim 10": "ba0c3609e6585c54ab1d64f8f5d6135c2f5b73e9708b3de3b4d16972d3a73969",
+    "family --dim 10 --format json": "354a22b71e6ccab2f4c6a6a0c5246a760a3305290d0b788402607941168fbd17",
     "verify --dim 10 --suite family --format text": "5ba9399ac94e3bfb87c9fc5d5b2ae78cb0dcf8fd6d8c57e849007402256eb719",
     "verify --dim 10 --suite family --format json": "3ee422c6fe5934b6c4dd514cb38820b4d1a85b986b7648d8b7ecdcc906590c7c",
     "matrix --dim 0 --format json": "72ccb852d8ee6a1a08101888511be9eeb72f2d06fa87b02020a11b6a31c8cc17",
