@@ -20,7 +20,7 @@ and documented in the README:
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations
 
 from .cyclotomic import Cyc
 from .packed import ZERO, Vec, conj, from_cycs, matmul
@@ -313,10 +313,11 @@ def _split_product_table(
     part_a = table_a_of(tuple(sorted(set(restricted_a.values()))))
     nb = len(support_b)
     part_b = _sym_table(nb, tuple(sorted(set(restricted_b.values()))))
-    values = {}
-    for lab, la, lb in labels:
-        values[lab] = {
-            g: part_a.values[la][restricted_a[g]] * part_b.values[lb][restricted_b[g]]
-            for g in elements
-        }
+    pairs = {
+        lab: [(part_a.values[la][restricted_a[g]], part_b.values[lb][restricted_b[g]]) for g in elements]
+        for lab, la, lb in labels
+    }
+    # one product per distinct pair of part values: s5 has 108 (element, character) pairs
+    products = {pair: pair[0] * pair[1] for pair in set(chain.from_iterable(pairs.values()))}
+    values = {lab: {g: products[pair] for g, pair in zip(elements, row)} for lab, row in pairs.items()}
     return CharacterTable(tuple(elements), tuple(lab for lab, _, _ in labels), values)

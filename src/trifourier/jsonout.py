@@ -3,9 +3,14 @@
 `json.dumps` with an indent runs the pure-Python encoder and returns one
 string, so a document of 16.8M entries (the change of basis at D = 12) is
 held whole, in strings and in text, before the first byte is written.  Here
-the document is written as it is walked, and any iterator stands where a
-list goes: an exporter can hand over its rows one at a time.  A list of
-plain ints or plain strs is encoded by one join.
+one recursive encoder walks the document and appends its text to a batch
+that is written whenever it reaches BATCH characters, and any iterator
+stands where a list goes: an exporter can hand over its rows one at a time.
+
+Within one dump the encoder quotes each distinct string once, sorts and
+renders the keys of each dict shape (its keys in insertion order, at one
+indent) once, and writes a list of plain ints or plain strs, or a list of
+such lists, by one join.
 
 Values may be dicts with str keys, lists, tuples, iterators, str, int,
 bool and None; anything else, floats included, raises TypeError.
@@ -16,85 +21,166 @@ from __future__ import annotations
 # the C encoder that json.encoder uses, without the import of the json package
 from _json import encode_basestring_ascii as _str
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, repeat
 
 BATCH = 1 << 16  # characters per write; with unbuffered stdout each write is one system call
 
 
-def _atom(o) -> str | None:
-    """The text of a scalar, None for a container (or for a type the caller then refuses)."""
-    if isinstance(o, str):
-        return _str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    return None
+class _Memo(dict):
+    """f(key), computed on the first lookup of each key."""
+
+    def __init__(self, f: Callable):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
-def _chunks(o, nl: str) -> Iterator[str]:
-    """The text of o; nl is the newline plus the indent of the lines it continues on."""
-    text = _atom(o)
-    if text is not None:
-        yield text
-        return
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for key in sorted(o):
-            head = sep + _str(key) + ": "
-            value = o[key]
-            text = _atom(value)
-            if text is None:
-                yield head
-                yield from _chunks(value, inner)
-            else:
-                yield head + text
-            sep = "," + inner
-        yield nl + "}"
-        return
-    if isinstance(o, (list, tuple)):
-        kinds = set(map(type, o))
-        if len(kinds) == 1 and (kind := kinds.pop()) in (str, int):
-            encode = _str if kind is str else int.__repr__
-            yield "[" + inner + ("," + inner).join(map(encode, o)) + nl + "]"
-            return
-    elif not isinstance(o, Iterator):
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    sep = "[" + inner
-    for item in o:
-        text = _atom(item)
-        if text is None:
-            yield sep
-            yield from _chunks(item, inner)
-        else:
-            yield sep + text
-        sep = "," + inner
-    yield "[]" if sep[0] == "[" else nl + "]"
+def _write(text: str, write: Callable[[str], object]) -> None:
+    """Write text in pieces of BATCH <= len < 2 BATCH, the last one possibly shorter."""
+    start, end = 0, len(text)
+    while end - start >= 2 * BATCH:
+        write(text[start : start + BATCH])
+        start += BATCH
+    write(text[start:])
 
 
 def write_batched(pieces: Iterable[str], write: Callable[[str], object]) -> None:
-    """Join pieces into writes of about BATCH characters each."""
+    """Join pieces into writes of BATCH <= len < 2 BATCH characters, the last one possibly shorter."""
     batch: list[str] = []
     size = 0
     for piece in pieces:
         batch.append(piece)
         size += len(piece)
         if size >= BATCH:
-            write("".join(batch))
+            _write("".join(batch), write)
             batch.clear()
             size = 0
     if batch:
-        write("".join(batch))
+        _write("".join(batch), write)
+
+
+def _list_layout(nl: str) -> tuple[str, str, str]:
+    """The text before, between and after the items of a list whose last line starts with nl."""
+    inner = nl + "  "
+    return "[" + inner, "," + inner, nl + "]"
+
+
+def _grid_layout(nl: str) -> tuple[str, str, str, str]:
+    """The same for a list of non-empty lists: before the first item, between two
+    rows, between two items of a row, and after the last item."""
+    inner = nl + "  "
+    deeper = inner + "  "
+    return "[" + inner + "[" + deeper, inner + "]," + inner + "[" + deeper, "," + deeper, inner + "]" + nl + "]"
 
 
 def dump(obj, write: Callable[[str], object]) -> None:
     """Write json.dumps(obj, indent=2, sort_keys=True) and a newline, as print would."""
-    write_batched(chain(_chunks(obj, "\n"), ("\n",)), write)
+    batch: list[str] = []
+    size = 0
+    quoted = _Memo(_str)  # str -> its JSON text
+    lists = _Memo(_list_layout)
+    grids = _Memo(_grid_layout)
+    INT, STR, LIST = {int}, {str}, {list}
+
+    def heads(shape: tuple[tuple[str, ...], str]) -> list[tuple[str, str]]:
+        """The sorted keys of a dict shape, each with the text that leads to its value."""
+        keys, inner = shape
+        return [(key, ("," if i else "{") + inner + quoted[key] + ": ") for i, key in enumerate(sorted(keys))]
+
+    shapes = _Memo(heads)  # (keys in insertion order, indent) -> sorted (key, head) pairs
+
+    def emit(text: str) -> None:
+        nonlocal size
+        batch.append(text)
+        size += len(text)
+        if size >= BATCH:
+            _write("".join(batch), write)
+            batch.clear()
+            size = 0
+
+    def leaf(o, nl: str) -> str | None:
+        """The text of a scalar, of a list of plain ints or strs, or of a list of such
+        lists; None for any other value.  nl is the newline and indent of o's last line."""
+        kind = type(o)
+        if kind is str:
+            return quoted[o]
+        if kind is int:
+            return int.__repr__(o)
+        if kind is not list:
+            if kind is dict:
+                return None
+            if o is None:
+                return "null"
+            if o is True:
+                return "true"
+            if o is False:
+                return "false"
+            if isinstance(o, str):
+                return quoted[o]
+            if isinstance(o, int):
+                return int.__repr__(o)
+            if not isinstance(o, (list, tuple)):
+                return None
+        kinds = set(map(type, o))
+        if not kinds:
+            return "[]"
+        if kinds == INT or kinds == STR:
+            before, between, after = lists[nl]
+            return before + between.join(map(int.__repr__ if kinds == INT else quoted.__getitem__, o)) + after
+        if kinds != LIST:
+            for kind in kinds:
+                if not issubclass(kind, (list, tuple)):
+                    return None
+        kinds = set(map(type, chain.from_iterable(o)))
+        if (kinds != INT and kinds != STR) or not all(o):
+            return None  # encode writes an empty row as "[]"
+        before, between_rows, between, after = grids[nl]
+        rows = map(between.join, map(map, repeat(int.__repr__ if kinds == INT else quoted.__getitem__), o))
+        return before + between_rows.join(rows) + after
+
+    def encode(o, nl: str, head: str) -> None:
+        """Emit head and then the text of o, a value that leaf leaves to it."""
+        inner = nl + "  "
+        if isinstance(o, dict):
+            if not o:
+                emit(head + "{}")
+                return
+            parts = [head]
+            for key, lead in shapes[tuple(o), inner]:
+                value = o[key]
+                text = int.__repr__(value) if type(value) is int else leaf(value, inner)
+                if text is None:
+                    emit("".join(parts))
+                    encode(value, inner, lead)
+                    parts = []
+                else:
+                    parts.append(lead + text)
+            parts.append(nl + "}")
+            emit("".join(parts))
+            return
+        if not isinstance(o, (list, tuple, Iterator)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        before, between, after = lists[nl]
+        sep = head + before
+        empty = True
+        for item in o:
+            text = None if type(item) is dict else leaf(item, inner)
+            if text is None:
+                encode(item, inner, sep)
+            else:
+                emit(sep + text)
+            sep = between
+            empty = False
+        emit(head + "[]" if empty else after)
+
+    text = leaf(obj, "\n")
+    if text is None:
+        encode(obj, "\n", "")
+        emit("\n")
+    else:
+        emit(text + "\n")
+    if batch:
+        _write("".join(batch), write)

@@ -243,8 +243,15 @@ class FTMatrix:
         return all(self.num[i][j] == self.num[j][i] for i in range(self.size) for j in range(i))
 
     def is_involution(self) -> bool:
-        """F^2 = I, checked as num . num = den^2 I."""
+        """F^2 = I, checked as num . num = den^2 I.
+
+        When F = F^T, F^2 is symmetric too, and only its entries on and above
+        the diagonal are computed: the first of each such row is the diagonal.
+        """
         unit = (self.den**2,) + ZERO[1:]
+        if self.is_symmetric():
+            upper = packed.square_upper(self.num)
+            return all(v == (ZERO if j else unit) for row in upper for j, v in enumerate(row))
         square = packed.matmul(self.num, self.num)
         return all(v == (unit if i == j else ZERO) for i, row in enumerate(square) for j, v in enumerate(row))
 

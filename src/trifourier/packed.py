@@ -60,6 +60,11 @@ class Packing:
         table = {v: self.pack(v) for v in {v for row in rows for v in row}}
         return [[table[v] for v in row] for row in rows]
 
+    def unpack_rows(self, rows: list[list[int]]) -> list[list[Vec]]:
+        """Every entry unpacked, through a table of the distinct values."""
+        table = {x: self.unpack(x) for x in {x for row in rows for x in row}}
+        return [[table[x] for x in row] for row in rows]
+
     def unpack(self, x: int) -> Vec:
         """The reduced coefficients of x = P(p), p of degree <= 30 with every |p_s| <= bound.
 
@@ -87,7 +92,19 @@ def matmul(a: list[list[Vec]], c: list[list[Vec]]) -> list[list[Vec]]:
     """Numerators of A C for numerator rows a (n x m) and c (m x p); the denominators multiply."""
     pk = for_product(len(c), max_abs(a), max_abs(c))
     cols = pk.pack_rows(list(zip(*c)))
-    return [[pk.unpack(sum(map(mul, row, col))) for col in cols] for row in pk.pack_rows(a)]
+    return pk.unpack_rows([[sum(map(mul, row, col)) for col in cols] for row in pk.pack_rows(a)])
+
+
+def square_upper(a: list[list[Vec]]) -> list[list[Vec]]:
+    """Numerators of A A on and above the diagonal, row i from column i on, for a symmetric a.
+
+    Column j of a symmetric A is its row j, so (A A)[i][j] = row_i . row_j,
+    and A A is symmetric: its other entries repeat these.
+    """
+    top = max_abs(a)
+    pk = for_product(len(a), top, top)
+    rows = pk.pack_rows(a)
+    return pk.unpack_rows([[sum(map(mul, row, col)) for col in rows[i:]] for i, row in enumerate(rows)])
 
 
 def conj(rows: list[list[Vec]]) -> list[list[Vec]]:

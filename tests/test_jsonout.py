@@ -8,6 +8,7 @@ from trifourier import jsonout
 from trifourier.cli import run_suite
 from trifourier.family import build_family, family_to_json
 from trifourier.fourier import change_of_basis
+from trifourier.gf2 import IntervalLabel
 from trifourier.nonabelian import nonabelian_ft
 
 
@@ -73,3 +74,73 @@ def test_writes_are_batched():
     assert len(writes) > 3
     assert all(len(w) >= jsonout.BATCH for w in writes[:-1])
     assert all(len(w) < 2 * jsonout.BATCH for w in writes)
+
+
+def assert_batched(writes: list[str]) -> None:
+    assert all(jsonout.BATCH <= len(w) < 2 * jsonout.BATCH for w in writes[:-1])
+    assert 0 < len(writes[-1]) < 2 * jsonout.BATCH
+
+
+# The encoder renders each dict shape, each string and each flat list once per
+# dump; these documents reuse a shape, a string or a list form where the memo
+# must not carry text from one place to another.
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # one key set in two insertion orders at one depth
+        [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": [5], "a": {}}],
+        {"x": {"k": 1, "j": 2}, "y": {"j": 3, "k": 4}},
+        # one key set at two depths
+        {"a": 1, "b": {"a": 2, "b": {"a": [3], "b": {"a": None, "b": "b"}}}},
+        [{"k": 1}, [{"k": 2}], [[{"k": 3}]]],
+        # one string as a key and as a value, in lists and in lists of lists
+        {"x": "x", "y": ["x", "y"], "z": {"x": "z"}, "w": [["x"], ["w", "z"]]},
+        {"∅": "∅", "q": ['"', "∅"], '"': "q"},
+        # bool is not int: inside int lists and lists of lists
+        [1, True], [[1, True]], [[1], [True]], [[0], [False, None]], {"b": [[True], [1, 2]]},
+        [[True], [False, True]], [["a"], [True]],
+        # a NamedTuple and plain tuples inside lists
+        [IntervalLabel(1, 3), IntervalLabel(2, 2)],
+        {"i": [IntervalLabel(4, 10), (5, 9), [6, 6]], "t": ((1, 2), ("a",))},
+        [(1, 2), (3,)], [("a", "b"), ()], [[1], (2, 3)], [IntervalLabel(1, 1), "x"],
+        # lists of lists that mix empty and non-empty members
+        [[], [1], []], [["a"], [], ["b", "c"]], [[], []], [(), [1]], [[], ["a"], [1]],
+        {"iprime": [[6], [8], [5, 6, 7]], "intervals": [], "rows": [[], [[]]]},
+    ],
+)
+def test_memoized_forms_match_json_dumps(obj):
+    assert dumped(obj) == expected(obj)
+
+
+def test_iterator_of_rows_longer_than_two_batches():
+    # about 6 BATCH of text, every row one join, written while the iterator runs
+    rows = [[f"{i}/{j}" for j in range(200)] for i in range(150)]
+    writes = []
+    written_before = []
+
+    def row_iterator():
+        for row in rows:
+            written_before.append(sum(map(len, writes)))
+            yield row
+
+    jsonout.dump({"n": len(rows), "rows": row_iterator()}, writes.append)
+    text = "".join(writes)
+    assert text == expected({"n": len(rows), "rows": rows})
+    assert len(text) > 5 * jsonout.BATCH
+    assert written_before[-1] > len(text) - 2 * jsonout.BATCH
+    assert_batched(writes)
+
+
+@pytest.mark.parametrize("length", [5, 2 * jsonout.BATCH, 5 * jsonout.BATCH])
+def test_one_long_piece_is_written_in_batches(length):
+    # one flat list, and one CSV line, longer than a write may be
+    ints = list(range(length // 10))
+    writes = []
+    jsonout.dump(ints, writes.append)
+    assert "".join(writes) == expected(ints)
+    assert_batched(writes)
+    lines = ["x" * length + "\n", "y\n"]
+    writes = []
+    jsonout.write_batched(iter(lines), writes.append)
+    assert "".join(writes) == "".join(lines)
+    assert_batched(writes)

@@ -99,6 +99,43 @@ def test_perturbed_slice_fails_involution():
     assert not hyperplane_check(broken).ok
 
 
+@pytest.mark.parametrize("name", ["s3", "s4", "s5"])
+def test_square_upper_is_the_upper_triangle_of_the_square(name):
+    ft = nonabelian_ft(name)
+    square = packed.matmul(ft.num, ft.num)
+    assert packed.square_upper(ft.num) == [row[i:] for i, row in enumerate(square)]
+    rng = random.Random(7)
+    cells = {(i, j): random_cyc(rng) for i in range(4) for j in range(i, 4)}
+    sym = [[cells[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
+    num, den = packed.from_cycs(sym)
+    want = reference_product(sym, sym)
+    got = packed.to_cyc_rows(packed.square_upper(num), den * den)
+    assert got == [want[i][i:] for i in range(4)]
+
+
+def test_matmul_unpacks_each_distinct_sum_once(monkeypatch):
+    ft = nonabelian_ft("s5")
+    unpacked = []
+    unpack = packed.Packing.unpack
+    monkeypatch.setattr(packed.Packing, "unpack", lambda pk, x: unpacked.append(x) or unpack(pk, x))
+    square = packed.matmul(ft.num, ft.num)
+    # 4 distinct packed sums among the 1,521 entries, 2 values (den^2 and 0) once folded
+    assert len(unpacked) == len(set(unpacked)) == 4
+    assert len({v for row in square for v in row}) == 2
+    unpacked.clear()
+    packed.square_upper(ft.num)
+    assert len(unpacked) == len(set(unpacked)) <= 4
+
+
+def test_involution_without_symmetry_is_checked_in_full():
+    md = mdata("s3")
+    one, zero, minus = (1,) + packed.ZERO[1:], packed.ZERO, (-1,) + packed.ZERO[1:]
+    assert FTMatrix(md, [[one, one], [zero, minus]], 1).is_involution()  # F^2 = I, F != F^T
+    assert not FTMatrix(md, [[one, one], [zero, minus]], 1).is_symmetric()
+    assert not FTMatrix(md, [[one, one], [zero, one]], 1).is_involution()
+    assert not FTMatrix(md, [[one, zero], [one, minus]], 2).is_involution()
+
+
 def test_wrong_character_value_fails_validate():
     table = mdata("s4").tables["g2'"]
     values = {lab: dict(vals) for lab, vals in table.values.items()}
