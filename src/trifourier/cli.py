@@ -178,7 +178,7 @@ def _run_nonabelian(args) -> int:
         _print_json(ft.to_json())
         return 0
     if args.check == "involution":
-        ok = ft.is_symmetric() and ft.is_involution()
+        ok = ft.is_involution() and ft.is_symmetric()
         print(f"involution: {'pass' if ok else 'fail'}")
         return 0 if ok else 1
     if args.check == "trace":

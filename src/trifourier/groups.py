@@ -317,7 +317,7 @@ def _split_product_table(
         lab: [(part_a.values[la][restricted_a[g]], part_b.values[lb][restricted_b[g]]) for g in elements]
         for lab, la, lb in labels
     }
-    # one product per distinct pair of part values: s5 has 108 (element, character) pairs
+    # one product per distinct pair of part values: 20 for s5's 108 (element, character) pairs
     products = {pair: pair[0] * pair[1] for pair in set(chain.from_iterable(pairs.values()))}
     values = {lab: {g: products[pair] for g, pair in zip(elements, row)} for lab, row in pairs.items()}
     return CharacterTable(tuple(elements), tuple(lab for lab, _, _ in labels), values)

@@ -124,12 +124,18 @@ def dump(obj, write: Callable[[str], object]) -> None:
                 return int.__repr__(o)
             if not isinstance(o, (list, tuple)):
                 return None
-        kinds = set(map(type, o))
-        if not kinds:
+        if not o:
             return "[]"
-        if kinds == INT or kinds == STR:
+        if type(o[0]) is str:
             before, between, after = lists[nl]
-            return before + between.join(map(int.__repr__ if kinds == INT else quoted.__getitem__, o)) + after
+            try:  # quoting raises TypeError on anything but a str, so no item needs a type check
+                return before + between.join(map(quoted.__getitem__, o)) + after
+            except TypeError:
+                pass
+        kinds = set(map(type, o))
+        if kinds == INT:
+            before, between, after = lists[nl]
+            return before + between.join(map(int.__repr__, o)) + after
         if kinds != LIST:
             for kind in kinds:
                 if not issubclass(kind, (list, tuple)):

@@ -60,7 +60,7 @@ def test_iterator_is_written_as_a_list(items):
     assert dumped([iter(items), (x for x in [iter(items)])]) == expected([items, [items]])
 
 
-@pytest.mark.parametrize("obj", [1.5, [0.0], {"x": [1, 2.5]}, {1, 2}, b"bytes"])
+@pytest.mark.parametrize("obj", [1.5, [0.0], {"x": [1, 2.5]}, {1, 2}, b"bytes", ["x", 2.5], ["x", b"y"]])
 def test_unsupported_values_raise_type_error(obj):
     with pytest.raises(TypeError):
         dumped(obj)
@@ -99,6 +99,8 @@ def assert_batched(writes: list[str]) -> None:
         # bool is not int: inside int lists and lists of lists
         [1, True], [[1, True]], [[1], [True]], [[0], [False, None]], {"b": [[True], [1, 2]]},
         [[True], [False, True]], [["a"], [True]],
+        # a list that starts with a str and holds other values
+        ["a", 1], ["a", True], ["a", None], ["a", ["b"]], ["a", ("b",)], ["a", {"a": "b"}], ("a", "b", 0),
         # a NamedTuple and plain tuples inside lists
         [IntervalLabel(1, 3), IntervalLabel(2, 2)],
         {"i": [IntervalLabel(4, 10), (5, 9), [6, 6]], "t": ((1, 2), ("a",))},
