@@ -38,28 +38,39 @@ class _Memo(dict):
         return value
 
 
-def _write(text: str, write: Callable[[str], object]) -> None:
-    """Write text in pieces of BATCH <= len < 2 BATCH, the last one possibly shorter."""
-    start, end = 0, len(text)
-    while end - start >= 2 * BATCH:
-        write(text[start : start + BATCH])
-        start += BATCH
-    write(text[start:])
+class _Batches:
+    """Text joined into writes of BATCH <= len < 2 BATCH characters, the last one possibly shorter."""
+
+    def __init__(self, write: Callable[[str], object]):
+        self.write = write
+        self.parts: list[str] = []
+        self.size = 0
+
+    def add(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write what is held; a text of 2 BATCH or more goes out in pieces of BATCH."""
+        text = "".join(self.parts)
+        self.parts.clear()
+        self.size = 0
+        start, end = 0, len(text)
+        while end - start >= 2 * BATCH:
+            self.write(text[start : start + BATCH])
+            start += BATCH
+        if end:
+            self.write(text[start:])
 
 
 def write_batched(pieces: Iterable[str], write: Callable[[str], object]) -> None:
     """Join pieces into writes of BATCH <= len < 2 BATCH characters, the last one possibly shorter."""
-    batch: list[str] = []
-    size = 0
+    batches = _Batches(write)
     for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= BATCH:
-            _write("".join(batch), write)
-            batch.clear()
-            size = 0
-    if batch:
-        _write("".join(batch), write)
+        batches.add(piece)
+    batches.flush()
 
 
 def _list_layout(nl: str) -> tuple[str, str, str]:
@@ -78,8 +89,8 @@ def _grid_layout(nl: str) -> tuple[str, str, str, str]:
 
 def dump(obj, write: Callable[[str], object]) -> None:
     """Write json.dumps(obj, indent=2, sort_keys=True) and a newline, as print would."""
-    batch: list[str] = []
-    size = 0
+    batches = _Batches(write)
+    emit = batches.add
     quoted = _Memo(_str)  # str -> its JSON text
     lists = _Memo(_list_layout)
     grids = _Memo(_grid_layout)
@@ -91,15 +102,6 @@ def dump(obj, write: Callable[[str], object]) -> None:
         return [(key, ("," if i else "{") + inner + quoted[key] + ": ") for i, key in enumerate(sorted(keys))]
 
     shapes = _Memo(heads)  # (keys in insertion order, indent) -> sorted (key, head) pairs
-
-    def emit(text: str) -> None:
-        nonlocal size
-        batch.append(text)
-        size += len(text)
-        if size >= BATCH:
-            _write("".join(batch), write)
-            batch.clear()
-            size = 0
 
     def leaf(o, nl: str) -> str | None:
         """The text of a scalar, of a list of plain ints or strs, or of a list of such
@@ -188,5 +190,4 @@ def dump(obj, write: Callable[[str], object]) -> None:
         emit("\n")
     else:
         emit(text + "\n")
-    if batch:
-        _write("".join(batch), write)
+    batches.flush()
