@@ -46,6 +46,30 @@ def test_cli_documents_match_json_dumps():
         (1, 2), ("x", (3, "y")), {"t": (), "u": (True,)},
         [1, "1", None, [2], {"k": -3}, True],
         {"z": 1, "a": [1, 2], "m": {"y": "∅", "b": None}},
+        # The encoder renders each dict shape, each string and each flat list once per
+        # dump; these documents reuse a shape, a string or a list form where the memo
+        # must not carry text from one place to another.
+        # one key set in two insertion orders at one depth
+        [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": [5], "a": {}}],
+        {"x": {"k": 1, "j": 2}, "y": {"j": 3, "k": 4}},
+        # one key set at two depths
+        {"a": 1, "b": {"a": 2, "b": {"a": [3], "b": {"a": None, "b": "b"}}}},
+        [{"k": 1}, [{"k": 2}], [[{"k": 3}]]],
+        # one string as a key and as a value, in lists and in lists of lists
+        {"x": "x", "y": ["x", "y"], "z": {"x": "z"}, "w": [["x"], ["w", "z"]]},
+        {"∅": "∅", "q": ['"', "∅"], '"': "q"},
+        # bool is not int: inside int lists and lists of lists
+        [1, True], [[1, True]], [[1], [True]], [[0], [False, None]], {"b": [[True], [1, 2]]},
+        [[True], [False, True]], [["a"], [True]],
+        # a list that starts with a str and holds other values
+        ["a", 1], ["a", True], ["a", None], ["a", ["b"]], ["a", ("b",)], ["a", {"a": "b"}], ("a", "b", 0),
+        # a NamedTuple and plain tuples inside lists
+        [IntervalLabel(1, 3), IntervalLabel(2, 2)],
+        {"i": [IntervalLabel(4, 10), (5, 9), [6, 6]], "t": ((1, 2), ("a",))},
+        [(1, 2), (3,)], [("a", "b"), ()], [[1], (2, 3)], [IntervalLabel(1, 1), "x"],
+        # lists of lists that mix empty and non-empty members
+        [[], [1], []], [["a"], [], ["b", "c"]], [[], []], [(), [1]], [[], ["a"], [1]],
+        {"iprime": [[6], [8], [5, 6, 7]], "intervals": [], "rows": [[], [[]]]},
     ],
 )
 def test_edge_cases_match_json_dumps(obj):
@@ -79,39 +103,6 @@ def test_writes_are_batched():
 def assert_batched(writes: list[str]) -> None:
     assert all(jsonout.BATCH <= len(w) < 2 * jsonout.BATCH for w in writes[:-1])
     assert 0 < len(writes[-1]) < 2 * jsonout.BATCH
-
-
-# The encoder renders each dict shape, each string and each flat list once per
-# dump; these documents reuse a shape, a string or a list form where the memo
-# must not carry text from one place to another.
-@pytest.mark.parametrize(
-    "obj",
-    [
-        # one key set in two insertion orders at one depth
-        [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": [5], "a": {}}],
-        {"x": {"k": 1, "j": 2}, "y": {"j": 3, "k": 4}},
-        # one key set at two depths
-        {"a": 1, "b": {"a": 2, "b": {"a": [3], "b": {"a": None, "b": "b"}}}},
-        [{"k": 1}, [{"k": 2}], [[{"k": 3}]]],
-        # one string as a key and as a value, in lists and in lists of lists
-        {"x": "x", "y": ["x", "y"], "z": {"x": "z"}, "w": [["x"], ["w", "z"]]},
-        {"∅": "∅", "q": ['"', "∅"], '"': "q"},
-        # bool is not int: inside int lists and lists of lists
-        [1, True], [[1, True]], [[1], [True]], [[0], [False, None]], {"b": [[True], [1, 2]]},
-        [[True], [False, True]], [["a"], [True]],
-        # a list that starts with a str and holds other values
-        ["a", 1], ["a", True], ["a", None], ["a", ["b"]], ["a", ("b",)], ["a", {"a": "b"}], ("a", "b", 0),
-        # a NamedTuple and plain tuples inside lists
-        [IntervalLabel(1, 3), IntervalLabel(2, 2)],
-        {"i": [IntervalLabel(4, 10), (5, 9), [6, 6]], "t": ((1, 2), ("a",))},
-        [(1, 2), (3,)], [("a", "b"), ()], [[1], (2, 3)], [IntervalLabel(1, 1), "x"],
-        # lists of lists that mix empty and non-empty members
-        [[], [1], []], [["a"], [], ["b", "c"]], [[], []], [(), [1]], [[], ["a"], [1]],
-        {"iprime": [[6], [8], [5, 6, 7]], "intervals": [], "rows": [[], [[]]]},
-    ],
-)
-def test_memoized_forms_match_json_dumps(obj):
-    assert dumped(obj) == expected(obj)
 
 
 def test_iterator_of_rows_longer_than_two_batches():
