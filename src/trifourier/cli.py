@@ -73,8 +73,9 @@ def _emit_family(args) -> int:
     if args.format == "json":
         _print_json(family_to_json(fam))
     else:
-        for line in fiber_lines(fam):
-            print(line)
+        from .jsonout import write_batched
+
+        write_batched((line + "\n" for line in fiber_lines(fam)), sys.stdout.write)
     return 0
 
 

@@ -10,6 +10,7 @@ with a common positive denominator, reduced by the minimal polynomial
 from __future__ import annotations
 
 from math import gcd
+from sys import hash_info
 from typing import TYPE_CHECKING
 
 from .report import fraction_string
@@ -231,7 +232,18 @@ class Cyc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # a rational p/q hashes as the equal int or Fraction: |p| q^-1 modulo the
+        # prime hash_info.modulus (hash_info.inf when it divides q), negated for p < 0
+        if not self.is_rational():
+            return hash((self.num, self.den))
+        p, q = self.num[0], self.den
+        if q == 1:  # most character values: no modular inverse
+            return hash(p)
+        try:
+            h = hash(abs(p) * pow(q, -1, hash_info.modulus))
+        except ValueError:
+            h = hash_info.inf
+        return hash(h if p >= 0 else -h)
 
     def __repr__(self) -> str:
         if self.is_rational():

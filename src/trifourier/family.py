@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable
 
-from .gf2 import IntervalLabel, Subspace, SymplecticSpace, bits_of, is_isotropic, make_space
+from .gf2 import IntervalLabel, Subspace, SymplecticSpace, back_substitute, bits_of, is_isotropic, make_space
 from .report import Report
-from .taumaps import close_keys, generic_tau, push_key, rotation, tau
+from .taumaps import _validate_embedding, close_keys, generic_tau, push_key, rotation, tau
 
 
 class FamilyStructureError(AssertionError):
@@ -40,8 +40,6 @@ def standard_paths(dim: int) -> dict[int, str]:
     pushed up through tau_1..tau_D, and a member met again keeps its earlier
     path.  The dict is cached and shared: read it only.
     """
-    if dim < 0 or dim % 2 != 0:
-        raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
         return {0: "zero"}
     space = make_space(dim)
@@ -69,8 +67,6 @@ def family_subspaces(dim: int) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def family_subspaces_prime(dim: int) -> frozenset[int]:
     """Variant recursion: zero, or an extension with i running over all D+1 vertices."""
-    if dim < 0 or dim % 2 != 0:
-        raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
         return frozenset({0})
     space = make_space(dim)
@@ -89,26 +85,31 @@ def family_subspaces_ucb(dim: int) -> frozenset[int]:
 
     Every pair's embedding factors as R^(gamma-1) . T_11 . rho^-(gamma'-1),
     with R and rho the rotations of the D- and (D-2)-circles and T_11 the
-    pair (1, 1)'s embedding; R^(gamma-1) also sends e_1 to e_gamma.  Each
-    pair's map is built, validated and checked against that factorisation,
-    so the union over all pairs is the rho-closure of the (D-2)-members
-    pushed once through T_11 (with e_1) and then closed under R.
+    pair (1, 1)'s embedding; R^(gamma-1) also sends e_1 to e_gamma.  T_11
+    and the 2D rotation powers are validated once per level, and each
+    pair's walk is checked equal to that composition, which keeps the zero
+    sum, injectivity and the form: so every walk is an embedding, and the
+    union over all pairs is the rho-closure of the (D-2)-members pushed once
+    through T_11 (with e_1) and then closed under R.
     """
-    if dim < 0 or dim % 2 != 0:
-        raise ValueError(f"dimension must be even and >= 0, got {dim}")
     if dim == 0:
         return frozenset({0})
     space = make_space(dim)
     sub_space = make_space(dim - 2)
     t11 = generic_tau(space, 1, 1)
+    _validate_embedding(t11, space)
+    rhos = [rotation(sub_space, 1 - gamma_p) for gamma_p in range(1, dim)]
+    for rho in rhos:
+        _validate_embedding(rho, sub_space)
     e1 = space.circular(1)
     for gamma in range(1, dim + 2):
         r_gamma = rotation(space, gamma - 1)
+        _validate_embedding(r_gamma, space)
         if r_gamma.apply(e1) != space.circular(gamma):
             raise FamilyStructureError(f"R^{gamma - 1} does not send e_1 to e_{gamma}")
         outer = r_gamma.compose(t11)
-        for gamma_p in range(1, dim):
-            factored = outer.compose(rotation(sub_space, 1 - gamma_p))
+        for gamma_p, rho in enumerate(rhos, 1):
+            factored = outer.compose(rho)
             if generic_tau(space, gamma_p, gamma) != factored:
                 raise FamilyStructureError(
                     f"the embedding of pair ({gamma_p}, {gamma}) is not R^{gamma - 1} T_11 rho^-{gamma_p - 1}"
@@ -133,8 +134,8 @@ def interval_basis_rows(space: SymplecticSpace, bits: list[int]) -> tuple[int, .
     every component has at most two points, that is when no two of its
     intervals share a point: one OR of endpoint bits and one popcount.
     Then no two intervals start at one point either, so in key order their
-    vectors have ascending pivots (lowest bits), and reducing them is the
-    back substitution of `gf2.rref` alone.
+    vectors have ascending pivots (lowest bits), and reducing them is
+    `gf2.back_substitute` alone.
     """
     ends = space.interval_ends
     seen = 0
@@ -143,14 +144,7 @@ def interval_basis_rows(space: SymplecticSpace, bits: list[int]) -> tuple[int, .
     if seen.bit_count() != 2 * len(bits):
         return None
     vectors = space.interval_vectors
-    rows = [vectors[k] for k in bits]
-    for j in range(len(rows) - 1, 0, -1):
-        row = rows[j]
-        low = row & -row
-        for i in range(j):
-            if rows[i] & low:
-                rows[i] ^= row
-    return tuple(rows)
+    return back_substitute([vectors[k] for k in bits])
 
 
 class FamilyEntry:

@@ -108,30 +108,16 @@ class _Fields:
 # -- the fast transform -------------------------------------------------------
 
 
-def _gram_inverse(space: SymplecticSpace) -> list[int]:
-    """perm with perm[Gram y] = y, so that f o Gram^-1 is [f[y] for y in perm].
-
-    The Gram map must be a bijection (the pairing is nondegenerate); G f =
-    WHT(f o Gram^-1) rests on it, so it is checked here.
-    """
-    images = space.forms  # images[y] = Gram y
-    if len(set(images)) != len(images):
-        raise ValueError(f"the pairing of {space} is degenerate")
-    perm = [0] * len(images)
-    for y, image in enumerate(images):
-        perm[image] = y
-    return perm
-
-
 def sign_transform(space: SymplecticSpace, f: Sequence[int]) -> list[int]:
     """G f exactly, for 2^D ints: the values of one function, or packed rows of a matrix.
 
-    Butterflies of the Walsh-Hadamard transform on f o Gram^-1.
+    Butterflies of the Walsh-Hadamard transform on f o Gram^-1, with Gram^-1
+    from `SymplecticSpace.gram_inverse`, which checks the pairing is nondegenerate.
     """
     size = 1 << space.dim
     if len(f) != size:
         raise ValueError(f"function vector must have length {size}")
-    out = [f[y] for y in _gram_inverse(space)]
+    out = [f[y] for y in space.gram_inverse]
     half = 1
     while half < size:
         for lo in range(0, size, 2 * half):

@@ -7,7 +7,7 @@ e_1 + ... + e_D and is kept as derived data, so that e_1 + ... + e_{D+1} = 0.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 # Cap on the ambient dimension: the function space has 2**D coordinates and
@@ -53,11 +53,8 @@ class SymplecticSpace:
             )
             for i in range(dim)
         )
-        # forms[v] is Gram v, by doubling over the bits of v: 2^D ints, 16,384 at D = 14
-        forms = [0]
-        for row in self.gram:
-            forms += [x ^ row for x in forms]
-        self.forms = forms
+        # forms[v] is Gram v, the span table of the Gram rows: 2^D ints, 16,384 at D = 14
+        self.forms = span_vectors(self.gram)
         # The D(D+1)/2 intervals [a, b] of [1, D] in (a, b) order.  A family
         # member travels as its key: bit k is set when interval k is in its
         # interval basis.  e_[a,b] = p_(a-1) + p_b for the prefix sums
@@ -80,6 +77,21 @@ class SymplecticSpace:
 
     def circular_vectors(self) -> tuple[int, ...]:
         return tuple(self.circular(i) for i in range(1, self.dim + 2))
+
+    @cached_property
+    def gram_inverse(self) -> list[int]:
+        """perm with perm[Gram y] = y, so that f o Gram^-1 is [f[y] for y in perm]; built on first use.
+
+        The Gram map must be a bijection (the pairing is nondegenerate); the
+        fast transform G f = WHT(f o Gram^-1) rests on it, so it is checked here.
+        """
+        images = self.forms  # images[y] = Gram y
+        if len(set(images)) != len(images):
+            raise ValueError(f"the pairing of {self} is degenerate")
+        perm = [0] * len(images)
+        for y, image in enumerate(images):
+            perm[image] = y
+        return perm
 
     def gram_apply(self, v: int) -> int:
         """The mask of the linear functional (., v): bit i-1 is (e_i, v); 0 <= v < 2^D."""
@@ -129,12 +141,19 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
             else:
                 piv[low] = v
                 break
-    lows = sorted(piv)
-    rows = [piv[low] for low in lows]
-    # a row has no bit below its pivot, so only rows with lower pivots need
-    # clearing; going down from the top pivot, each row used is already reduced
+    return back_substitute([piv[low] for low in sorted(piv)])
+
+
+def back_substitute(rows: list[int]) -> tuple[int, ...]:
+    """The reduced rows of the span of `rows`, which have distinct pivots
+    (lowest set bits) and come sorted by pivot; reduces the list in place.
+
+    A row has no bit below its pivot, so only rows with lower pivots need
+    clearing; going down from the top pivot, each row used is already reduced.
+    """
     for j in range(len(rows) - 1, 0, -1):
-        low, row = lows[j], rows[j]
+        row = rows[j]
+        low = row & -row
         for i in range(j):
             if rows[i] & low:
                 rows[i] ^= row
@@ -184,33 +203,12 @@ def canonical_subspace(vectors: Iterable[int]) -> Subspace:
 
 
 def span_vectors(basis: Iterable[int]) -> list[int]:
-    """All 2^k elements of the span of k independent vectors."""
+    """The 2^k subset sums of k vectors, item m summing those at the set bits of m:
+    the span of independent vectors, or a linear map's table from its unit images."""
     vecs = [0]
     for row in basis:
         vecs += [v ^ row for v in vecs]
     return vecs
-
-
-def kernel_of(constraints: Iterable[int], dim: int) -> Subspace:
-    """Solution space of parity(x & c) = 0 for every constraint mask c."""
-    rows = rref(constraints)
-    pivots = [(row & -row).bit_length() - 1 for row in rows]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(dim):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for p, row in zip(pivots, rows):
-            if (row >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return Subspace.span(basis)
-
-
-def perp(space: SymplecticSpace, sub: Subspace) -> Subspace:
-    """The orthogonal complement {x : (x, u) = 0 for all u in sub}."""
-    return kernel_of((space.gram_apply(row) for row in sub.rows), space.dim)
 
 
 def is_isotropic(space: SymplecticSpace, sub: Subspace) -> bool:

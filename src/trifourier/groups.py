@@ -21,6 +21,7 @@ and documented in the README:
 from __future__ import annotations
 
 from itertools import chain, permutations
+from math import lcm
 
 from .cyclotomic import Cyc
 from .packed import ZERO, Vec, conj, from_cycs, matmul
@@ -76,13 +77,7 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 def perm_order(p: Perm) -> int:
-    order = 1
-    for length in cycle_type(p):
-        g = order
-        while g % length:
-            g += order
-        order = g
-    return order
+    return lcm(*cycle_type(p))
 
 
 def restrict(p: Perm, support: tuple[int, ...]) -> Perm:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .gf2 import Subspace, SymplecticSpace, bits_of, make_space, perp, rref
+from .gf2 import SymplecticSpace, bits_of, make_space, rref, span_vectors
 from .report import Report
 
 
@@ -38,10 +38,7 @@ class CircularMap(NamedTuple):
 
     def table(self) -> list[int]:
         """The images of all 2^src_dim source vectors, indexed by source mask."""
-        t = [0]
-        for img in self.coordinate_images():
-            t += [x ^ img for x in t]
-        return t
+        return span_vectors(self.coordinate_images())
 
     def key_table(self) -> dict[int, int]:
         """The map on interval keys (see `SymplecticSpace.intervals`): source key bit -> image key bit.
@@ -118,7 +115,9 @@ def tau(space: SymplecticSpace, i: int) -> CircularMap:
     validated once per (space, i): the recursions, the change of basis and
     the checks all use the same maps.
     """
-    return generic_tau(space, *numbered_pair(space.dim, i))
+    emb = generic_tau(space, *numbered_pair(space.dim, i))
+    _validate_embedding(emb, space)
+    return emb
 
 
 def push_key(table: dict[int, int], key: int, extra: int = 0) -> int:
@@ -156,13 +155,16 @@ def close_keys(table: dict[int, int], keys: Iterable[int]) -> set[int]:
 def check_complement(space: SymplecticSpace, i: int) -> bool:
     """tau_i's image is a complement of the line F2.e_i inside the perp of e_i.
 
+    The perp of e_i is the kernel of the functional (., e_i), whose mask is
+    `space.forms[e_i]`; it has dimension D - 1 when that mask is nonzero.
     The D-2 images of the coordinate vectors and e_i span such a complement
     plus the line exactly when they lie in the perp and have its rank, D - 1.
     """
     images = tau(space, i).coordinate_images()
     ei = space.circular(i)
-    perp_line = perp(space, Subspace.span([ei]))
-    return all(map(perp_line.contains, images)) and len(rref((*images, ei))) == perp_line.dim == space.dim - 1
+    form = space.forms[ei]
+    in_perp = not any((form & x).bit_count() & 1 for x in images)
+    return form != 0 and in_perp and len(rref((*images, ei))) == space.dim - 1
 
 
 def verify_composition_identity(dim: int) -> Report:
@@ -223,6 +225,10 @@ def generic_tau(space: SymplecticSpace, gamma_p: int, gamma: int) -> CircularMap
     directions would give the reflected map instead, which fails the
     pinning identities against the numbered embeddings.  For D = 2 the
     source is the zero space and e_1+e_2+e_3 = 0, so the map is zero.
+
+    The walk is returned unvalidated: `tau` validates the numbered maps, and
+    `family.family_subspaces_ucb` proves every pair's walk equal to a
+    composition of validated maps.
     """
     d_big = space.dim
     if d_big < 2:
@@ -237,9 +243,7 @@ def generic_tau(space: SymplecticSpace, gamma_p: int, gamma: int) -> CircularMap
     images[gamma_p - 1] = e(gamma - 1) ^ e(gamma) ^ e(gamma + 1)
     for k in range(1, n_src):
         images[(gamma_p - 1 + k) % n_src] = e(gamma + k + 1)
-    emb = CircularMap(d_big - 2, d_big, tuple(images))
-    _validate_embedding(emb, space)
-    return emb
+    return CircularMap(d_big - 2, d_big, tuple(images))
 
 
 def numbered_pair(dim: int, i: int) -> tuple[int, int]:

@@ -2,8 +2,9 @@
 space as plain 0/1 value lists, the enumeration oracle for interval bases,
 the paper's three-case formula for the embeddings tau_i, the row-space
 forms of the family recursion (members as reduced rows, pushed through a
-map's table of all source vectors and reduced per push), and the change of
-basis by one peel solve over all 2^D right-hand sides."""
+map's table of all source vectors and reduced per push), the orthogonal
+complement by a general kernel solve, and the change of basis by one peel
+solve over all 2^D right-hand sides."""
 
 from functools import lru_cache
 from typing import Iterable
@@ -90,6 +91,28 @@ def interval_basis(space: SymplecticSpace, sub: Subspace) -> tuple[IntervalLabel
         raise FamilyStructureError(f"interval vectors in {sub.rows} are dependent")
     # the classes come in the order of their first points, so the labels come sorted
     return tuple(IntervalLabel(c[0] + 1, c[1]) for c in pairs)
+
+
+def kernel_of(constraints: Iterable[int], dim: int) -> Subspace:
+    """Solution space of parity(x & c) = 0 for every constraint mask c."""
+    rows = rref(constraints)
+    pivots = [(row & -row).bit_length() - 1 for row in rows]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(dim):
+        if f in pivot_set:
+            continue
+        v = 1 << f
+        for p, row in zip(pivots, rows):
+            if (row >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return Subspace.span(basis)
+
+
+def perp(space: SymplecticSpace, sub: Subspace) -> Subspace:
+    """The orthogonal complement {x : (x, u) = 0 for all u in sub}."""
+    return kernel_of((space.gram_apply(row) for row in sub.rows), space.dim)
 
 
 def nested_interval_subspace(space: SymplecticSpace, k: int) -> Subspace:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,22 @@ def test_family_text_is_byte_stable(capsys):
     _, first, _ = run(capsys, "family", "--dim", "6")
     _, second, _ = run(capsys, "family", "--dim", "6")
     assert first == second
+
+
+def test_family_text_writes_are_batched(monkeypatch):
+    # the fiber lines go out in writes of at least jsonout.BATCH characters, not two per
+    # line (the line and its newline), which an unbuffered stdout makes system calls
+    from trifourier import jsonout
+    from trifourier.family import build_family, fiber_lines
+
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
+    assert main(["family", "--dim", "12"]) == 0
+    text = "".join(writes)
+    assert text == "".join(line + "\n" for line in fiber_lines(build_family(12)))
+    assert len(text) > jsonout.BATCH and len(writes) == 2
+    assert all(jsonout.BATCH <= len(w) < 2 * jsonout.BATCH for w in writes[:-1])
+    assert 0 < len(writes[-1]) < 2 * jsonout.BATCH
 
 
 def test_family_json(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,13 @@ def test_hash_and_equality():
     assert hash(Cyc.from_rational(2)) == hash(Cyc.from_rational(2))
     assert Cyc.from_rational(2) == 2
     assert Cyc.theta() != Cyc.zeta5()
+    # a rational value hashes as the equal int or Fraction, so sets and dict keys mix them
+    for q in (0, 1, -1, 2, 10**30, -(10**30), Fraction(1, 3), Fraction(-5, 2), Fraction(1, sys.hash_info.modulus)):
+        c = Cyc.from_rational(q)
+        assert c == q and hash(c) == hash(q), q
+        assert len({c, q}) == 1 and {q: "x"}.get(c) == "x" and {c: "y"}.get(q) == "y", q
+    th = Cyc.theta()
+    assert hash(th) == hash(Cyc.theta()) and len({th, Cyc.theta(), Cyc.zeta5(), 1}) == 3
 
 
 def test_json_form():

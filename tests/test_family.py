@@ -32,7 +32,7 @@ from trifourier.family import (
     verify_structure,
 )
 from trifourier.gf2 import Subspace, bits_of, canonical_subspace, is_isotropic, make_space
-from trifourier.taumaps import CircularMap, generic_tau, push_key, reflection, rotation, tau
+from trifourier.taumaps import CircularMap, _validate_embedding, generic_tau, push_key, reflection, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
 # even-interval count.  Line order is immaterial; each line is significant.
@@ -298,22 +298,69 @@ def _opposite_walk(space, gamma_p, gamma):
     return CircularMap(space.dim - 2, space.dim, tuple(images))
 
 
-def test_ucb_guard_rejects_a_wrong_pair(monkeypatch):
-    dim, bad = 8, (3, 5)
+def _non_injective_walk(space, gamma_p, gamma):
+    """The pair's walk with its second source coordinate sent where its first goes; zero sum kept."""
+    coords = list(generic_tau(space, gamma_p, gamma).coordinate_images())
+    coords[1] = coords[0]
+    last = 0
+    for img in coords:
+        last ^= img
+    return CircularMap(space.dim - 2, space.dim, (*coords, last))
+
+
+def _ucb_with_pair_walk(monkeypatch, dim, bad, walk):
+    """family_subspaces_ucb(dim) with the pair `bad`'s walk at D = dim replaced by walk(space, *bad)."""
     real = family_module.generic_tau
-    space = make_space(dim)
-    assert _opposite_walk(space, *bad) != real(space, *bad)
 
     def patched(space, gamma_p, gamma):
         if space.dim == dim and (gamma_p, gamma) == bad:
-            return _opposite_walk(space, gamma_p, gamma)
+            return walk(space, gamma_p, gamma)
         return real(space, gamma_p, gamma)
 
     monkeypatch.setattr(family_module, "generic_tau", patched)
     family_subspaces_ucb.cache_clear()
     try:
-        with pytest.raises(FamilyStructureError, match=r"pair \(3, 5\)"):
-            family_subspaces_ucb(dim)
+        return family_subspaces_ucb(dim)
+    finally:
+        family_subspaces_ucb.cache_clear()
+
+
+def test_ucb_guard_rejects_a_wrong_pair(monkeypatch):
+    dim, bad = 8, (3, 5)
+    space = make_space(dim)
+    assert _opposite_walk(space, *bad) != generic_tau(space, *bad)
+    with pytest.raises(FamilyStructureError, match=r"pair \(3, 5\)"):
+        _ucb_with_pair_walk(monkeypatch, dim, bad, _opposite_walk)
+
+
+def test_ucb_guard_rejects_a_non_injective_pair(monkeypatch):
+    # the pair walks are not validated one by one; the factorisation guard proves them
+    dim, bad = 8, (4, 2)
+    space = make_space(dim)
+    with pytest.raises(AssertionError, match="embedding is not injective"):
+        _validate_embedding(_non_injective_walk(space, *bad), space)
+    with pytest.raises(FamilyStructureError, match=r"pair \(4, 2\)"):
+        _ucb_with_pair_walk(monkeypatch, dim, bad, _non_injective_walk)
+
+
+def test_ucb_validates_at_most_2d_plus_1_maps_per_level(monkeypatch):
+    # T_11 and the D+1 powers of R and D-1 of rho, against (D-1)(D+1) pair walks
+    calls = []
+    real = family_module._validate_embedding
+
+    def counting(emb, dst):
+        calls.append(emb)
+        real(emb, dst)
+
+    monkeypatch.setattr(family_module, "_validate_embedding", counting)
+    try:
+        for dim in range(2, 15, 2):
+            family_subspaces_ucb.cache_clear()
+            family_subspaces_ucb(dim - 2)
+            calls.clear()
+            assert family_subspaces_ucb(dim) == family_subspaces(dim)
+            assert len(calls) <= 2 * dim + 1, (dim, len(calls))
+            assert generic_tau(make_space(dim), 1, 1) in calls
     finally:
         family_subspaces_ucb.cache_clear()
 

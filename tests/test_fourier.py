@@ -14,11 +14,11 @@ from trifourier.fourier import (
     verify_z_commutation,
     z_map,
 )
-from trifourier.gf2 import Subspace, canonical_subspace, make_space, perp
+from trifourier.gf2 import Subspace, canonical_subspace, make_space
 from trifourier.report import fraction_string
 
 from fraction_reference import fraction_det, fraction_inverse
-from gf2_reference import characteristic
+from gf2_reference import characteristic, perp
 
 
 def phi_reference(space, values):

@@ -26,10 +26,10 @@ from trifourier.fourier import (
     verify_z_commutation,
     z_map,
 )
-from trifourier.gf2 import make_space, perp
+from trifourier.gf2 import SymplecticSpace, make_space, span_vectors
 from trifourier.taumaps import push_key, tau
 
-from gf2_reference import change_of_basis_by_solve, characteristic, peel_solve
+from gf2_reference import change_of_basis_by_solve, characteristic, peel_solve, perp
 
 
 def matmul(a, b):
@@ -149,6 +149,15 @@ def test_sign_transform_matches_dense_sign_matrix(dim):
     rng = random.Random(dim)
     f = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(size)]
     assert transform_columns(space, f) == matmul(g, f)
+
+
+def test_sign_transform_refuses_a_degenerate_pairing():
+    # a fresh space, so that the shared one keeps its forms; zeroing one Gram row
+    # makes the functional of e_1 vanish and the Gram map two-to-one
+    space = SymplecticSpace(4)
+    space.forms = span_vectors((0, *space.gram[1:]))
+    with pytest.raises(ValueError, match=r"^the pairing of SymplecticSpace\(dim=4\) is degenerate$"):
+        sign_transform(space, [1] * 16)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])

@@ -7,14 +7,12 @@ from trifourier.gf2 import (
     Subspace,
     canonical_subspace,
     is_isotropic,
-    kernel_of,
     make_space,
-    perp,
     rref,
     vector_from_coords,
 )
 
-from gf2_reference import all_intervals, coords_of
+from gf2_reference import all_intervals, coords_of, kernel_of, perp
 
 
 def test_make_space_gram_d2():
@@ -96,6 +94,15 @@ def test_gram_apply_is_the_xor_of_gram_rows():
                 if (v >> j) & 1:
                     expect ^= sp.gram[j]
             assert sp.gram_apply(v) == expect, (dim, v)
+
+
+def test_gram_inverse_inverts_forms():
+    for dim in range(0, 15, 2):
+        sp = make_space(dim)
+        inverse = sp.gram_inverse
+        assert sp.gram_inverse is inverse  # built once per space
+        assert sorted(inverse) == list(range(1 << dim))
+        assert all(sp.forms[inverse[x]] == x for x in range(1 << dim)), dim
 
 
 def test_any_d_circular_vectors_form_basis():

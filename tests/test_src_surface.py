@@ -105,6 +105,33 @@ def test_no_src_module_imports_dataclasses():
     assert not found, found
 
 
+def _is_doubling(node) -> bool:
+    """node is `t += [x ^ v for x in t]`: a list extended by each of its items XOR one value."""
+    if not (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and isinstance(node.target, ast.Name)):
+        return False
+    comp = node.value
+    return (
+        isinstance(comp, ast.ListComp)
+        and isinstance(comp.elt, ast.BinOp)
+        and isinstance(comp.elt.op, ast.BitXor)
+        and any(isinstance(g.iter, ast.Name) and g.iter.id == node.target.id for g in comp.generators)
+    )
+
+
+def test_subset_xor_table_is_built_only_in_span_vectors():
+    # gf2.span_vectors is the one table of subset sums: the Gram forms and the map
+    # tables call it rather than doubling a list themselves
+    sites = []
+    span = None
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [(path.name, node.lineno) for node in ast.walk(tree) if _is_doubling(node)]
+        if path.name == "gf2.py":
+            span = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "span_vectors")
+    assert len(sites) == 1, sites
+    assert sites[0][0] == "gf2.py" and span.lineno <= sites[0][1] <= span.end_lineno, sites
+
+
 # each value type, its field names in order, and two values whose field tuples differ
 VALUE_TYPES = [
     (Subspace, ("rows",), ((1, 6),), ((2,),)),

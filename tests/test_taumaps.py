@@ -151,11 +151,14 @@ def _backward_walk(space, gamma_p, gamma):
 
 @pytest.mark.parametrize("dim", range(2, 15, 2))
 def test_generic_tau_matches_the_backward_walk(dim):
-    # walking both circles backwards gives the identical map, for every pair
+    # walking both circles backwards gives the identical map, for every pair, and each
+    # walk is an embedding: generic_tau itself does not validate what it returns
     v = make_space(dim)
     for gp in range(1, dim):
         for g in range(1, dim + 2):
-            assert generic_tau(v, gp, g).images == _backward_walk(v, gp, g).images, (gp, g)
+            emb = generic_tau(v, gp, g)
+            assert emb.images == _backward_walk(v, gp, g).images, (gp, g)
+            _validate_embedding(emb, v)
 
 
 def test_generic_tau_rejects_bad_vertices():
