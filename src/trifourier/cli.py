@@ -73,9 +73,10 @@ def _emit_family(args) -> int:
     if args.format == "json":
         _print_json(family_to_json(fam))
     else:
-        from .jsonout import write_batched
-
-        write_batched((line + "\n" for line in fiber_lines(fam)), sys.stdout.write)
+        # in slices: on an unbuffered stdout one write cut short by a closed pipe fails silently
+        text = "".join(line + "\n" for line in fiber_lines(fam))
+        for lo in range(0, len(text), 1 << 16):
+            sys.stdout.write(text[lo : lo + (1 << 16)])
     return 0
 
 
@@ -129,9 +130,17 @@ def run_suite(dim: int, suite: str) -> Report:
     if suite in ("all", "fourier"):
         from . import fourier
 
-        combined.add("fourier:involution", fourier.verify_involution(fam.space))
+        dense = dim <= fourier.MAX_DENSE_DIM  # above it the 4^D products give way to lemmas
+        if dense:
+            combined.add("fourier:involution", fourier.verify_involution(fam.space))
+        else:
+            from .lemmas import involution_from_gram, z_commutation_from_maps
+
+            combined.add("fourier:lemma:involution-from-gram", *involution_from_gram(fam.space))
         combined.extend(fourier.verify_change_of_basis(fourier.change_of_basis(fam)))
-        if dim >= 2:
+        if not dense:
+            combined.add("fourier:lemma:z-commutation-from-maps", *z_commutation_from_maps(dim))
+        elif dim >= 2:
             combined.extend(fourier.verify_z_commutation(dim))
     return combined
 

@@ -15,19 +15,15 @@ G sends the indicator of a subspace E to 2^(dim E) times the indicator of
 its orthogonal complement.  The change of basis X expands those closed
 forms in the family basis: B X = W, the columns of B the member indicators
 and those of W the closed forms.  `expansion_rows` builds it by the paper's
-recursion: the push-up Z_i sends the indicator of a (D-2)-member E' to that
-of push_i(E') = tau_i(E') + F2 e_i (`taumaps.check_complement`), so
-G Z_i = 2 Z_i G' makes the row of push_i(E') the row of E', re-indexed by
-push_i and doubled over 2^d.  The pushes through tau_1..tau_{D+1} give every
-row but the zero member's and must agree; the zero row, which expands 1_V,
-is one right-hand side through a peel order of B.  A complete peel order
-(some vector lies in exactly one remaining member, at every step) makes B
-lower unitriangular and proves det B = +-1.
+recursion: the pushes of the (D-2)-rows through tau_1..tau_{D+1} (`push_up`)
+give every row but the zero member's and must agree; the zero row, which
+expands 1_V, is one right-hand side through a peel order of B, which makes
+B lower unitriangular and proves det B = +-1 (`peel_order`).
 
 `verify_change_of_basis` checks the result on its own: the peel
 certificate, then up to MAX_DENSE_DIM the residual W - B X and the closed
-form against the transform, above it the lemmas the recursion rests on
-(`lemmas.lemma_checks`), and the triangular form, signs, trace and M^2 over
+form against the transform, above it the recursion's induction from D = 0
+(`trifourier.lemmas`), and the triangular form, signs, trace and M^2 over
 the nonzeros.  Every value is a Python int or Fraction: nothing is rounded
 and nothing overflows.
 """
@@ -50,13 +46,9 @@ if TYPE_CHECKING:
 
 # The change of basis has 2^D x 2^D entries and the dense checks transform
 # 2^D rows of 2^D fields each: 16.8M entries at D = 12, 268M at D = 14.  The
-# command line refuses the matrix export above this, and `verify` checks the
-# recursion's lemmas in place of the dense checks.
+# command line refuses the matrix export above this, and `verify` checks
+# lemmas in place of the dense checks, G G = 2^D I and G Z = 2 Z G'.
 MAX_DENSE_DIM = 12
-
-# G G = 2^D I packs the columns of I in batches of at most this many bytes per
-# packed array: one batch up to D = 12, sixteen of 1,024 columns at D = 14.
-INVOLUTION_BATCH_BYTES = 1 << 25
 
 
 class _Fields:
@@ -133,10 +125,7 @@ def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
     """The transform of an exact function vector, as Fractions."""
     from fractions import Fraction
 
-    size = 1 << space.dim
-    if len(values) != size:
-        raise ValueError(f"function vector must have length {size}")
-    fracs = [Fraction(v) for v in values]
+    fracs = [Fraction(v) for v in values]  # sign_transform refuses a vector of the wrong length
     den = lcm(*(f.denominator for f in fracs))
     scale = den << space.half
     image = sign_transform(space, [f.numerator * (den // f.denominator) for f in fracs])
@@ -144,23 +133,15 @@ def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
 
 
 def verify_involution(space: SymplecticSpace) -> bool:
-    """G G == 2^D I, on the rows of I packed one int per row, batch by batch of its columns.
+    """G G == 2^D I, on the rows of I packed one int per row.
 
-    Each packed array holds at most INVOLUTION_BATCH_BYTES.  G is +-1, so
-    every field of G G I is at most 2^D in absolute value, as is every field
-    of 2^D I; G is linear, so the batches side by side are G G I.
+    G is +-1, so every field of G G I is at most 2^D in absolute value, as is
+    every field of 2^D I.  At D = 12 each packed array holds 32 MB.
     """
     size = 1 << space.dim
-    step = max(1, INVOLUTION_BATCH_BYTES // (size * _Fields(size, 1).width))
-    for lo in range(0, size, step):
-        count = min(step, size - lo)
-        fields = _Fields(size, count)
-        ident = [0] * size
-        for j in range(count):
-            ident[lo + j] = fields.unit(j)
-        if sign_transform(space, sign_transform(space, ident)) != [x << space.dim for x in ident]:
-            return False
-    return True
+    fields = _Fields(size, size)
+    ident = [fields.unit(j) for j in range(size)]
+    return sign_transform(space, sign_transform(space, ident)) == [x << space.dim for x in ident]
 
 
 # -- the push-up maps -----------------------------------------------------------
@@ -483,24 +464,11 @@ def _is_peel_order(order: list[tuple[int, int]], members: list[list[int]], size:
     return all(min(vec_step[v] for v in vs) == member_step[j] for j, vs in enumerate(members))
 
 
-def _packed_bx(cob: CobMatrix, fields: _Fields) -> list[int]:
-    """B X packed over the members r, X_c = column c of num: row v sums X_c over the members c that hold v."""
-    x = fields.rows(cob.size, ((r, (c,), val) for r, row in enumerate(cob.num) for c, val in row.items()))
-    got = [0] * (1 << cob.family.dim)
-    for c, vs in enumerate(cob.members):
-        for v in vs:
-            got[v] += x[c]
-    return got
-
-
 def dense_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
-    """The peel certificate, the residual W - B X and the closed form G B = W, as (check, ok, details)."""
+    """The residual W - B X and the closed form G B = W, as (check, ok, details)."""
     fam = cob.family
     n = cob.size
     size = 1 << fam.dim
-    members = cob.members
-    checks = [("basis-peelable", _is_peel_order(cob.peel, members, size), "")]
-
     # Packed over the members r.  Row v of B X sums, over the members c that
     # hold v, the rows X_c = column c of num, so each of its fields is at most
     # n max|num|; each field of G 1_{E_r} is at most |E_r| <= 2^d, and each of
@@ -508,33 +476,38 @@ def dense_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
     num_max = max((abs(v) for row in cob.num for v in row.values()), default=0)
     fields = _Fields(max(n * num_max, 1 << fam.half), n)
     w = fields.rows(size, _w_columns(fam))
+    x = fields.rows(n, ((r, (c,), val) for r, row in enumerate(cob.num) for c, val in row.items()))
+    bx = [0] * size
+    for c, vs in enumerate(cob.members):
+        for v in vs:
+            bx[v] += x[c]
+    residual = ("solve-residual", bx == w, "W - B X is not zero")
+    del x, bx  # before the closed form packs another 2^D rows
 
-    checks.append(("solve-residual", _packed_bx(cob, fields) == w, "W - B X is not zero"))
-
-    indicators = fields.rows(size, ((r, vs, 1) for r, vs in enumerate(members)))
+    indicators = fields.rows(size, ((r, vs, 1) for r, vs in enumerate(cob.members)))
     bad_member = fields.first_difference(sign_transform(fam.space, indicators), w)
-    checks.append(("closed-form", bad_member is None, f"member {bad_member}"))
-    return checks
+    return [residual, ("closed-form", bad_member is None, f"member {bad_member}")]
 
 
 def verify_change_of_basis(cob: CobMatrix) -> Report:
     """Peel certificate, solve residual, closed form, triangularity, diagonal signs,
     trace, eigenvalue count and involution, each over the nonzeros of the matrix.
 
-    Above MAX_DENSE_DIM the residual and the closed form give way to
-    `lemmas.lemma_checks`.
+    Above MAX_DENSE_DIM the residual and the closed form give way to the
+    recursion's induction, `lemmas.lemma_checks`.
     """
     fam = cob.family
     d = fam.half
     rep = Report(f"change-of-basis D={fam.dim}")
     num = cob.num
 
+    rep.require("basis-peelable", _is_peel_order(cob.peel, cob.members, cob.size))
     if fam.dim <= MAX_DENSE_DIM:
         checks = dense_checks(cob)
     else:
         from .lemmas import lemma_checks
 
-        checks = [("basis-peelable", _is_peel_order(cob.peel, cob.members, cob.size), ""), *lemma_checks(cob)]
+        checks = lemma_checks(cob)
     for check, ok, details in checks:
         rep.require(check, ok, details)
 

@@ -93,10 +93,6 @@ class SymplecticSpace:
             perm[image] = y
         return perm
 
-    def gram_apply(self, v: int) -> int:
-        """The mask of the linear functional (., v): bit i-1 is (e_i, v); 0 <= v < 2^D."""
-        return self.forms[v]
-
     def pairing(self, u: int, v: int) -> int:
         """The symplectic pairing (u, v) as a bit."""
         return self.pairings((u, v))[0]
@@ -187,14 +183,8 @@ class Subspace(NamedTuple):
         """All 2**dim elements of the subspace."""
         return iter(span_vectors(self.rows))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.rows + other.rows)
-
     def extend(self, v: int) -> "Subspace":
         return Subspace.span(self.rows + (v,))
-
-
-ZERO_SUBSPACE = Subspace(())
 
 
 def canonical_subspace(vectors: Iterable[int]) -> Subspace:

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from trifourier.family import Family, FamilyStructureError
 from trifourier.fourier import CobMatrix, _w_columns, peel_order
-from trifourier.gf2 import IntervalLabel, Subspace, SymplecticSpace, ZERO_SUBSPACE, make_space, rref
+from trifourier.gf2 import IntervalLabel, Subspace, SymplecticSpace, make_space, rref
 from trifourier.taumaps import tau
 
 
@@ -112,7 +112,7 @@ def kernel_of(constraints: Iterable[int], dim: int) -> Subspace:
 
 def perp(space: SymplecticSpace, sub: Subspace) -> Subspace:
     """The orthogonal complement {x : (x, u) = 0 for all u in sub}."""
-    return kernel_of((space.gram_apply(row) for row in sub.rows), space.dim)
+    return kernel_of((space.forms[row] for row in sub.rows), space.dim)
 
 
 def nested_interval_subspace(space: SymplecticSpace, k: int) -> Subspace:
@@ -173,7 +173,7 @@ def tau_by_cases(space: SymplecticSpace, i: int) -> tuple[int, ...]:
 def standard_paths_by_rows(dim: int) -> dict[Subspace, str]:
     """`family.standard_paths` in row space: each member as a Subspace, with its first path."""
     if dim == 0:
-        return {ZERO_SUBSPACE: "zero"}
+        return {Subspace(()): "zero"}
     space = make_space(dim)
     paths = {nested_interval_subspace(space, k): f"E_{k}@D={dim}" for k in range(space.half + 1)}
     for i in range(1, dim + 1):

@@ -34,19 +34,28 @@ def test_family_text_is_byte_stable(capsys):
 
 
 def test_family_text_writes_are_batched(monkeypatch):
-    # the fiber lines go out in writes of at least jsonout.BATCH characters, not two per
-    # line (the line and its newline), which an unbuffered stdout makes system calls
-    from trifourier import jsonout
+    # the fiber lines go out as slices of 64 Ki characters of their joined text, not two
+    # writes per line (the line and its newline), which an unbuffered stdout makes system
+    # calls; test_closed_stdout_exits_1_without_traceback needs more than one write
     from trifourier.family import build_family, fiber_lines
 
     writes = []
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
     assert main(["family", "--dim", "12"]) == 0
-    text = "".join(writes)
-    assert text == "".join(line + "\n" for line in fiber_lines(build_family(12)))
-    assert len(text) > jsonout.BATCH and len(writes) == 2
-    assert all(jsonout.BATCH <= len(w) < 2 * jsonout.BATCH for w in writes[:-1])
-    assert 0 < len(writes[-1]) < 2 * jsonout.BATCH
+    text = "".join(line + "\n" for line in fiber_lines(build_family(12)))
+    assert "".join(writes) == text and [len(w) for w in writes] == [1 << 16, len(text) - (1 << 16)]
+    # and without the JSON writer, whose import would cost each call more than the batching saves
+    script = (
+        "import contextlib, io, sys\n"
+        "from trifourier.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['family', '--dim', '4']) == 0\n"
+        "assert 'trifourier.jsonout' not in sys.modules\n"
+    )
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_family_json(capsys):
@@ -259,7 +268,7 @@ def test_dim_above_cap_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [["matrix", "--dim", "14"], ["matrix", "--dim", "14", "--format", "csv"]])
 def test_dense_fourier_above_d12_is_refused(capsys, argv):
     # the export writes all 2^D x 2^D entries; `verify` at D = 14 checks the
-    # recursion's lemmas instead of the dense checks, and runs
+    # recursion's induction instead of the dense checks, and runs
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "--dim 14" in err and "Traceback" not in err
@@ -437,8 +446,9 @@ def test_benchmark_trace_hooks_resolve():
 
 
 def test_verify_d14_runs_in_bounded_memory():
-    # Above D = 12 the Fourier suite checks the recursion's lemmas in place of the dense
-    # residual and closed form, and G G = 2^D I in column batches.  A helper interpreter
+    # Above D = 12 the Fourier suite proves the change of basis by the recursion's
+    # induction from D = 0, and G G = 2^D I and G Z = 2 Z G' from the Gram table and the
+    # maps: nothing packs 2^D x 2^D, and no dense D = 12 check runs.  A helper interpreter
     # starts the run, hashes its output and reads its peak RSS with os.wait4.
     helper = (
         "import hashlib, os, subprocess, sys\n"
@@ -454,12 +464,13 @@ def test_verify_d14_runs_in_bounded_memory():
     assert proc.returncode == 0, proc.stderr
     rc, maxrss_kib, digest = proc.stdout.split()
     assert rc == "0"
-    assert int(maxrss_kib) < 1024 * 1024, f"peak RSS {int(maxrss_kib) / 1024:.0f} MB"
+    assert int(maxrss_kib) < 256 * 1024, f"peak RSS {int(maxrss_kib) / 1024:.0f} MB"
     assert digest == GOLDEN_D14_SHA256
 
 
-# SHA-256 of `verify --dim 14 --suite all`, recorded when the suite first ran at D = 14.
-GOLDEN_D14_SHA256 = "e80a85ead8a479822d7bd33e409f19972a07f77fdb25e11a210e1774f91acbb5"
+# SHA-256 of `verify --dim 14 --suite all`, recorded when the lemma chain replaced the
+# dense D = 12 anchor and the two batched 4^D products.
+GOLDEN_D14_SHA256 = "ba14ec9b2e068e0a7a53fa3cc5156dcbce015c183c8ca18faa20915ea6e27419"
 
 
 def test_matrix_d12_json_digest_from_the_pipe():

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from trifourier import fourier
+from trifourier import fourier, lemmas, taumaps
+from trifourier.cli import run_suite
 from trifourier.family import FamilyStructureError, build_family
 from trifourier.fourier import (
     CobMatrix,
@@ -15,6 +16,7 @@ from trifourier.fourier import (
     _w_columns,
     basis_matrix,
     change_of_basis,
+    dense_checks,
     expansion_rows,
     integer_inverse,
     peel_order,
@@ -27,7 +29,8 @@ from trifourier.fourier import (
     z_map,
 )
 from trifourier.gf2 import SymplecticSpace, make_space, span_vectors
-from trifourier.taumaps import push_key, tau
+from trifourier.lemmas import involution_from_gram, lemma_checks, z_commutation_from_maps
+from trifourier.taumaps import CircularMap, push_key, tau
 
 from gf2_reference import change_of_basis_by_solve, characteristic, peel_solve, perp
 
@@ -268,10 +271,9 @@ def test_lemma_checks_pass_and_catch_corruptions(dim, monkeypatch):
     monkeypatch.setattr(fourier, "MAX_DENSE_DIM", dim - 2)  # the path verify takes above D = 12
     rep = verify_change_of_basis(cob)
     assert rep.ok, rep.summary()
-    below = [f"lemma:{check} D={dim - 2}" for check in ("basis-peelable", "solve-residual", "closed-form")]
     ids = [c.check_id for c in rep.checks]
-    assert ids == ["basis-peelable", *below, *LEMMA_CHECKS, *ids[8:]]
-    assert ids[8:] == dense_ids[3:]
+    assert ids == ["basis-peelable", *LEMMA_CHECKS, *ids[5:]]
+    assert ids[5:] == dense_ids[3:]
 
     # a pushed row off by one fails push agreement; the zero row its residual
     r = len(cob.num) - 1
@@ -280,6 +282,138 @@ def test_lemma_checks_pass_and_catch_corruptions(dim, monkeypatch):
     c = max(cob.num[0])
     failed = _failed(verify_change_of_basis(_corrupted(cob, 0, c, cob.num[0][c] + 1)))
     assert "lemma:zero-row-residual" in failed and "lemma:push-agreement" not in failed
+
+
+def _lemma_failures(dim):
+    """{check: details} of the failing lemma checks of the D change of basis and of the two
+    lemmas that stand in for the 4^D products."""
+    checks = lemma_checks(change_of_basis(build_family(dim)))
+    checks += [
+        ("lemma:involution-from-gram", *involution_from_gram(make_space(dim))),
+        ("lemma:z-commutation-from-maps", *z_commutation_from_maps(dim)),
+    ]
+    return {check: details for check, ok, details in checks if not ok}
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_lemma_chain_passes_where_the_dense_products_pass(dim, monkeypatch):
+    space = make_space(dim)
+    assert verify_involution(space) and involution_from_gram(space) == (True, "")
+    assert verify_z_commutation(dim).ok and z_commutation_from_maps(dim)[0]
+    cob = change_of_basis(build_family(dim))
+    assert all(ok for _, ok, _ in dense_checks(cob)) and all(ok for _, ok, _ in lemma_checks(cob))
+    assert _lemma_failures(dim) == {}
+
+    # the fourier suite above MAX_DENSE_DIM: one line for each product
+    dense_ids = [c.check_id for c in run_suite(dim, "fourier").checks]
+    monkeypatch.setattr(fourier, "MAX_DENSE_DIM", dim - 2)
+    rep = run_suite(dim, "fourier")
+    assert rep.ok, rep.summary()
+    ids = [c.check_id for c in rep.checks]
+    prefix = f"change-of-basis D={dim}:"
+    assert ids == [
+        "fourier:lemma:involution-from-gram",
+        f"{prefix}basis-peelable",
+        *(prefix + check for check in LEMMA_CHECKS),
+        *dense_ids[4 : -(dim + 1)],
+        "fourier:lemma:z-commutation-from-maps",
+    ]
+    assert dense_ids[0] == "fourier:involution" and dense_ids[-1] == f"z-commutation D={dim}:i={dim + 1}"
+    assert rep.checks[-1].details == (
+        f"from lemma:preserves-form, lemma:complement and the Gram tables at D={dim} and D={dim - 2}"
+    )
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_lemma_chain_fails_on_a_corrupted_forms_table(dim, monkeypatch):
+    space, below = make_space(dim), make_space(dim - 2)
+    with monkeypatch.context() as m:
+        # the table of D - 2, which G' reads: the z-commutation rests on it too
+        m.setattr(below, "forms", span_vectors((0, *below.gram[1:])))
+        assert z_commutation_from_maps(dim) == (False, f"D={dim - 2}: forms is not the span table of the Gram rows")
+        assert involution_from_gram(space) == (True, "")
+    gram = space.gram
+    # the functional of e_1 zeroed: forms is no longer the span table of the Gram rows
+    monkeypatch.setattr(space, "forms", span_vectors((0, *gram[1:])))
+    assert _lemma_failures(dim) == {
+        "lemma:preserves-form": f"tau_2 D={dim}",
+        "lemma:complement": f"tau_1 D={dim}",
+        "lemma:involution-from-gram": "forms is not the span table of the Gram rows",
+        "lemma:z-commutation-from-maps": f"D={dim}: forms is not the span table of the Gram rows",
+    }
+    # e_1 cut out of the pairing, Gram rows and forms alike: alternating, but degenerate
+    for rows, fault in [
+        (tuple(row & ~1 for row in (0, *gram[1:])), "forms is not a bijection"),
+        # (e_3, e_1) flipped but not (e_1, e_3): (x, x) = 1 at x = e_1 + e_3
+        ((gram[0] ^ 4, *gram[1:]), "the pairing is not alternating: (x, x) = 1 at x = 5"),
+    ]:
+        monkeypatch.setattr(space, "gram", rows)
+        monkeypatch.setattr(space, "forms", span_vectors(rows))
+        assert involution_from_gram(space) == (False, fault)
+        assert z_commutation_from_maps(dim) == (False, f"D={dim}: {fault}")
+
+
+def _fake_tau(monkeypatch, level, i, images):
+    """Make taumaps.tau give, for tau_i at D = level, the map with images(tau_i's images)."""
+    real = taumaps.tau
+    space = make_space(level)
+    fake = CircularMap(level - 2, level, tuple(images(list(real(space, i).images))))
+    monkeypatch.setattr(taumaps, "tau", lambda sp, j: fake if (sp.dim, j) == (level, i) else real(sp, j))
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+@pytest.mark.parametrize("below", [0, 2])
+def test_lemma_chain_fails_on_a_map_off_the_perp(dim, below, monkeypatch):
+    level, i = dim - below, 3
+    e_next = make_space(level).circular(i + 1)  # (e_(i+1), e_i) = 1
+
+    def off_the_perp(images):
+        images[0] ^= e_next
+        return images
+
+    _fake_tau(monkeypatch, level, i, off_the_perp)
+    failed = _lemma_failures(dim)
+    assert failed["lemma:complement"] == f"tau_{i} D={level}"
+    assert ("lemma:z-commutation-from-maps" in failed) == (level == dim)
+    assert "lemma:push-agreement" not in failed and "lemma:involution-from-gram" not in failed
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+@pytest.mark.parametrize("below", [0, 2])
+def test_lemma_chain_fails_on_a_map_that_breaks_the_form(dim, below, monkeypatch):
+    # the image of e'_1 + e'_2 in place of that of e'_1: the same span, so still a
+    # complement, but (e'_1, e'_3) = 0 goes to (e'_1 + e'_2, e'_3) = 1
+    level, i = dim - below, 2
+
+    def sheared(images):
+        images[0] ^= images[1]
+        return images
+
+    _fake_tau(monkeypatch, level, i, sheared)
+    failed = _lemma_failures(dim)
+    assert failed["lemma:preserves-form"] == f"tau_{i} D={level}"
+    if level == dim:
+        assert failed.keys() == {"lemma:preserves-form", "lemma:z-commutation-from-maps"}
+        assert failed["lemma:z-commutation-from-maps"] == f"lemma:preserves-form fails at tau_{i} D={dim}"
+    else:
+        assert failed.keys() == {"lemma:preserves-form"}
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_lemma_chain_fails_on_a_zero_row_below_the_top(dim, monkeypatch):
+    real = lemmas.expansion_rows
+    level = dim - 4
+
+    def off_by_one(k):
+        rows = real(k)
+        if k != level:
+            return rows
+        zero = dict(rows[0])
+        zero[max(zero)] += 1
+        return {**rows, 0: zero}
+
+    monkeypatch.setattr(lemmas, "expansion_rows", off_by_one)
+    assert _lemma_failures(dim) == {"lemma:zero-row-residual": f"B x - 1_V is not zero at D={level}"}
 
 
 def _unpack(fields, packed, count):
@@ -295,57 +429,31 @@ def _unpack(fields, packed, count):
     return out
 
 
-def _square_columns(space, monkeypatch, budget):
-    """G G I as a list of columns, assembled from the batches `verify_involution` transforms
-    with INVOLUTION_BATCH_BYTES = budget, and the number of columns in each batch."""
+@pytest.mark.parametrize("dim", [6, 8])
+def test_involution_is_one_batch(dim, monkeypatch):
+    # verify_involution transforms I, one packed int per row, twice: G G I is 2^D I
+    space = make_space(dim)
+    size = 1 << dim
     calls = []
 
     def spy(sp, f):
         out = sign_transform(sp, f)
-        calls.append((f, out))
+        calls.append(out)
         return out
 
-    with monkeypatch.context() as m:
-        m.setattr(fourier, "INVOLUTION_BATCH_BYTES", budget)
-        m.setattr(fourier, "sign_transform", spy)
-        assert verify_involution(space)
-    columns, sizes = [], []
-    for (ident, _), (_, square) in zip(calls[::2], calls[1::2]):
-        count = sum(1 for x in ident if x)
-        fields = _Fields(1 << space.dim, count)
-        rows = [_unpack(fields, x, count) for x in square]
-        columns += [[row[j] for row in rows] for j in range(count)]
-        sizes.append(count)
-    return columns, sizes
+    monkeypatch.setattr(fourier, "sign_transform", spy)
+    assert verify_involution(space)
+    assert len(calls) == 2
+    fields = _Fields(size, size)
+    rows = [_unpack(fields, x, size) for x in calls[1]]
+    assert [list(col) for col in zip(*rows)] == [[size * (x == v) for x in range(size)] for v in range(size)]
 
-
-@pytest.mark.parametrize("dim", [6, 8])
-def test_batched_involution_equals_one_batch(dim, monkeypatch):
-    space = make_space(dim)
-    size = 1 << dim
-    column_bytes = size * _Fields(size, 1).width
-    one, sizes = _square_columns(space, monkeypatch, fourier.INVOLUTION_BATCH_BYTES)
-    assert sizes == [size]
-    assert one == [[size * (x == v) for x in range(size)] for v in range(size)]
-    # eight columns per batch; seven, with a last, shorter batch; one
-    for budget, expect in [
-        (8 * column_bytes + 1, [8] * (size // 8)),
-        (7 * column_bytes, [7] * (size // 7) + [size % 7]),
-        (1, [1] * size),
-    ]:
-        assert _square_columns(space, monkeypatch, budget) == (one, expect)
-
-    # one wrong field in the last, shorter batch fails the check
-    calls = []
-
-    def off_in_last_batch(sp, f):
-        out = sign_transform(sp, f)
-        calls.append(None)
-        if len(calls) == 2 * (size // 7 + 1):
+    # one wrong field in the last row fails the check
+    def off_by_one(sp, f):
+        out = spy(sp, f)
+        if len(calls) == 4:
             out[-1] += 1
         return out
 
-    monkeypatch.setattr(fourier, "INVOLUTION_BATCH_BYTES", 7 * column_bytes)
-    monkeypatch.setattr(fourier, "sign_transform", off_in_last_batch)
+    monkeypatch.setattr(fourier, "sign_transform", off_by_one)
     assert not verify_involution(space)
-    assert len(calls) == 2 * (size // 7 + 1)

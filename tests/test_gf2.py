@@ -85,7 +85,7 @@ def test_gram_invariants_up_to_12():
         assert total == sp.circular(dim + 1)
 
 
-def test_gram_apply_is_the_xor_of_gram_rows():
+def test_forms_is_the_xor_of_gram_rows():
     for dim in range(0, 11, 2):
         sp = make_space(dim)
         for v in range(1 << dim):
@@ -93,7 +93,7 @@ def test_gram_apply_is_the_xor_of_gram_rows():
             for j in range(dim):
                 if (v >> j) & 1:
                     expect ^= sp.gram[j]
-            assert sp.gram_apply(v) == expect, (dim, v)
+            assert sp.forms[v] == expect, (dim, v)
 
 
 def test_gram_inverse_inverts_forms():

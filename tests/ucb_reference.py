@@ -5,7 +5,7 @@ every vertex pair (gamma', gamma), sharing no closure or factorisation with
 
 from functools import lru_cache
 
-from trifourier.gf2 import Subspace, ZERO_SUBSPACE, make_space
+from trifourier.gf2 import Subspace, make_space
 from trifourier.taumaps import generic_tau
 
 from gf2_reference import push_rows
@@ -15,10 +15,10 @@ from gf2_reference import push_rows
 def ucb_all_pairs(dim: int) -> frozenset[Subspace]:
     """{0} and tau_(gamma', gamma)(E') + F2.e_gamma over every pair and (D-2)-member E'."""
     if dim == 0:
-        return frozenset({ZERO_SUBSPACE})
+        return frozenset({Subspace(())})
     if dim == 2:
         return frozenset(
-            {ZERO_SUBSPACE, Subspace.span([1]), Subspace.span([2]), Subspace.span([3])}
+            {Subspace(()), Subspace.span([1]), Subspace.span([2]), Subspace.span([3])}
         )
     space = make_space(dim)
     prev_rows = [sub.rows for sub in ucb_all_pairs(dim - 2)]
