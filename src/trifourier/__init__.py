@@ -23,7 +23,6 @@ _EXPORTS = {
     "canonical_subspace": "gf2",
     "change_of_basis": "fourier",
     "delta": "family",
-    "enumerate_m": "nonabelian",
     "is_isotropic": "gf2",
     "make_space": "gf2",
     "nonabelian_ft": "nonabelian",

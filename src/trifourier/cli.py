@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -73,10 +74,7 @@ def _emit_family(args) -> int:
     if args.format == "json":
         _print_json(family_to_json(fam))
     else:
-        # in slices: on an unbuffered stdout one write cut short by a closed pipe fails silently
-        text = "".join(line + "\n" for line in fiber_lines(fam))
-        for lo in range(0, len(text), 1 << 16):
-            sys.stdout.write(text[lo : lo + (1 << 16)])
+        sys.stdout.write("".join(line + "\n" for line in fiber_lines(fam)))
     return 0
 
 
@@ -209,8 +207,22 @@ def _run_nonabelian(args) -> int:
 _COMMANDS = {"family": _emit_family, "matrix": _emit_matrix, "verify": _run_verify, "nonabelian": _run_nonabelian}
 
 
+def _buffer_stdout() -> None:
+    """Give the interpreter's standard output a buffer if it has none (PYTHONUNBUFFERED, -u).
+
+    Over a raw file the text layer ignores the short count of a write that a
+    closing pipe cuts off, so the output could end truncated behind exit 0; a
+    BufferedWriter finishes every write or raises BrokenPipeError.  A stdout
+    that has been replaced (a StringIO, a test's capture) is left alone.
+    """
+    out = sys.stdout
+    if out is sys.__stdout__ and isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors, closefd=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _buffer_stdout()
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at interpreter exit

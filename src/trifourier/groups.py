@@ -20,7 +20,7 @@ and documented in the README:
 
 from __future__ import annotations
 
-from itertools import chain, permutations
+from itertools import permutations
 from math import lcm
 
 from .cyclotomic import Cyc
@@ -200,37 +200,25 @@ def _table_by_classifier(elements, labels, classify, rows) -> CharacterTable:
     return CharacterTable(tuple(elements), tuple(labels), values)
 
 
-def _sym_table(n: int, elements: tuple[Perm, ...]) -> CharacterTable:
-    """Character table of a symmetric group of degree 2 to 5, by cycle type."""
-    if n == 2:
-        rows = {
-            "1": {(1, 1): _rat(1), (2,): _rat(1)},
-            "eps": {(1, 1): _rat(1), (2,): _rat(-1)},
-        }
-        return _table_by_classifier(elements, ["1", "eps"], cycle_type, rows)
-    if n == 3:
-        rows = {
-            "1": {(1, 1, 1): _rat(1), (2, 1): _rat(1), (3,): _rat(1)},
-            "r": {(1, 1, 1): _rat(2), (2, 1): _rat(0), (3,): _rat(-1)},
-            "eps": {(1, 1, 1): _rat(1), (2, 1): _rat(-1), (3,): _rat(1)},
-        }
-        return _table_by_classifier(elements, ["1", "r", "eps"], cycle_type, rows)
-    if n == 4:
-        types = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
-        data = {
+# S_n character values by cycle type: degree -> (cycle types, label -> values in that order)
+_SYM_CHARACTERS = {
+    3: (
+        [(1, 1, 1), (2, 1), (3,)],
+        {"1": (1, 1, 1), "r": (2, 0, -1), "eps": (1, -1, 1)},
+    ),
+    4: (
+        [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)],
+        {
             "1": (1, 1, 1, 1, 1),
             "lambda1": (3, 1, -1, 0, -1),
             "lambda2": (3, -1, -1, 0, 1),
             "lambda3": (1, -1, 1, 1, -1),
             "sigma": (2, 0, 2, -1, 0),
-        }
-        rows = {lab: {t: _rat(v) for t, v in zip(types, vals)} for lab, vals in data.items()}
-        return _table_by_classifier(
-            elements, ["1", "lambda1", "lambda2", "lambda3", "sigma"], cycle_type, rows
-        )
-    if n == 5:
-        types = [(1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1), (5,)]
-        data = {
+        },
+    ),
+    5: (
+        [(1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1), (5,)],
+        {
             "1": (1, 1, 1, 1, 1, 1, 1),
             "lambda1": (4, 2, 0, 1, -1, 0, -1),
             "lambda2": (6, 0, -2, 0, 0, 0, 1),
@@ -238,11 +226,36 @@ def _sym_table(n: int, elements: tuple[Perm, ...]) -> CharacterTable:
             "lambda4": (1, -1, 1, 1, -1, -1, 1),
             "nu": (5, 1, 1, -1, 1, -1, 0),
             "nu'": (5, -1, 1, -1, -1, 1, 0),
-        }
-        rows = {lab: {t: _rat(v) for t, v in zip(types, vals)} for lab, vals in data.items()}
-        labels = ["1", "lambda1", "lambda2", "lambda3", "lambda4", "nu", "nu'"]
-        return _table_by_classifier(elements, labels, cycle_type, rows)
-    raise ValueError(f"no table for degree {n}")
+        },
+    ),
+}
+
+
+def _sym_table(n: int, elements: tuple[Perm, ...]) -> CharacterTable:
+    """Character table of a symmetric group of degree 3 to 5, by cycle type."""
+    types, chars = _SYM_CHARACTERS[n]
+    rows = {lab: {t: _rat(v) for t, v in zip(types, vals)} for lab, vals in chars.items()}
+    return _table_by_classifier(elements, list(chars), cycle_type, rows)
+
+
+def _sym_by_swap_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
+    """Sym(fixed points of x) x <x>, the centralizer of a transposition x (of g2 in s5).
+
+    Each character chi of the symmetric group on the fixed points gives chi,
+    and -chi: chi times the sign of the swap x.
+    """
+    rest = tuple(p for p, q in enumerate(x) if p == q)
+    moved = next(p for p, q in enumerate(x) if p != q)
+    types, chars = _SYM_CHARACTERS[len(rest)]
+    rows = {}
+    for lab, vals in chars.items():
+        for name, twist in ((lab, 1), ("-" + lab, -1)):
+            rows[name] = {(t, swap): _rat(v * twist**swap) for t, v in zip(types, vals) for swap in (0, 1)}
+
+    def classify(g: Perm) -> tuple[tuple[int, ...], int]:
+        return cycle_type(restrict(g, rest)), int(g[moved] != moved)
+
+    return _table_by_classifier(elements, list(rows), classify, rows)
 
 
 def _klein_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
@@ -290,29 +303,3 @@ def _dihedral8_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
     }
     values = {lab: {cls: _rat(v) for cls, v in row.items()} for lab, row in rows.items()}
     return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps", "r"), classify, values)
-
-
-def _split_product_table(
-    elements: tuple[Perm, ...],
-    support_a: tuple[int, ...],
-    support_b: tuple[int, ...],
-    table_a_of: "callable",
-    labels: list[tuple[str, str, str]],
-) -> CharacterTable:
-    """Characters of a product centralizer split along two invariant supports.
-
-    labels lists (combined label, label on part A, label on part B).
-    """
-    restricted_a = {g: restrict(g, support_a) for g in elements}
-    restricted_b = {g: restrict(g, support_b) for g in elements}
-    part_a = table_a_of(tuple(sorted(set(restricted_a.values()))))
-    nb = len(support_b)
-    part_b = _sym_table(nb, tuple(sorted(set(restricted_b.values()))))
-    pairs = {
-        lab: [(part_a.values[la][restricted_a[g]], part_b.values[lb][restricted_b[g]]) for g in elements]
-        for lab, la, lb in labels
-    }
-    # one product per distinct pair of part values: 20 for s5's 108 (element, character) pairs
-    products = {pair: pair[0] * pair[1] for pair in set(chain.from_iterable(pairs.values()))}
-    values = {lab: {g: products[pair] for g, pair in zip(elements, row)} for lab, row in pairs.items()}
-    return CharacterTable(tuple(elements), tuple(lab for lab, _, _ in labels), values)

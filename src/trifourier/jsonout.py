@@ -23,7 +23,7 @@ from _json import encode_basestring_ascii as _str
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, repeat
 
-BATCH = 1 << 16  # characters per write; with unbuffered stdout each write is one system call
+BATCH = 1 << 16  # least characters per write but the last: one call of write per batch, not per piece
 
 
 class _Memo(dict):
@@ -39,7 +39,7 @@ class _Memo(dict):
 
 
 class _Batches:
-    """Text joined into writes of BATCH <= len < 2 BATCH characters, the last one possibly shorter."""
+    """Text joined into writes of at least BATCH characters, the last one possibly shorter."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write = write
@@ -53,20 +53,16 @@ class _Batches:
             self.flush()
 
     def flush(self) -> None:
-        """Write what is held; a text of 2 BATCH or more goes out in pieces of BATCH."""
+        """Write what is held, in one write."""
         text = "".join(self.parts)
         self.parts.clear()
         self.size = 0
-        start, end = 0, len(text)
-        while end - start >= 2 * BATCH:
-            self.write(text[start : start + BATCH])
-            start += BATCH
-        if end:
-            self.write(text[start:])
+        if text:
+            self.write(text)
 
 
 def write_batched(pieces: Iterable[str], write: Callable[[str], object]) -> None:
-    """Join pieces into writes of BATCH <= len < 2 BATCH characters, the last one possibly shorter."""
+    """Join pieces into writes of at least BATCH characters, the last one possibly shorter."""
     batches = _Batches(write)
     for piece in pieces:
         batches.add(piece)

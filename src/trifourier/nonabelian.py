@@ -40,7 +40,7 @@ from .groups import (
     _cyclic_table,
     _dihedral8_table,
     _klein_table,
-    _split_product_table,
+    _sym_by_swap_table,
     _sym_table,
     from_cycles,
     identity_perm,
@@ -158,40 +158,15 @@ def mdata(name: str) -> MData:
         g4 = from_cycles(5, (1, 2, 3, 4))
         g5 = from_cycles(5, (0, 1, 2, 3, 4))
         th2 = theta * theta
-        cyc3 = from_cycles(3, (0, 1, 2))
-        g2_table = _split_product_table(
-            g.centralizer(g2),
-            (0, 1, 2),
-            (3, 4),
-            lambda elems: _sym_table(3, elems),
-            [
-                ("1", "1", "1"),
-                ("-1", "1", "eps"),
-                ("r", "r", "1"),
-                ("-r", "r", "eps"),
-                ("eps", "eps", "1"),
-                ("-eps", "eps", "eps"),
-            ],
-        )
-        g3_table = _split_product_table(
-            g.centralizer(g3),
-            (0, 1, 2),
-            (3, 4),
-            lambda elems: _cyclic_table(cyc3, [("1", one), ("theta", theta), ("theta2", th2)]),
-            [
-                ("1", "1", "1"),
-                ("theta", "theta", "1"),
-                ("theta2", "theta2", "1"),
-                ("eps", "1", "eps"),
-                ("eps*theta", "theta", "eps"),
-                ("eps*theta2", "theta2", "eps"),
-            ],
-        )
         classes = [
             ("1", identity_perm(5), _sym_table(5, g.elements)),
-            ("g2", g2, g2_table),
+            ("g2", g2, _sym_by_swap_table(g2, g.centralizer(g2))),
             ("g2'", g2p, _dihedral8_table(g2p, g.centralizer(g2p))),
-            ("g3", g3, g3_table),
+            ("g3", g3, _cyclic_table(  # Z(g3) = <g6>, labelled as C3 on {0,1,2} times S2 on {3,4}
+                g6,
+                [("1", one), ("theta", theta), ("theta2", th2),
+                 ("eps", minus), ("eps*theta", -theta), ("eps*theta2", -th2)],
+            )),
             ("g6", g6, _cyclic_table(
                 g6,
                 [("1", one), ("-1", minus), ("theta", theta), ("theta2", th2),
@@ -205,11 +180,6 @@ def mdata(name: str) -> MData:
         ]
         return _assemble(name, g, classes)
     raise ValueError(f"unsupported group {name!r}")
-
-
-def enumerate_m(name: str) -> list[MPair]:
-    """The canonical ordered list of pairs (class label, character label)."""
-    return list(mdata(name).pairs)
 
 
 class FTMatrix:

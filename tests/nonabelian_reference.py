@@ -15,7 +15,6 @@ from trifourier.groups import (
     CharacterTable,
     PermGroup,
     _cyclic_table,
-    _sym_table,
     from_cycles,
     identity_perm,
     restrict,
@@ -48,10 +47,8 @@ def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
 def _s2() -> MData:
     g = symmetric_group(2)
     swap = from_cycles(2, (0, 1))
-    classes = [
-        ("1", identity_perm(2), _sym_table(2, g.elements)),
-        ("g2", swap, _cyclic_table(swap, [("1", Cyc.one()), ("eps", Cyc.from_rational(-1))])),
-    ]
+    table = _cyclic_table(swap, [("1", Cyc.one()), ("eps", Cyc.from_rational(-1))])  # S2 is <swap>
+    classes = [("1", identity_perm(2), table), ("g2", swap, table)]
     return _assemble("s2", g, classes)
 
 

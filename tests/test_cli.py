@@ -10,7 +10,7 @@ import pytest
 
 import trifourier
 from trifourier.cli import main
-from trifourier.nonabelian import NewBasis, s3_new_basis
+from trifourier.nonabelian import NewBasis, mdata, s3_new_basis
 
 from nonabelian_reference import new_basis_to_json
 
@@ -34,16 +34,14 @@ def test_family_text_is_byte_stable(capsys):
 
 
 def test_family_text_writes_are_batched(monkeypatch):
-    # the fiber lines go out as slices of 64 Ki characters of their joined text, not two
-    # writes per line (the line and its newline), which an unbuffered stdout makes system
-    # calls; test_closed_stdout_exits_1_without_traceback needs more than one write
+    # the fiber lines go out as one write of their joined text, not two writes per line
+    # (the line and its newline)
     from trifourier.family import build_family, fiber_lines
 
     writes = []
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
     assert main(["family", "--dim", "12"]) == 0
-    text = "".join(line + "\n" for line in fiber_lines(build_family(12)))
-    assert "".join(writes) == text and [len(w) for w in writes] == [1 << 16, len(text) - (1 << 16)]
+    assert writes == ["".join(line + "\n" for line in fiber_lines(build_family(12)))]
     # and without the JSON writer, whose import would cost each call more than the batching saves
     script = (
         "import contextlib, io, sys\n"
@@ -336,24 +334,31 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         ["family", "--dim", "10", "--format", "json"],
         ["matrix", "--dim", "10", "--format", "json"],
         ["matrix", "--dim", "10", "--format", "csv"],
+        ["verify", "--dim", "12", "--suite", "family"],
     ],
 )
 def test_closed_stdout_exits_1_without_traceback(argv):
     # The reader stops after one line, as `trifourier family --dim 10 | head -1` does.
-    # Each output (127 KB, 744 KB, 11.7 MB and 2.2 MB) is larger than a pipe's 64 KiB
-    # buffer, so the program is still writing when the pipe closes.  On an unbuffered
-    # stdout (PYTHONUNBUFFERED) one large write that the closed pipe cuts short fails
-    # silently; the export writes in batches, so the next batch reports it.
+    # Each output (127 KB, 744 KB, 11.7 MB, 2.2 MB and 156 KB, the last one print) is
+    # larger than a pipe's 64 KiB buffer, so the program is still writing when the pipe
+    # closes.  On an unbuffered stdout (PYTHONUNBUFFERED) the text layer would drop the
+    # short count of a write that the closed pipe cuts off and exit 0; the command line
+    # gives stdout a buffer, which finishes the write or reports the closed pipe.
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "trifourier", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
-    assert err == b""
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trifourier", *argv],
+            env={**env, **unbuffered},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1, unbuffered
+        assert err == b"", unbuffered
 
 
 def test_nonabelian_newbasis_leaves_gf2_pipeline_unimported():
@@ -377,7 +382,7 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
     # the cyclotomic matrices are packed Python ints: no group check pays for the numpy import
     bases = {}
     for group in ("s4", "s5"):
-        n = len(trifourier.enumerate_m(group))
+        n = len(mdata(group).pairs)
         identity = NewBasis(group, "", [[int(i == j) for j in range(n)] for i in range(n)])
         bases[group] = tmp_path / f"{group}-identity.json"
         bases[group].write_text(json.dumps(new_basis_to_json(identity)), encoding="utf-8")

@@ -126,6 +126,29 @@ def test_g6_labels_are_values_at_the_generator():
         assert table.values[label][g6] == want
 
 
+@pytest.mark.parametrize("label", ["g3", "g2"])
+def test_s5_product_centralizers_are_products_of_their_parts(label):
+    # Z(g3) = C3 x S2 and Z(g2) = S3 x S2 over the supports {0,1,2} | {3,4}: each character,
+    # at every element, is a character of C3 or S3 on {0,1,2} times 1 or the sign on {3,4}
+    parts = {
+        "g3": ("g3", [("1", "1", 1), ("theta", "theta", 1), ("theta2", "theta2", 1),
+                      ("eps", "1", -1), ("eps*theta", "theta", -1), ("eps*theta2", "theta2", -1)]),
+        "g2": ("1", [("1", "1", 1), ("-1", "1", -1), ("r", "r", 1),
+                     ("-r", "r", -1), ("eps", "eps", 1), ("-eps", "eps", -1)]),
+    }
+    part_label, characters = parts[label]
+    md = mdata("s5")
+    table = md.tables[label]
+    part = mdata("s3").tables[part_label]  # C3 = <(0 1 2)> or S3, on the points 0, 1, 2
+    assert set(table.group_elements) == set(md.group.centralizer(md.reps[label]))
+    assert table.labels == tuple(lab for lab, _, _ in characters)
+    for lab, part_lab, twist in characters:
+        for g in table.group_elements:
+            sign = twist if g[3] == 4 else 1
+            want = part.values[part_lab][restrict(g, (0, 1, 2))] * Cyc.from_rational(sign)
+            assert table.values[lab][g] == want, (label, lab, g)
+
+
 def test_column_orthogonality():
     # complement to the row check inside validate(): on class representatives
     # of each centralizer, sum over characters of chi(g) conj(chi(h)) equals

@@ -9,10 +9,10 @@ from trifourier.nonabelian import (
     PIECE_SIGNS,
     PIECES,
     MPair,
-    enumerate_m,
     hyperplane_check,
     load_basis,
     load_basis_file,
+    mdata,
     nonabelian_ft,
     piece_partition,
     s3_new_basis,
@@ -61,9 +61,9 @@ def as_fraction(value: Cyc) -> Fraction:
 
 def test_m_sizes():
     assert len(group_data("s2").pairs) == 4
-    assert len(enumerate_m("s3")) == 8
-    assert len(enumerate_m("s4")) == 21
-    assert len(enumerate_m("s5")) == 39
+    assert len(mdata("s3").pairs) == 8
+    assert len(mdata("s4").pairs) == 21
+    assert len(mdata("s5").pairs) == 39
 
 
 def test_s3_row_of_trivial_pair():
