@@ -20,7 +20,6 @@ _EXPORTS = {
     "Subspace": "gf2",
     "SymplecticSpace": "gf2",
     "build_family": "family",
-    "canonical_subspace": "gf2",
     "change_of_basis": "fourier",
     "delta": "family",
     "is_isotropic": "gf2",

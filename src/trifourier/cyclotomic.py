@@ -86,10 +86,6 @@ class Cyc:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Cyc":
-        return Cyc((0,) * DEGREE)
-
-    @staticmethod
     def one() -> "Cyc":
         return Cyc((1,) + (0,) * (DEGREE - 1))
 
@@ -205,10 +201,6 @@ class Cyc:
         m = [list(r) for r in zip(*(reduce_powers((0,) * i + self.num) for i in range(DEGREE)))]
         det, adj = adjugate(m)  # det != 0: the minimal polynomial is irreducible
         return Cyc(tuple(self.den * row[0] for row in adj), det)
-
-    def conj(self) -> "Cyc":
-        """Complex conjugation: the base root maps to its inverse."""
-        return Cyc(conj_coeffs(self.num), self.den)
 
     # -- predicates and conversions -------------------------------------------
 

@@ -269,26 +269,8 @@ class Family:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def entry(self, sub: Subspace) -> FamilyEntry:
-        """The member equal to sub; KeyError when sub is not one.
-
-        A member holds exactly the intervals of its interval basis, so its
-        key sets the bit of every interval vector in sub.
-        """
-        key = sum(1 << k for k, v in enumerate(self.space.interval_vectors) if sub.contains(v))
-        idx = self.index_of_key.get(key)
-        if idx is None or self.entries[idx].subspace != sub:
-            raise KeyError(sub)
-        return self.entries[idx]
-
-    def by_dim(self, k: int) -> list[FamilyEntry]:
-        return [e for e in self.entries if e.dim == k]
-
     def by_n(self, k: int) -> list[FamilyEntry]:
         return [e for e in self.entries if e.n_even == k]
-
-    def shriek(self, ent: FamilyEntry) -> FamilyEntry:
-        return self.entries[ent.shriek_index]
 
 
 @lru_cache(maxsize=None)

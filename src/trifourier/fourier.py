@@ -36,7 +36,7 @@ from math import lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .family import Family, FamilyStructureError, delta, family_subspaces
+from .family import Family, FamilyStructureError, delta, entry_compact, family_subspaces
 from .gf2 import SymplecticSpace, bits_of, make_space, span_vectors
 from .report import Report, fraction_string
 from .taumaps import check_complement, push_key, tau
@@ -333,14 +333,10 @@ class CobMatrix:
     dimension ascending, ties by echelon rows.
     """
 
-    def __init__(
-        self, family: Family, num: list[dict[int, int]], den: int, peel: list[tuple[int, int]] | None = None
-    ) -> None:
+    def __init__(self, family: Family, num: list[dict[int, int]], den: int) -> None:
         self.family = family
         self.num = num
         self.den = den
-        if peel is not None:
-            self.peel = peel
 
     @cached_property
     def members(self) -> list[list[int]]:
@@ -362,12 +358,6 @@ class CobMatrix:
 
         return Fraction(self.num[r].get(c, 0), self.den)
 
-    def diagonal(self) -> list[Fraction]:
-        return [self.entry(i, i) for i in range(self.size)]
-
-    def row(self, r: int) -> list[Fraction]:
-        return [self.entry(r, c) for c in range(self.size)]
-
     def trace(self) -> Fraction:
         from fractions import Fraction
 
@@ -385,8 +375,6 @@ class CobMatrix:
     def to_json(self) -> dict:
         """The JSON export's document.  Its entries are a row iterator, to be written once."""
         fam = self.family
-        from .family import entry_compact
-
         return {
             "dim": fam.dim,
             "order": [
@@ -398,8 +386,6 @@ class CobMatrix:
 
     def to_csv(self) -> Iterator[str]:
         """The CSV text, one line (newline included) at a time."""
-        from .family import entry_compact
-
         labels = [entry_compact(e, self.family.dim) for e in self.family.entries]
         yield "," + ",".join(f'"{lab}"' for lab in labels) + "\n"
         for lab, row in zip(labels, self._entry_strings()):

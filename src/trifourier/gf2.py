@@ -93,10 +93,6 @@ class SymplecticSpace:
             perm[image] = y
         return perm
 
-    def pairing(self, u: int, v: int) -> int:
-        """The symplectic pairing (u, v) as a bit."""
-        return self.pairings((u, v))[0]
-
     def pairings(self, vectors: tuple[int, ...]) -> list[int]:
         """The pairings (v_i, v_j), i < j, in row order; each functional (v_i, .) is computed once."""
         if any(v >> self.dim for v in vectors):
@@ -182,14 +178,6 @@ class Subspace(NamedTuple):
     def vectors(self) -> Iterator[int]:
         """All 2**dim elements of the subspace."""
         return iter(span_vectors(self.rows))
-
-    def extend(self, v: int) -> "Subspace":
-        return Subspace.span(self.rows + (v,))
-
-
-def canonical_subspace(vectors: Iterable[int]) -> Subspace:
-    """Canonical representation of the span of the given vectors."""
-    return Subspace.span(vectors)
 
 
 def span_vectors(basis: Iterable[int]) -> list[int]:

@@ -20,9 +20,9 @@ class Check:
 
 
 class Report:
-    def __init__(self, suite: str, checks: list[Check] | None = None) -> None:
+    def __init__(self, suite: str) -> None:
         self.suite = suite
-        self.checks = [] if checks is None else checks
+        self.checks: list[Check] = []
 
     def add(self, check_id: str, ok: bool, details: str = "") -> None:
         self.checks.append(Check(check_id, bool(ok), details))

@@ -224,4 +224,6 @@ def change_of_basis_by_solve(family: Family) -> CobMatrix:
     for c, col in enumerate(x):
         for r, val in col.items():
             num[r][c] = val
-    return CobMatrix(family, num, 1 << family.half, order)
+    cob = CobMatrix(family, num, 1 << family.half)
+    cob.peel = order
+    return cob

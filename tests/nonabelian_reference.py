@@ -105,7 +105,7 @@ def group_ft(name: str) -> FTMatrix:
 def kron_ft(a: FTMatrix, b: FTMatrix) -> list[list[Cyc]]:
     """Kronecker product in the pair order of the corresponding product group."""
     na, nb = a.size, b.size
-    out = [[Cyc.zero()] * (na * nb) for _ in range(na * nb)]
+    out = [[Cyc.from_rational(0)] * (na * nb) for _ in range(na * nb)]
     md_prod = group_data(f"{a.mdata.name}x{b.mdata.name}")
     for ia, pa in enumerate(a.mdata.pairs):
         for ib, pb in enumerate(b.mdata.pairs):

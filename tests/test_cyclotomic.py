@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifourier.cyclotomic import DEGREE, N, Cyc
+from trifourier.cyclotomic import DEGREE, N, Cyc, conj_coeffs
 
 
 def to_complex(a: Cyc) -> complex:
@@ -30,7 +30,7 @@ def test_theta_relation():
 def test_imaginary_unit():
     i = Cyc.imag_unit()
     assert i * i == Cyc.from_rational(-1)
-    assert i.conj() == -i
+    assert Cyc(conj_coeffs(i.num), i.den) == -i
 
 
 def test_zeta5_relations():
@@ -43,14 +43,14 @@ def test_inverse_examples():
     assert Cyc.one().inverse() == Cyc.one()
     assert Cyc.from_rational(2).inverse().to_rational() == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
-        Cyc.zero().inverse()
+        Cyc.from_rational(0).inverse()
 
 
 def test_rationality():
     z = Cyc.zeta5()
     full = z + z**2 + z**3 + z**4
     assert full.is_rational() and full.to_rational() == -1
-    assert Cyc.zero().is_rational() and Cyc.zero().to_rational() == 0
+    assert Cyc.from_rational(0).is_rational() and Cyc.from_rational(0).to_rational() == 0
     golden = z + z**4
     assert not golden.is_rational()
     # numeric oracle: 2 cos(2 pi / 5) = (sqrt 5 - 1) / 2
@@ -63,7 +63,7 @@ def test_conj_is_complex_conjugation():
     rng = random.Random(13)
     for _ in range(50):
         a = Cyc(tuple(rng.randrange(-4, 5) for _ in range(DEGREE)), rng.randrange(1, 5))
-        assert abs(to_complex(a.conj()) - to_complex(a).conjugate()) < 1e-9
+        assert abs(to_complex(Cyc(conj_coeffs(a.num), a.den)) - to_complex(a).conjugate()) < 1e-9
 
 
 def test_field_axioms_randomized():
@@ -103,7 +103,7 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     th = Cyc.theta()
     assert 1 + th == th + 1
     assert 2 * th == th + th
-    assert th - th == Cyc.zero()
+    assert th - th == Cyc.from_rational(0)
     assert (th * Fraction(1, 2)) * 2 == th
     assert (6 / Cyc.from_rational(3)).to_rational() == 2
 
@@ -133,7 +133,7 @@ def test_json_form():
     doc = th.to_json()
     assert doc == [{"num": -3, "den": 2, "exp": 0}, {"num": 3, "den": 2, "exp": 10}]
     assert abs(to_complex(th) - 1.5 * complex(-0.5, 3**0.5 / 2)) < 1e-9
-    assert Cyc.zero().to_json() == []
+    assert Cyc.from_rational(0).to_json() == []
 
 
 def test_root_of_unity_rejects_bad_order():

@@ -2,7 +2,7 @@ import pytest
 
 from trifourier.dihedral import (
     family_permutation,
-    orbits_of,
+    generated_permutation_group,
     preserves_form,
     reflection,
     rotation,
@@ -11,7 +11,7 @@ from trifourier.dihedral import (
     verify_relations,
 )
 from trifourier.family import build_family
-from trifourier.gf2 import canonical_subspace, make_space
+from trifourier.gf2 import Subspace, make_space
 
 
 def test_rotation_d2_action():
@@ -51,14 +51,14 @@ def test_equivariance(dim):
 def test_stability_and_orbits_d2():
     fam = build_family(2)
     perm_r = family_permutation(fam, rotation(fam.space))
-    zero_idx = fam.entry(canonical_subspace([])).index
+    index = {e.subspace: e.index for e in fam.entries}
+    zero_idx = index[Subspace(())]
     assert perm_r[zero_idx] == zero_idx
-    lines = [fam.entry(canonical_subspace([m])).index for m in (1, 2, 3)]
+    lines = [index[Subspace.span([m])] for m in (1, 2, 3)]
     # rotation cycles the three lines
     assert sorted(perm_r[i] for i in lines) == sorted(lines)
     assert all(perm_r[i] != i for i in lines)
-    orbits = orbits_of([perm_r, family_permutation(fam, reflection(fam.space))], 4)
-    assert sorted(len(o) for o in orbits) == [1, 3]
+    assert sorted(map(len, _dihedral_orbits(fam))) == [1, 3]
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])
@@ -68,8 +68,6 @@ def test_stability(dim):
 
 
 def test_induced_group_is_full_dihedral_d4():
-    from trifourier.dihedral import family_permutation, generated_permutation_group
-
     fam = build_family(4)
     perms = [
         family_permutation(fam, rotation(fam.space)),
@@ -79,8 +77,10 @@ def test_induced_group_is_full_dihedral_d4():
 
 
 def _dihedral_orbits(fam):
+    """The distinct orbits of the members, each read off the generated group."""
     perms = [family_permutation(fam, rotation(fam.space)), family_permutation(fam, reflection(fam.space))]
-    return orbits_of(perms, len(fam))
+    group = generated_permutation_group(perms)
+    return {frozenset(p[i] for p in group) for i in range(len(fam))}
 
 
 def test_orbit_sizes_partition_d4():
@@ -90,4 +90,5 @@ def test_orbit_sizes_partition_d4():
 
 
 def test_orbit_report_is_deterministic():
-    assert _dihedral_orbits(build_family(4)) == _dihedral_orbits(build_family(4))
+    first, second = (verify_family_stability(build_family(4)).summary() for _ in range(2))
+    assert first == second and "[PASS] orbit sizes: 1,5,5,5" in first

@@ -72,7 +72,7 @@ def closed_form_rhs(fam):
 def dense_sign_matrix(space):
     """G[x][y] = (-1)^((x, y)) from the pairing itself."""
     size = 1 << space.dim
-    return [[1 - 2 * space.pairing(x, y) for y in range(size)] for x in range(size)]
+    return [[1 - 2 * space.pairings((x, y))[0] for y in range(size)] for x in range(size)]
 
 
 def transform_columns(space, mat):
@@ -234,7 +234,7 @@ def test_packing_width_boundary(bound):
 def _corrupted(cob, r, c, value):
     num = [dict(row) for row in cob.num]
     num[r][c] = value
-    return CobMatrix(cob.family, num, cob.den, cob.peel)
+    return CobMatrix(cob.family, num, cob.den)
 
 
 def _failed(rep):
@@ -257,7 +257,8 @@ def test_verify_change_of_basis_rejects_corruptions():
     failed = _failed(verify_change_of_basis(perturbed))
     assert "involution" in failed and "triangular" not in failed
 
-    bad_peel = CobMatrix(cob.family, cob.num, cob.den, cob.peel[::-1])
+    bad_peel = CobMatrix(cob.family, cob.num, cob.den)
+    bad_peel.peel = cob.peel[::-1]
     assert _failed(verify_change_of_basis(bad_peel)) == {"basis-peelable"}
 
 

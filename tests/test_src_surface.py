@@ -5,6 +5,7 @@ and the value types keep the contract that sets, dict keys, sorting and
 printed details rely on."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,19 @@ import pytest
 from trifourier import _EXPORTS
 from trifourier.gf2 import IntervalLabel, Subspace
 from trifourier.nonabelian import MPair
-from trifourier.report import Check, Report
+from trifourier.report import Report
 from trifourier.taumaps import CircularMap
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "trifourier"
 
-ALLOWED_UNREACHED = set()
+# Functions no src/ code reaches, each with the caller outside src/ and tests/
+# that keeps it; a test alone keeps nothing in src/.
+ALLOWED_UNREACHED = {
+    "FTMatrix.matrix": "the benchmark's cyclotomic.mul probe in perfbench/traced.py reads it",
+    "CobMatrix.entry": "the README's library quick tour calls it",
+    "Cyc.to_rational": "the README's library quick tour calls it",
+}
 
 
 def _wrapped_by_benchmark() -> set[str]:
@@ -41,50 +48,204 @@ def _wrapped_by_benchmark() -> set[str]:
     return names
 
 
-def _referenced_name(node) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.alias):
-        return node.name
-    return None
+_SCOPES = (ast.FunctionDef, ast.Lambda)
+_MODULE = object()  # the receiver is a module
 
 
-def _definitions(tree: ast.Module):
-    """Module-level functions, and the methods of classes outside _EXPORTS.
+def _class_named(node, classes) -> str | None:
+    """The class a name or an annotation names: `C` or "C"."""
+    name = node.id if isinstance(node, ast.Name) else node.value if isinstance(node, ast.Constant) else None
+    return name if name in classes else None
 
-    Dunder names are left out: Python calls them (`__init__`, `__eq__`, the
-    module `__getattr__`), not the program.
+
+def _local_classes(fn, classes) -> dict[str, str | None]:
+    """Each name fn binds, mapped to its class when the AST tells: a parameter
+    annotated C, or a local whose every binding is `x = C(...)`."""
+    args = fn.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+    bound = {p.arg: {_class_named(p.annotation, classes)} for p in params}
+    todo, typed = list(fn.body) if isinstance(fn.body, list) else [fn.body], {}
+    while todo:  # fn's own nodes, each before its children; not those of a function or class inside it
+        node = todo.pop()
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            call = node.value
+            typed[id(node.targets[0])] = _class_named(call.func, classes) if isinstance(call, ast.Call) else None
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.setdefault(node.id, set()).add(typed.get(id(node)))
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return {name: owners.pop() if len(owners) == 1 else None for name, owners in bound.items()}
+
+
+def unreached(sources: dict[str, str], exempt=frozenset()) -> set[str]:
+    """The functions and methods of the modules `sources` (name -> text) that no
+    code outside their own body refers to, as "module.function" and "Class.method".
+
+    A bare name or an import reaches the module functions of that name.  `x.name`
+    reaches the method `C.name` when x is `self` or `cls` inside C, the class C,
+    a parameter annotated C or a local assigned `C(...)`; a module function when x
+    is a module; and otherwise every function and method of that name.  Dunder
+    names (Python calls them) and the names in `exempt` are left out.
     """
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node
-        elif isinstance(node, ast.ClassDef) and node.name not in _EXPORTS:
-            yield from (sub for sub in node.body if isinstance(sub, ast.FunctionDef))
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defs, functions, methods, owners = {}, {}, {}, {}  # key -> name; name -> keys; class -> names; name -> keys
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = node.name
+                functions.setdefault(node.name, []).append(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                names = methods.setdefault(node.name, set())
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        defs[f"{node.name}.{sub.name}"] = sub.name
+                        names.add(sub.name)
+                        owners.setdefault(sub.name, []).append(f"{node.name}.{sub.name}")
+    reached = set()
+
+    def receiver(node, scopes, cls, modules):
+        if not isinstance(node, ast.Name):
+            return None
+        if node.id in ("self", "cls") and cls:
+            return cls
+        for scope in reversed(scopes):
+            if node.id in scope:
+                return scope[node.id]
+        return node.id if node.id in methods else _MODULE if node.id in modules else None
+
+    def visit(node, module, modules, scopes, cls, inside):
+        """Record what each reference under node reaches, outside the definitions `inside`."""
+        targets = ()
+        if isinstance(node, ast.Name):
+            targets = functions.get(node.id, ())
+        elif isinstance(node, ast.alias):
+            targets = functions.get(node.name, ())
+        elif isinstance(node, ast.Attribute):
+            owner = receiver(node.value, scopes, cls, modules)
+            if owner is _MODULE:
+                targets = functions.get(node.attr, ())
+            elif owner is not None:
+                targets = [f"{owner}.{node.attr}"] if node.attr in methods[owner] else ()
+            else:
+                targets = [*functions.get(node.attr, ()), *owners.get(node.attr, ())]
+        reached.update(key for key in targets if key not in inside)
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, _SCOPES):
+            if not scopes and not isinstance(node, ast.Lambda):
+                inside = inside + (f"{cls}.{node.name}" if cls else f"{module}.{node.name}",)
+            scopes = scopes + [_local_classes(node, methods)]
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, modules, scopes, cls, inside)
+
+    for module, tree in trees.items():
+        modules = set()  # the names this module binds to modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                modules.update(a.asname or a.name for a in node.names if a.name in trees)
+        visit(tree, module, modules, [], None, ())
+    skip = set(exempt) | {name for name in defs.values() if name.startswith("__") and name.endswith("__")}
+    return {key for key, name in defs.items() if key not in reached and name not in skip}
 
 
 def test_every_src_function_is_reached():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     wrapped = _wrapped_by_benchmark()
     assert "verify_relations" in wrapped  # wrapped inside the loop over the dihedral checks
-    unreached = set()
-    for module, tree in trees.items():
-        for fn in _definitions(tree):
-            if fn.name.startswith("__") and fn.name.endswith("__"):
-                continue
-            if fn.name in _EXPORTS or fn.name in wrapped:
-                continue
-            inside = {id(node) for node in ast.walk(fn)}
-            used = any(
-                _referenced_name(node) == fn.name and id(node) not in inside
-                for other in trees.values()
-                for node in ast.walk(other)
-            )
-            if not used:
-                unreached.add(f"{module}:{fn.name}")
-    assert {name.split(":")[1] for name in unreached} == ALLOWED_UNREACHED, sorted(unreached)
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = unreached(sources, set(_EXPORTS) | wrapped)
+    assert found == set(ALLOWED_UNREACHED), sorted(found ^ set(ALLOWED_UNREACHED))
 
+
+def _unreached(**sources):
+    return unreached({name: textwrap.dedent(text) for name, text in sources.items()}, {"main"})
+
+
+def test_guard_flags_a_method_read_only_through_another_class():
+    # B reads its own matrix through self; the name alone would count A.matrix as reached
+    assert _unreached(mod="""
+        class A:
+            def matrix(self):
+                return 1
+
+        class B:
+            def matrix(self):
+                return 2
+
+            def show(self):
+                return self.matrix()
+
+        def main():
+            return B().show()
+    """) == {"A.matrix"}
+
+
+def test_guard_resolves_annotated_parameters_and_constructed_locals():
+    assert _unreached(mod="""
+        class A:
+            def size(self):
+                return 1
+
+            def name(self):
+                return "a"
+
+        class B:
+            def size(self):
+                return 2
+
+            def name(self):
+                return "b"
+
+        def main(a: A):
+            b = B()
+            return a.size(), b.name()
+    """) == {"A.name", "B.size"}
+
+
+def test_guard_reads_a_module_attribute_as_a_function():
+    assert _unreached(
+        packed="""
+            def conj(rows):
+                return rows
+        """,
+        cyclotomic="""
+            class Cyc:
+                def conj(self):
+                    return self
+        """,
+        cli="""
+            from . import packed
+
+            def main(x):
+                return packed.conj(x)
+        """,
+    ) == {"Cyc.conj"}
+
+
+def test_guard_lets_an_unresolved_receiver_reach_every_owner():
+    # item is unannotated and x is bound to two classes: each call reaches both owners
+    assert _unreached(mod="""
+        class A:
+            def entry(self):
+                return 1
+
+            def size(self):
+                return 1
+
+        class B:
+            def entry(self):
+                return 2
+
+            def size(self):
+                return 2
+
+        def main(items, flag):
+            x = A()
+            if flag:
+                x = B()
+            return [item.entry() for item in items], x.size()
+    """) == set()
 
 
 def test_no_src_module_imports_dataclasses():
@@ -159,11 +320,12 @@ def test_value_type_contract(cls, names, first, second):
     assert repr(a) == f"{cls.__name__}({fields})"
 
 
-def test_report_constructs_with_and_without_checks():
+def test_report_starts_each_suite_with_its_own_check_list():
     empty, other = Report("s"), Report("s")
     empty.add("one", True)
-    assert [c.check_id for c in empty.checks] == ["one"] and other.checks == []  # no shared default list
-    given = [Check("a", True), Check("b", False, "why")]
-    rep = Report("t", given)
-    assert rep.checks is given and not rep.ok
+    assert [c.check_id for c in empty.checks] == ["one"] and other.checks == []  # no shared list
+    rep = Report("t")
+    rep.add("a", True)
+    rep.require("b", False, "why")
+    assert not rep.ok
     assert rep.summary() == "[PASS] a\n[FAIL] b: why\nsuite t: FAIL (2 checks)"

@@ -76,7 +76,7 @@ def test_tau_injective_and_form_compatible():
             assert len(rref(emb.coordinate_images())) == dim - 2
             for a in range(dim - 2):
                 for b in range(dim - 2):
-                    assert v.pairing(emb.images[a], emb.images[b]) == vp.pairing(1 << a, 1 << b)
+                    assert v.pairings((emb.images[a], emb.images[b]))[0] == vp.pairings((1 << a, 1 << b))[0]
 
 
 def test_form_predicate_rejects_swapped_pair():
@@ -103,8 +103,8 @@ def test_complement_check_matches_its_definition(monkeypatch):
         for i in range(1, dim + 2):
             image = Subspace.span(tau(sp, i).coordinate_images())
             ei = sp.circular(i)
-            perp_line = Subspace.span(x for x in range(1 << dim) if sp.pairing(x, ei) == 0)
-            assert not image.contains(ei) and image.extend(ei) == perp_line
+            perp_line = Subspace.span(x for x in range(1 << dim) if sp.pairings((x, ei))[0] == 0)
+            assert not image.contains(ei) and Subspace.span(image.rows + (ei,)) == perp_line
             assert check_complement(sp, i)
     # at D = 4 the perp of e_1 is {x : x_2 = 0}, spanned by e_1, e_3 and e_4
     sp = make_space(4)
@@ -188,7 +188,7 @@ def test_pushed_subspace_is_image_plus_line():
         for i in range(1, dim + 2):
             emb = tau(v, i)
             for sub in map(vp.interval_span, family_subspaces(dim - 2)):
-                two_step = Subspace.span(emb.apply(row) for row in sub.rows).extend(e(v, i))
+                two_step = Subspace.span([*(emb.apply(row) for row in sub.rows), e(v, i)])
                 assert Subspace(push_rows(emb.table(), sub.rows, e(v, i))) == two_step
 
 
