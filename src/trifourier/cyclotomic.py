@@ -1,7 +1,8 @@
 """Exact arithmetic in the degree-16 cyclotomic field of 60th roots of unity.
 
 One field hosts every root of unity needed downstream: order 3 (theta),
-order 4 (the imaginary unit) and order 5 (zeta), since lcm(3,4,5) | 60.
+order 4 (the imaginary unit) and order 5 (zeta), since lcm(3,4,5) | 60;
+with z = exp(2 pi i / 60) they are z^20, z^15 and z^12.
 Elements are integer coefficient vectors over the power basis z^0..z^15
 with a common positive denominator, reduced by the minimal polynomial
     z^16 + z^14 - z^10 - z^8 - z^6 + z^2 + 1.
@@ -38,9 +39,9 @@ def _build_power_table() -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-_POWERS = _build_power_table()
+POWERS = _build_power_table()
 # the non-zero (j, coefficient) pairs of each reduced power z^k
-_TERMS = tuple(tuple((j, c) for j, c in enumerate(p) if c) for p in _POWERS)
+_TERMS = tuple(tuple((j, c) for j, c in enumerate(p) if c) for p in POWERS)
 
 
 def reduce_powers(coeffs) -> tuple[int, ...]:
@@ -97,26 +98,6 @@ class Cyc:
 
         q = Fraction(q)
         return Cyc((q.numerator,) + (0,) * (DEGREE - 1), q.denominator)
-
-    @staticmethod
-    def root_of_unity(order: int, power: int = 1) -> "Cyc":
-        """The chosen primitive root of the given order, raised to a power."""
-        if order <= 0 or N % order:
-            raise ValueError(f"order must divide {N}, got {order}")
-        exp = (N // order) * power % N
-        return Cyc(_POWERS[exp])
-
-    @staticmethod
-    def theta() -> "Cyc":
-        return Cyc.root_of_unity(3)
-
-    @staticmethod
-    def imag_unit() -> "Cyc":
-        return Cyc.root_of_unity(4)
-
-    @staticmethod
-    def zeta5() -> "Cyc":
-        return Cyc.root_of_unity(5)
 
     # -- ring operations ------------------------------------------------------
 

@@ -32,36 +32,28 @@ def delta(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def standard_paths(dim: int) -> dict[int, str]:
-    """The family for dimension D as interval keys, each with the first path that builds it.
+def family_subspaces(dim: int) -> frozenset[int]:
+    """The family for dimension D, as interval keys.
 
-    The nested interval subspaces E_0..E_d come first: E_k holds the k nested
-    intervals [1, D], [2, D-1], ...  Then every member of the (D-2)-family is
-    pushed up through tau_1..tau_D, and a member met again keeps its earlier
-    path.  The dict is cached and shared: read it only.
+    The nested interval subspaces E_0..E_d, E_k holding the k nested
+    intervals [1, D], [2, D-1], ..., and every member of the (D-2)-family
+    pushed up through tau_1..tau_D.
     """
     if dim == 0:
-        return {0: "zero"}
+        return frozenset({0})
     space = make_space(dim)
     keys = space.interval_keys
-    nested = [0]
+    prev = family_subspaces(dim - 2)
+    nested = 0
+    out = {nested}
     for j in range(1, space.half + 1):
-        nested.append(nested[-1] | keys[space.interval_vector(j, dim + 1 - j)])
-    paths = {key: f"E_{k}@D={dim}" for k, key in enumerate(nested)}
+        nested |= keys[space.interval_vector(j, dim + 1 - j)]
+        out.add(nested)
     for i in range(1, dim + 1):
         table = tau(space, i).key_table()
         ei = keys[space.circular(i)]
-        for key, path in standard_paths(dim - 2).items():
-            pushed = push_key(table, key, ei)
-            if pushed not in paths:
-                paths[pushed] = f"tau_{i}[{path}]"
-    return paths
-
-
-@lru_cache(maxsize=None)
-def family_subspaces(dim: int) -> frozenset[int]:
-    """The family for dimension D: the interval keys of the members `standard_paths` builds."""
-    return frozenset(standard_paths(dim))
+        out.update(push_key(table, key, ei) for key in prev)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +151,6 @@ class FamilyEntry:
         fiber_index: int = -1,
         fiber_pos: int = -1,
         kappa_index: int = -1,
-        provenance: str = "",
     ) -> None:
         self.index = index
         self.subspace = subspace
@@ -170,7 +161,6 @@ class FamilyEntry:
         self.fiber_index = fiber_index
         self.fiber_pos = fiber_pos
         self.kappa_index = kappa_index
-        self.provenance = provenance
 
     @property
     def dim(self) -> int:
@@ -192,16 +182,15 @@ class Fiber:
 class Family:
     """The decorated family: entries in canonical order plus fiber structure.
 
-    `keys` are the members' interval keys (see `SymplecticSpace.intervals`)
-    and `provenance` maps a key to the path that built it.  Each key is
-    checked to be the unique interval basis of its span, so distinct keys
-    are distinct members; its rows are reduced once, and the entries are
-    sorted by (dim, rows).  The check also makes each span isotropic: the
-    pairing (e_[c,d], e_[a,b]) is [a-1 in {c-1, d}] + [b in {c-1, d}], so
-    two intervals with no shared endpoint pair to 0.
+    `keys` are the members' interval keys (see `SymplecticSpace.intervals`).
+    Each key is checked to be the unique interval basis of its span, so
+    distinct keys are distinct members; its rows are reduced once, and the
+    entries are sorted by (dim, rows).  The check also makes each span
+    isotropic: the pairing (e_[c,d], e_[a,b]) is [a-1 in {c-1, d}] +
+    [b in {c-1, d}], so two intervals with no shared endpoint pair to 0.
     """
 
-    def __init__(self, dim: int, keys: Iterable[int], provenance: dict[int, str]):
+    def __init__(self, dim: int, keys: Iterable[int]):
         self.dim = dim
         self.half = dim // 2
         self.space = space = make_space(dim)
@@ -222,9 +211,7 @@ class Family:
         self.entries: list[FamilyEntry] = []
         self.index_of_key: dict[int, int] = {}
         for idx, (_, sub, key, labs) in enumerate(members):
-            self.entries.append(
-                FamilyEntry(idx, sub, key, labs, (key & even).bit_count(), provenance=provenance.get(key, ""))
-            )
+            self.entries.append(FamilyEntry(idx, sub, key, labs, (key & even).bit_count()))
             self.index_of_key[key] = idx
         self._attach_fibers(((1 << len(labels)) - 1) ^ even)
 
@@ -275,7 +262,7 @@ class Family:
 
 @lru_cache(maxsize=None)
 def build_family(dim: int) -> Family:
-    return Family(dim, family_subspaces(dim), standard_paths(dim))
+    return Family(dim, family_subspaces(dim))
 
 
 def signed_binomial_sum(d: int) -> int:

@@ -165,16 +165,6 @@ class Subspace(NamedTuple):
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: int) -> bool:
-        for row in self.rows:
-            p = (row & -row).bit_length() - 1
-            if (v >> p) & 1:
-                v ^= row
-        return v == 0
-
-    def __contains__(self, v: int) -> bool:
-        return self.contains(v)
-
     def vectors(self) -> Iterator[int]:
         """All 2**dim elements of the subspace."""
         return iter(span_vectors(self.rows))

@@ -23,8 +23,8 @@ from __future__ import annotations
 from itertools import permutations
 from math import lcm
 
-from .cyclotomic import Cyc
-from .packed import ZERO, Vec, conj, from_cycs, matmul
+from .cyclotomic import N, POWERS, Cyc
+from .packed import ZERO, Vec, conj, matmul
 
 Perm = tuple[int, ...]
 
@@ -87,9 +87,7 @@ def restrict(p: Perm, support: tuple[int, ...]) -> Perm:
 
 
 class PermGroup:
-    def __init__(self, name: str, degree: int, elements: tuple[Perm, ...]) -> None:
-        self.name = name
-        self.degree = degree
+    def __init__(self, elements: tuple[Perm, ...]) -> None:
         self.elements = elements
         # one conjugation row per class representative: the table builders, the coverage
         # check and the pair counts of the Fourier matrix all read it
@@ -107,7 +105,7 @@ class PermGroup:
 
 
 def symmetric_group(n: int) -> PermGroup:
-    return PermGroup(f"s{n}", n, tuple(permutations(range(n))))
+    return PermGroup(tuple(permutations(range(n))))
 
 
 # -- character tables --------------------------------------------------------
@@ -115,6 +113,10 @@ def symmetric_group(n: int) -> PermGroup:
 
 class CharacterTable:
     """Irreducible characters of a centralizer, as element -> value maps.
+
+    A value is its 16 integer coefficients over the power basis z^0..z^15
+    (a `packed.Vec`), with no denominator: character values are sums of
+    roots of unity, so they are algebraic integers of the field.
 
     The elements are grouped by their column of character values: `column[k]`
     is the column of element k and `weights[c]` counts the elements of column
@@ -125,13 +127,13 @@ class CharacterTable:
     """
 
     def __init__(
-        self, group_elements: tuple[Perm, ...], labels: tuple[str, ...], values: dict[str, dict[Perm, Cyc]]
+        self, group_elements: tuple[Perm, ...], labels: tuple[str, ...], values: dict[str, dict[Perm, Vec]]
     ) -> None:
         self.group_elements = group_elements
         self.labels = labels
         self.values = values
         rows = [values[lab] for lab in labels]
-        columns: dict[tuple[Cyc, ...], int] = {}
+        columns: dict[tuple[Vec, ...], int] = {}
         self.column = [columns.setdefault(tuple(row[g] for row in rows), len(columns)) for g in group_elements]
         self.weights = [0] * len(columns)
         for c in self.column:
@@ -142,11 +144,11 @@ class CharacterTable:
     def order(self) -> int:
         return len(self.group_elements)
 
-    def coefficients(self) -> tuple[list[list[Vec]], int]:
-        """Numerators x[s][c] of the value of character s on column c, and their common denominator."""
-        return from_cycs([list(row) for row in zip(*self._column_values)])
+    def coefficients(self) -> list[list[Vec]]:
+        """The value x[s][c] of character s on column c."""
+        return [list(row) for row in zip(*self._column_values)]
 
-    def validate(self) -> tuple[list[list[Vec]], int]:
+    def validate(self) -> list[list[Vec]]:
         """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table.
 
         The Gram matrix sums over the columns, each weighted by its number of
@@ -154,42 +156,33 @@ class CharacterTable:
         needs them only once.
         """
         n = self.order
-        x, den = self.coefficients()
+        x = self.coefficients()
         ident = self.column[self.group_elements.index(identity_perm(len(self.group_elements[0])))]
         degrees = [row[ident] for row in x]
-        total = Cyc(matmul([degrees], [[d] for d in degrees])[0][0], den * den)
-        if total != Cyc.from_rational(n):
-            raise AssertionError(f"sum of squared degrees {total!r} != {n}")
+        unit = (n,) + ZERO[1:]
+        total = matmul([degrees], [[d] for d in degrees])[0][0]
+        if total != unit:
+            raise AssertionError(f"sum of squared degrees {Cyc(total)!r} != {n}")
         weighted = [[tuple(w * a for a in v) for w, v in zip(self.weights, row)] for row in x]
         gram = matmul(weighted, [list(col) for col in zip(*conj(x))])
-        unit = (n * den * den,) + ZERO[1:]
         for i, row in enumerate(gram):
             for j in range(i, len(row)):
                 if row[j] != (unit if i == j else ZERO):
-                    acc = Cyc(row[j], den * den)
+                    acc = Cyc(row[j])
                     raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {acc!r}")
-        return x, den
+        return x
 
 
-def _rat(x: int) -> Cyc:
-    return Cyc.from_rational(x)
-
-
-def _cyclic_table(gen: Perm, labels_and_values: list[tuple[str, Cyc]]) -> CharacterTable:
-    """Characters of the cyclic group generated by gen; chi(gen) = given value."""
+def _cyclic_table(gen: Perm, labels_and_exponents: list[tuple[str, int]]) -> CharacterTable:
+    """Characters of the cyclic group generated by gen; chi(gen^j) = z^(k j) for each label's exponent k."""
     order = perm_order(gen)
     elements = []
     g = identity_perm(len(gen))
     for _ in range(order):
         elements.append(g)
         g = pmul(gen, g)
-    values = {}
-    for lab, val in labels_and_values:
-        powers = [Cyc.one()]  # val**j, one multiplication per power
-        for _ in range(order - 1):
-            powers.append(powers[-1] * val)
-        values[lab] = dict(zip(elements, powers))
-    return CharacterTable(tuple(elements), tuple(lab for lab, _ in labels_and_values), values)
+    values = {lab: {g: POWERS[k * j % N] for j, g in enumerate(elements)} for lab, k in labels_and_exponents}
+    return CharacterTable(tuple(elements), tuple(lab for lab, _ in labels_and_exponents), values)
 
 
 def _table_by_classifier(elements, labels, classify, rows) -> CharacterTable:
@@ -234,7 +227,7 @@ _SYM_CHARACTERS = {
 def _sym_table(n: int, elements: tuple[Perm, ...]) -> CharacterTable:
     """Character table of a symmetric group of degree 3 to 5, by cycle type."""
     types, chars = _SYM_CHARACTERS[n]
-    rows = {lab: {t: _rat(v) for t, v in zip(types, vals)} for lab, vals in chars.items()}
+    rows = {lab: {t: (v,) + ZERO[1:] for t, v in zip(types, vals)} for lab, vals in chars.items()}
     return _table_by_classifier(elements, list(chars), cycle_type, rows)
 
 
@@ -250,7 +243,7 @@ def _sym_by_swap_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
     rows = {}
     for lab, vals in chars.items():
         for name, twist in ((lab, 1), ("-" + lab, -1)):
-            rows[name] = {(t, swap): _rat(v * twist**swap) for t, v in zip(types, vals) for swap in (0, 1)}
+            rows[name] = {(t, swap): (v * twist**swap,) + ZERO[1:] for t, v in zip(types, vals) for swap in (0, 1)}
 
     def classify(g: Perm) -> tuple[tuple[int, ...], int]:
         return cycle_type(restrict(g, rest)), int(g[moved] != moved)
@@ -274,7 +267,7 @@ def _klein_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
         "eps''": lambda a, b: (-1) ** b,
         "eps": lambda a, b: (-1) ** (a + b),
     }
-    values = {lab: {(a, b): _rat(fn(a, b)) for a in (0, 1) for b in (0, 1)} for lab, fn in rows.items()}
+    values = {lab: {(a, b): (fn(a, b),) + ZERO[1:] for a in (0, 1) for b in (0, 1)} for lab, fn in rows.items()}
     return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps"), split, values)
 
 
@@ -301,5 +294,5 @@ def _dihedral8_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
         "eps": {"id": 1, "center": 1, "rot": -1, "refl-h": -1, "refl-v": 1},
         "r": {"id": 2, "center": -2, "rot": 0, "refl-h": 0, "refl-v": 0},
     }
-    values = {lab: {cls: _rat(v) for cls, v in row.items()} for lab, row in rows.items()}
+    values = {lab: {cls: (v,) + ZERO[1:] for cls, v in row.items()} for lab, row in rows.items()}
     return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps", "r"), classify, values)

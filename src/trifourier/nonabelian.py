@@ -96,7 +96,7 @@ class MData:
         self.pairs = pairs
         self.index = index
 
-    def validate_tables(self) -> dict[str, tuple[list[list[Vec]], int]]:
+    def validate_tables(self) -> dict[str, list[list[Vec]]]:
         """Check every table; returns each table's `coefficients()`, by class label."""
         return {lab: self.tables[lab].validate() for lab in self.class_labels}
 
@@ -120,19 +120,17 @@ def mdata(name: str) -> MData:
 
     Any other name raises ValueError before anything is built.
     """
-    theta = Cyc.theta()
-    imag = Cyc.imag_unit()
-    zeta = Cyc.zeta5()
-    one = Cyc.one()
-    minus = Cyc.from_rational(-1)
+    # a cyclic table gives each character as the exponent k of its value z^k at the generator,
+    # z = exp(2 pi i / 60): theta = z^20, theta2 = z^40, -theta = z^50, -theta2 = z^10 (also for
+    # eps*theta and eps*theta2), i = z^15, -1 = z^30, -i = z^45 and zeta^m = z^(12 m)
     if name == "s3":
         g = symmetric_group(3)
         g2 = from_cycles(3, (0, 1))
         g3 = from_cycles(3, (0, 1, 2))
         classes = [
             ("1", identity_perm(3), _sym_table(3, g.elements)),
-            ("g2", g2, _cyclic_table(g2, [("1", one), ("eps", minus)])),
-            ("g3", g3, _cyclic_table(g3, [("1", one), ("theta", theta), ("theta2", theta * theta)])),
+            ("g2", g2, _cyclic_table(g2, [("1", 0), ("eps", 30)])),
+            ("g3", g3, _cyclic_table(g3, [("1", 0), ("theta", 20), ("theta2", 40)])),
         ]
         return _assemble(name, g, classes)
     if name == "s4":
@@ -145,8 +143,8 @@ def mdata(name: str) -> MData:
             ("1", identity_perm(4), _sym_table(4, g.elements)),
             ("g2", g2, _klein_table(g2, g.centralizer(g2))),
             ("g2'", g2p, _dihedral8_table(g2p, g.centralizer(g2p))),
-            ("g3", g3, _cyclic_table(g3, [("1", one), ("theta", theta), ("theta2", theta * theta)])),
-            ("g4", g4, _cyclic_table(g4, [("1", one), ("i", imag), ("-1", minus), ("-i", -imag)])),
+            ("g3", g3, _cyclic_table(g3, [("1", 0), ("theta", 20), ("theta2", 40)])),
+            ("g4", g4, _cyclic_table(g4, [("1", 0), ("i", 15), ("-1", 30), ("-i", 45)])),
         ]
         return _assemble(name, g, classes)
     if name == "s5":
@@ -157,26 +155,20 @@ def mdata(name: str) -> MData:
         g6 = from_cycles(5, (0, 1, 2), (3, 4))
         g4 = from_cycles(5, (1, 2, 3, 4))
         g5 = from_cycles(5, (0, 1, 2, 3, 4))
-        th2 = theta * theta
         classes = [
             ("1", identity_perm(5), _sym_table(5, g.elements)),
             ("g2", g2, _sym_by_swap_table(g2, g.centralizer(g2))),
             ("g2'", g2p, _dihedral8_table(g2p, g.centralizer(g2p))),
             ("g3", g3, _cyclic_table(  # Z(g3) = <g6>, labelled as C3 on {0,1,2} times S2 on {3,4}
                 g6,
-                [("1", one), ("theta", theta), ("theta2", th2),
-                 ("eps", minus), ("eps*theta", -theta), ("eps*theta2", -th2)],
+                [("1", 0), ("theta", 20), ("theta2", 40), ("eps", 30), ("eps*theta", 50), ("eps*theta2", 10)],
             )),
             ("g6", g6, _cyclic_table(
                 g6,
-                [("1", one), ("-1", minus), ("theta", theta), ("theta2", th2),
-                 ("-theta", -theta), ("-theta2", -th2)],
+                [("1", 0), ("-1", 30), ("theta", 20), ("theta2", 40), ("-theta", 50), ("-theta2", 10)],
             )),
-            ("g4", g4, _cyclic_table(g4, [("1", one), ("i", imag), ("-1", minus), ("-i", -imag)])),
-            ("g5", g5, _cyclic_table(
-                g5,
-                [("1", one), ("zeta", zeta), ("zeta2", zeta**2), ("zeta3", zeta**3), ("zeta4", zeta**4)],
-            )),
+            ("g4", g4, _cyclic_table(g4, [("1", 0), ("i", 15), ("-1", 30), ("-i", 45)])),
+            ("g5", g5, _cyclic_table(g5, [("1", 0), ("zeta", 12), ("zeta2", 24), ("zeta3", 36), ("zeta4", 48)])),
         ]
         return _assemble(name, g, classes)
     raise ValueError(f"unsupported group {name!r}")
@@ -285,13 +277,13 @@ def _fourier_matrix(md: MData) -> FTMatrix:
     """
     chars = md.validate_tables()
     counts = _pair_counts(md)
-    conj_chars = {lab: packed.conj(x) for lab, (x, _) in chars.items()}
+    conj_chars = {lab: packed.conj(x) for lab, x in chars.items()}
     pk = packed.for_product(
         max(sum(c.values()) for c in counts.values()),
-        max(packed.max_abs(x) for x, _ in chars.values()),
+        max(packed.max_abs(x) for x in chars.values()),
         max(packed.max_abs(y) for y in conj_chars.values()),
     )
-    xp = {lab: pk.pack_rows(x) for lab, (x, _) in chars.items()}
+    xp = {lab: pk.pack_rows(x) for lab, x in chars.items()}
     yp = {lab: pk.pack_rows(y) for lab, y in conj_chars.items()}
     offset = {lab: md.index[MPair(lab, md.tables[lab].labels[0])] for lab in md.class_labels}
     blocks = []
@@ -301,7 +293,7 @@ def _fourier_matrix(md: MData) -> FTMatrix:
             for srow, xrow in zip(s, xp[xl]):
                 srow[b] += k * xrow[a]
         block = [[sum(map(mul, srow, yrow)) for yrow in yp[yl]] for srow in s]
-        d = md.tables[xl].order * md.tables[yl].order * chars[xl][1] * chars[yl][1]
+        d = md.tables[xl].order * md.tables[yl].order
         blocks.append((offset[xl], offset[yl], block, d))
     distinct = {(p, d) for *_, block, d in blocks for row in block for p in row}
     values = {(p, d): pk.unpack(p) for p, d in distinct}

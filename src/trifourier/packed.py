@@ -24,7 +24,6 @@ fallback path, and nothing is rounded: no float is involved.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from .cyclotomic import DEGREE, Cyc, conj_coeffs, reduce_powers
@@ -116,12 +115,6 @@ def conj(rows: list[list[Vec]]) -> list[list[Vec]]:
 def rational(m) -> list[list[Vec]]:
     """An integer matrix as numerators over den 1."""
     return [[(x,) + ZERO[1:] for x in row] for row in m]
-
-
-def from_cycs(rows: list[list[Cyc]]) -> tuple[list[list[Vec]], int]:
-    """Numerators and the common denominator of a matrix of field elements."""
-    den = lcm(*(v.den for row in rows for v in row))
-    return [[v.num if v.den == den else tuple(x * (den // v.den) for x in v.num) for v in row] for row in rows], den
 
 
 def to_cyc_rows(rows: list[list[Vec]], den: int) -> list[list[Cyc]]:

@@ -170,18 +170,17 @@ def tau_by_cases(space: SymplecticSpace, i: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def standard_paths_by_rows(dim: int) -> dict[Subspace, str]:
-    """`family.standard_paths` in row space: each member as a Subspace, with its first path."""
+def family_subspaces_by_rows(dim: int) -> frozenset[Subspace]:
+    """`family.family_subspaces` in row space: each member as a Subspace."""
     if dim == 0:
-        return {Subspace(()): "zero"}
+        return frozenset({Subspace(())})
     space = make_space(dim)
-    paths = {nested_interval_subspace(space, k): f"E_{k}@D={dim}" for k in range(space.half + 1)}
+    out = {nested_interval_subspace(space, k) for k in range(space.half + 1)}
     for i in range(1, dim + 1):
         t = tau(space, i).table()
         ei = space.circular(i)
-        for sub, path in standard_paths_by_rows(dim - 2).items():
-            paths.setdefault(Subspace(push_rows(t, sub.rows, ei)), f"tau_{i}[{path}]")
-    return paths
+        out.update(Subspace(push_rows(t, sub.rows, ei)) for sub in family_subspaces_by_rows(dim - 2))
+    return frozenset(out)
 
 
 def peel_solve(

@@ -7,7 +7,9 @@ package's table builders, and holds the trace bookkeeping that pins the S5
 piece signs and the writer of basis files.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from trifourier import packed
 from trifourier.cyclotomic import Cyc
@@ -37,17 +39,14 @@ from trifourier.report import Report
 
 def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
     """Direct product acting on the disjoint union of the two point sets."""
-    shift = a.degree
-    elems = tuple(
-        ga + tuple(x + shift for x in gb) for ga in a.elements for gb in b.elements
-    )
-    return PermGroup(f"{a.name}x{b.name}", a.degree + b.degree, elems)
+    shift = len(a.elements[0])
+    return PermGroup(tuple(ga + tuple(x + shift for x in gb) for ga in a.elements for gb in b.elements))
 
 
 def _s2() -> MData:
     g = symmetric_group(2)
     swap = from_cycles(2, (0, 1))
-    table = _cyclic_table(swap, [("1", Cyc.one()), ("eps", Cyc.from_rational(-1))])  # S2 is <swap>
+    table = _cyclic_table(swap, [("1", 0), ("eps", 30)])  # S2 is <swap>, eps(swap) = -1 = z^30
     classes = [("1", identity_perm(2), table), ("g2", swap, table)]
     return _assemble("s2", g, classes)
 
@@ -55,9 +54,9 @@ def _s2() -> MData:
 def _product(a: MData, b: MData) -> MData:
     """Classes and centralizer characters of a x b: the products of the factors' pairs."""
     group = product_group(a.group, b.group)
-    shift = a.group.degree
+    shift = len(a.group.elements[0])
     support_a = tuple(range(shift))
-    support_b = tuple(range(shift, group.degree))
+    support_b = tuple(range(shift, len(group.elements[0])))
     classes = []
     for la in a.class_labels:
         for lb in b.class_labels:
@@ -73,9 +72,9 @@ def _product(a: MData, b: MData) -> MData:
                 for rb in b.tables[lb].labels:
                     lab = f"{ra}*{rb}"
                     labels.append(lab)
-                    values[lab] = {
-                        g: a.tables[la].values[ra][restrict(g, support_a)]
-                        * b.tables[lb].values[rb][restrict(g, support_b)]
+                    values[lab] = {  # a product of algebraic integers: its denominator is 1
+                        g: (Cyc(a.tables[la].values[ra][restrict(g, support_a)])
+                            * Cyc(b.tables[lb].values[rb][restrict(g, support_b)])).num
                         for g in elements
                     }
             table = CharacterTable(elements, tuple(labels), values)
@@ -118,9 +117,10 @@ def kron_ft(a: FTMatrix, b: FTMatrix) -> list[list[Cyc]]:
 
 
 def apply_columns(ft: FTMatrix, coeffs: list) -> list[Cyc]:
-    """F times a column of basis coefficients (ints, Fractions or `Cyc`), by the packed product."""
-    vec, vden = packed.from_cycs([[c if isinstance(c, Cyc) else Cyc.from_rational(c)] for c in coeffs])
-    return [Cyc(v, ft.den * vden) for v, in packed.matmul(ft.num, vec)]
+    """F times a column of rational basis coefficients (ints or Fractions), by the packed product."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    column = packed.rational([[int(c * den)] for c in coeffs])
+    return [Cyc(v, ft.den * den) for v, in packed.matmul(ft.num, column)]
 
 
 def sign_consistency_report() -> Report:

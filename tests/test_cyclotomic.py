@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifourier.cyclotomic import DEGREE, N, Cyc, conj_coeffs
+from trifourier.cyclotomic import DEGREE, N, POWERS, Cyc, conj_coeffs
 
 
 def to_complex(a: Cyc) -> complex:
@@ -15,26 +15,33 @@ def to_complex(a: Cyc) -> complex:
 
 
 def test_base_root_has_order_sixty():
-    z = Cyc.root_of_unity(60)
+    z = Cyc(POWERS[1])
     assert z**60 == Cyc.one()
     for k in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30):
         assert z**k != Cyc.one()
 
 
+def test_power_table_holds_the_powers_of_z():
+    # the cyclic character tables read chi(gen^j) = z^(k j) straight from POWERS
+    z = Cyc(POWERS[1])
+    assert len(POWERS) == N + 1
+    assert all(Cyc(POWERS[k]) == z**k for k in range(N + 1))
+
+
 def test_theta_relation():
-    th = Cyc.theta()
+    th = Cyc(POWERS[20])
     assert (Cyc.one() + th + th * th).is_zero()
     assert th**3 == Cyc.one()
 
 
 def test_imaginary_unit():
-    i = Cyc.imag_unit()
+    i = Cyc(POWERS[15])
     assert i * i == Cyc.from_rational(-1)
     assert Cyc(conj_coeffs(i.num), i.den) == -i
 
 
 def test_zeta5_relations():
-    z = Cyc.zeta5()
+    z = Cyc(POWERS[12])
     assert z + z**2 + z**3 + z**4 == Cyc.from_rational(-1)
     assert z.inverse() == z**4
 
@@ -47,7 +54,7 @@ def test_inverse_examples():
 
 
 def test_rationality():
-    z = Cyc.zeta5()
+    z = Cyc(POWERS[12])
     full = z + z**2 + z**3 + z**4
     assert full.is_rational() and full.to_rational() == -1
     assert Cyc.from_rational(0).is_rational() and Cyc.from_rational(0).to_rational() == 0
@@ -94,13 +101,13 @@ def test_numeric_shadow():
 
 
 def test_powers_against_exponentials():
-    z = Cyc.root_of_unity(60)
+    z = Cyc(POWERS[1])
     for k in range(0, 75, 7):
         assert abs(to_complex(z**k) - cmath.exp(2j * cmath.pi * k / N)) < 1e-9
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
-    th = Cyc.theta()
+    th = Cyc(POWERS[20])
     assert 1 + th == th + 1
     assert 2 * th == th + th
     assert th - th == Cyc.from_rational(0)
@@ -109,7 +116,7 @@ def test_mixed_arithmetic_with_ints_and_fractions():
 
 
 def test_negative_power_and_div():
-    z = Cyc.zeta5()
+    z = Cyc(POWERS[12])
     assert z**-1 == z**4
     assert (z / z) == Cyc.one()
 
@@ -117,25 +124,20 @@ def test_negative_power_and_div():
 def test_hash_and_equality():
     assert hash(Cyc.from_rational(2)) == hash(Cyc.from_rational(2))
     assert Cyc.from_rational(2) == 2
-    assert Cyc.theta() != Cyc.zeta5()
+    assert Cyc(POWERS[20]) != Cyc(POWERS[12])
     # a rational value hashes as the equal int or Fraction, so sets and dict keys mix them
     for q in (0, 1, -1, 2, 10**30, -(10**30), Fraction(1, 3), Fraction(-5, 2), Fraction(1, sys.hash_info.modulus)):
         c = Cyc.from_rational(q)
         assert c == q and hash(c) == hash(q), q
         assert len({c, q}) == 1 and {q: "x"}.get(c) == "x" and {c: "y"}.get(q) == "y", q
-    th = Cyc.theta()
-    assert hash(th) == hash(Cyc.theta()) and len({th, Cyc.theta(), Cyc.zeta5(), 1}) == 3
+    th = Cyc(POWERS[20])
+    assert hash(th) == hash(Cyc(POWERS[20])) and len({th, Cyc(POWERS[20]), Cyc(POWERS[12]), 1}) == 3
 
 
 def test_json_form():
     # theta reduces to z^10 - 1 over the degree-16 power basis
-    th = Cyc.theta() * Fraction(3, 2)
+    th = Cyc(POWERS[20]) * Fraction(3, 2)
     doc = th.to_json()
     assert doc == [{"num": -3, "den": 2, "exp": 0}, {"num": 3, "den": 2, "exp": 10}]
     assert abs(to_complex(th) - 1.5 * complex(-0.5, 3**0.5 / 2)) < 1e-9
     assert Cyc.from_rational(0).to_json() == []
-
-
-def test_root_of_unity_rejects_bad_order():
-    with pytest.raises(ValueError):
-        Cyc.root_of_unity(7)

@@ -5,11 +5,11 @@ import re
 import pytest
 from gf2_reference import (
     all_intervals,
+    family_subspaces_by_rows,
     interval_basis,
     interval_basis_by_enumeration,
     nested_interval_subspace,
     push_rows,
-    standard_paths_by_rows,
 )
 from ucb_reference import ucb_all_pairs
 
@@ -27,7 +27,6 @@ from trifourier.family import (
     fiber_lines,
     interval_basis_rows,
     signed_binomial_sum,
-    standard_paths,
     verify_counts,
     verify_structure,
 )
@@ -363,36 +362,8 @@ def test_prime_recursion_contains_nested_line():
 
 
 def test_decorated_variants_build():
-    assert len(Family(6, family_subspaces_prime(6), {})) == 64
-    assert len(Family(6, family_subspaces_ucb(6), {})) == 64
-
-
-def test_provenance_present():
-    fam = build_family(4)
-    assert all(e.provenance for e in fam.entries)
-
-
-def _replay(path: str, dim: int) -> Subspace:
-    """Rebuild a member from its recorded path: zero, E_k@D=dim or tau_i[inner]."""
-    if path == "zero":
-        assert dim == 0
-        return Subspace(())
-    nested = re.fullmatch(r"E_(\d+)@D=(\d+)", path)
-    if nested:
-        assert int(nested[2]) == dim
-        return nested_interval_subspace(make_space(dim), int(nested[1]))
-    pushed = re.fullmatch(r"tau_(\d+)\[(.*)\]", path)
-    assert pushed, path
-    i = int(pushed[1])
-    space = make_space(dim)
-    inner = _replay(pushed[2], dim - 2)
-    return Subspace(push_rows(tau(space, i).table(), inner.rows, space.circular(i)))
-
-
-@pytest.mark.parametrize("dim", range(0, 11, 2))
-def test_provenance_replays_to_member(dim):
-    for ent in build_family(dim).entries:
-        assert _replay(ent.provenance, dim) == ent.subspace, (ent.index, ent.provenance)
+    assert len(Family(6, family_subspaces_prime(6))) == 64
+    assert len(Family(6, family_subspaces_ucb(6))) == 64
 
 
 @pytest.mark.parametrize("dim", range(0, 11, 2))
@@ -400,7 +371,9 @@ def test_interval_basis_matches_scan(dim):
     # reference: test every interval vector of the space for membership
     space = make_space(dim)
     for sub in map(space.interval_span, family_subspaces(dim)):
-        scan = sorted(lab for lab in all_intervals(dim) if sub.contains(space.interval_vector(lab.a, lab.b)))
+        scan = sorted(
+            lab for lab in all_intervals(dim) if Subspace.span(sub.rows + (space.interval_vector(lab.a, lab.b),)) == sub
+        )
         assert interval_basis(space, sub) == tuple(scan), sub.rows
 
 
@@ -498,10 +471,9 @@ def test_key_table_rejects_a_map_that_breaks_an_interval():
 
 @pytest.mark.parametrize("dim", range(0, 13, 2))
 def test_standard_paths_match_row_recursion(dim):
-    # the same members in the same order, with the same first paths
+    # the recursion over interval keys builds the same members as the recursion over rows
     space = make_space(dim)
-    by_keys = [(space.interval_span(key), path) for key, path in standard_paths(dim).items()]
-    assert by_keys == list(standard_paths_by_rows(dim).items())
+    assert set(map(space.interval_span, family_subspaces(dim))) == family_subspaces_by_rows(dim)
 
 
 def test_family_rejects_a_key_with_a_shared_endpoint():
@@ -509,7 +481,7 @@ def test_family_rejects_a_key_with_a_shared_endpoint():
     # [1,1] and [2,2] share the point 1, and with [1,2] they close a cycle; [1,2] and [3,4] share 2
     for intervals, rows in ([(1, 1), (2, 2)], (1, 2)), ([(1, 1), (1, 2), (2, 2)], (1, 2)), ([(1, 2), (3, 4)], (3, 12)):
         with pytest.raises(FamilyStructureError, match=re.escape(f"family member {rows} has no unique interval basis")):
-            Family(4, [0, _key(space, intervals)], {})
+            Family(4, [0, _key(space, intervals)])
 
 
 def test_family_rejects_a_key_that_is_not_isotropic():
@@ -518,7 +490,7 @@ def test_family_rejects_a_key_that_is_not_isotropic():
     key = _key(space, [(1, 1), (2, 2)])
     assert not is_isotropic(space, space.interval_span(key))
     with pytest.raises(FamilyStructureError, match=re.escape("family member (1, 2)")):
-        Family(4, [key], {})
+        Family(4, [key])
 
 
 @pytest.mark.parametrize("dim", range(2, 15, 2))

@@ -173,7 +173,7 @@ def test_subspace_contains_and_vectors():
     sub = Subspace.span([0b011, 0b110])
     assert sub.dim == 2
     assert sorted(sub.vectors()) == [0, 0b011, 0b101, 0b110]
-    assert 0b101 in sub and 0b001 not in sub
+    assert Subspace.span(sub.rows + (0b101,)) == sub and Subspace.span(sub.rows + (0b001,)) != sub
 
 
 def test_is_isotropic():
@@ -193,7 +193,7 @@ def test_perp_dimensions_and_membership():
             assert comp.dim == dim - sub.dim
             for x in range(1 << dim):
                 in_perp = all(sp.pairings((x, row))[0] == 0 for row in sub.rows)
-                assert comp.contains(x) == in_perp
+                assert (Subspace.span(comp.rows + (x,)) == comp) == in_perp
 
 
 def test_kernel_of_empty_constraints():

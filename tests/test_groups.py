@@ -1,6 +1,6 @@
 import pytest
 
-from trifourier.cyclotomic import Cyc, conj_coeffs
+from trifourier.cyclotomic import POWERS, Cyc, conj_coeffs
 from trifourier.groups import (
     cycle_type,
     from_cycles,
@@ -70,7 +70,7 @@ def test_all_tables_validate():
 def test_s5_irreducible_degrees():
     md = mdata("s5")
     table = md.tables["1"]
-    degrees = sorted(int(table.values[lab][identity_perm(5)].to_rational()) for lab in table.labels)
+    degrees = sorted(int(Cyc(table.values[lab][identity_perm(5)]).to_rational()) for lab in table.labels)
     assert degrees == [1, 1, 4, 4, 5, 5, 6]
 
 
@@ -79,8 +79,8 @@ def test_nu_convention():
     md = mdata("s5")
     table = md.tables["1"]
     transposition = from_cycles(5, (0, 1))
-    assert table.values["nu"][transposition] == Cyc.one()
-    assert table.values["nu'"][transposition] == Cyc.from_rational(-1)
+    assert Cyc(table.values["nu"][transposition]) == Cyc.one()
+    assert Cyc(table.values["nu'"][transposition]) == Cyc.from_rational(-1)
 
 
 def test_klein_convention():
@@ -92,11 +92,11 @@ def test_klein_convention():
         g for g in table.group_elements
         if cycle_type(g) == (2, 1, 1) and g != g2
     )
-    assert table.values["eps'"][g2] == Cyc.from_rational(-1)
-    assert table.values["eps'"][comp] == Cyc.one()
-    assert table.values["eps''"][g2] == Cyc.one()
-    assert table.values["eps''"][comp] == Cyc.from_rational(-1)
-    assert table.values["eps"][pmul(g2, comp)] == Cyc.one()
+    assert Cyc(table.values["eps'"][g2]) == Cyc.from_rational(-1)
+    assert Cyc(table.values["eps'"][comp]) == Cyc.one()
+    assert Cyc(table.values["eps''"][g2]) == Cyc.one()
+    assert Cyc(table.values["eps''"][comp]) == Cyc.from_rational(-1)
+    assert Cyc(table.values["eps"][pmul(g2, comp)]) == Cyc.one()
 
 
 def test_dihedral_convention():
@@ -105,25 +105,48 @@ def test_dihedral_convention():
     center = md.reps["g2'"]
     four_cycle = next(g for g in table.group_elements if cycle_type(g) == (4,))
     transposition = next(g for g in table.group_elements if cycle_type(g) == (2, 1, 1))
-    assert table.values["r"][center] == Cyc.from_rational(-2)
-    assert table.values["r"][four_cycle] == Cyc.from_rational(0)
-    assert table.values["eps'"][four_cycle] == Cyc.from_rational(-1)
-    assert table.values["eps'"][transposition] == Cyc.one()
-    assert table.values["eps''"][transposition] == Cyc.from_rational(-1)
-    assert table.values["eps''"][four_cycle] == Cyc.one()
+    assert Cyc(table.values["r"][center]) == Cyc.from_rational(-2)
+    assert Cyc(table.values["r"][four_cycle]) == Cyc.from_rational(0)
+    assert Cyc(table.values["eps'"][four_cycle]) == Cyc.from_rational(-1)
+    assert Cyc(table.values["eps'"][transposition]) == Cyc.one()
+    assert Cyc(table.values["eps''"][transposition]) == Cyc.from_rational(-1)
+    assert Cyc(table.values["eps''"][four_cycle]) == Cyc.one()
 
 
 def test_g6_labels_are_values_at_the_generator():
     md = mdata("s5")
     g6 = md.reps["g6"]
     table = md.tables["g6"]
-    th = Cyc.theta()
+    th = Cyc(POWERS[20])
     for label, want in [
         ("1", Cyc.one()), ("-1", Cyc.from_rational(-1)),
         ("theta", th), ("theta2", th * th),
         ("-theta", -th), ("-theta2", -(th * th)),
     ]:
-        assert table.values[label][g6] == want
+        assert Cyc(table.values[label][g6]) == want
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "s5"])
+def test_cyclic_exponents_give_the_labelled_values(name):
+    # each cyclic table is written as exponents of z; at the generator every label
+    # takes the value its name says, computed here in field arithmetic
+    th, i, zeta, minus = Cyc(POWERS[20]), Cyc(POWERS[15]), Cyc(POWERS[12]), Cyc.from_rational(-1)
+    named = {
+        "1": Cyc.one(), "-1": minus, "eps": minus, "i": i, "-i": -i,
+        "theta": th, "theta2": th * th, "-theta": -th, "-theta2": -(th * th),
+        "eps*theta": minus * th, "eps*theta2": minus * th * th,
+        "zeta": zeta, "zeta2": zeta**2, "zeta3": zeta**3, "zeta4": zeta**4,
+    }
+    generator_class = {  # class -> the class of its centralizer's generator
+        "s3": {"g2": "g2", "g3": "g3"},
+        "s4": {"g3": "g3", "g4": "g4"},
+        "s5": {"g3": "g6", "g6": "g6", "g4": "g4", "g5": "g5"},
+    }[name]
+    md = mdata(name)
+    for lab, gen_lab in generator_class.items():
+        table, gen = md.tables[lab], md.reps[gen_lab]
+        for chl in table.labels:
+            assert Cyc(table.values[chl][gen]) == named[chl], (name, lab, chl)
 
 
 @pytest.mark.parametrize("label", ["g3", "g2"])
@@ -145,8 +168,8 @@ def test_s5_product_centralizers_are_products_of_their_parts(label):
     for lab, part_lab, twist in characters:
         for g in table.group_elements:
             sign = twist if g[3] == 4 else 1
-            want = part.values[part_lab][restrict(g, (0, 1, 2))] * Cyc.from_rational(sign)
-            assert table.values[lab][g] == want, (label, lab, g)
+            want = Cyc(part.values[part_lab][restrict(g, (0, 1, 2))]) * Cyc.from_rational(sign)
+            assert Cyc(table.values[lab][g]) == want, (label, lab, g)
 
 
 def test_column_orthogonality():
@@ -171,15 +194,14 @@ def test_column_orthogonality():
                 for h, _ in classes:
                     acc = Cyc.from_rational(0)
                     for chl in table.labels:
-                        v = table.values[chl][h]
-                        acc = acc + table.values[chl][g] * Cyc(conj_coeffs(v.num), v.den)
+                        acc = acc + Cyc(table.values[chl][g]) * Cyc(conj_coeffs(table.values[chl][h]))
                     want = len(elems) // size_g if g == h else 0
                     assert acc.is_rational() and acc.to_rational() == want
 
 
 def test_product_group():
     prod = product_group(symmetric_group(3), symmetric_group(2))
-    assert len(prod.elements) == 12 and prod.degree == 5
+    assert len(prod.elements) == 12 and len(prod.elements[0]) == 5
 
 
 def test_mdata_rejects_unknown():

@@ -7,8 +7,8 @@ import pytest
 
 from trifourier import packed
 from trifourier.bareiss import adjugate
-from trifourier.cyclotomic import DEGREE, Cyc, conj_coeffs
-from trifourier.groups import CharacterTable, pconj, pinv, pmul
+from trifourier.cyclotomic import DEGREE, POWERS, Cyc, conj_coeffs
+from trifourier.groups import CharacterTable, _cyclic_table, pconj, pinv, pmul
 from trifourier.nonabelian import (
     FTMatrix,
     MPair,
@@ -43,8 +43,7 @@ def reference_ft(name: str) -> list[list[Cyc]]:
                 for tl in zy.labels:
                     acc = Cyc.from_rational(0)
                     for u, v in terms:
-                        w = zy.values[tl][v]
-                        acc = acc + zx.values[sl][u] * Cyc(conj_coeffs(w.num), w.den)
+                        acc = acc + Cyc(zx.values[sl][u]) * Cyc(conj_coeffs(zy.values[tl][v]))
                     matrix[md.index[MPair(xl, sl)]][md.index[MPair(yl, tl)]] = acc * scale
     return matrix
 
@@ -56,8 +55,8 @@ def reference_product(a: list[list[Cyc]], b: list[list[Cyc]]) -> list[list[Cyc]]
     ]
 
 
-def random_cyc(rng: random.Random, size: int = 5) -> Cyc:
-    return Cyc([rng.randint(-size, size) for _ in range(DEGREE)], rng.randint(1, 7))
+def random_vec(rng: random.Random, size: int = 5) -> packed.Vec:
+    return tuple(rng.randint(-size, size) for _ in range(DEGREE))
 
 
 @pytest.mark.parametrize("name", ["s2", "s3", "s4", "s5", "s3xs2"])
@@ -79,13 +78,12 @@ def test_slice_predicates_match_cyc(name):
 
 def test_fold_and_conj_match_cyc_arithmetic():
     rng = random.Random(5)
-    xs = [random_cyc(rng) for _ in range(6)]
-    ys = [random_cyc(rng) for _ in range(6)]
-    a, aden = packed.from_cycs([xs[0:3], xs[3:6]])
-    b, bden = packed.from_cycs([ys[0:2], ys[2:4], ys[4:6]])
+    a, aden = [[random_vec(rng) for _ in range(3)] for _ in range(2)], 6
+    b, bden = [[random_vec(rng) for _ in range(2)] for _ in range(3)], 7
+    xs, ys = packed.to_cyc_rows(a, aden), packed.to_cyc_rows(b, bden)
     got = packed.to_cyc_rows(packed.matmul(a, b), aden * bden)
-    assert got == reference_product([xs[0:3], xs[3:6]], [ys[0:2], ys[2:4], ys[4:6]])
-    assert packed.to_cyc_rows(packed.conj(a), aden) == [[Cyc(conj_coeffs(v.num), v.den) for v in xs[k : k + 3]] for k in (0, 3)]
+    assert got == reference_product(xs, ys)
+    assert packed.to_cyc_rows(packed.conj(a), aden) == [[Cyc(conj_coeffs(v.num), v.den) for v in row] for row in xs]
 
 
 def test_perturbed_slice_fails_involution():
@@ -106,9 +104,9 @@ def test_square_upper_is_the_upper_triangle_of_the_square(name):
     square = packed.matmul(ft.num, ft.num)
     assert packed.square_upper(ft.num) == [row[i:] for i, row in enumerate(square)]
     rng = random.Random(7)
-    cells = {(i, j): random_cyc(rng) for i in range(4) for j in range(i, 4)}
-    sym = [[cells[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
-    num, den = packed.from_cycs(sym)
+    cells = {(i, j): random_vec(rng) for i in range(4) for j in range(i, 4)}
+    num, den = [[cells[min(i, j), max(i, j)] for j in range(4)] for i in range(4)], 5
+    sym = packed.to_cyc_rows(num, den)
     want = reference_product(sym, sym)
     got = packed.to_cyc_rows(packed.square_upper(num), den * den)
     assert got == [want[i][i:] for i in range(4)]
@@ -140,15 +138,20 @@ def test_involution_without_symmetry_is_checked_in_full():
 def test_wrong_character_value_fails_validate():
     table = mdata("s4").tables["g2'"]
     values = {lab: dict(vals) for lab, vals in table.values.items()}
-    g = next(e for e in table.group_elements if values["r"][e] == Cyc.from_rational(0))
-    values["r"][g] = Cyc.root_of_unity(4)
+    g = next(e for e in table.group_elements if values["r"][e] == packed.ZERO)
+    values["r"][g] = POWERS[15]  # the imaginary unit
     broken = CharacterTable(table.group_elements, table.labels, values)
     with pytest.raises(AssertionError, match=r"orthogonality fails for \(1,r\)"):
         broken.validate()
     values["r"] = dict(table.values["r"])
-    values["r"][table.group_elements[0]] = Cyc.from_rational(3)  # the identity: degree 3
+    values["r"][table.group_elements[0]] = (3,) + packed.ZERO[1:]  # the identity: degree 3
     with pytest.raises(AssertionError, match="sum of squared degrees"):
         CharacterTable(table.group_elements, table.labels, values).validate()
+    # z^25 at a generator of order 5 is no character: its fifth power is z^5, not 1
+    g5 = mdata("s5").reps["g5"]
+    typo = _cyclic_table(g5, [("1", 0), ("bad", 25), ("zeta2", 24), ("zeta3", 36), ("zeta4", 48)])
+    with pytest.raises(AssertionError, match=r"orthogonality fails for \(1,bad\)"):
+        typo.validate()
 
 
 def test_headroom_guard_rejects_out_of_range_product():
@@ -159,11 +162,9 @@ def test_headroom_guard_rejects_out_of_range_product():
     m, top_a, top_c = 3, 2**61 + 1, 2**70 - 3
     bound = m * DEGREE * top_a * top_c
     for sign in (1, -1):
-        row = [Cyc([sign * top_a] * DEGREE)] * m
-        col = [[Cyc([top_c] * DEGREE)]] * m
-        want = reference_product([row], col)
-        a, _ = packed.from_cycs([row])
-        c, _ = packed.from_cycs(col)
+        a = [[(sign * top_a,) * DEGREE] * m]
+        c = [[(top_c,) * DEGREE]] * m
+        want = reference_product(packed.to_cyc_rows(a, 1), packed.to_cyc_rows(c, 1))
         assert packed.matmul(a, c) == [[want[0][0].num]]
         pk = packed.for_product(m, top_a, top_c)
         assert pk.half > bound >= pk.half // 2
@@ -199,7 +200,7 @@ def test_unpack_reads_every_degree_exactly():
                 if rng.random() < 0.5:
                     poly[:-1] = [-bound if top > 0 else bound] * degree
                 x = sum(c << (pk.bits * s) for s, c in enumerate(poly))
-                want = sum((Cyc.root_of_unity(60, s) * c for s, c in enumerate(poly)), Cyc.from_rational(0))
+                want = sum((Cyc(POWERS[s]) * c for s, c in enumerate(poly)), Cyc.from_rational(0))
                 assert pk.unpack(x) == want.num
 
 
