@@ -47,15 +47,14 @@ def verify_embedding_equivariance(dim: int) -> Report:
 
 
 def family_permutation(family: Family, auto: CircularMap) -> list[int]:
-    """The permutation induced on family entries; raises if a member escapes."""
+    """The permutation induced on the members, as positions in `family.keys`;
+    raises if a member escapes, naming the first such entry in canonical order."""
     table = auto.key_table()
-    index_of = family.index_of_key
-    perm = []
-    for ent in family.entries:
-        image = index_of.get(push_key(table, ent.key))
-        if image is None:
-            raise ValueError(f"image of entry {ent.index} is not a family member")
-        perm.append(image)
+    position = {key: i for i, key in enumerate(family.keys)}
+    perm = [position.get(push_key(table, key), -1) for key in family.keys]
+    if -1 in perm:
+        bad = next(e for e in family.entries if push_key(table, e.key) not in position)
+        raise ValueError(f"image of entry {bad.index} is not a family member")
     return perm
 
 

@@ -6,12 +6,13 @@ nested interval subspaces E_k.  Every member has a unique basis consisting
 of interval vectors; the even-length interval count grades each fiber.
 The recursions carry each member as the key of that basis (see
 `SymplecticSpace.intervals`) and push keys through one table per map, so no
-push reduces rows; `Family` reduces them once per member.
+push reduces rows; `Family` checks the keys, and reduces each member's rows
+once, when its indexed view is first read.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable
 
@@ -113,9 +114,9 @@ def family_subspaces_ucb(dim: int) -> frozenset[int]:
     return frozenset(pushed | {0})
 
 
-def interval_basis_rows(space: SymplecticSpace, bits: list[int]) -> tuple[int, ...] | None:
-    """The reduced rows of the span of the intervals `bits` (the set bits of
-    a key, ascending), when they are its unique interval basis; else None.
+def is_interval_basis(space: SymplecticSpace, bits: tuple[int, ...]) -> bool:
+    """True when the intervals `bits` (the set bits of a key) are the unique
+    interval basis of their span.
 
     The interval e_[a,b] = p_(a-1) + p_b joins the points a-1 and b of 0..D,
     and p_1..p_D are independent (p_0 = 0).  So a set of intervals is
@@ -125,42 +126,55 @@ def interval_basis_rows(space: SymplecticSpace, bits: list[int]) -> tuple[int, .
     edges.  The set is thus the only interval basis of its span exactly when
     every component has at most two points, that is when no two of its
     intervals share a point: one OR of endpoint bits and one popcount.
-    Then no two intervals start at one point either, so in key order their
-    vectors have ascending pivots (lowest bits), and reducing them is
-    `gf2.back_substitute` alone.
     """
     ends = space.interval_ends
     seen = 0
     for k in bits:
         seen |= ends[k]
-    if seen.bit_count() != 2 * len(bits):
-        return None
-    vectors = space.interval_vectors
-    return back_substitute([vectors[k] for k in bits])
+    return seen.bit_count() == 2 * len(bits)
+
+
+@lru_cache(maxsize=None)
+def iprime_table(dim: int) -> tuple[tuple[int, tuple[int, ...], str], ...]:
+    """Per interval of `SymplecticSpace.intervals`: its I' run's sort key, the
+    run, and the run's text in `entry_compact`.
+
+    The sort key orders runs by (length, start vertex); no two intervals
+    share a run, since only the runs of even intervals hold the vertex D+1.
+    """
+    join = "".join if dim + 1 <= 10 else ",".join
+    rows = []
+    for lab in make_space(dim).intervals:
+        run = lab.iprime(dim)
+        rows.append((len(run) * (dim + 2) + run[0], run, join(map(str, run))))
+    return tuple(rows)
 
 
 class FamilyEntry:
+    __slots__ = (
+        "index", "subspace", "key", "bits", "intervals", "n_even",
+        "shriek_index", "fiber_index", "fiber_pos", "kappa_index",
+    )
+
     def __init__(
         self,
         index: int,
         subspace: Subspace,
         key: int,
+        bits: tuple[int, ...],
         intervals: tuple[IntervalLabel, ...],
         n_even: int,
-        shriek_index: int = -1,
-        fiber_index: int = -1,
-        fiber_pos: int = -1,
-        kappa_index: int = -1,
     ) -> None:
         self.index = index
         self.subspace = subspace
         self.key = key  # the interval key: bit k for space.intervals[k]
+        self.bits = bits  # the set bits of the key, ascending
         self.intervals = intervals
         self.n_even = n_even
-        self.shriek_index = shriek_index
-        self.fiber_index = fiber_index
-        self.fiber_pos = fiber_pos
-        self.kappa_index = kappa_index
+        self.shriek_index = -1
+        self.fiber_index = -1
+        self.fiber_pos = -1
+        self.kappa_index = -1
 
     @property
     def dim(self) -> int:
@@ -168,8 +182,7 @@ class FamilyEntry:
 
     def iprime_runs(self, dim: int) -> tuple[tuple[int, ...], ...]:
         """The I' runs of the interval basis, sorted by (run length, start)."""
-        runs = [lab.iprime(dim) for lab in self.intervals]
-        return tuple(sorted(runs, key=lambda r: (len(r), r[0])))
+        return tuple(row[1] for row in sorted(map(iprime_table(dim).__getitem__, self.bits)))
 
 
 class Fiber:
@@ -180,81 +193,118 @@ class Fiber:
 
 
 class Family:
-    """The decorated family: entries in canonical order plus fiber structure.
+    """The family at dimension D: its members' interval keys, checked, and an
+    indexed view built on first read.
 
-    `keys` are the members' interval keys (see `SymplecticSpace.intervals`).
-    Each key is checked to be the unique interval basis of its span, so
-    distinct keys are distinct members; its rows are reduced once, and the
-    entries are sorted by (dim, rows).  The check also makes each span
-    isotropic: the pairing (e_[c,d], e_[a,b]) is [a-1 in {c-1, d}] +
-    [b in {c-1, d}], so two intervals with no shared endpoint pair to 0.
+    `keys` are the members' interval keys (see `SymplecticSpace.intervals`),
+    kept in `keys` in the order given.  A member's dimension is the popcount
+    of its key, its even count that of `key & even`, and its odd part, the
+    span of its odd intervals, has the key `key & odd`.  One pass over the
+    keys checks, in this order, that
+      1. each key is the unique interval basis of its span, so distinct keys
+         are distinct members (`is_interval_basis`);
+      2. each member's odd part is a member;
+      3. the members over one odd part of dimension d - k have the even
+         counts 0..k, once each, and so the dimensions d - k..d.
+    Check 1 also makes each span isotropic: the pairing (e_[c,d], e_[a,b]) is
+    [a-1 in {c-1, d}] + [b in {c-1, d}], so two intervals with no shared
+    endpoint pair to 0.  A failure raises FamilyStructureError naming the
+    first bad member, or fiber, in canonical order.
+
+    The indexed view -- `entries` in canonical (dim, rows) order with their
+    reduced rows, `index_of_key` and `fibers` -- is built from what the pass
+    found the first time one of them is read.  The `counts` and `dihedral`
+    suites read only the keys; the `family` and `fourier` suites and every
+    export read the view.
     """
 
     def __init__(self, dim: int, keys: Iterable[int]):
         self.dim = dim
-        self.half = dim // 2
+        self.half = d = dim // 2
         self.space = space = make_space(dim)
         labels = space.intervals
-        members = []
+        self.even = even = sum(1 << k for k, lab in enumerate(labels) if lab.is_even)
+        self.odd = odd = ((1 << len(labels)) - 1) ^ even
+        self.keys = keys = tuple(keys)
+        self._bits: list[tuple[int, ...]] = []  # the set bits of each key, for the indexed view
+        counts: dict[int, int] = {}  # odd part -> bit n set for the member over it with even count n
+        malformed = set()  # the parts whose fibers are malformed
         for key in keys:
-            bits = list(bits_of(key))
-            rows = interval_basis_rows(space, bits)
-            if rows is None:
+            bits = tuple(bits_of(key))
+            if not is_interval_basis(space, bits):
                 labs = ", ".join(f"[{labels[k].a},{labels[k].b}]" for k in bits)
                 raise FamilyStructureError(
                     f"family member {space.interval_span(key).rows} has no unique interval basis: "
                     f"two of its intervals {labs} share an endpoint"
                 )
-            members.append((len(rows), Subspace(rows), key, tuple(map(labels.__getitem__, bits))))
-        members.sort()
-        even = sum(1 << k for k, lab in enumerate(labels) if lab.is_even)
-        self.entries: list[FamilyEntry] = []
-        self.index_of_key: dict[int, int] = {}
-        for idx, (_, sub, key, labs) in enumerate(members):
-            self.entries.append(FamilyEntry(idx, sub, key, labs, (key & even).bit_count()))
-            self.index_of_key[key] = idx
-        self._attach_fibers(((1 << len(labels)) - 1) ^ even)
-
-    def _attach_fibers(self, odd: int) -> None:
-        d = self.half
-        # span(odd intervals of a member) has those intervals as its unique
-        # interval basis, so it is a member exactly when that key is one
-        for ent in self.entries:
-            shriek = self.index_of_key.get(ent.key & odd)
-            if shriek is None:
-                raise FamilyStructureError(f"odd-interval span of entry {ent.index} escapes the family")
-            ent.shriek_index = shriek
-            if self.entries[shriek].n_even != 0:
-                raise FamilyStructureError("odd-interval span has a nonzero even count")
-        groups: dict[int, list[int]] = {}
-        for ent in self.entries:
-            groups.setdefault(ent.shriek_index, []).append(ent.index)
-        self.fibers: list[Fiber] = []
-        # entries are in (dim, rows) order, so fibers come in their shriek members' order
-        for f_idx, shriek_idx in enumerate(sorted(groups)):
-            members = sorted(groups[shriek_idx], key=lambda i: self.entries[i].n_even)
-            base = self.entries[shriek_idx]
-            k = d - base.dim
-            ok = (
-                len(members) == k + 1
-                and members[0] == shriek_idx
-                and all(self.entries[m].n_even == j for j, m in enumerate(members))
-                and all(self.entries[m].dim == d - k + j for j, m in enumerate(members))
+            self._bits.append(bits)
+            part = key & odd
+            bit = 1 << (key & even).bit_count()
+            seen = counts.get(part, 0)
+            if seen & bit:
+                malformed.add(part)
+            counts[part] = seen | bit
+        # the member over a part with even count 0 is the part itself: bit 0 is set exactly when it is a member
+        escaped = {part for part, seen in counts.items() if not seen & 1}
+        if escaped:
+            index = next(i for i, (_, _, key, _) in enumerate(self._order()) if key & odd in escaped)
+            raise FamilyStructureError(f"odd-interval span of entry {index} escapes the family")
+        malformed.update(part for part, seen in counts.items() if seen != (2 << (d - part.bit_count())) - 1)
+        if malformed:
+            entries = self.entries
+            fib = next(f for f in self.fibers if entries[f.shriek_index].key in malformed)
+            members = list(fib.members)
+            raise FamilyStructureError(
+                f"fiber over entry {fib.shriek_index} is malformed: members={members}, "
+                f"dims={[entries[m].dim for m in members]}, n={[entries[m].n_even for m in members]}"
             )
-            if not ok:
-                raise FamilyStructureError(
-                    f"fiber over entry {shriek_idx} is malformed: members={members}, "
-                    f"dims={[self.entries[m].dim for m in members]}, "
-                    f"n={[self.entries[m].n_even for m in members]}"
-                )
+
+    def _order(self) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
+        """(dim, reduced rows, key, bits) of every member, in canonical order.
+
+        No two of a key's intervals start at one point, so in key order their
+        vectors have ascending pivots (lowest bits), and reducing them is
+        `gf2.back_substitute` alone.
+        """
+        vectors = self.space.interval_vectors
+        return sorted(
+            (len(bits), back_substitute([vectors[k] for k in bits]), key, bits)
+            for key, bits in zip(self.keys, self._bits)
+        )
+
+    @cached_property
+    def _view(self) -> tuple[list[FamilyEntry], dict[int, int], list[Fiber]]:
+        labels = self.space.intervals
+        even, odd = self.even, self.odd
+        entries = [
+            FamilyEntry(idx, Subspace(rows), key, bits, tuple(map(labels.__getitem__, bits)), (key & even).bit_count())
+            for idx, (_, rows, key, bits) in enumerate(self._order())
+        ]
+        index_of_key = {ent.key: ent.index for ent in entries}
+        # A member's odd part is the member of key `key & odd`.  Over one part
+        # the dimension grows with the even count, so in canonical order a
+        # fiber's members come by even count, the part first, and the fibers
+        # come in their parts' order.
+        groups: dict[int, list[int]] = {}
+        for ent in entries:
+            ent.shriek_index = shriek = index_of_key[ent.key & odd]
+            groups.setdefault(shriek, []).append(ent.index)
+        fibers = []
+        for f_idx, (shriek, members) in enumerate(groups.items()):
             for pos, m in enumerate(members):
-                self.entries[m].fiber_index = f_idx
-                self.entries[m].fiber_pos = pos
-                self.entries[m].kappa_index = members[len(members) - 1 - pos]
-            self.fibers.append(Fiber(f_idx, shriek_idx, tuple(members)))
+                ent = entries[m]
+                ent.fiber_index = f_idx
+                ent.fiber_pos = pos
+                ent.kappa_index = members[-1 - pos]
+            fibers.append(Fiber(f_idx, shriek, tuple(members)))
+        return entries, index_of_key, fibers
+
+    entries = cached_property(lambda self: self._view[0])
+    index_of_key = cached_property(lambda self: self._view[1])
+    fibers = cached_property(lambda self: self._view[2])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def by_n(self, k: int) -> list[FamilyEntry]:
         return [e for e in self.entries if e.n_even == k]
@@ -276,12 +326,14 @@ def verify_counts(family: Family) -> Report:
     d = family.half
     n = family.dim + 1
     rep.require("total", len(family) == 2**family.dim, f"{len(family)} != 2^{family.dim}")
-    # a member's dimension and even count are at most D: one walk tallies both
+    # a member's dimension and even count, the popcounts of its key and of
+    # `key & even`, are at most D: one walk over the keys tallies both
     by_dim = [0] * n
     by_n = [0] * n
-    for e in family.entries:
-        by_dim[e.dim] += 1
-        by_n[e.n_even] += 1
+    even = family.even
+    for key in family.keys:
+        by_dim[key.bit_count()] += 1
+        by_n[(key & even).bit_count()] += 1
     for k in range(d + 1):
         rep.require(f"dim[{k}]", by_dim[k] == comb(n, k), f"{by_dim[k]} != C({n},{k})")
         rep.require(f"ncount[{k}]", by_n[k] == comb(n, d - k), f"{by_n[k]} != C({n},{d - k})")
@@ -318,12 +370,10 @@ def entry_compact(entry: FamilyEntry, dim: int) -> str:
     as concatenated digits and runs are comma separated; for larger D the
     vertices are comma separated and runs are joined with semicolons.
     """
-    runs = entry.iprime_runs(dim)
-    if not runs:
+    rows = sorted(map(iprime_table(dim).__getitem__, entry.bits))
+    if not rows:
         return "∅"
-    if dim + 1 <= 10:
-        return "<" + ",".join("".join(str(v) for v in run) for run in runs) + ">"
-    return "<" + ";".join(",".join(str(v) for v in run) for run in runs) + ">"
+    return "<" + ("," if dim + 1 <= 10 else ";").join([row[2] for row in rows]) + ">"
 
 
 def fiber_lines(family: Family) -> list[str]:
@@ -343,8 +393,8 @@ def family_to_json(family: Family) -> dict:
                 "index": e.index,
                 "dim": e.dim,
                 "n": e.n_even,
-                "iprime": [list(run) for run in e.iprime_runs(family.dim)],
-                "intervals": [[lab.a, lab.b] for lab in e.intervals],
+                "iprime": list(map(list, e.iprime_runs(family.dim))),
+                "intervals": list(map(list, e.intervals)),
                 "basis_rows": list(e.subspace.rows),
                 "shriek": e.shriek_index,
                 "fiber": e.fiber_index,

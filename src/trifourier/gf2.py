@@ -165,6 +165,17 @@ class Subspace(NamedTuple):
     def dim(self) -> int:
         return len(self.rows)
 
+    def __contains__(self, v: int) -> bool:
+        """True iff the vector v lies in the subspace.
+
+        Each row is zero at the other rows' pivots, so clearing v's pivot bits
+        row by row leaves 0 exactly when v is a sum of rows.
+        """
+        for row in self.rows:
+            if v & row & -row:
+                v ^= row
+        return v == 0
+
     def vectors(self) -> Iterator[int]:
         """All 2**dim elements of the subspace."""
         return iter(span_vectors(self.rows))
@@ -202,13 +213,8 @@ class IntervalLabel(NamedTuple):
 
     def iprime(self, dim: int) -> tuple[int, ...]:
         """I' as a run of vertices in circular order, starting vertex first."""
-        return _iprime(self.a, self.b, dim)
-
-
-@lru_cache(maxsize=None)
-def _iprime(a: int, b: int, dim: int) -> tuple[int, ...]:
-    """The body of `IntervalLabel.iprime`, computed once per interval and D."""
-    if (b - a) % 2 == 0:  # |I| = b - a + 1 is odd
-        return tuple(range(a, b + 1))
-    n = dim + 1  # the complement's run starts at b + 1
-    return tuple((b + k) % n + 1 for k in range(n - (b - a + 1)))
+        a, b = self
+        if (b - a) % 2 == 0:  # |I| = b - a + 1 is odd
+            return tuple(range(a, b + 1))
+        n = dim + 1  # the complement's run starts at b + 1
+        return tuple((b + k) % n + 1 for k in range(n - (b - a + 1)))

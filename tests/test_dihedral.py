@@ -10,7 +10,7 @@ from trifourier.dihedral import (
     verify_family_stability,
     verify_relations,
 )
-from trifourier.family import build_family
+from trifourier.family import Family, build_family
 from trifourier.gf2 import Subspace, make_space
 
 
@@ -51,7 +51,7 @@ def test_equivariance(dim):
 def test_stability_and_orbits_d2():
     fam = build_family(2)
     perm_r = family_permutation(fam, rotation(fam.space))
-    index = {e.subspace: e.index for e in fam.entries}
+    index = {fam.space.interval_span(key): i for i, key in enumerate(fam.keys)}  # perms act on key positions
     zero_idx = index[Subspace(())]
     assert perm_r[zero_idx] == zero_idx
     lines = [index[Subspace.span([m])] for m in (1, 2, 3)]
@@ -92,3 +92,13 @@ def test_orbit_sizes_partition_d4():
 def test_orbit_report_is_deterministic():
     first, second = (verify_family_stability(build_family(4)).summary() for _ in range(2))
     assert first == second and "[PASS] orbit sizes: 1,5,5,5" in first
+
+
+def test_stability_failure_names_the_canonical_entry():
+    # {0, <3>, <1>} passes the family's own checks (fibers "∅,<3>" and "<1>"), but
+    # R sends <1> = <e_1> to <e_2>; in (dim, rows) order <1> is entry 1
+    sp = make_space(2)
+    keys = [sp.interval_keys[v] for v in (sp.circular(1), sp.circular(3))]
+    fam = Family(2, [0, *keys])
+    check = verify_family_stability(fam).checks[0]
+    assert (check.check_id, check.ok, check.details) == ("stability", False, "image of entry 1 is not a family member")

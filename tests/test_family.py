@@ -14,6 +14,7 @@ from gf2_reference import (
 from ucb_reference import ucb_all_pairs
 
 import trifourier.family as family_module
+from trifourier.cli import run_suite
 from trifourier.family import (
     Family,
     FamilyStructureError,
@@ -25,12 +26,12 @@ from trifourier.family import (
     family_subspaces_ucb,
     family_to_json,
     fiber_lines,
-    interval_basis_rows,
+    is_interval_basis,
     signed_binomial_sum,
     verify_counts,
     verify_structure,
 )
-from trifourier.gf2 import Subspace, bits_of, is_isotropic, make_space
+from trifourier.gf2 import Subspace, back_substitute, bits_of, is_isotropic, make_space
 from trifourier.taumaps import CircularMap, _validate_embedding, generic_tau, push_key, reflection, rotation, tau
 
 # Known fiber decompositions, one line per fiber, members ordered by the
@@ -428,9 +429,9 @@ def test_endpoint_criterion_matches_enumeration_on_random_interval_sets():
                 unique = interval_basis_by_enumeration(space, span) == tuple(space.intervals[k] for k in bits)
             except FamilyStructureError:
                 unique = False
-            rows = interval_basis_rows(space, bits)
-            assert (rows is not None) == unique, (dim, bits)
-            assert rows is None or rows == span.rows, (dim, bits)
+            assert is_interval_basis(space, bits) == unique, (dim, bits)
+            # such a basis in key order has ascending pivots: back substitution reduces it
+            assert not unique or back_substitute([space.interval_vectors[k] for k in bits]) == span.rows, (dim, bits)
             assert is_isotropic(space, span) == unique, (dim, bits)
             kinds["basis" if unique else "not"] += 1
     assert sum(kinds.values()) >= 5000 and min(kinds.values()) >= 1000, kinds
@@ -459,7 +460,9 @@ def test_key_push_matches_row_push(dim):
             by_rows = Subspace(push_rows(rows_table, src.interval_span(key).rows, *([extra] if extra else [])))
             assert space.interval_span(pushed) == by_rows, (m, key)
             # and the pushed key is the unique interval basis of its span
-            assert interval_basis_rows(space, list(bits_of(pushed))) == by_rows.rows, (m, key)
+            bits = list(bits_of(pushed))
+            assert is_interval_basis(space, bits), (m, key)
+            assert back_substitute([space.interval_vectors[k] for k in bits]) == by_rows.rows, (m, key)
 
 
 def test_key_table_rejects_a_map_that_breaks_an_interval():
@@ -491,6 +494,54 @@ def test_family_rejects_a_key_that_is_not_isotropic():
     assert not is_isotropic(space, space.interval_span(key))
     with pytest.raises(FamilyStructureError, match=re.escape("family member (1, 2)")):
         Family(4, [key])
+
+
+def _canonical_index(space, keys, key):
+    """The index of the member `key` among `keys` sorted by (dim, rows), from the spans."""
+    spans = sorted((space.interval_span(k) for k in keys), key=lambda sub: (sub.dim, sub.rows))
+    return spans.index(space.interval_span(key))
+
+
+def test_family_rejects_a_member_whose_odd_part_escapes():
+    # <2> is the odd part of <2,5> (the intervals [2,2] and [1,4]); without it, <2,5> escapes
+    space = make_space(4)
+    two, four = _key(space, [(2, 2)]), _key(space, [(1, 4)])
+    keys = family_subspaces(4) - {two}
+    index = _canonical_index(space, keys, two | four)
+    with pytest.raises(FamilyStructureError, match=re.escape(f"odd-interval span of entry {index} escapes the family")):
+        Family(4, keys)
+
+
+@pytest.mark.parametrize("case", ["missing", "repeated"])
+def test_family_rejects_a_malformed_fiber(case):
+    # the fiber over <2> is <2>, <2,5>: without its top member, or with it twice, it is malformed
+    space = make_space(4)
+    two, four = _key(space, [(2, 2)]), _key(space, [(1, 4)])
+    rest = sorted(family_subspaces(4) - {two | four})
+    keys = rest if case == "missing" else rest + [two | four, two | four]
+    shriek = _canonical_index(space, keys, two)
+    top = case == "repeated" and _canonical_index(space, keys, two | four)  # the first of its copies
+    members = [shriek] if case == "missing" else [shriek, top, top + 1]
+    dims, n = ([1], [0]) if case == "missing" else ([1, 2, 2], [0, 1, 1])
+    message = f"fiber over entry {shriek} is malformed: members={members}, dims={dims}, n={n}"
+    with pytest.raises(FamilyStructureError, match=re.escape(message)):
+        Family(4, keys)
+
+
+def _view_built(fam):
+    return bool({"_view", "entries", "index_of_key", "fibers"} & vars(fam).keys())
+
+
+def test_counts_and_dihedral_suites_read_only_the_keys():
+    build_family.cache_clear()
+    try:
+        for suite in ("counts", "dihedral"):
+            assert run_suite(10, suite).ok
+            assert not _view_built(build_family(10)), suite
+        assert run_suite(10, "family").ok
+        assert _view_built(build_family(10))
+    finally:
+        build_family.cache_clear()
 
 
 @pytest.mark.parametrize("dim", range(2, 15, 2))

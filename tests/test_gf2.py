@@ -176,6 +176,20 @@ def test_subspace_contains_and_vectors():
     assert Subspace.span(sub.rows + (0b101,)) == sub and Subspace.span(sub.rows + (0b001,)) != sub
 
 
+def test_subspace_membership_reduces_by_pivots():
+    # the rows are (5, 6): membership is of the span, not of the tuple of rows
+    sub = Subspace.span([0b011, 0b110])
+    assert sub.rows == (0b101, 0b110)
+    assert 0b101 in sub and 0b011 in sub and 0 in sub
+    assert 0b100 not in sub and 0b001 not in sub
+    rng = random.Random(25)
+    for _ in range(500):
+        dim = rng.randint(1, 10)
+        sub = Subspace.span(rng.getrandbits(dim) for _ in range(rng.randint(0, 5)))
+        members = set(sub.vectors())
+        assert all((v in sub) == (v in members) for v in range(1 << dim)), sub.rows
+
+
 def test_is_isotropic():
     sp = make_space(2)
     assert is_isotropic(sp, Subspace.span([1]))
