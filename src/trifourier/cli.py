@@ -128,17 +128,9 @@ def run_suite(dim: int, suite: str) -> Report:
     if suite in ("all", "fourier"):
         from . import fourier
 
-        dense = dim <= fourier.MAX_DENSE_DIM  # above it the 4^D products give way to lemmas
-        if dense:
-            combined.add("fourier:involution", fourier.verify_involution(fam.space))
-        else:
-            from .lemmas import involution_from_gram, z_commutation_from_maps
-
-            combined.add("fourier:lemma:involution-from-gram", *involution_from_gram(fam.space))
+        combined.add("fourier:lemma:involution-from-gram", *fourier.verify_involution(fam.space))
         combined.extend(fourier.verify_change_of_basis(fourier.change_of_basis(fam)))
-        if not dense:
-            combined.add("fourier:lemma:z-commutation-from-maps", *z_commutation_from_maps(dim))
-        elif dim >= 2:
+        if dim >= 2:
             combined.extend(fourier.verify_z_commutation(dim))
     return combined
 

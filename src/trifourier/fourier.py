@@ -6,10 +6,7 @@ of the argument.  The transform is
 an involution of trace 2^d.  Write G[x, y] = (-1)^((x,y)).  Since
 (x, y) = popcount(x & Gram y) mod 2, G f is the Walsh-Hadamard transform of
 f o Gram^-1; `sign_transform` computes it with integer butterflies, O(D 2^D)
-additions, and every use of G goes through it.  The butterflies only add
-and subtract, so they transform a whole matrix at once when each of its
-rows is packed into one int by Kronecker substitution (`_Fields`); each
-check states the bound on every field that sets the field width.
+additions.
 
 G sends the indicator of a subspace E to 2^(dim E) times the indicator of
 its orthogonal complement.  The change of basis X expands those closed
@@ -20,12 +17,13 @@ give every row but the zero member's and must agree; the zero row, which
 expands 1_V, is one right-hand side through a peel order of B, which makes
 B lower unitriangular and proves det B = +-1 (`peel_order`).
 
-`verify_change_of_basis` checks the result on its own: the peel
-certificate, then up to MAX_DENSE_DIM the residual W - B X and the closed
-form against the transform, above it the recursion's induction from D = 0
-(`trifourier.lemmas`), and the triangular form, signs, trace and M^2 over
-the nonzeros.  Every value is a Python int or Fraction: nothing is rounded
-and nothing overflows.
+`verify_change_of_basis` checks the result on its own at every D: the peel
+certificate, the recursion's induction from D = 0, where B = X = W = [1]
+(`lemma_checks`), and the triangular form, signs, trace and M^2 over the
+nonzeros.  G G = 2^D I and G Z_i = 2 Z_i G' follow from the Gram tables and
+the maps (`verify_involution`, `verify_z_commutation`).  No check builds a
+2^D x 2^D product.  Every value is a Python int or Fraction: nothing is
+rounded and nothing overflows.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from math import lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from . import taumaps
 from .family import Family, FamilyStructureError, delta, entry_compact, family_subspaces
 from .gf2 import SymplecticSpace, bits_of, make_space, span_vectors
 from .report import Report, fraction_string
@@ -44,57 +43,9 @@ from .taumaps import check_complement, push_key, tau
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# The change of basis has 2^D x 2^D entries and the dense checks transform
-# 2^D rows of 2^D fields each: 16.8M entries at D = 12, 268M at D = 14.  The
-# command line refuses the matrix export above this, and `verify` checks
-# lemmas in place of the dense checks, G G = 2^D I and G Z = 2 Z G'.
+# The change of basis has 2^D x 2^D entries: 16.8M at D = 12, 268M at
+# D = 14.  The command line refuses the matrix export above this.
 MAX_DENSE_DIM = 12
-
-
-class _Fields:
-    """Rows of `count` integer fields, each row packed into one int.
-
-    Field j holding c adds c * 2^(bits * j).  The width is the least whole
-    number of bytes with 2^(bits - 1) > bound, for a bound on |c| over every
-    field of every row compared: two fields then differ by less than
-    2^bits, so two packed rows are equal exactly when every field is.
-    """
-
-    def __init__(self, bound: int, count: int):
-        self.width = w = (bound.bit_length() + 8) // 8
-        self.bits = 8 * w
-        self._half = 1 << (self.bits - 1)
-        # every field biased by 2^(bits - 1) is nonnegative; one subtraction per row takes it off
-        self._zero = (bytes(w - 1) + b"\x80") * count
-        self._bias = int.from_bytes(self._zero, "little")
-
-    def unit(self, j: int) -> int:
-        """The row with 1 in field j and 0 elsewhere."""
-        return 1 << (self.bits * j)
-
-    def rows(self, count: int, columns: Iterable[tuple[int, Iterable[int], int]]) -> list[int]:
-        """`count` packed rows from (field, rows, value) triples: each of those rows holds
-        value in that field, and every other field is 0.  Each (row, field) is given at most once.
-
-        The rows are filled as bytearrays: adding a shifted value to a packed
-        int would copy the whole row for every entry.
-        """
-        bufs = [bytearray(self._zero) for _ in range(count)]
-        w = self.width
-        for j, ks, c in columns:
-            lo, piece = w * j, (c + self._half).to_bytes(w, "little")
-            for k in ks:
-                bufs[k][lo : lo + w] = piece
-        return [int.from_bytes(buf, "little") - self._bias for buf in bufs]
-
-    def first_difference(self, a: Sequence[int], b: Sequence[int]) -> int | None:
-        """The lowest field in which some row of a differs from the same row of b.
-
-        The lowest set bit of x ^ y is the lowest bit in which x and y differ,
-        which lies in the lowest differing field.
-        """
-        diffs = [x ^ y for x, y in zip(a, b) if x != y]
-        return min(((x & -x).bit_length() - 1) // self.bits for x in diffs) if diffs else None
 
 
 # -- the fast transform -------------------------------------------------------
@@ -130,57 +81,6 @@ def phi(space: SymplecticSpace, values: Sequence) -> list[Fraction]:
     scale = den << space.half
     image = sign_transform(space, [f.numerator * (den // f.denominator) for f in fracs])
     return [Fraction(v, scale) for v in image]
-
-
-def verify_involution(space: SymplecticSpace) -> bool:
-    """G G == 2^D I, on the rows of I packed one int per row.
-
-    G is +-1, so every field of G G I is at most 2^D in absolute value, as is
-    every field of 2^D I.  At D = 12 each packed array holds 32 MB.
-    """
-    size = 1 << space.dim
-    fields = _Fields(size, size)
-    ident = [fields.unit(j) for j in range(size)]
-    return sign_transform(space, sign_transform(space, ident)) == [x << space.dim for x in ident]
-
-
-# -- the push-up maps -----------------------------------------------------------
-
-
-def z_map(space: SymplecticSpace, i: int, f_prime: Sequence) -> list:
-    """Z f' for the i-th push-up Z, on values that add: numbers, or packed rows.
-
-    The image of a point mass at y is the sum of the point masses at
-    tau_i(y) and tau_i(y) + e_i.
-    """
-    size_small = 1 << (space.dim - 2)
-    if len(f_prime) != size_small:
-        raise ValueError(f"function vector must have length {size_small}")
-    e = space.circular(i)
-    out = [0] * (1 << space.dim)
-    for t, value in zip(tau(space, i).table(), f_prime):
-        out[t] += value
-        out[t ^ e] += value
-    return out
-
-
-def verify_z_commutation(dim: int) -> Report:
-    """The push-up maps intertwine the two transforms: G Z = 2 Z G', on the packed rows of I'.
-
-    Each column of Z holds two ones and, tau_i being injective, each row at
-    most two; so every field of G Z I' is at most 2 in absolute value and
-    every field of 2 Z G' I' at most 4.
-    """
-    rep = Report(f"z-commutation D={dim}")
-    v = make_space(dim)
-    vp = make_space(dim - 2)
-    fields = _Fields(4, 1 << vp.dim)
-    ident = [fields.unit(j) for j in range(1 << vp.dim)]
-    g_small = sign_transform(vp, ident)
-    for i in range(1, dim + 2):
-        lhs = sign_transform(v, z_map(v, i, ident))
-        rep.require(f"i={i}", lhs == [2 * x for x in z_map(v, i, g_small)])
-    return rep
 
 
 # -- the dense reference ------------------------------------------------------------
@@ -392,32 +292,6 @@ class CobMatrix:
             yield f'"{lab}",' + ",".join(row) + "\n"
 
 
-def _w_columns(family: Family) -> Iterator[tuple[int, list[int], int]]:
-    """W by columns (r, vectors, value): column r is 2^(dim E_r) on the orthogonal
-    complement of E_r, the closed form of G applied to member r.
-
-    With s_k = x_k + x_(k+1) for k = 0..D (x_0 = x_(D+1) = 0), the pairing
-    (x, e_[a,b]) is s_(a-1) + s_b, and the s of every x sums to 0.  So x is
-    orthogonal to a member exactly when s agrees on the two points of each
-    of its intervals.  The interval joining points p < q is the x of
-    s = e_p + e_q, so the perp is spanned by the member and by the intervals
-    joining the lowest point that no interval of the member touches to each
-    other such point.
-    """
-    space = family.space
-    by_ends = dict(zip(space.interval_ends, space.interval_vectors))
-    points = (1 << (family.dim + 1)) - 1
-    for r, e in enumerate(family.entries):
-        touched = 0
-        for k in bits_of(e.key):
-            touched |= space.interval_ends[k]
-        free = points & ~touched
-        first = free & -free
-        basis = list(e.subspace.rows)
-        basis += (by_ends[first | (1 << p)] for p in bits_of(free ^ first))
-        yield r, span_vectors(basis), 1 << e.dim
-
-
 def change_of_basis(family: Family) -> CobMatrix:
     """The transform's matrix in the family basis, exactly: `expansion_rows` by member index.
 
@@ -450,51 +324,101 @@ def _is_peel_order(order: list[tuple[int, int]], members: list[list[int]], size:
     return all(min(vec_step[v] for v in vs) == member_step[j] for j, vs in enumerate(members))
 
 
-def dense_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
-    """The residual W - B X and the closed form G B = W, as (check, ok, details)."""
-    fam = cob.family
-    n = cob.size
-    size = 1 << fam.dim
-    # Packed over the members r.  Row v of B X sums, over the members c that
-    # hold v, the rows X_c = column c of num, so each of its fields is at most
-    # n max|num|; each field of G 1_{E_r} is at most |E_r| <= 2^d, and each of
-    # W is 2^(dim E_r) <= 2^d.
-    num_max = max((abs(v) for row in cob.num for v in row.values()), default=0)
-    fields = _Fields(max(n * num_max, 1 << fam.half), n)
-    w = fields.rows(size, _w_columns(fam))
-    x = fields.rows(n, ((r, (c,), val) for r, row in enumerate(cob.num) for c, val in row.items()))
-    bx = [0] * size
-    for c, vs in enumerate(cob.members):
-        for v in vs:
-            bx[v] += x[c]
-    residual = ("solve-residual", bx == w, "W - B X is not zero")
-    del x, bx  # before the closed form packs another 2^D rows
+# -- the certificate: the recursion's induction ---------------------------------
+# Each check is one line that names the first failing level or map.  The
+# certificate reads the maps through `taumaps`, the recursion through its own
+# imports: a map substituted in `taumaps` reaches the checks, not the cached rows.
 
-    indicators = fields.rows(size, ((r, vs, 1) for r, vs in enumerate(cob.members)))
-    bad_member = fields.first_difference(sign_transform(fam.space, indicators), w)
-    return [residual, ("closed-form", bad_member is None, f"member {bad_member}")]
+
+def verify_involution(space: SymplecticSpace) -> tuple[bool, str]:
+    """G G = 2^D I, as (ok, details): `space.forms`, the table `sign_transform` reads through
+    `gram_inverse`, is the span table of the Gram rows, alternating and a bijection.
+
+    Then (G G)[x, z] = sum_y (-1)^(y . (forms[x] + forms[z])) = 2^D [x = z].
+    """
+    forms = space.forms
+    if forms != span_vectors(space.gram):
+        return False, "forms is not the span table of the Gram rows"
+    bad = next((x for x, f in enumerate(forms) if (x & f).bit_count() & 1), None)
+    if bad is not None:
+        return False, f"the pairing is not alternating: (x, x) = 1 at x = {bad}"
+    if len(set(forms)) != len(forms):
+        return False, "forms is not a bijection"
+    return True, ""
+
+
+def _map_checks(levels: Iterable[int]) -> list[tuple[str, bool, str]]:
+    """Every tau_i of every level preserves the form, and its image is a complement of F2 e_i
+    in the perp of e_i; each check names the first map that fails it, as "tau_i D=k"."""
+    maps = [(make_space(k), i) for k in levels for i in range(1, k + 2)]
+    broken = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.preserves_form(sp, taumaps.tau(sp, i))), "")
+    not_complement = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.check_complement(sp, i)), "")
+    return [("lemma:preserves-form", not broken, broken), ("lemma:complement", not not_complement, not_complement)]
+
+
+def verify_z_commutation(dim: int) -> Report:
+    """G Z_i = 2 Z_i G' for D >= 2, as one check whose details name what it rests on or what fails.
+
+    On a point mass at y both sides are 2 (-1)^((x, tau_i y)) on the perp of
+    e_i and 0 off it when the forms of D and D-2 are bilinear and alternating,
+    im tau_i + F2 e_i is that perp (so (e_i, tau_i y) = 0) and tau_i
+    preserves the form.
+    """
+    rep = Report("fourier")
+    for k in (dim, dim - 2):
+        ok, fault = verify_involution(make_space(k))
+        if not ok:
+            rep.add("lemma:z-commutation-from-maps", False, f"D={k}: {fault}")
+            return rep
+    bad = next((f"{check} fails at {details}" for check, ok, details in _map_checks((dim,)) if not ok), "")
+    details = bad or f"from lemma:preserves-form, lemma:complement and the Gram tables at D={dim} and D={dim - 2}"
+    rep.add("lemma:z-commutation-from-maps", not bad, details)
+    return rep
+
+
+def lemma_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
+    """The induction that proves B X = W, as (check, ok, details).
+
+    At every level k = 2..D every tau_i preserves the form and its image is a
+    complement of F2 e_i in the perp of e_i, so G Z_i = 2 Z_i G' makes the
+    push of a (k-2)-row the row of the pushed member; `push_up` made the
+    pushes agree as it built each level, and every row but the zero member's
+    must be the cached level's.  At every level k = 0..D the zero row expands 1_V.
+    """
+    fam = cob.family
+    keys = [e.key for e in fam.entries]
+    checks = _map_checks(range(2, fam.dim + 1, 2))
+
+    def by_key(r: int) -> dict[int, int]:
+        return {keys[c]: v for c, v in cob.num[r].items()}
+
+    rows = expansion_rows(fam.dim)
+    bad = next((r for r, key in enumerate(keys) if key and rows.get(key) != by_key(r)), None)
+    details = "" if bad is None else f"member {fam.entries[bad].subspace.rows} differs from its pushes"
+    checks.append(("lemma:push-agreement", bad is None, details))
+
+    for k in range(0, fam.dim + 1, 2):
+        got = [0] * (1 << k)
+        for key, v in (expansion_rows(k)[0] if k < fam.dim else by_key(fam.index_of_key[0])).items():
+            for u in make_space(k).interval_span(key).vectors():
+                got[u] += v
+        if got != [1] * len(got):
+            break
+    checks.append(("lemma:zero-row-residual", got == [1] * len(got), f"B x - 1_V is not zero at D={k}"))
+    return checks
 
 
 def verify_change_of_basis(cob: CobMatrix) -> Report:
-    """Peel certificate, solve residual, closed form, triangularity, diagonal signs,
-    trace, eigenvalue count and involution, each over the nonzeros of the matrix.
-
-    Above MAX_DENSE_DIM the residual and the closed form give way to the
-    recursion's induction, `lemmas.lemma_checks`.
-    """
+    """Peel certificate, the recursion's induction (`lemma_checks`), triangularity,
+    diagonal signs, trace, eigenvalue count and involution, each over the nonzeros
+    of the matrix."""
     fam = cob.family
     d = fam.half
     rep = Report(f"change-of-basis D={fam.dim}")
     num = cob.num
 
     rep.require("basis-peelable", _is_peel_order(cob.peel, cob.members, cob.size))
-    if fam.dim <= MAX_DENSE_DIM:
-        checks = dense_checks(cob)
-    else:
-        from .lemmas import lemma_checks
-
-        checks = lemma_checks(cob)
-    for check, ok, details in checks:
+    for check, ok, details in lemma_checks(cob):
         rep.require(check, ok, details)
 
     dims = [e.dim for e in fam.entries]

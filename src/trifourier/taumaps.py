@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .gf2 import SymplecticSpace, bits_of, make_space, rref, span_vectors
+from .gf2 import SymplecticSpace, bits_of, make_space, rref
 from .report import Report
 
 
@@ -35,10 +35,6 @@ class CircularMap(NamedTuple):
         for j in bits_of(v):
             out ^= self.images[j]
         return out
-
-    def table(self) -> list[int]:
-        """The images of all 2^src_dim source vectors, indexed by source mask."""
-        return span_vectors(self.coordinate_images())
 
     def key_table(self) -> dict[int, int]:
         """The map on interval keys (see `SymplecticSpace.intervals`): source key bit -> image key bit.

@@ -266,10 +266,25 @@ def test_dim_above_cap_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [["matrix", "--dim", "14"], ["matrix", "--dim", "14", "--format", "csv"]])
 def test_dense_fourier_above_d12_is_refused(capsys, argv):
     # the export writes all 2^D x 2^D entries; `verify` at D = 14 checks the
-    # recursion's induction instead of the dense checks, and runs
+    # recursion's induction, as at every D, and runs
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "--dim 14" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [0, 2, 8])
+def test_verify_runs_no_dense_product(dim, monkeypatch):
+    # one certification path at every D: the recursion's induction, the Gram tables
+    # and the maps; no check transforms a 2^D x 2^D matrix
+    from trifourier import fourier
+    from trifourier.cli import run_suite
+
+    def refuse(space, f):
+        raise AssertionError(f"sign_transform called at D={space.dim}")
+
+    monkeypatch.setattr(fourier, "sign_transform", refuse)
+    rep = run_suite(dim, "all")
+    assert rep.ok, rep.summary()
 
 
 def test_family_suite_leaves_numpy_unimported():
@@ -334,12 +349,11 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         ["family", "--dim", "10", "--format", "json"],
         ["matrix", "--dim", "10", "--format", "json"],
         ["matrix", "--dim", "10", "--format", "csv"],
-        ["verify", "--dim", "12", "--suite", "family"],
     ],
 )
 def test_closed_stdout_exits_1_without_traceback(argv):
     # The reader stops after one line, as `trifourier family --dim 10 | head -1` does.
-    # Each output (127 KB, 744 KB, 11.7 MB, 2.2 MB and 156 KB, the last one print) is
+    # Each output (127 KB, the first one write, 744 KB, 11.7 MB and 2.2 MB) is
     # larger than a pipe's 64 KiB buffer, so the program is still writing when the pipe
     # closes.  On an unbuffered stdout (PYTHONUNBUFFERED) the text layer would drop the
     # short count of a write that the closed pipe cuts off and exit 0; the command line
@@ -450,14 +464,15 @@ def test_benchmark_trace_hooks_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_d14_runs_in_bounded_memory():
-    # Above D = 12 the Fourier suite proves the change of basis by the recursion's
-    # induction from D = 0, and G G = 2^D I and G Z = 2 Z G' from the Gram table and the
-    # maps: nothing packs 2^D x 2^D, and no dense D = 12 check runs.  A helper interpreter
+@pytest.mark.parametrize("dim, bound_mb", [(12, 64), (14, 256)])
+def test_verify_d14_runs_in_bounded_memory(dim, bound_mb):
+    # The Fourier suite proves the change of basis by the recursion's induction from
+    # D = 0, and G G = 2^D I and G Z = 2 Z G' from the Gram table and the maps: nothing
+    # packs 2^D x 2^D (the dense products held 228 MB at D = 12).  A helper interpreter
     # starts the run, hashes its output and reads its peak RSS with os.wait4.
     helper = (
         "import hashlib, os, subprocess, sys\n"
-        "argv = [sys.executable, '-m', 'trifourier', 'verify', '--dim', '14', '--suite', 'all']\n"
+        f"argv = [sys.executable, '-m', 'trifourier', 'verify', '--dim', '{dim}', '--suite', 'all']\n"
         "proc = subprocess.Popen(argv, stdout=subprocess.PIPE)\n"
         "digest = hashlib.sha256(proc.stdout.read()).hexdigest()\n"
         "_, status, usage = os.wait4(proc.pid, 0)\n"
@@ -469,13 +484,16 @@ def test_verify_d14_runs_in_bounded_memory():
     assert proc.returncode == 0, proc.stderr
     rc, maxrss_kib, digest = proc.stdout.split()
     assert rc == "0"
-    assert int(maxrss_kib) < 256 * 1024, f"peak RSS {int(maxrss_kib) / 1024:.0f} MB"
-    assert digest == GOLDEN_D14_SHA256
+    assert int(maxrss_kib) < bound_mb * 1024, f"peak RSS {int(maxrss_kib) / 1024:.0f} MB"
+    assert digest == GOLDEN_VERIFY_ALL_SHA256[dim]
 
 
-# SHA-256 of `verify --dim 14 --suite all`, recorded when the lemma chain replaced the
-# dense D = 12 anchor and the two batched 4^D products.
-GOLDEN_D14_SHA256 = "ba14ec9b2e068e0a7a53fa3cc5156dcbce015c183c8ca18faa20915ea6e27419"
+# SHA-256 of `verify --dim D --suite all`, recorded when the lemma chain became the one
+# certification path at every D and the isotropy checks one grouped line.
+GOLDEN_VERIFY_ALL_SHA256 = {
+    12: "0ff39207b3137b6c4ef26aea8b0ad82438dbf5df21d129d75b5ba492430385d9",
+    14: "3a1fd7e77f2acbe0409ea2a15ea4ace840a300749da378001f5f72bc934a3f6f",
+}
 
 
 def test_matrix_d12_json_digest_from_the_pipe():
@@ -512,88 +530,91 @@ GOLDEN_MATRIX_D12_JSON_SHA256 = "3446c2d31a9f0c4da56c3ed09a4e5e18b838d7141f099c5
 # the s5 hyperplane JSON when `--format json` first applied to it (the same bytes
 # as the check's Report JSON before the Fourier matrix was built over columns), and
 # the two D = 10 family exports before the JSON writer became one recursive encoder.
+# The Fourier, family-suite and all-suite `verify` outputs moved once more when the
+# recursion's induction became the one certification path at every D and the
+# isotropy checks one grouped line.
 # A digest that moves is a change to the bytes the CLI prints.  The outputs do
 # not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
-    "verify --dim 0 --suite family --format text": "3066ee46a8aff621ba9b123ce9c626dec451b7b75accac83eda4eac3cae16782",
-    "verify --dim 0 --suite family --format json": "9513a738d44299e675e32693f2f51c94a4cc583593fa951a1f1a49901ffaa652",
+    "verify --dim 0 --suite family --format text": "73d50f8b00217312cafb6ddf33549596f09c04afb7fc281a2ec835aa04e66444",
+    "verify --dim 0 --suite family --format json": "c31a3bbfd4671afd0d323f24f09241d37d91e1c6494d450b5b026b7b8603dfc1",
     "verify --dim 0 --suite dihedral --format text": "62ebbdc7eb34ded841745106114df00a609f6f586f1414c321118812577bf061",
     "verify --dim 0 --suite dihedral --format json": "19fb26ce4c884534e7f6b4d7775d656b3ea93a5f3a3f993d03cd722f56649088",
     "verify --dim 0 --suite counts --format text": "903f1fb4b795b5cafa2c287b68bdb776e2709cc4e1598c9e059371739552c1f7",
     "verify --dim 0 --suite counts --format json": "859a07a7a256329cdbfe1056b967dc6de974e21131a8172b12371af4aaaf45cb",
     "family --dim 2 --format text": "20a1f7c1443c24c343eaa83adfe8bb1571b24bd172589736289cf42f53fb490d",
     "family --dim 2 --format json": "3d7dcdaf00eb999bdecdb7c8dec2c2c4cd73e4bc9b651b519b47149fd735ef99",
-    "verify --dim 2 --suite family --format text": "ede957a51b9ddfcda9aa39f6d20867b7ec7194dde85a27b120fc98062655c955",
-    "verify --dim 2 --suite family --format json": "bc21e33dfd442679a17e53894f87c7b8969f7bb76110bab8c3761c4eb5a588f0",
+    "verify --dim 2 --suite family --format text": "c8c30ee4e3c5a7f370e652972538717d1ad824d3cbb87d76a44a313e2cc3e6dd",
+    "verify --dim 2 --suite family --format json": "5084bbac8fd05b5a8955cf37abf60418a468afefdf411733dff9a9e5c345493b",
     "verify --dim 2 --suite dihedral --format text": "000b5b4f6554d121070c4a24643141a8ab4623b9f926c3c917960aeb6a243b50",
     "verify --dim 2 --suite dihedral --format json": "b4225856c4aa776aa55260432e8ea30a7ebcd39bfd049d9bc40ebf1e33ccce53",
     "verify --dim 2 --suite counts --format text": "7b92c84597904b9ce1328a97935e7de204b732a5584cc2064fe7b5c836ec1a66",
     "verify --dim 2 --suite counts --format json": "2a39922550d6e706681f6f44cc41678a8a1a19853cddccb01c4f2fbffbbe06b9",
     "family --dim 4 --format text": "e7a7cfba643b882e050a2a8e055fb0050caaea7f8f6a50425233ba2562530cef",
     "family --dim 4 --format json": "86b65e2d8d56a11246d1b0ab61cfd0c2eb2a0ad2be932a998ce58f80597ae9d5",
-    "verify --dim 4 --suite family --format text": "d127935ffbf15072ad31777ada2b1096ff1641c899d12617340c05be9cde630b",
-    "verify --dim 4 --suite family --format json": "970ca812469304c864e2af4f6720ae777bc47602d5d8822454904889f789a592",
+    "verify --dim 4 --suite family --format text": "43237d05bef1c3c3bf1b96944c74892f177d37b5e2d14d55224e281cd5fba0c4",
+    "verify --dim 4 --suite family --format json": "1b7a809c431c56446556661d083c2c9b3be6a1816d98047defddc4973cfffdbc",
     "verify --dim 4 --suite dihedral --format text": "b77d6d226b268372f9437920be1d70d884cddb329634d6db0c783400c4c530c9",
     "verify --dim 4 --suite dihedral --format json": "a81605a9f5c262dec7328fe3b49e293011febc0ead73f70ae925055fd8d06d19",
     "verify --dim 4 --suite counts --format text": "ad5589e8ac91aed657e09503c541156871c5679d981000787880bbe920d4cfa6",
     "verify --dim 4 --suite counts --format json": "c8512fafda01fe2265ae9a8d0722f0b296ddcb42e4a08d898d63b6d9e3af7cc4",
     "family --dim 6 --format text": "2368dd57d623b6cd427a0efb76afa26d6765f32c83868d4ee1bd9c6b97c8b602",
     "family --dim 6 --format json": "d1bb676394e17012165a03591dcbc710b6ed2e5e80bdf830660edf43ae2f23a3",
-    "verify --dim 6 --suite family --format text": "56d695250cf42f3fb90b2b962b005b951d0dae260b0e24ae96916f9d7bdd1343",
-    "verify --dim 6 --suite family --format json": "d552fc43cb3749a2ad6320b4ee7c6844d15355b390b5b739fe55c109932e0881",
+    "verify --dim 6 --suite family --format text": "3ef0408bae9d3042620f629bdfc3b0d22bf143532dd2328183e8c6b31c94812a",
+    "verify --dim 6 --suite family --format json": "117e33710601d57d5b2fd3f1fe96ca84c4b66d38a6fb5e4b30de560ba905040a",
     "verify --dim 6 --suite dihedral --format text": "3fbaab85ab5ec698a17b164d60f7c3c3f0f72fa8998e1c7932bca8f090c04dc7",
     "verify --dim 6 --suite dihedral --format json": "e4ac7e7eab576f625b80cd542b85d07d5b31a9a4a12e416c43f0687cc025fbbd",
     "verify --dim 6 --suite counts --format text": "a3cb38b21100d1bc62749529753c09d1d87a7e13e1811be45ed23d84ccbc4349",
     "verify --dim 6 --suite counts --format json": "eab850a6462d22e88bcd1ded4b6a2675feb64b280b314078985e2541d4108a69",
     "family --dim 8 --format text": "816f492514d05cce2743266909c0a5b98901d6ec04bff65d7d817fa8726e5e8c",
     "family --dim 8 --format json": "f003ce1b8b4e1792c640f7fd537a1bb032880cf86b91acb3c3f00e59b2c21adb",
-    "verify --dim 8 --suite family --format text": "afbe6271372b12633bc0e682dfb36a064ced80e11dbd1a60ae96046198879a34",
-    "verify --dim 8 --suite family --format json": "32d3d46e8accbe44aa81a6c6a77ff50cf04ee29e3f2b593d728504d4e8f8627e",
+    "verify --dim 8 --suite family --format text": "7ed408792afaebcd7df17cb27f768e823a1baf7337352b984e5388e462a51c9b",
+    "verify --dim 8 --suite family --format json": "d1d9fbbae61185b3ab46d1978952c3553b38c33feda048c41a4b638d5035363d",
     "verify --dim 8 --suite dihedral --format text": "23bf7e3992813e5d583b600a052c54b943f4daa93022889788dc7939cd3d89df",
     "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
     "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
     "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
     "family --dim 10": "ba0c3609e6585c54ab1d64f8f5d6135c2f5b73e9708b3de3b4d16972d3a73969",
     "family --dim 10 --format json": "354a22b71e6ccab2f4c6a6a0c5246a760a3305290d0b788402607941168fbd17",
-    "verify --dim 10 --suite family --format text": "5ba9399ac94e3bfb87c9fc5d5b2ae78cb0dcf8fd6d8c57e849007402256eb719",
-    "verify --dim 10 --suite family --format json": "3ee422c6fe5934b6c4dd514cb38820b4d1a85b986b7648d8b7ecdcc906590c7c",
+    "verify --dim 10 --suite family --format text": "0c1781c0dc0cdeba858d7f6d682c5999ea6a39869207b13a8c5f364a932e8e49",
+    "verify --dim 10 --suite family --format json": "671cf4fda14ccab334ad84138b7a20075efeafe2b51885cc14f40548ba3b2a13",
     "matrix --dim 0 --format json": "72ccb852d8ee6a1a08101888511be9eeb72f2d06fa87b02020a11b6a31c8cc17",
     "matrix --dim 0 --format csv": "916cc3366aae86c3ee776e4bdff3763761f0f3d887959b803fa2ddc26066717a",
-    "verify --dim 0 --suite fourier --format text": "6991d9ec34f2171625d57d60e4612510c855e1660d6534f886d36dd6dc2b3a00",
-    "verify --dim 0 --suite fourier --format json": "57f9b81c979bda759a538b7e0a19f8037460c6f609983f098712668546d67fc3",
-    "verify --dim 0 --suite all --format text": "44396d904e50ede369436d84d8fb91b744d3f38b1f812a22d9e3415854296b47",
-    "verify --dim 0 --suite all --format json": "9312b45e60067b19278cbc40856c3148c7afbbe1679b719c451853deeb6b5b53",
+    "verify --dim 0 --suite fourier --format text": "dafc3dedbd3faadf03af80c0ff7cc307f0efc5a13b251facc27fe71c184a37cc",
+    "verify --dim 0 --suite fourier --format json": "c30b87a4131d2d14408eda1b160b999a8eaa6fbb0dff15aa754f073b1280721b",
+    "verify --dim 0 --suite all --format text": "22c4d55697fcd4039f0a78388a5387cbb1313df9fc9224bdea44d25d946178c4",
+    "verify --dim 0 --suite all --format json": "d207799b4959caee71a21494e887f12785897948050c7d22076e7b90bcf964ca",
     "matrix --dim 2 --format json": "84589870eabe70b12158d674100a654f128ac087912a1f6e23ac8ee620ffbb28",
     "matrix --dim 2 --format csv": "53c2fdcc294efd149daa52db1ec31acfd38dcc71ba91581aa596fb18a9bd4baa",
-    "verify --dim 2 --suite fourier --format text": "e923e4c4e0f1b81225c05505fcbf13a0b531b7b41975df9537ab58c591241732",
-    "verify --dim 2 --suite fourier --format json": "ed81d37ec15131555c90ff9ae08445bbab5327500d4b6545ab261baeca3eb3e9",
-    "verify --dim 2 --suite all --format text": "540dbf93e300e682d643d9b42ce813d87ad6f41e61bf9a3a50a450bc2a53eab7",
-    "verify --dim 2 --suite all --format json": "ecbceeb01f77c68116615824dead5c1766c08dfd446ca95f37bc382cc3193b9f",
+    "verify --dim 2 --suite fourier --format text": "dc726ae5e7d43e64e2dd86353ccded1e2194bd12316bc75f45a75eadc50918b3",
+    "verify --dim 2 --suite fourier --format json": "eb013c03656bcb986007ba6d0f2b4d42b2b2331edd667c173e76c25e63b941c2",
+    "verify --dim 2 --suite all --format text": "851b3a07019e3b5ebf114c4d1b541de02ee344d3da6192225a8b443c9c19b1b2",
+    "verify --dim 2 --suite all --format json": "13af8a31afdade8092867627b406e058fc08172df65558530a707ebb8e03cd26",
     "matrix --dim 4 --format json": "8cfc08fde2257e69619a721e5b22ed9979293b160bca9b6a294876e41238877a",
     "matrix --dim 4 --format csv": "f16f3a486f2588870d740dc73d448c23e11be619270fc62aaaa9f0ebbd26db97",
-    "verify --dim 4 --suite fourier --format text": "800b2fa9c6db84a76dd49b46d58242e5b8a2e404e25e94deeaf8d39bf0425502",
-    "verify --dim 4 --suite fourier --format json": "0d98d8c54bd0a2b8dfeb71c55f5b82c11725a8e7b0d387cd239405235ed748a7",
-    "verify --dim 4 --suite all --format text": "06f7822c31cc8d4245282fe740aa40821bed590e872a2e9d0dda953baa6e0507",
-    "verify --dim 4 --suite all --format json": "fd5241a11eb5c9115e534b0ad468ddddfdd54ac9786efd8671f7156ffc5dd6fd",
+    "verify --dim 4 --suite fourier --format text": "994e4b80eb8d4e1755a20555b5fe578cef0b4eeb2d5edf348073d7ce26ab2071",
+    "verify --dim 4 --suite fourier --format json": "2a31f395ff516e08acbcac2cc15f5aa71391c772079f74ff371015c80cc4c7aa",
+    "verify --dim 4 --suite all --format text": "0f739b633b602732a9f941945a76b6f77f582b7d96771879564ad7d09b6aa251",
+    "verify --dim 4 --suite all --format json": "9cafcc21449f4a4bb7e75ff221e4c2e9df18e447e6ba1ffd27627d566c4b26e4",
     "matrix --dim 6 --format json": "f48b974b5b3dd9436b014fc4d1690425ba6a6145b2677288769fd2f6c6883638",
     "matrix --dim 6 --format csv": "12cbcde182359c939b2b022002088c8fb9838fc376749ad2355b2f2a787b32f6",
-    "verify --dim 6 --suite fourier --format text": "738b82a69652c975305bc3f32739ce77fbb14978d5c93176cadf9eb63bc30e5b",
-    "verify --dim 6 --suite fourier --format json": "76620650dcad616162e51d97f04ff1e899f93fc3080e96a2f3cf915c67ab5ece",
-    "verify --dim 6 --suite all --format text": "f6507777517e252dbddd42a9c3c8f6bdc49df38ad9bb6f29ca761c0ddd02f0e0",
-    "verify --dim 6 --suite all --format json": "e4669e007d085d69f77daf019dff06647eaa0ea661e26d6a282e620d9ca88269",
+    "verify --dim 6 --suite fourier --format text": "901bf69c678c081e08608b18ada3a5bb063e6ed73c8fab4691137149d84830d8",
+    "verify --dim 6 --suite fourier --format json": "9ec02cec73ab02baf460614b8d596c6261ede831991a023572001dd4e8d8398f",
+    "verify --dim 6 --suite all --format text": "a8ace307e65c936ec3241c3f24480a5070331caa6692e0e48c5c4ec6850bd45b",
+    "verify --dim 6 --suite all --format json": "13eccd16f093b5a1e6cfa53c878c9f1dbee580eba6bc1ca9e094547d168d0cdc",
     "matrix --dim 8 --format json": "f5c5c8e87724f1cf162fc79e19dfb0a319e3a9584cc61e8a97a91d3d83bccdf6",
     "matrix --dim 8 --format csv": "0b20a4d585c71de0f190829939bdcc865a8cf66745bba5ee17d155f6dde2bbd6",
     "matrix --dim 10 --format json": "735b147a2a3672b4171f22393530e30cf76fa924a3e0b9fc392f466175f6170c",
     "matrix --dim 10 --format csv": "30c0c8181db1018a9259b76d8ed371204ab77d97525b9141976687c6e016105b",
-    "verify --dim 8 --suite fourier --format text": "39034ca779eba6016be64981ff65fe788c2d02ae850d059db7dc6f4428f55670",
-    "verify --dim 8 --suite fourier --format json": "968bf596e8f535e8a777623a7bd9fb5a0931ac6925b20823a88c3758b0aa1c70",
-    "verify --dim 8 --suite all --format text": "1ca0b7e649d6ce0b08a94af2f05bd58cc58cb930e6c831242ed28ee5a10ca76a",
-    "verify --dim 8 --suite all --format json": "c2cfe7ac9d83621cd7dd70caa8468f876a246762aedae4e0ad5b5a17f15989f2",
-    "verify --dim 10 --suite all --format text": "a64eae1cd448bad94db4e4f3f2f06613af6f3a5513caae731fe57072df0c69c4",
-    "verify --dim 10 --suite all --format json": "58a9e737eb47de1fe80d129ba13640d5655388143a6650dec2493558eeb77ff6",
-    "verify --dim 12 --suite fourier --format text": "fdaeddb68e703a23fb1e8f29ff6a1f90ba195ff34524ca92e9fadd513cf8d269",
+    "verify --dim 8 --suite fourier --format text": "a2b8d15e09325a32f62873595789e603a0f0c0ead328e3a6be6097168a4154c8",
+    "verify --dim 8 --suite fourier --format json": "90decb84506891a2c36ab3e0f396bcf94dd0095bb816cacd568fa6bcbcf1fea5",
+    "verify --dim 8 --suite all --format text": "2d50a6f85e4cfb212c254ea647c130ef0ea36b0a34c7126979859b11b9541e91",
+    "verify --dim 8 --suite all --format json": "40b7a06c9eb53669c5da11ad29f25b43282d621e6bc0543917245e3ca4c8b8cd",
+    "verify --dim 10 --suite all --format text": "3e92ee615aed2b5368e0eb7d48c10d70534f8e6d008207628fcd8ba4b21f755c",
+    "verify --dim 10 --suite all --format json": "4b86357f27e4ff612a6aefcd7c58d720815c03eaad73f23a134d979720f0a111",
+    "verify --dim 12 --suite fourier --format text": "1709a6eab8367c149473d30b636c2890645774272889d918de0871f8441632d4",
     "nonabelian --group s3 --check matrix": "c810590641db850051e2b3b82a3c6edca95dc1f837ac1cec113daa50c29ba177",
     "nonabelian --group s3 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
     "nonabelian --group s3 --check trace": "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",

@@ -10,6 +10,7 @@ from gf2_reference import (
     interval_basis_by_enumeration,
     nested_interval_subspace,
     push_rows,
+    table as row_table,
 )
 from ucb_reference import ucb_all_pairs
 
@@ -227,6 +228,18 @@ def test_kappa_involution_and_grading():
         fam = build_family(dim)
         rep = verify_structure(fam)
         assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_isotropy_is_one_check_naming_the_first_failing_member(dim, monkeypatch):
+    fam = build_family(dim)
+    bad = fam.entries[len(fam) // 3]
+    real = family_module.is_isotropic
+    monkeypatch.setattr(family_module, "is_isotropic", lambda sp, sub: sub != bad.subspace and real(sp, sub))
+    lines = run_suite(dim, "family").summary().splitlines()
+    failing = [line for line in lines if line.startswith("[FAIL]")]
+    assert failing == [f"[FAIL] structure D={dim}:isotropic: member {bad.index}: rows {bad.subspace.rows}"]
+    assert not any("isotropic[" in line for line in lines)
 
 
 def test_shriek_properties():
@@ -452,7 +465,7 @@ def test_key_push_matches_row_push(dim):
     pushes = [(m, extra, dim - 2) for m, extra in _member_maps(dim)]
     pushes += [(rotation(space, k), 0, dim) for k in range(dim + 1)] + [(reflection(space), 0, dim)]
     for m, extra, src_dim in pushes:
-        table, rows_table = m.key_table(), m.table()
+        table, rows_table = m.key_table(), row_table(m)
         src = make_space(src_dim)
         extra_key = space.interval_keys[extra] if extra else 0
         for key in family_subspaces(src_dim):

@@ -1,24 +1,24 @@
 """Cross-checks of the change of basis by the recursion, the peel solve and the fast
-sign transform against dense references, and of the checks that replace the dense
-ones above D = 12."""
+sign transform against dense references, and of the recursion's induction, which
+`verify` runs at every D, against the dense products B X = W, G G = 2^D I and
+G Z = 2 Z G' (the oracles in gf2_reference)."""
 
 import random
 
 import pytest
 
-from trifourier import fourier, lemmas, taumaps
+import gf2_reference
+from trifourier import fourier, taumaps
 from trifourier.cli import run_suite
 from trifourier.family import FamilyStructureError, build_family
 from trifourier.fourier import (
     CobMatrix,
-    _Fields,
     _is_peel_order,
-    _w_columns,
     basis_matrix,
     change_of_basis,
-    dense_checks,
     expansion_rows,
     integer_inverse,
+    lemma_checks,
     peel_order,
     push_up,
     phi,
@@ -26,13 +26,22 @@ from trifourier.fourier import (
     verify_change_of_basis,
     verify_involution,
     verify_z_commutation,
-    z_map,
 )
 from trifourier.gf2 import SymplecticSpace, make_space, span_vectors
-from trifourier.lemmas import involution_from_gram, lemma_checks, z_commutation_from_maps
 from trifourier.taumaps import CircularMap, push_key, tau
 
-from gf2_reference import change_of_basis_by_solve, characteristic, peel_solve, perp
+from gf2_reference import (
+    Fields,
+    change_of_basis_by_solve,
+    characteristic,
+    dense_checks,
+    dense_involution,
+    dense_z_commutation,
+    peel_solve,
+    perp,
+    w_columns,
+    z_map,
+)
 
 
 def matmul(a, b):
@@ -97,7 +106,7 @@ def test_peel_solve_matches_certified_inverse(dim):
 def test_w_columns_are_the_closed_forms(dim):
     # the columns of W come from the interval structure, not from a kernel: hold them to perp
     fam = build_family(dim)
-    assert [(r, sorted(vectors), weight) for r, vectors, weight in _w_columns(fam)] == [
+    assert [(r, sorted(vectors), weight) for r, vectors, weight in w_columns(fam)] == [
         (r, sorted(perp(fam.space, e.subspace).vectors()), 1 << e.dim) for r, e in enumerate(fam.entries)
     ]
 
@@ -128,7 +137,7 @@ def test_a_corrupted_row_below_fails_push_agreement(dim):
         corrupted[key][column] += 1
         if key == 0:
             # the zero member pushes to the lines, which no other push meets: its
-            # row rests on the dense checks one level down
+            # row rests on the zero-row residual one level down
             push_up(dim, corrupted)
             continue
         with pytest.raises(FamilyStructureError, match="differs from an earlier push") as err:
@@ -148,7 +157,7 @@ def test_sign_transform_matches_dense_sign_matrix(dim):
     size = 1 << dim
     assert transform_columns(space, identity(size)) == g
     assert matmul(g, g) == [[size * v for v in row] for row in identity(size)]
-    assert verify_involution(space)
+    assert dense_involution(space) and verify_involution(space) == (True, "")
     rng = random.Random(dim)
     f = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(size)]
     assert transform_columns(space, f) == matmul(g, f)
@@ -171,7 +180,7 @@ def test_z_commutation_matches_dense_sign_matrices(dim):
         z = transpose([z_map(v, i, characteristic(vp, [y])) for y in range(1 << vp.dim)])
         assert transform_columns(v, z) == matmul(g, z)
         assert matmul(g, z) == [[2 * x for x in row] for row in matmul(z, gp)]
-    assert verify_z_commutation(dim).ok
+    assert dense_z_commutation(dim).ok and verify_z_commutation(dim).ok
 
 
 def test_peel_order_is_lower_unitriangular():
@@ -220,7 +229,7 @@ def test_packing_width_boundary(bound):
     # the rows are equal.  A width one bit short fails here: at bound 128 it packs
     # (128, 0) and (-128, 1) alike.
     values = sorted({-bound, -bound + 1, -1, 0, 1, bound - 1, bound})
-    fields = _Fields(bound, 3)
+    fields = Fields(bound, 3)
     assert 2 ** (fields.bits - 1) > bound
     rows = [(a, b, c) for a in values for b in values for c in (-bound, 0, bound)]
     packed = fields.rows(len(rows), ((j, [k], row[j]) for k, row in enumerate(rows) for j in range(3)))
@@ -265,83 +274,111 @@ def test_verify_change_of_basis_rejects_corruptions():
 LEMMA_CHECKS = ["lemma:preserves-form", "lemma:complement", "lemma:push-agreement", "lemma:zero-row-residual"]
 
 
-@pytest.mark.parametrize("dim", [6, 8])
-def test_lemma_checks_pass_and_catch_corruptions(dim, monkeypatch):
+def _dense_failures(cob):
+    """The failing checks of the dense B X = W oracle on a change of basis."""
+    return {check for check, ok, _ in dense_checks(cob) if not ok}
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_lemma_checks_pass_and_catch_corruptions(dim):
     cob = change_of_basis(build_family(dim))
-    dense_ids = [c.check_id for c in verify_change_of_basis(cob).checks]
-    monkeypatch.setattr(fourier, "MAX_DENSE_DIM", dim - 2)  # the path verify takes above D = 12
     rep = verify_change_of_basis(cob)
     assert rep.ok, rep.summary()
-    ids = [c.check_id for c in rep.checks]
-    assert ids == ["basis-peelable", *LEMMA_CHECKS, *ids[5:]]
-    assert ids[5:] == dense_ids[3:]
+    assert [c.check_id for c in rep.checks] == [
+        "basis-peelable", *LEMMA_CHECKS, "triangular", "diagonal signs", "trace", "plus-count", "involution"
+    ]
 
-    # a pushed row off by one fails push agreement; the zero row its residual
+    # a pushed row off by one fails push agreement; the zero row its residual; the dense
+    # residual W - B X fails on both
     r = len(cob.num) - 1
     c = next(iter(cob.num[r]))
-    assert "lemma:push-agreement" in _failed(verify_change_of_basis(_corrupted(cob, r, c, cob.num[r][c] + 1)))
+    pushed = _corrupted(cob, r, c, cob.num[r][c] + 1)
+    assert "lemma:push-agreement" in _failed(verify_change_of_basis(pushed))
+    assert _dense_failures(pushed) == {"solve-residual"}
     c = max(cob.num[0])
-    failed = _failed(verify_change_of_basis(_corrupted(cob, 0, c, cob.num[0][c] + 1)))
+    zero = _corrupted(cob, 0, c, cob.num[0][c] + 1)
+    failed = _failed(verify_change_of_basis(zero))
     assert "lemma:zero-row-residual" in failed and "lemma:push-agreement" not in failed
+    assert _dense_failures(zero) == {"solve-residual"}
+
+    # in rows across the matrix, a flipped diagonal, the row's last nonzero off by one
+    # and an entry in the zero member's column: the two certificates of B X = W give
+    # one verdict
+    for r in (0, 1, len(cob.num) // 2, len(cob.num) - 1):
+        for c, value in [(r, -cob.num[r][r]), (max(cob.num[r]), cob.num[r][max(cob.num[r])] + 1), (0, 2)]:
+            corrupted = _corrupted(cob, r, c, value)
+            assert not all(ok for _, ok, _ in lemma_checks(corrupted)), (r, c)
+            assert _dense_failures(corrupted) == {"solve-residual"}, (r, c)
 
 
 def _lemma_failures(dim):
     """{check: details} of the failing lemma checks of the D change of basis and of the two
-    lemmas that stand in for the 4^D products."""
+    lemmas for G G = 2^D I and G Z = 2 Z G'."""
     checks = lemma_checks(change_of_basis(build_family(dim)))
-    checks += [
-        ("lemma:involution-from-gram", *involution_from_gram(make_space(dim))),
-        ("lemma:z-commutation-from-maps", *z_commutation_from_maps(dim)),
-    ]
+    checks.append(("lemma:involution-from-gram", *verify_involution(make_space(dim))))
+    checks += [(c.check_id, c.ok, c.details) for c in verify_z_commutation(dim).checks]
     return {check: details for check, ok, details in checks if not ok}
 
 
-@pytest.mark.parametrize("dim", [6, 8])
-def test_lemma_chain_passes_where_the_dense_products_pass(dim, monkeypatch):
+@pytest.mark.parametrize("dim", range(0, 13, 2))
+def test_lemma_chain_agrees_with_the_dense_oracles(dim):
+    # the verdicts on the real change of basis at every D the dense products can reach
     space = make_space(dim)
-    assert verify_involution(space) and involution_from_gram(space) == (True, "")
-    assert verify_z_commutation(dim).ok and z_commutation_from_maps(dim)[0]
+    assert dense_involution(space) and verify_involution(space) == (True, "")
     cob = change_of_basis(build_family(dim))
-    assert all(ok for _, ok, _ in dense_checks(cob)) and all(ok for _, ok, _ in lemma_checks(cob))
-    assert _lemma_failures(dim) == {}
+    assert _dense_failures(cob) == set() and all(ok for _, ok, _ in lemma_checks(cob))
+    if dim >= 2:
+        assert dense_z_commutation(dim).ok and verify_z_commutation(dim).ok
+        assert _lemma_failures(dim) == {}
 
-    # the fourier suite above MAX_DENSE_DIM: one line for each product
-    dense_ids = [c.check_id for c in run_suite(dim, "fourier").checks]
-    monkeypatch.setattr(fourier, "MAX_DENSE_DIM", dim - 2)
+    # the fourier suite: one line for each product
     rep = run_suite(dim, "fourier")
     assert rep.ok, rep.summary()
-    ids = [c.check_id for c in rep.checks]
     prefix = f"change-of-basis D={dim}:"
-    assert ids == [
+    assert [c.check_id for c in rep.checks] == [
         "fourier:lemma:involution-from-gram",
         f"{prefix}basis-peelable",
         *(prefix + check for check in LEMMA_CHECKS),
-        *dense_ids[4 : -(dim + 1)],
-        "fourier:lemma:z-commutation-from-maps",
+        *(prefix + check for check in ("triangular", "diagonal signs", "trace", "plus-count", "involution")),
+        *(["fourier:lemma:z-commutation-from-maps"] if dim >= 2 else []),
     ]
-    assert dense_ids[0] == "fourier:involution" and dense_ids[-1] == f"z-commutation D={dim}:i={dim + 1}"
-    assert rep.checks[-1].details == (
-        f"from lemma:preserves-form, lemma:complement and the Gram tables at D={dim} and D={dim - 2}"
-    )
+    if dim >= 2:
+        assert rep.checks[-1].details == (
+            f"from lemma:preserves-form, lemma:complement and the Gram tables at D={dim} and D={dim - 2}"
+        )
 
 
-@pytest.mark.parametrize("dim", [6, 8])
+def _dense_ok(check, *args):
+    """The oracle's verdict; the transform refuses a degenerate pairing, which fails it."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        assert "is degenerate" in str(err)
+        return False
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
 def test_lemma_chain_fails_on_a_corrupted_forms_table(dim, monkeypatch):
     space, below = make_space(dim), make_space(dim - 2)
     with monkeypatch.context() as m:
         # the table of D - 2, which G' reads: the z-commutation rests on it too
         m.setattr(below, "forms", span_vectors((0, *below.gram[1:])))
-        assert z_commutation_from_maps(dim) == (False, f"D={dim - 2}: forms is not the span table of the Gram rows")
-        assert involution_from_gram(space) == (True, "")
+        m.delitem(vars(below), "gram_inverse", raising=False)  # the transform reads the corrupted table
+        rep = verify_z_commutation(dim)
+        assert not rep.ok and rep.checks[0].details == f"D={dim - 2}: forms is not the span table of the Gram rows"
+        assert verify_involution(space) == (True, "")
+        assert not _dense_ok(lambda: dense_z_commutation(dim).ok) and dense_involution(space)
     gram = space.gram
     # the functional of e_1 zeroed: forms is no longer the span table of the Gram rows
     monkeypatch.setattr(space, "forms", span_vectors((0, *gram[1:])))
+    monkeypatch.delitem(vars(space), "gram_inverse", raising=False)
     assert _lemma_failures(dim) == {
         "lemma:preserves-form": f"tau_2 D={dim}",
         "lemma:complement": f"tau_1 D={dim}",
         "lemma:involution-from-gram": "forms is not the span table of the Gram rows",
         "lemma:z-commutation-from-maps": f"D={dim}: forms is not the span table of the Gram rows",
     }
+    assert not _dense_ok(dense_involution, space)
     # e_1 cut out of the pairing, Gram rows and forms alike: alternating, but degenerate
     for rows, fault in [
         (tuple(row & ~1 for row in (0, *gram[1:])), "forms is not a bijection"),
@@ -350,8 +387,12 @@ def test_lemma_chain_fails_on_a_corrupted_forms_table(dim, monkeypatch):
     ]:
         monkeypatch.setattr(space, "gram", rows)
         monkeypatch.setattr(space, "forms", span_vectors(rows))
-        assert involution_from_gram(space) == (False, fault)
-        assert z_commutation_from_maps(dim) == (False, f"D={dim}: {fault}")
+        monkeypatch.delitem(vars(space), "gram_inverse", raising=False)
+        assert verify_involution(space) == (False, fault)
+        rep = verify_z_commutation(dim)
+        assert not rep.ok and rep.checks[0].details == f"D={dim}: {fault}"
+        assert not _dense_ok(dense_involution, space)
+        assert not _dense_ok(lambda: dense_z_commutation(dim).ok)
 
 
 def _fake_tau(monkeypatch, level, i, images):
@@ -362,8 +403,12 @@ def _fake_tau(monkeypatch, level, i, images):
     monkeypatch.setattr(taumaps, "tau", lambda sp, j: fake if (sp.dim, j) == (level, i) else real(sp, j))
 
 
-@pytest.mark.parametrize("dim", [6, 8])
-@pytest.mark.parametrize("below", [0, 2])
+def _dense_z_failures(level):
+    return {c.check_id for c in dense_z_commutation(level).checks if not c.ok}
+
+
+# At D = 2 the maps have the zero space as source: there is nothing to corrupt.
+@pytest.mark.parametrize("below, dim", [(0, 4), (0, 6), (2, 6), (0, 8), (2, 8)])
 def test_lemma_chain_fails_on_a_map_off_the_perp(dim, below, monkeypatch):
     level, i = dim - below, 3
     e_next = make_space(level).circular(i + 1)  # (e_(i+1), e_i) = 1
@@ -377,10 +422,11 @@ def test_lemma_chain_fails_on_a_map_off_the_perp(dim, below, monkeypatch):
     assert failed["lemma:complement"] == f"tau_{i} D={level}"
     assert ("lemma:z-commutation-from-maps" in failed) == (level == dim)
     assert "lemma:push-agreement" not in failed and "lemma:involution-from-gram" not in failed
+    # the dense G Z = 2 Z G' at the level the lemma names fails at the same map
+    assert _dense_z_failures(level) == {f"i={i}"}
 
 
-@pytest.mark.parametrize("dim", [6, 8])
-@pytest.mark.parametrize("below", [0, 2])
+@pytest.mark.parametrize("below, dim", [(0, 4), (0, 6), (2, 6), (0, 8), (2, 8)])
 def test_lemma_chain_fails_on_a_map_that_breaks_the_form(dim, below, monkeypatch):
     # the image of e'_1 + e'_2 in place of that of e'_1: the same span, so still a
     # complement, but (e'_1, e'_3) = 0 goes to (e'_1 + e'_2, e'_3) = 1
@@ -398,12 +444,23 @@ def test_lemma_chain_fails_on_a_map_that_breaks_the_form(dim, below, monkeypatch
         assert failed["lemma:z-commutation-from-maps"] == f"lemma:preserves-form fails at tau_{i} D={dim}"
     else:
         assert failed.keys() == {"lemma:preserves-form"}
+    if level > 4:
+        assert _dense_z_failures(level) == {f"i={i}"}
+    else:
+        # From a plane every complement of e_i in its perp preserves the form, so the
+        # sheared linear map, the coordinate table that G Z = 2 Z G' reads, is sound.
+        # The shear breaks the zero sum of the circular images, which the lemma reads.
+        assert _dense_z_failures(level) == set()
 
 
-@pytest.mark.parametrize("dim", [6, 8])
+@pytest.mark.parametrize("dim", [4, 6, 8])
 def test_lemma_chain_fails_on_a_zero_row_below_the_top(dim, monkeypatch):
-    real = lemmas.expansion_rows
+    # The certificate reads level k's corrupted zero row; the recursion, whose levels are
+    # all cached before the substitution, never runs again and so never sees it.
+    real = fourier.expansion_rows
     level = dim - 4
+    change_of_basis(build_family(dim))
+    misses = real.cache_info().misses
 
     def off_by_one(k):
         rows = real(k)
@@ -413,8 +470,16 @@ def test_lemma_chain_fails_on_a_zero_row_below_the_top(dim, monkeypatch):
         zero[max(zero)] += 1
         return {**rows, 0: zero}
 
-    monkeypatch.setattr(lemmas, "expansion_rows", off_by_one)
+    monkeypatch.setattr(fourier, "expansion_rows", off_by_one)
     assert _lemma_failures(dim) == {"lemma:zero-row-residual": f"B x - 1_V is not zero at D={level}"}
+    # the dense residual of level k, on the rows the certificate read, fails too
+    fam = build_family(level)
+    index = fam.index_of_key
+    num = [{} for _ in range(len(fam))]
+    for key, row in off_by_one(level).items():
+        num[index[key]] = {index[c]: v for c, v in row.items()}
+    assert _dense_failures(CobMatrix(fam, num, 1 << fam.half)) == {"solve-residual"}
+    assert real.cache_info().misses == misses
 
 
 def _unpack(fields, packed, count):
@@ -432,7 +497,7 @@ def _unpack(fields, packed, count):
 
 @pytest.mark.parametrize("dim", [6, 8])
 def test_involution_is_one_batch(dim, monkeypatch):
-    # verify_involution transforms I, one packed int per row, twice: G G I is 2^D I
+    # the dense oracle transforms I, one packed int per row, twice: G G I is 2^D I
     space = make_space(dim)
     size = 1 << dim
     calls = []
@@ -442,10 +507,10 @@ def test_involution_is_one_batch(dim, monkeypatch):
         calls.append(out)
         return out
 
-    monkeypatch.setattr(fourier, "sign_transform", spy)
-    assert verify_involution(space)
+    monkeypatch.setattr(gf2_reference, "sign_transform", spy)
+    assert dense_involution(space)
     assert len(calls) == 2
-    fields = _Fields(size, size)
+    fields = Fields(size, size)
     rows = [_unpack(fields, x, size) for x in calls[1]]
     assert [list(col) for col in zip(*rows)] == [[size * (x == v) for x in range(size)] for v in range(size)]
 
@@ -456,5 +521,5 @@ def test_involution_is_one_batch(dim, monkeypatch):
             out[-1] += 1
         return out
 
-    monkeypatch.setattr(fourier, "sign_transform", off_by_one)
-    assert not verify_involution(space)
+    monkeypatch.setattr(gf2_reference, "sign_transform", off_by_one)
+    assert not dense_involution(space)

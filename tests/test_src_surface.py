@@ -329,3 +329,17 @@ def test_report_starts_each_suite_with_its_own_check_list():
     rep.require("b", False, "why")
     assert not rep.ok
     assert rep.summary() == "[PASS] a\n[FAIL] b: why\nsuite t: FAIL (2 checks)"
+
+
+def test_max_dense_dim_caps_only_the_matrix_export():
+    # `verify` takes one path at every D; the cap on 2^D x 2^D is the export's alone
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    continue
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if name == "MAX_DENSE_DIM" and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert readers == {"cli._emit_matrix"}

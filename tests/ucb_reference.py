@@ -8,7 +8,7 @@ from functools import lru_cache
 from trifourier.gf2 import Subspace, make_space
 from trifourier.taumaps import generic_tau
 
-from gf2_reference import push_rows
+from gf2_reference import push_rows, table
 
 
 @lru_cache(maxsize=None)
@@ -25,7 +25,7 @@ def ucb_all_pairs(dim: int) -> frozenset[Subspace]:
     out: set[tuple[int, ...]] = {()}
     for gamma_p in range(1, dim):
         for gamma in range(1, dim + 2):
-            t = generic_tau(space, gamma_p, gamma).table()
+            t = table(generic_tau(space, gamma_p, gamma))
             eg = space.circular(gamma)
             out.update(push_rows(t, rows, eg) for rows in prev_rows)
     return frozenset(map(Subspace, out))
