@@ -464,12 +464,10 @@ def test_benchmark_trace_hooks_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("dim, bound_mb", [(12, 64), (14, 256)])
-def test_verify_d14_runs_in_bounded_memory(dim, bound_mb):
-    # The Fourier suite proves the change of basis by the recursion's induction from
-    # D = 0, and G G = 2^D I and G Z = 2 Z G' from the Gram table and the maps: nothing
-    # packs 2^D x 2^D (the dense products held 228 MB at D = 12).  A helper interpreter
-    # starts the run, hashes its output and reads its peak RSS with os.wait4.
+def _verify_all(dim):
+    """Exit code, peak RSS (KiB) and SHA-256 of a fresh `verify --dim D --suite all`."""
+    # A helper interpreter starts the run, hashes its output and reads its peak RSS
+    # with os.wait4, so the figure does not start from this test runner's RSS.
     helper = (
         "import hashlib, os, subprocess, sys\n"
         f"argv = [sys.executable, '-m', 'trifourier', 'verify', '--dim', '{dim}', '--suite', 'all']\n"
@@ -483,9 +481,25 @@ def test_verify_d14_runs_in_bounded_memory(dim, bound_mb):
     proc = subprocess.run([sys.executable, "-c", helper], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rc, maxrss_kib, digest = proc.stdout.split()
-    assert rc == "0"
-    assert int(maxrss_kib) < bound_mb * 1024, f"peak RSS {int(maxrss_kib) / 1024:.0f} MB"
-    assert digest == GOLDEN_VERIFY_ALL_SHA256[dim]
+    return int(rc), int(maxrss_kib), digest
+
+
+def test_verify_d14_runs_in_bounded_memory():
+    # The Fourier suite proves the change of basis by the recursion's induction from
+    # D = 0, and G G = 2^D I and G Z = 2 Z G' from the Gram table and the maps: nothing
+    # packs 2^D x 2^D.
+    rc, maxrss_kib, digest = _verify_all(14)
+    assert rc == 0
+    assert maxrss_kib < 256 * 1024, f"peak RSS {maxrss_kib / 1024:.0f} MB"
+    assert digest == GOLDEN_VERIFY_ALL_SHA256[14]
+
+
+def test_verify_d12_runs_in_bounded_memory():
+    # The same single path at D = 12, where the dense products held 228 MB.
+    rc, maxrss_kib, digest = _verify_all(12)
+    assert rc == 0
+    assert maxrss_kib < 64 * 1024, f"peak RSS {maxrss_kib / 1024:.0f} MB"
+    assert digest == GOLDEN_VERIFY_ALL_SHA256[12]
 
 
 # SHA-256 of `verify --dim D --suite all`, recorded when the lemma chain became the one

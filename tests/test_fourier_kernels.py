@@ -321,7 +321,7 @@ def _lemma_failures(dim):
 
 
 @pytest.mark.parametrize("dim", range(0, 13, 2))
-def test_lemma_chain_agrees_with_the_dense_oracles(dim):
+def test_lemma_chain_passes_where_the_dense_products_pass(dim):
     # the verdicts on the real change of basis at every D the dense products can reach
     space = make_space(dim)
     assert dense_involution(space) and verify_involution(space) == (True, "")
