@@ -37,12 +37,13 @@ def verify_embedding_equivariance(dim: int) -> Report:
     vp = make_space(dim - 2)
     r, s = rotation(v), reflection(v)
     rp, sp = rotation(vp), reflection(vp)
-    for i in range(1, dim + 2):
-        t_i = tau(v, i)
-        t_next = tau(v, i + 1 if i <= dim else 1)
-        t_refl = tau(v, dim + 1 - i if i <= dim else dim + 1)
-        rep.require(f"R-tau i={i}", r.compose(t_i) == (t_next.compose(rp) if i <= dim - 1 else t_next))
-        rep.require(f"S-tau i={i}", s.compose(t_i) == t_refl.compose(sp))
+    t = {i: tau(v, i) for i in range(1, dim + 2)}
+    t_next = {i: t[i + 1 if i <= dim else 1] for i in t}
+    rotates = [r.compose(t[i]) == (t_next[i].compose(rp) if i <= dim - 1 else t_next[i]) for i in t]
+    reflects = [s.compose(t[i]) == t[dim + 1 - i if i <= dim else dim + 1].compose(sp) for i in t]
+    for check, holds in (("R-tau", rotates), ("S-tau", reflects)):
+        bad = next((i for i, ok in enumerate(holds, 1) if not ok), None)
+        rep.require(check, bad is None, f"i={bad}")
     return rep
 
 

@@ -315,13 +315,8 @@ def build_family(dim: int) -> Family:
     return Family(dim, family_subspaces(dim))
 
 
-def signed_binomial_sum(d: int) -> int:
-    """Sum over k of delta(d-k) * C(2d+1, k) -- equals 2^d."""
-    return sum(delta(d - k) * comb(2 * d + 1, k) for k in range(d + 1))
-
-
 def verify_counts(family: Family) -> Report:
-    """Size-by-dimension, size-by-even-count, and the signed binomial identity."""
+    """Size-by-dimension and size-by-even-count, each one check naming the first index that fails it."""
     rep = Report(f"counts D={family.dim}")
     d = family.half
     n = family.dim + 1
@@ -334,18 +329,17 @@ def verify_counts(family: Family) -> Report:
     for key in family.keys:
         by_dim[key.bit_count()] += 1
         by_n[(key & even).bit_count()] += 1
-    for k in range(d + 1):
-        rep.require(f"dim[{k}]", by_dim[k] == comb(n, k), f"{by_dim[k]} != C({n},{k})")
-        rep.require(f"ncount[{k}]", by_n[k] == comb(n, d - k), f"{by_n[k]} != C({n},{d - k})")
-    for dd in range(17):
-        rep.require(f"signed-binomial d={dd}", signed_binomial_sum(dd) == 2**dd)
+    bad = next((f"k={k}: {by_dim[k]} != C({n},{k})" for k in range(d + 1) if by_dim[k] != comb(n, k)), "")
+    rep.require("dim", not bad, bad)
+    bad = next((f"n={k}: {by_n[k]} != C({n},{d - k})" for k in range(d + 1) if by_n[k] != comb(n, d - k)), "")
+    rep.require("ncount", not bad, bad)
     return rep
 
 
 def verify_structure(family: Family) -> Report:
     """Per-entry invariants: isotropy, interval bases, fibers and the involution.
 
-    Isotropy is one check over every member, which names the first member that fails it."""
+    Each check is one line over every member or grade, which names the first one that fails it."""
     rep = Report(f"structure D={family.dim}")
     space = family.space
     d = family.half
@@ -355,9 +349,9 @@ def verify_structure(family: Family) -> Report:
         "kappa-involution",
         all(family.entries[e.kappa_index].kappa_index == e.index for e in family.entries),
     )
-    for k in range(d + 1):
-        image = {family.entries[e.kappa_index].dim for e in family.by_n(k)}
-        rep.require(f"kappa n={k} -> dim {d - k}", image <= {d - k}, f"dims seen: {image}")
+    images = ((k, {family.entries[e.kappa_index].dim for e in family.by_n(k)}) for k in range(d + 1))
+    bad = next((f"n={k} -> dim {d - k}: dims seen: {image}" for k, image in images if not image <= {d - k}), "")
+    rep.require("kappa-dim", not bad, bad)
     return rep
 
 

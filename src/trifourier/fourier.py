@@ -20,10 +20,11 @@ B lower unitriangular and proves det B = +-1 (`peel_order`).
 `verify_change_of_basis` checks the result on its own at every D: the peel
 certificate, the recursion's induction from D = 0, where B = X = W = [1]
 (`lemma_checks`), and the triangular form, signs, trace and M^2 over the
-nonzeros.  G G = 2^D I and G Z_i = 2 Z_i G' follow from the Gram tables and
-the maps (`verify_involution`, `verify_z_commutation`).  No check builds a
-2^D x 2^D product.  Every value is a Python int or Fraction: nothing is
-rounded and nothing overflows.
+nonzeros.  The induction uses G G = 2^k I and G Z_i = 2 Z_i G' at every level
+k <= D; they follow from each level's Gram table and maps, which
+`verify_z_commutation` checks once each.  No check builds a 2^D x 2^D
+product.  Every value is a Python int or Fraction: nothing is rounded and
+nothing overflows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from math import lcm
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import taumaps
 from .family import Family, FamilyStructureError, delta, entry_compact, family_subspaces
@@ -347,47 +348,41 @@ def verify_involution(space: SymplecticSpace) -> tuple[bool, str]:
     return True, ""
 
 
-def _map_checks(levels: Iterable[int]) -> list[tuple[str, bool, str]]:
-    """Every tau_i of every level preserves the form, and its image is a complement of F2 e_i
-    in the perp of e_i; each check names the first map that fails it, as "tau_i D=k"."""
-    maps = [(make_space(k), i) for k in levels for i in range(1, k + 2)]
-    broken = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.preserves_form(sp, taumaps.tau(sp, i))), "")
-    not_complement = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.check_complement(sp, i)), "")
-    return [("lemma:preserves-form", not broken, broken), ("lemma:complement", not not_complement, not_complement)]
-
-
 def verify_z_commutation(dim: int) -> Report:
-    """G Z_i = 2 Z_i G' for D >= 2, as one check whose details name what it rests on or what fails.
+    """The lemmas that G G = 2^k I and G Z_i = 2 Z_i G' rest on, at every level k of
+    the induction, each one check naming the first level or map that fails it.
 
-    On a point mass at y both sides are 2 (-1)^((x, tau_i y)) on the perp of
-    e_i and 0 off it when the forms of D and D-2 are bilinear and alternating,
-    im tau_i + F2 e_i is that perp (so (e_i, tau_i y) = 0) and tau_i
-    preserves the form.
+    lemma:involution-from-gram: at every k = 0..D the Gram table is the span
+    table of the Gram rows, alternating and a bijection (`verify_involution`).
+    lemma:preserves-form and lemma:complement: at every k = 2..D every tau_i
+    preserves the form, and its image is a complement of F2 e_i in the perp of
+    e_i.  On a point mass at y both sides of G Z_i = 2 Z_i G' are then
+    2 (-1)^((x, tau_i y)) on the perp of e_i and 0 off it.
     """
     rep = Report("fourier")
-    for k in (dim, dim - 2):
-        ok, fault = verify_involution(make_space(k))
-        if not ok:
-            rep.add("lemma:z-commutation-from-maps", False, f"D={k}: {fault}")
-            return rep
-    bad = next((f"{check} fails at {details}" for check, ok, details in _map_checks((dim,)) if not ok), "")
-    details = bad or f"from lemma:preserves-form, lemma:complement and the Gram tables at D={dim} and D={dim - 2}"
-    rep.add("lemma:z-commutation-from-maps", not bad, details)
+    faults = ((k, verify_involution(make_space(k))) for k in range(0, dim + 1, 2))
+    fault = next((f"D={k}: {details}" for k, (ok, details) in faults if not ok), "")
+    rep.require("lemma:involution-from-gram", not fault, fault)
+    maps = [(make_space(k), i) for k in range(2, dim + 1, 2) for i in range(1, k + 2)]
+    broken = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.preserves_form(sp, taumaps.tau(sp, i))), "")
+    rep.require("lemma:preserves-form", not broken, broken)
+    not_complement = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.check_complement(sp, i)), "")
+    rep.require("lemma:complement", not not_complement, not_complement)
     return rep
 
 
 def lemma_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
     """The induction that proves B X = W, as (check, ok, details).
 
-    At every level k = 2..D every tau_i preserves the form and its image is a
-    complement of F2 e_i in the perp of e_i, so G Z_i = 2 Z_i G' makes the
-    push of a (k-2)-row the row of the pushed member; `push_up` made the
-    pushes agree as it built each level, and every row but the zero member's
-    must be the cached level's.  At every level k = 0..D the zero row expands 1_V.
+    The lemmas of `verify_z_commutation` give G G = 2^k I and G Z_i = 2 Z_i G'
+    at every level k = 0..D, so the push of a (k-2)-row is the row of the
+    pushed member; `push_up` made the pushes agree as it built each level, and
+    every row but the zero member's must be the cached level's.  At every
+    level k = 0..D the zero row expands 1_V.
     """
     fam = cob.family
     keys = [e.key for e in fam.entries]
-    checks = _map_checks(range(2, fam.dim + 1, 2))
+    checks = [(c.check_id, c.ok, c.details) for c in verify_z_commutation(fam.dim).checks]
 
     def by_key(r: int) -> dict[int, int]:
         return {keys[c]: v for c, v in cob.num[r].items()}

@@ -191,14 +191,15 @@ def verify_composition_identity(dim: int) -> Report:
     tau_last = tau(vp, dim - 1)
     last = tau_last.key_table()
     e_top, e_last = v.interval_keys[v.circular(dim + 1)], vp.interval_keys[vp.circular(dim - 1)]
-    for i in range(1, dim - 1):
-        ti = tau(vp, i)
-        lhs = tau_top.compose(ti).coordinate_images()
-        for j in ({1, 2} if i == 1 else {i + 1}):
-            rhs = tau(v, j).compose(tau_last).coordinate_images()
-            rep.require(f"matrix i={i} j={j}", lhs == rhs, f"lhs={lhs} rhs={rhs}")
+
+    def matrix_fault(i: int, j: int) -> str:
+        lhs = tau_top.compose(tau(vp, i)).coordinate_images()
+        rhs = tau(v, j).compose(tau_last).coordinate_images()
+        return "" if lhs == rhs else f"i={i} j={j}: lhs={lhs} rhs={rhs}"
+
+    def subspace_fault(i: int) -> str:
         j = i + 1
-        t_i, t_j = ti.key_table(), tau(v, j).key_table()
+        t_i, t_j = tau(vp, i).key_table(), tau(v, j).key_table()
         e_i, e_j = vp.interval_keys[vp.circular(i)], v.interval_keys[v.circular(j)]
         # Keys compare as subspaces: each side pushes a member's interval basis,
         # which the maps carry to the unique interval basis of the image.
@@ -207,7 +208,13 @@ def verify_composition_identity(dim: int) -> Report:
             if push_key(top, push_key(t_i, key, e_i), e_top) != push_key(t_j, push_key(last, key, e_last), e_j)
         ]
         first = [vpp.interval_span(key) for key in bad[:1]]
-        rep.require(f"subspaces i={i}", not bad, f"{len(bad)} violating members, first={first}")
+        return f"i={i}: {len(bad)} violating members, first={first}" if bad else ""
+
+    pairs = [(i, j) for i in range(1, dim - 1) for j in ((1, 2) if i == 1 else (i + 1,))]
+    bad = next(filter(None, (matrix_fault(i, j) for i, j in pairs)), "")
+    rep.require("matrix", not bad, bad)
+    bad = next(filter(None, map(subspace_fault, range(1, dim - 1))), "")
+    rep.require("subspaces", not bad, bad)
     return rep
 
 

@@ -6,17 +6,24 @@ map's table of all source vectors and reduced per push), the orthogonal
 complement by a general kernel solve, the change of basis by one peel
 solve over all 2^D right-hand sides, and the dense products that check
 B X = W, G G = 2^D I and G Z = 2 Z G' directly, the oracles for the
-recursion's induction that `verify` runs."""
+recursion's induction that `verify` runs; and the signed binomial sum, which
+does not depend on D."""
 
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from trifourier import taumaps
-from trifourier.family import Family, FamilyStructureError
+from trifourier.family import Family, FamilyStructureError, delta
 from trifourier.fourier import CobMatrix, peel_order, sign_transform
 from trifourier.gf2 import IntervalLabel, Subspace, SymplecticSpace, bits_of, make_space, rref, span_vectors
 from trifourier.report import Report
 from trifourier.taumaps import CircularMap, tau
+
+
+def signed_binomial_sum(d: int) -> int:
+    """Sum over k of delta(d-k) * C(2d+1, k) -- equals 2^d."""
+    return sum(delta(d - k) * comb(2 * d + 1, k) for k in range(d + 1))
 
 
 def coords_of(mask: int, dim: int) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ from trifourier.family import (
     family_subspaces_prime,
     family_subspaces_ucb,
     fiber_lines,
-    signed_binomial_sum,
     verify_counts,
 )
 from trifourier.fourier import (
@@ -36,7 +35,7 @@ from trifourier.nonabelian import (
 )
 from trifourier.taumaps import check_complement, tau, verify_composition_identity
 
-from gf2_reference import characteristic, dense_z_commutation
+from gf2_reference import characteristic, dense_z_commutation, signed_binomial_sum
 from nonabelian_reference import apply_columns, new_basis_to_json
 from test_family import REFERENCE_TABLE_D2, REFERENCE_TABLE_D4, REFERENCE_TABLE_D6, fiber_set
 

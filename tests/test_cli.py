@@ -503,10 +503,12 @@ def test_verify_d12_runs_in_bounded_memory():
 
 
 # SHA-256 of `verify --dim D --suite all`, recorded when the lemma chain became the one
-# certification path at every D and the isotropy checks one grouped line.
+# certification path at every D and the isotropy checks one grouped line, and again
+# when every per-index run of checks became one grouped line and each certificate
+# lemma one line over every level.
 GOLDEN_VERIFY_ALL_SHA256 = {
-    12: "0ff39207b3137b6c4ef26aea8b0ad82438dbf5df21d129d75b5ba492430385d9",
-    14: "3a1fd7e77f2acbe0409ea2a15ea4ace840a300749da378001f5f72bc934a3f6f",
+    12: "18602ee0bc62783468b3664b11d508cbd12f76acc7a71c452f18a9f8dcc89f92",
+    14: "460362a4552e602b72acff5a2141494aac8aa5db96777e2c8aaaedd9f7008cfa",
 }
 
 
@@ -546,89 +548,92 @@ GOLDEN_MATRIX_D12_JSON_SHA256 = "3446c2d31a9f0c4da56c3ed09a4e5e18b838d7141f099c5
 # the two D = 10 family exports before the JSON writer became one recursive encoder.
 # The Fourier, family-suite and all-suite `verify` outputs moved once more when the
 # recursion's induction became the one certification path at every D and the
-# isotropy checks one grouped line.
+# isotropy checks one grouped line; and every `verify` output with a per-index run
+# of checks, a signed-binomial line or a Fourier lemma line moved when each per-index
+# run became one grouped line, the signed binomial left the report and each
+# certificate lemma became one line over every level of the induction.
 # A digest that moves is a change to the bytes the CLI prints.  The outputs do
 # not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "family --dim 0 --format text": "48a2dc5d53e6f79260a55a7b775f7299115db31b5fbeb3299057a98bad5092ef",
     "family --dim 0 --format json": "74d130a768202df963d5b06d1a2e542b310945cba6329e6dc8251d4d21cc203d",
-    "verify --dim 0 --suite family --format text": "73d50f8b00217312cafb6ddf33549596f09c04afb7fc281a2ec835aa04e66444",
-    "verify --dim 0 --suite family --format json": "c31a3bbfd4671afd0d323f24f09241d37d91e1c6494d450b5b026b7b8603dfc1",
+    "verify --dim 0 --suite family --format text": "62d9fff58e5245e9041b45630f7e6c5084dfb2106ffbf9502312253d6a168eb0",
+    "verify --dim 0 --suite family --format json": "08961137298741e1f79cde9efa13fdb1b29d87359f0a8bf8de36ed653be745c0",
     "verify --dim 0 --suite dihedral --format text": "62ebbdc7eb34ded841745106114df00a609f6f586f1414c321118812577bf061",
     "verify --dim 0 --suite dihedral --format json": "19fb26ce4c884534e7f6b4d7775d656b3ea93a5f3a3f993d03cd722f56649088",
-    "verify --dim 0 --suite counts --format text": "903f1fb4b795b5cafa2c287b68bdb776e2709cc4e1598c9e059371739552c1f7",
-    "verify --dim 0 --suite counts --format json": "859a07a7a256329cdbfe1056b967dc6de974e21131a8172b12371af4aaaf45cb",
+    "verify --dim 0 --suite counts --format text": "6db6f1084890deb29c9a48dce9306ea538d2159ee569541c35b226e6da441579",
+    "verify --dim 0 --suite counts --format json": "1100e3ca18837b20e1d47806175f1a1ae67a1c540c7c22cf62174253575dd34c",
     "family --dim 2 --format text": "20a1f7c1443c24c343eaa83adfe8bb1571b24bd172589736289cf42f53fb490d",
     "family --dim 2 --format json": "3d7dcdaf00eb999bdecdb7c8dec2c2c4cd73e4bc9b651b519b47149fd735ef99",
-    "verify --dim 2 --suite family --format text": "c8c30ee4e3c5a7f370e652972538717d1ad824d3cbb87d76a44a313e2cc3e6dd",
-    "verify --dim 2 --suite family --format json": "5084bbac8fd05b5a8955cf37abf60418a468afefdf411733dff9a9e5c345493b",
-    "verify --dim 2 --suite dihedral --format text": "000b5b4f6554d121070c4a24643141a8ab4623b9f926c3c917960aeb6a243b50",
-    "verify --dim 2 --suite dihedral --format json": "b4225856c4aa776aa55260432e8ea30a7ebcd39bfd049d9bc40ebf1e33ccce53",
-    "verify --dim 2 --suite counts --format text": "7b92c84597904b9ce1328a97935e7de204b732a5584cc2064fe7b5c836ec1a66",
-    "verify --dim 2 --suite counts --format json": "2a39922550d6e706681f6f44cc41678a8a1a19853cddccb01c4f2fbffbbe06b9",
+    "verify --dim 2 --suite family --format text": "5491b0a16678eac096e22b20ba33c13510540e84e4815dcc63decea9afd4c612",
+    "verify --dim 2 --suite family --format json": "6b6475a8b62efad1b6c1a4537bff0275676c3c60cab174bb342e2b0d92232964",
+    "verify --dim 2 --suite dihedral --format text": "c9d29addbfcb17719071c9178fe92af71688c46399fbee6c21301f8418f0629a",
+    "verify --dim 2 --suite dihedral --format json": "dd66b2de70e021dc9b88fee96dd31068dcd3770bac29d346c2e6bdf1d62f5eeb",
+    "verify --dim 2 --suite counts --format text": "b16b72d22efccf560c026b5dd4e8c86d44d0c496a41c887994bb2ca43b0f447d",
+    "verify --dim 2 --suite counts --format json": "a9fe531a4f28816613d3b449650543b2dfecde937558fd38697bf571267456ae",
     "family --dim 4 --format text": "e7a7cfba643b882e050a2a8e055fb0050caaea7f8f6a50425233ba2562530cef",
     "family --dim 4 --format json": "86b65e2d8d56a11246d1b0ab61cfd0c2eb2a0ad2be932a998ce58f80597ae9d5",
-    "verify --dim 4 --suite family --format text": "43237d05bef1c3c3bf1b96944c74892f177d37b5e2d14d55224e281cd5fba0c4",
-    "verify --dim 4 --suite family --format json": "1b7a809c431c56446556661d083c2c9b3be6a1816d98047defddc4973cfffdbc",
-    "verify --dim 4 --suite dihedral --format text": "b77d6d226b268372f9437920be1d70d884cddb329634d6db0c783400c4c530c9",
-    "verify --dim 4 --suite dihedral --format json": "a81605a9f5c262dec7328fe3b49e293011febc0ead73f70ae925055fd8d06d19",
-    "verify --dim 4 --suite counts --format text": "ad5589e8ac91aed657e09503c541156871c5679d981000787880bbe920d4cfa6",
-    "verify --dim 4 --suite counts --format json": "c8512fafda01fe2265ae9a8d0722f0b296ddcb42e4a08d898d63b6d9e3af7cc4",
+    "verify --dim 4 --suite family --format text": "6342a27769d6da21d681c098fc8e6f6db36fd93abe43848fbef8a4c569015c64",
+    "verify --dim 4 --suite family --format json": "6bd22633679a60aa63a5a46458f02ac6594040b4fee988e2ef44a25d9f59b7b6",
+    "verify --dim 4 --suite dihedral --format text": "6214d87a1e0310976d45d393f9b57b1f72317b5098ae05e77b46283a8a062fc6",
+    "verify --dim 4 --suite dihedral --format json": "e58ae60d84c6362f6faef4f0689bd269045b45032b20bc9a7ed35c4a3df05a96",
+    "verify --dim 4 --suite counts --format text": "50674125020e598b44311ce28fbc9b9ef371b147e177b41e4ae0c9d9185b0449",
+    "verify --dim 4 --suite counts --format json": "e33a4462ce1fd5fae17fa301c004c4ff26b07eac398b2b4bcab2320f693cbce8",
     "family --dim 6 --format text": "2368dd57d623b6cd427a0efb76afa26d6765f32c83868d4ee1bd9c6b97c8b602",
     "family --dim 6 --format json": "d1bb676394e17012165a03591dcbc710b6ed2e5e80bdf830660edf43ae2f23a3",
-    "verify --dim 6 --suite family --format text": "3ef0408bae9d3042620f629bdfc3b0d22bf143532dd2328183e8c6b31c94812a",
-    "verify --dim 6 --suite family --format json": "117e33710601d57d5b2fd3f1fe96ca84c4b66d38a6fb5e4b30de560ba905040a",
-    "verify --dim 6 --suite dihedral --format text": "3fbaab85ab5ec698a17b164d60f7c3c3f0f72fa8998e1c7932bca8f090c04dc7",
-    "verify --dim 6 --suite dihedral --format json": "e4ac7e7eab576f625b80cd542b85d07d5b31a9a4a12e416c43f0687cc025fbbd",
-    "verify --dim 6 --suite counts --format text": "a3cb38b21100d1bc62749529753c09d1d87a7e13e1811be45ed23d84ccbc4349",
-    "verify --dim 6 --suite counts --format json": "eab850a6462d22e88bcd1ded4b6a2675feb64b280b314078985e2541d4108a69",
+    "verify --dim 6 --suite family --format text": "7c856ea35d8b84226af9b5ed822f2fdb9b4ed6102d39cf440867c6645c059559",
+    "verify --dim 6 --suite family --format json": "ead9da0db79000a217fd4af1bf955509641b41e434c0215236de47ba5a48f374",
+    "verify --dim 6 --suite dihedral --format text": "f6e317952ed10698a23541277e86406ecefb7913a98e0a25cccd08be9d4bb8ab",
+    "verify --dim 6 --suite dihedral --format json": "f689268b1c2a41e1d463673f249ceff99ff44ff6838256179395d61503e97b92",
+    "verify --dim 6 --suite counts --format text": "6f0d9c19af218a508578a3f0cdcd4692e71043fc1ff6f70f31879f1681569cbd",
+    "verify --dim 6 --suite counts --format json": "59766b980d4ab7cf65ee71a2f0ea7532f02118722939d3e089463628f0ba2baf",
     "family --dim 8 --format text": "816f492514d05cce2743266909c0a5b98901d6ec04bff65d7d817fa8726e5e8c",
     "family --dim 8 --format json": "f003ce1b8b4e1792c640f7fd537a1bb032880cf86b91acb3c3f00e59b2c21adb",
-    "verify --dim 8 --suite family --format text": "7ed408792afaebcd7df17cb27f768e823a1baf7337352b984e5388e462a51c9b",
-    "verify --dim 8 --suite family --format json": "d1d9fbbae61185b3ab46d1978952c3553b38c33feda048c41a4b638d5035363d",
-    "verify --dim 8 --suite dihedral --format text": "23bf7e3992813e5d583b600a052c54b943f4daa93022889788dc7939cd3d89df",
-    "verify --dim 8 --suite dihedral --format json": "b323927292643a19c65de308f9a918716ea1ae8932cd6d25bc0a2a8f3b1ed7b0",
-    "verify --dim 8 --suite counts --format text": "beeee86bb788d256acb9ff5b1d9f168bdb8084241bd6550536cb2813362fbaab",
-    "verify --dim 8 --suite counts --format json": "0b51c433f99504ba579f6b139c3baa0f0feae9fb2089b913caceae04aed864ea",
+    "verify --dim 8 --suite family --format text": "8fad551d6969314159c217c329e81f41ab334cd0ba409b149bf16449e5755c54",
+    "verify --dim 8 --suite family --format json": "5c1936e2c01318ca5505807c4c4fc23d0a7a86545961f5445271039b06ace77e",
+    "verify --dim 8 --suite dihedral --format text": "3710460677334b34534e63a1ad6f2c20af3ef88d1bd31df19b95f5e242c4ce9e",
+    "verify --dim 8 --suite dihedral --format json": "3b1ae561efeaf2a509a83354140d89d318d82ace97a956e675c4d11b1b3108db",
+    "verify --dim 8 --suite counts --format text": "30a83ec04672f27e3b3ed3230db20aebdb3296d9453d42b3f848f94b9481403f",
+    "verify --dim 8 --suite counts --format json": "51cb1a25dbea18074eba919476d153b53f07a63c43300762b1ebe746aaf03352",
     "family --dim 10": "ba0c3609e6585c54ab1d64f8f5d6135c2f5b73e9708b3de3b4d16972d3a73969",
     "family --dim 10 --format json": "354a22b71e6ccab2f4c6a6a0c5246a760a3305290d0b788402607941168fbd17",
-    "verify --dim 10 --suite family --format text": "0c1781c0dc0cdeba858d7f6d682c5999ea6a39869207b13a8c5f364a932e8e49",
-    "verify --dim 10 --suite family --format json": "671cf4fda14ccab334ad84138b7a20075efeafe2b51885cc14f40548ba3b2a13",
+    "verify --dim 10 --suite family --format text": "38d580358a80157cbc628f29a5b1823a413825a9b4a86beedec616e6e0eb8edd",
+    "verify --dim 10 --suite family --format json": "c52e4dd53bae5d7299acc759552067e9eb89c090a695a22833d524f622e85eb9",
     "matrix --dim 0 --format json": "72ccb852d8ee6a1a08101888511be9eeb72f2d06fa87b02020a11b6a31c8cc17",
     "matrix --dim 0 --format csv": "916cc3366aae86c3ee776e4bdff3763761f0f3d887959b803fa2ddc26066717a",
-    "verify --dim 0 --suite fourier --format text": "dafc3dedbd3faadf03af80c0ff7cc307f0efc5a13b251facc27fe71c184a37cc",
-    "verify --dim 0 --suite fourier --format json": "c30b87a4131d2d14408eda1b160b999a8eaa6fbb0dff15aa754f073b1280721b",
-    "verify --dim 0 --suite all --format text": "22c4d55697fcd4039f0a78388a5387cbb1313df9fc9224bdea44d25d946178c4",
-    "verify --dim 0 --suite all --format json": "d207799b4959caee71a21494e887f12785897948050c7d22076e7b90bcf964ca",
+    "verify --dim 0 --suite fourier --format text": "23085d3146bc67c1ab83775f92d91590125e39bda1f39c08d74e16ebfa4ffc0c",
+    "verify --dim 0 --suite fourier --format json": "448cbda61cc06726a44bb0bb34d79f889fb9c4e1710ae704e491508223d5ca39",
+    "verify --dim 0 --suite all --format text": "705afa1c9b249cb91f8198b261a68da1952af51c0355e8749f674a6e19e495e4",
+    "verify --dim 0 --suite all --format json": "25f6d24b777175023a33664a143c71f89e71f944e591dc5d895f5844f294504a",
     "matrix --dim 2 --format json": "84589870eabe70b12158d674100a654f128ac087912a1f6e23ac8ee620ffbb28",
     "matrix --dim 2 --format csv": "53c2fdcc294efd149daa52db1ec31acfd38dcc71ba91581aa596fb18a9bd4baa",
-    "verify --dim 2 --suite fourier --format text": "dc726ae5e7d43e64e2dd86353ccded1e2194bd12316bc75f45a75eadc50918b3",
-    "verify --dim 2 --suite fourier --format json": "eb013c03656bcb986007ba6d0f2b4d42b2b2331edd667c173e76c25e63b941c2",
-    "verify --dim 2 --suite all --format text": "851b3a07019e3b5ebf114c4d1b541de02ee344d3da6192225a8b443c9c19b1b2",
-    "verify --dim 2 --suite all --format json": "13af8a31afdade8092867627b406e058fc08172df65558530a707ebb8e03cd26",
+    "verify --dim 2 --suite fourier --format text": "469ebad6008638253c02b31d63ba3cd1430e093ef44630c8d6c3cfa2b3ad9c7b",
+    "verify --dim 2 --suite fourier --format json": "e7d4e94c5fab58107ba1e0e90e0df59e49493593f138033b26a226a866d4d1cc",
+    "verify --dim 2 --suite all --format text": "b4647639b3b26493c032db27d9ab78d1573cb7e56460b2a8700f5818a8aec8c2",
+    "verify --dim 2 --suite all --format json": "068d762be9e579c8dcb9cff90b06b1a2afa8c2429c5f395916aea2a1a201c8d0",
     "matrix --dim 4 --format json": "8cfc08fde2257e69619a721e5b22ed9979293b160bca9b6a294876e41238877a",
     "matrix --dim 4 --format csv": "f16f3a486f2588870d740dc73d448c23e11be619270fc62aaaa9f0ebbd26db97",
-    "verify --dim 4 --suite fourier --format text": "994e4b80eb8d4e1755a20555b5fe578cef0b4eeb2d5edf348073d7ce26ab2071",
-    "verify --dim 4 --suite fourier --format json": "2a31f395ff516e08acbcac2cc15f5aa71391c772079f74ff371015c80cc4c7aa",
-    "verify --dim 4 --suite all --format text": "0f739b633b602732a9f941945a76b6f77f582b7d96771879564ad7d09b6aa251",
-    "verify --dim 4 --suite all --format json": "9cafcc21449f4a4bb7e75ff221e4c2e9df18e447e6ba1ffd27627d566c4b26e4",
+    "verify --dim 4 --suite fourier --format text": "6b3699ad2b92b2453e49d28a5f2b75dd9c14817ff0a623014f1c0194fa65236d",
+    "verify --dim 4 --suite fourier --format json": "56ff1338cf5afc3e23dd6d74f0c35c3b72e62552c225940c109031ce9b2b996e",
+    "verify --dim 4 --suite all --format text": "f8d8029e612394c06d4466c1fe51b2cf5b761f8f8631c1ddcea219eed71ccad2",
+    "verify --dim 4 --suite all --format json": "0a4d140c2899f4e9786d476904791466c196ede9311f11ba4d519259a41e1d82",
     "matrix --dim 6 --format json": "f48b974b5b3dd9436b014fc4d1690425ba6a6145b2677288769fd2f6c6883638",
     "matrix --dim 6 --format csv": "12cbcde182359c939b2b022002088c8fb9838fc376749ad2355b2f2a787b32f6",
-    "verify --dim 6 --suite fourier --format text": "901bf69c678c081e08608b18ada3a5bb063e6ed73c8fab4691137149d84830d8",
-    "verify --dim 6 --suite fourier --format json": "9ec02cec73ab02baf460614b8d596c6261ede831991a023572001dd4e8d8398f",
-    "verify --dim 6 --suite all --format text": "a8ace307e65c936ec3241c3f24480a5070331caa6692e0e48c5c4ec6850bd45b",
-    "verify --dim 6 --suite all --format json": "13eccd16f093b5a1e6cfa53c878c9f1dbee580eba6bc1ca9e094547d168d0cdc",
+    "verify --dim 6 --suite fourier --format text": "a69182b6d9319e4a484cba3b6fa59ef8bca91465b7a8d6ce59291f0de7a3c563",
+    "verify --dim 6 --suite fourier --format json": "7f227df5e343f5703b0474a63c75302b038c80afda572ffef9f5141311868cbf",
+    "verify --dim 6 --suite all --format text": "024889ba0ec1980a759da9b5e0374af68a7f53c68920cdac717c1a5ad6202128",
+    "verify --dim 6 --suite all --format json": "739e1eee839f1518accbe7aef6775c13ee9352a75d89e7968d2e46d0f20c159c",
     "matrix --dim 8 --format json": "f5c5c8e87724f1cf162fc79e19dfb0a319e3a9584cc61e8a97a91d3d83bccdf6",
     "matrix --dim 8 --format csv": "0b20a4d585c71de0f190829939bdcc865a8cf66745bba5ee17d155f6dde2bbd6",
     "matrix --dim 10 --format json": "735b147a2a3672b4171f22393530e30cf76fa924a3e0b9fc392f466175f6170c",
     "matrix --dim 10 --format csv": "30c0c8181db1018a9259b76d8ed371204ab77d97525b9141976687c6e016105b",
-    "verify --dim 8 --suite fourier --format text": "a2b8d15e09325a32f62873595789e603a0f0c0ead328e3a6be6097168a4154c8",
-    "verify --dim 8 --suite fourier --format json": "90decb84506891a2c36ab3e0f396bcf94dd0095bb816cacd568fa6bcbcf1fea5",
-    "verify --dim 8 --suite all --format text": "2d50a6f85e4cfb212c254ea647c130ef0ea36b0a34c7126979859b11b9541e91",
-    "verify --dim 8 --suite all --format json": "40b7a06c9eb53669c5da11ad29f25b43282d621e6bc0543917245e3ca4c8b8cd",
-    "verify --dim 10 --suite all --format text": "3e92ee615aed2b5368e0eb7d48c10d70534f8e6d008207628fcd8ba4b21f755c",
-    "verify --dim 10 --suite all --format json": "4b86357f27e4ff612a6aefcd7c58d720815c03eaad73f23a134d979720f0a111",
-    "verify --dim 12 --suite fourier --format text": "1709a6eab8367c149473d30b636c2890645774272889d918de0871f8441632d4",
+    "verify --dim 8 --suite fourier --format text": "9f0fd4dc0840cf2310fc5ef1e4c1e9cda5befeee92365eabecfc3cb73c06d2a1",
+    "verify --dim 8 --suite fourier --format json": "161509c03184fb295fb9596c9b37c6a65d26860513b8922c8901b9a9e7f1dbe2",
+    "verify --dim 8 --suite all --format text": "36cd1f4542537c8379011f840cd2ba4d8a0c8614ce405fa5b83fcfe6d6514e23",
+    "verify --dim 8 --suite all --format json": "6c6c0e9fcc8e8a5b15718de260f64a81f1d1777d27a6b34b03dd198ec42412ff",
+    "verify --dim 10 --suite all --format text": "8bc0925fa0171015cacee27dcfbf2f3d3c99aa325dcaa2624911d2230d4ec9ac",
+    "verify --dim 10 --suite all --format json": "64cf83d78647cfb3b2f0f3e544e9b26f31163cb9a89b6851d8a922f5713cd876",
+    "verify --dim 12 --suite fourier --format text": "178837ea4b18c8d808ab4b56cc7efa2f039546dcbce543c1710cd90d807bb657",
     "nonabelian --group s3 --check matrix": "c810590641db850051e2b3b82a3c6edca95dc1f837ac1cec113daa50c29ba177",
     "nonabelian --group s3 --check involution": "7241b229db1a3f377830556750606b8f52ab5add4e163d7b22a156e613a7a1d5",
     "nonabelian --group s3 --check trace": "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",

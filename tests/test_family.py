@@ -10,11 +10,13 @@ from gf2_reference import (
     interval_basis_by_enumeration,
     nested_interval_subspace,
     push_rows,
+    signed_binomial_sum,
     table as row_table,
 )
 from ucb_reference import ucb_all_pairs
 
 import trifourier.family as family_module
+from trifourier import dihedral, taumaps
 from trifourier.cli import run_suite
 from trifourier.family import (
     Family,
@@ -28,7 +30,6 @@ from trifourier.family import (
     family_to_json,
     fiber_lines,
     is_interval_basis,
-    signed_binomial_sum,
     verify_counts,
     verify_structure,
 )
@@ -240,6 +241,101 @@ def test_isotropy_is_one_check_naming_the_first_failing_member(dim, monkeypatch)
     failing = [line for line in lines if line.startswith("[FAIL]")]
     assert failing == [f"[FAIL] structure D={dim}:isotropic: member {bad.index}: rows {bad.subspace.rows}"]
     assert not any("isotropic[" in line for line in lines)
+
+
+def _replace_key(monkeypatch, fam, old, new):
+    monkeypatch.setattr(fam, "keys", tuple(new if key == old else key for key in fam.keys))
+
+
+def _first_interval(fam, even):
+    return 1 << next(k for k, lab in enumerate(fam.space.intervals) if lab.is_even == even)
+
+
+def _tally_dim(monkeypatch, fam):
+    # the zero member's key read as one odd interval: no member of dimension 0
+    _replace_key(monkeypatch, fam, 0, _first_interval(fam, even=False))
+
+
+def _tally_ncount(monkeypatch, fam):
+    # a line on an odd interval read as one on an even interval: the dimensions hold,
+    # one fewer member has even count 0
+    line = next(key for key in fam.keys if key.bit_count() == 1 and key & fam.odd)
+    _replace_key(monkeypatch, fam, line, _first_interval(fam, even=True))
+
+
+def _cross_kappa(monkeypatch, fam):
+    # two kappa pairs crossed: still an involution, but the zero member now meets a
+    # member of dimension d - 1
+    a, b = fam.by_n(0)[0], fam.by_n(1)[0]
+    x, y = fam.entries[a.kappa_index], fam.entries[b.kappa_index]
+    for ent, image in ((a, y), (y, a), (b, x), (x, b)):
+        monkeypatch.setattr(ent, "kappa_index", image.index)
+
+
+def _fake_tau(module, dim, i, fake):
+    """A breaker that makes `module.tau` give fake(real tau, space) for tau_i at D = dim."""
+
+    def apply(monkeypatch, fam):
+        real = module.tau
+        monkeypatch.setattr(module, "tau", lambda sp, j: fake(real, sp) if (sp.dim, j) == (dim, i) else real(sp, j))
+
+    return apply
+
+
+def _off_last_image(real, sp):
+    # tau_3 with its image of e'_(D-1) off: R tau_3 and S tau_3 read it, the relations
+    # with tau_3 on the right read only its coordinate images
+    t = real(sp, 3)
+    return CircularMap(t.src_dim, t.dst_dim, (*t.images[:-1], t.images[-1] ^ 1))
+
+
+# Each breaks one index of one grouped check at D = 8; the check is one line that names it.
+# No tau map breaks S-tau alone: R tau_i = tau_(i+1) R' reads every image of every tau_i.
+GROUPED_FAILURES = {
+    "dim": ("counts", _tally_dim, [("counts D=8:dim", "k=0: 0 != C(9,0)")]),
+    "ncount": ("counts", _tally_ncount, [("counts D=8:ncount", "n=0: 125 != C(9,4)")]),
+    "kappa-dim": ("family", _cross_kappa, [("structure D=8:kappa-dim", "n=0 -> dim 4: dims seen: {3, 4}")]),
+    # tau_1 is read only by the composition i = 1, j = 1
+    "matrix": (
+        "family",
+        _fake_tau(taumaps, 8, 1, lambda real, sp: real(sp, 3)),
+        [("composition-identity D=8:matrix", "i=1 j=1: lhs=(8, 16, 32, 64) rhs=(14, 16, 32, 64)")],
+    ),
+    # tau_1 and tau_2 agree on the image of tau'_7: the compositions hold, the subspaces do not
+    "subspaces": (
+        "family",
+        _fake_tau(taumaps, 8, 2, lambda real, sp: real(sp, 1)),
+        [("composition-identity D=8:subspaces", "i=1: 16 violating members, first=[Subspace(rows=())]")],
+    ),
+    # tau_9 S' still commutes with S as tau_9 does, but R tau_8 = tau_9 fails
+    "R-tau": (
+        "dihedral",
+        _fake_tau(dihedral, 8, 9, lambda real, sp: real(sp, 9).compose(reflection(make_space(6)))),
+        [("embedding-equivariance D=8:R-tau", "i=8")],
+    ),
+    "S-tau": (
+        "dihedral",
+        _fake_tau(dihedral, 8, 3, _off_last_image),
+        [("embedding-equivariance D=8:R-tau", "i=3"), ("embedding-equivariance D=8:S-tau", "i=3")],
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(GROUPED_FAILURES))
+def test_grouped_check_names_the_first_failing_index(check, monkeypatch):
+    suite, breaker, expected = GROUPED_FAILURES[check]
+    breaker(monkeypatch, build_family(8))
+    assert [(c.check_id, c.details) for c in run_suite(8, suite).checks if not c.ok] == expected
+
+
+def test_verify_all_reports_each_fact_once():
+    # every per-index run is one line and no check depends on D alone: one report size
+    sizes = set()
+    for dim in range(4, 13, 2):
+        ids = [c.check_id for c in run_suite(dim, "all").checks]
+        assert len(set(ids)) == len(ids), ids
+        sizes.add(len(ids))
+    assert len(sizes) == 1, sizes
 
 
 def test_shriek_properties():

@@ -271,7 +271,10 @@ def test_verify_change_of_basis_rejects_corruptions():
     assert _failed(verify_change_of_basis(bad_peel)) == {"basis-peelable"}
 
 
-LEMMA_CHECKS = ["lemma:preserves-form", "lemma:complement", "lemma:push-agreement", "lemma:zero-row-residual"]
+LEMMA_CHECKS = [
+    "lemma:involution-from-gram", "lemma:preserves-form", "lemma:complement", "lemma:push-agreement",
+    "lemma:zero-row-residual",
+]
 
 
 def _dense_failures(cob):
@@ -312,12 +315,9 @@ def test_lemma_checks_pass_and_catch_corruptions(dim):
 
 
 def _lemma_failures(dim):
-    """{check: details} of the failing lemma checks of the D change of basis and of the two
-    lemmas for G G = 2^D I and G Z = 2 Z G'."""
-    checks = lemma_checks(change_of_basis(build_family(dim)))
-    checks.append(("lemma:involution-from-gram", *verify_involution(make_space(dim))))
-    checks += [(c.check_id, c.ok, c.details) for c in verify_z_commutation(dim).checks]
-    return {check: details for check, ok, details in checks if not ok}
+    """{check: details} of the failing lemma checks of the D change of basis, the lemmas
+    for G G = 2^k I and G Z = 2 Z G' at every level among them."""
+    return {check: details for check, ok, details in lemma_checks(change_of_basis(build_family(dim))) if not ok}
 
 
 @pytest.mark.parametrize("dim", range(0, 13, 2))
@@ -328,24 +328,18 @@ def test_lemma_chain_passes_where_the_dense_products_pass(dim):
     cob = change_of_basis(build_family(dim))
     assert _dense_failures(cob) == set() and all(ok for _, ok, _ in lemma_checks(cob))
     if dim >= 2:
-        assert dense_z_commutation(dim).ok and verify_z_commutation(dim).ok
-        assert _lemma_failures(dim) == {}
+        assert dense_z_commutation(dim).ok
+    assert verify_z_commutation(dim).ok and _lemma_failures(dim) == {}
 
-    # the fourier suite: one line for each product
+    # the fourier suite: one change of basis report, one line for each lemma
     rep = run_suite(dim, "fourier")
     assert rep.ok, rep.summary()
     prefix = f"change-of-basis D={dim}:"
     assert [c.check_id for c in rep.checks] == [
-        "fourier:lemma:involution-from-gram",
         f"{prefix}basis-peelable",
         *(prefix + check for check in LEMMA_CHECKS),
         *(prefix + check for check in ("triangular", "diagonal signs", "trace", "plus-count", "involution")),
-        *(["fourier:lemma:z-commutation-from-maps"] if dim >= 2 else []),
     ]
-    if dim >= 2:
-        assert rep.checks[-1].details == (
-            f"from lemma:preserves-form, lemma:complement and the Gram tables at D={dim} and D={dim - 2}"
-        )
 
 
 def _dense_ok(check, *args):
@@ -375,8 +369,7 @@ def test_lemma_chain_fails_on_a_corrupted_forms_table(dim, monkeypatch):
     assert _lemma_failures(dim) == {
         "lemma:preserves-form": f"tau_2 D={dim}",
         "lemma:complement": f"tau_1 D={dim}",
-        "lemma:involution-from-gram": "forms is not the span table of the Gram rows",
-        "lemma:z-commutation-from-maps": f"D={dim}: forms is not the span table of the Gram rows",
+        "lemma:involution-from-gram": f"D={dim}: forms is not the span table of the Gram rows",
     }
     assert not _dense_ok(dense_involution, space)
     # e_1 cut out of the pairing, Gram rows and forms alike: alternating, but degenerate
@@ -393,6 +386,23 @@ def test_lemma_chain_fails_on_a_corrupted_forms_table(dim, monkeypatch):
         assert not rep.ok and rep.checks[0].details == f"D={dim}: {fault}"
         assert not _dense_ok(dense_involution, space)
         assert not _dense_ok(lambda: dense_z_commutation(dim).ok)
+
+
+def test_gram_table_is_checked_at_every_level(monkeypatch):
+    # Level 4's Gram table with one entry off: no map and no circular vector reads
+    # forms[5] = Gram(e_1 + e_3), so only the Gram lemma at that level can see it.
+    space = make_space(4)
+    space.gram_inverse  # cached now, so that the patch below restores it
+    forms = list(space.forms)
+    forms[5] ^= 5
+    monkeypatch.setattr(space, "forms", forms)
+    monkeypatch.delitem(vars(space), "gram_inverse")  # the dense oracle reads the corrupted table
+    rep = run_suite(8, "fourier")
+    failing = [(c.check_id, c.details) for c in rep.checks if not c.ok]
+    assert failing == [
+        ("change-of-basis D=8:lemma:involution-from-gram", "D=4: forms is not the span table of the Gram rows")
+    ]
+    assert not _dense_ok(dense_involution, space)
 
 
 def _fake_tau(monkeypatch, level, i, images):
@@ -420,7 +430,6 @@ def test_lemma_chain_fails_on_a_map_off_the_perp(dim, below, monkeypatch):
     _fake_tau(monkeypatch, level, i, off_the_perp)
     failed = _lemma_failures(dim)
     assert failed["lemma:complement"] == f"tau_{i} D={level}"
-    assert ("lemma:z-commutation-from-maps" in failed) == (level == dim)
     assert "lemma:push-agreement" not in failed and "lemma:involution-from-gram" not in failed
     # the dense G Z = 2 Z G' at the level the lemma names fails at the same map
     assert _dense_z_failures(level) == {f"i={i}"}
@@ -437,13 +446,7 @@ def test_lemma_chain_fails_on_a_map_that_breaks_the_form(dim, below, monkeypatch
         return images
 
     _fake_tau(monkeypatch, level, i, sheared)
-    failed = _lemma_failures(dim)
-    assert failed["lemma:preserves-form"] == f"tau_{i} D={level}"
-    if level == dim:
-        assert failed.keys() == {"lemma:preserves-form", "lemma:z-commutation-from-maps"}
-        assert failed["lemma:z-commutation-from-maps"] == f"lemma:preserves-form fails at tau_{i} D={dim}"
-    else:
-        assert failed.keys() == {"lemma:preserves-form"}
+    assert _lemma_failures(dim) == {"lemma:preserves-form": f"tau_{i} D={level}"}
     if level > 4:
         assert _dense_z_failures(level) == {f"i={i}"}
     else:
