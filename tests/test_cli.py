@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import trifourier
-from trifourier.cli import main
+from trifourier.cli import COMMANDS, main, parse_args
 from trifourier.nonabelian import NewBasis, mdata, s3_new_basis
 
+from argparse_reference import build_parser, outcome
 from nonabelian_reference import new_basis_to_json
 
 
@@ -263,6 +265,161 @@ def test_dim_above_cap_is_usage_error(capsys):
     assert "dimension must be <= 14" in capsys.readouterr().err
 
 
+def _nonabelian(group, check, variant="g2", basis=None, format="text"):
+    return {"command": "nonabelian", "group": group, "variant": variant, "check": check, "basis": basis, "format": format}
+
+
+# Each accepted command line and the values it parses to, the same values the
+# argparse parser it replaced gave: a value after the option or after "=", unique
+# prefixes, the last of a repeated option winning, every default, and every README
+# example.
+PARSED = {
+    "verify --dim 4": {"command": "verify", "dim": 4, "suite": "all", "format": "text"},
+    "verify --dim=4 --suite=counts": {"command": "verify", "dim": 4, "suite": "counts", "format": "text"},
+    "verify --d 4 --s counts --form=json": {"command": "verify", "dim": 4, "suite": "counts", "format": "json"},
+    "verify --dim 2 --dim 4": {"command": "verify", "dim": 4, "suite": "all", "format": "text"},
+    "verify --suite fourier --suite counts --dim 6 --dim=8": {"command": "verify", "dim": 8, "suite": "counts", "format": "text"},
+    "family --dim 0": {"command": "family", "dim": 0, "format": "text"},
+    "matrix --dim 2": {"command": "matrix", "dim": 2, "format": "json"},
+    "matrix --format csv --dim 14": {"command": "matrix", "dim": 14, "format": "csv"},
+    "nonabelian --group s3 --check trace": _nonabelian("s3", "trace"),
+    "nonabelian --gr=s4 --ch newbasis --bas=f.json --var e --for json": _nonabelian("s4", "newbasis", "e", "f.json", "json"),
+    "family --dim 4": {"command": "family", "dim": 4, "format": "text"},
+    "family --dim 6 --format json": {"command": "family", "dim": 6, "format": "json"},
+    "matrix --dim 2 --format csv": {"command": "matrix", "dim": 2, "format": "csv"},
+    "matrix --dim 4 --format json": {"command": "matrix", "dim": 4, "format": "json"},
+    "verify --dim 8 --suite all": {"command": "verify", "dim": 8, "suite": "all", "format": "text"},
+    "verify --dim 6 --suite counts --format json": {"command": "verify", "dim": 6, "suite": "counts", "format": "json"},
+    "nonabelian --group s5 --check trace": _nonabelian("s5", "trace"),
+    "nonabelian --group s4 --check involution": _nonabelian("s4", "involution"),
+    "nonabelian --group s5 --check hyperplane": _nonabelian("s5", "hyperplane"),
+    "nonabelian --group s5 --check hyperplane --format json": _nonabelian("s5", "hyperplane", format="json"),
+    "nonabelian --group s3 --variant e --check newbasis": _nonabelian("s3", "newbasis", "e"),
+    "nonabelian --group s4 --check newbasis --basis my_basis.json": _nonabelian("s4", "newbasis", basis="my_basis.json"),
+    "nonabelian --group s3 --check matrix": _nonabelian("s3", "matrix"),
+}
+
+
+@pytest.mark.parametrize("line", list(PARSED))
+def test_accepted_command_line_parses_as_before(line):
+    assert vars(parse_args(line.split())) == PARSED[line]
+
+
+def test_every_readme_example_is_pinned():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("trifourier ")]
+    assert len(examples) == 13
+    for argv in examples:
+        assert " ".join(argv) in PARSED, argv
+
+
+# Each refused command line and the one line it prints on standard error: the error
+# line argparse printed, without the usage block it printed above it.
+REFUSED = [
+    ([], "trifourier: error: the following arguments are required: command"),
+    (["bogus"], "trifourier: error: argument command: invalid choice: 'bogus' "
+                "(choose from 'family', 'matrix', 'verify', 'nonabelian')"),
+    (["--dim", "4", "verify"], "trifourier: error: argument command: invalid choice: '4' "
+                               "(choose from 'family', 'matrix', 'verify', 'nonabelian')"),
+    (["verify"], "trifourier verify: error: the following arguments are required: --dim"),
+    (["verify", "--dim"], "trifourier verify: error: argument --dim: expected one argument"),
+    (["verify", "--dim", "x"], "trifourier verify: error: argument --dim: not an integer: 'x'"),
+    (["matrix", "--dim=", "2"], "trifourier matrix: error: argument --dim: not an integer: ''"),
+    (["verify", "--dim", "3"], "trifourier verify: error: argument --dim: dimension must be even and >= 0, got 3"),
+    (["verify", "--dim", "-2"], "trifourier verify: error: argument --dim: dimension must be even and >= 0, got -2"),
+    (["family", "--dim", "16"], "trifourier family: error: argument --dim: dimension must be <= 14, got 16"),
+    (["verify", "--dim", "4", "--suite", "nope"], "trifourier verify: error: argument --suite: invalid choice: 'nope' "
+                                                  "(choose from 'all', 'family', 'fourier', 'dihedral', 'counts')"),
+    (["verify", "--dim", "4", "--=x"], "trifourier verify: error: ambiguous option: --=x could match --help, --dim, --suite, --format"),
+    (["verify", "--dim", "4", "--help=x"], "trifourier verify: error: argument -h/--help: ignored explicit argument 'x'"),
+    (["verify", "--dim", "4", "extra"], "trifourier: error: unrecognized arguments: extra"),
+    (["verify", "--dim", "4", "--"], "trifourier: error: unrecognized arguments: --"),
+    (["-x", "family", "--dim", "2", "y"], "trifourier: error: unrecognized arguments: -x y"),
+    (["family", "--dim", "4", "--format"], "trifourier family: error: argument --format: expected one argument"),
+    (["nonabelian"], "trifourier nonabelian: error: the following arguments are required: --group, --check"),
+    (["nonabelian", "--group", "s5"], "trifourier nonabelian: error: the following arguments are required: --check"),
+    (["nonabelian", "--group", "s6", "--check", "matrix"],
+     "trifourier nonabelian: error: argument --group: invalid choice: 's6' (choose from 's3', 's4', 's5')"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSED, ids=[" ".join(argv) or "-" for argv, _ in REFUSED])
+def test_usage_error_is_one_line(capsys, argv, line):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == line + "\n"
+
+
+# Tokens for random command lines: every command, option and choice, prefixes and
+# inline values, bad values, "--", negative numbers, help in each spelling, and
+# unknown options and words.
+_TOKENS = [
+    *COMMANDS, "bogus", "--dim", "--d", "--dim=4", "--dim=", "--d=6", "4", "3", "16", "-2", "-2.5", "-.5", "-5.", "x",
+    "-x", "-x y", "--", "--format", "--f", "--format=json", "--form=csv", "json", "text", "csv", "--suite", "--s",
+    "--su=all", "all", "counts", "fourier", "nope", "--group", "--g", "s3", "s4", "s5", "s6", "--variant", "--v=e",
+    "e", "g2", "--check", "--c", "matrix", "trace", "involution", "newbasis", "hyperplane", "--basis", "--b",
+    "file.json", "--basis=", "-h", "--help", "--h", "--he=x", "-hh", "-hx", "-h=h", "-h=", "--help=", "-hhx", "--=x",
+    "--=", "---", "--bogus", "--bogus=1", "-", "", "-d", "-d4", "-5\n", "--dim\n", "--x=y=z", " ", "extra",
+]
+_VALUES = {"--dim": ["0", "2", "4", "12", "14", "3", "16", "-2", "x", ""], "--basis": ["b.json", "", "-x", "--dim"]}
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """Half the time any tokens, half the time a command and its options in random
+    spellings (full name or prefix, separate or inline value), with an odd token at times."""
+    if rng.random() < 0.5:
+        argv = [rng.choice(_TOKENS) for _ in range(rng.randint(0, 7))]
+        if argv and rng.random() < 0.7:
+            argv[0] = rng.choice(list(COMMANDS))
+        return argv
+    command = rng.choice(list(COMMANDS))
+    options = COMMANDS[command][2]
+    argv = [command]
+    for _ in range(rng.randint(0, 6)):
+        name = rng.choice(list(options))
+        kind = options[name][0]
+        value = rng.choice([*kind, "nope"] if isinstance(kind, tuple) else _VALUES[name])
+        spelled = name[:rng.randint(3, len(name))]
+        argv += [f"{spelled}={value}"] if rng.random() < 0.3 else [spelled, value]
+    if rng.random() < 0.2:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_TOKENS))
+    return argv
+
+
+def test_parser_agrees_with_argparse():
+    # the same values for every accepted command line, the same error line and exit
+    # code for every refused one, and a help request wherever argparse saw one
+    reference = build_parser()
+    rng = random.Random(20261020)
+    outcomes = set()
+    edges = [["--"], ["-x", "--"], ["--", "verify"], ["verify", "--", "--dim", "4"], ["verify", "--dim", "--", "4"],
+             ["-hh"], ["-h=h"], ["verify", "--dim", "4", "-hhx"]]
+    for argv in edges + [_random_argv(rng) for _ in range(3000)]:
+        got = outcome(parse_args, argv)
+        assert got == outcome(reference.parse_args, argv), argv
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "help", "error"}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([c, "--help"] for c in COMMANDS), *([c, "-h"] for c in COMMANDS)])
+def test_help_lists_the_table(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    for command in argv[:1] if argv[0] in COMMANDS else COMMANDS:
+        _, text, options = COMMANDS[command]
+        assert any(command in line and text in line for line in lines), command
+        for name, (kind, default, help) in options.items():
+            words = [name, help, *(kind if isinstance(kind, tuple) else ()), *((default,) if isinstance(default, str) else ())]
+            assert any(all(w in line for w in words) for line in lines), (command, words)
+
+
 @pytest.mark.parametrize("argv", [["matrix", "--dim", "14"], ["matrix", "--dim", "14", "--format", "csv"]])
 def test_dense_fourier_above_d12_is_refused(capsys, argv):
     # the export writes all 2^D x 2^D entries; `verify` at D = 14 checks the
@@ -298,7 +455,8 @@ def test_family_suite_leaves_numpy_unimported():
         "def unloaded(*names):\n"
         "    loaded = [m for m in names if m in sys.modules]\n"
         "    assert not loaded, loaded\n"
-        "unloaded('dataclasses', 'inspect', 'json', 'trifourier.dihedral', 'trifourier.fourier')\n"
+        "unloaded('dataclasses', 'inspect', 'json', 'trifourier.dihedral', 'trifourier.fourier',\n"
+        "         'argparse', 'gettext', 'locale')\n"
         "import trifourier\n"
         "missing = [n for n in trifourier.__all__ if getattr(trifourier, n, None) is None]\n"
         "assert not missing, missing\n"
@@ -315,6 +473,8 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
     # basis prints and checks its entries as integers over one denominator, so no GF(2)
     # path imports fractions (and decimal with it) either.  The exports write JSON with
     # the C string encoder from _json, without the json package.
+    # The command line is parsed from one table, without argparse and the gettext and
+    # locale modules it imports; the other two numpy guards check that as well.
     script = (
         "import contextlib, io, sys\n"
         "from trifourier.cli import main\n"
@@ -332,7 +492,7 @@ def test_family_exports_and_symmetry_suites_leave_numpy_unimported():
         "        rc = main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
-        "    unwanted = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json')\n"
+        "    unwanted = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json', 'argparse', 'gettext', 'locale')\n"
         "    loaded = [m for m in unwanted if m in sys.modules]\n"
         "    assert not loaded, (loaded, argv)\n"
     )
@@ -422,7 +582,7 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
         "        rc = main(['nonabelian', *argv])\n"
         "    assert rc == want, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
-        "    unwanted = ('trifourier.gf2', 'trifourier.family', 'dataclasses', 'inspect', *absent)\n"
+        "    unwanted = ('trifourier.gf2', 'trifourier.family', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale', *absent)\n"
         "    loaded = [m for m in unwanted if m in sys.modules]\n"
         "    assert not loaded, (loaded, argv)\n"
     )
