@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from . import taumaps
 from .family import Family
 from .gf2 import SymplecticSpace, make_space
 from .report import Report
-from .taumaps import CircularMap, preserves_form, push_key, reflection, rotation, tau
+from .taumaps import CircularMap, preserves_form, push_key, reflection, rotation
 
 
 def verify_relations(space: SymplecticSpace) -> Report:
@@ -37,7 +38,7 @@ def verify_embedding_equivariance(dim: int) -> Report:
     vp = make_space(dim - 2)
     r, s = rotation(v), reflection(v)
     rp, sp = rotation(vp), reflection(vp)
-    t = {i: tau(v, i) for i in range(1, dim + 2)}
+    t = {i: taumaps.tau(v, i) for i in range(1, dim + 2)}
     t_next = {i: t[i + 1 if i <= dim else 1] for i in t}
     rotates = [r.compose(t[i]) == (t_next[i].compose(rp) if i <= dim - 1 else t_next[i]) for i in t]
     reflects = [s.compose(t[i]) == t[dim + 1 - i if i <= dim else dim + 1].compose(sp) for i in t]

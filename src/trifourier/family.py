@@ -6,7 +6,8 @@ nested interval subspaces E_k.  Every member has a unique basis consisting
 of interval vectors; the even-length interval count grades each fiber.
 The recursions carry each member as the key of that basis (see
 `SymplecticSpace.intervals`) and push keys through one table per map, so no
-push reduces rows; `Family` checks the keys, and reduces each member's rows
+push reduces rows; `pushes` is that step, shared by the recursions and the
+change of basis.  `Family` checks the keys, and reduces each member's rows
 once, when its indexed view is first read.
 """
 
@@ -18,7 +19,7 @@ from typing import Iterable
 
 from .gf2 import IntervalLabel, Subspace, SymplecticSpace, back_substitute, bits_of, is_isotropic, make_space
 from .report import Report
-from .taumaps import _validate_embedding, close_keys, generic_tau, push_key, rotation, tau
+from .taumaps import _validate_embedding, check_complement, close_keys, generic_tau, push_key, rotation, tau
 
 
 class FamilyStructureError(AssertionError):
@@ -33,6 +34,21 @@ def delta(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def pushes(dim: int, i: int) -> dict[int, int]:
+    """The recursion step, i in [1, D+1]: the key of each (D-2)-member E' -> that of tau_i(E') + F2 e_i.
+
+    Refuses a tau_i whose image is not a complement of F2 e_i in the perp of
+    e_i.  The dict is cached and shared: read it only.
+    """
+    space = make_space(dim)
+    emb = tau(space, i)
+    if not check_complement(space, emb, i):
+        raise FamilyStructureError(f"the image of tau_{i} at D={dim} is not a complement of e_{i} in its perp")
+    table, ei = emb.key_table(), space.interval_keys[space.circular(i)]
+    return {key: push_key(table, key, ei) for key in family_subspaces(dim - 2)}
+
+
+@lru_cache(maxsize=None)
 def family_subspaces(dim: int) -> frozenset[int]:
     """The family for dimension D, as interval keys.
 
@@ -43,17 +59,13 @@ def family_subspaces(dim: int) -> frozenset[int]:
     if dim == 0:
         return frozenset({0})
     space = make_space(dim)
-    keys = space.interval_keys
-    prev = family_subspaces(dim - 2)
     nested = 0
     out = {nested}
     for j in range(1, space.half + 1):
-        nested |= keys[space.interval_vector(j, dim + 1 - j)]
+        nested |= space.interval_keys[space.interval_vector(j, dim + 1 - j)]
         out.add(nested)
     for i in range(1, dim + 1):
-        table = tau(space, i).key_table()
-        ei = keys[space.circular(i)]
-        out.update(push_key(table, key, ei) for key in prev)
+        out.update(pushes(dim, i).values())
     return frozenset(out)
 
 
@@ -62,14 +74,7 @@ def family_subspaces_prime(dim: int) -> frozenset[int]:
     """Variant recursion: zero, or an extension with i running over all D+1 vertices."""
     if dim == 0:
         return frozenset({0})
-    space = make_space(dim)
-    prev = family_subspaces(dim - 2)
-    out = {0}
-    for i in range(1, dim + 2):
-        table = tau(space, i).key_table()
-        ei = space.interval_keys[space.circular(i)]
-        out.update(push_key(table, key, ei) for key in prev)
-    return frozenset(out)
+    return frozenset({0}.union(*(pushes(dim, i).values() for i in range(1, dim + 2))))
 
 
 @lru_cache(maxsize=None)

@@ -36,10 +36,9 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import taumaps
-from .family import Family, FamilyStructureError, delta, entry_compact, family_subspaces
+from .family import Family, FamilyStructureError, delta, entry_compact, family_subspaces, pushes
 from .gf2 import SymplecticSpace, bits_of, make_space, span_vectors
 from .report import Report, fraction_string
-from .taumaps import check_complement, push_key, tau
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -184,24 +183,19 @@ def push_up(dim: int, below: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     The row of push_i(E') is the row of E' with each column pushed the same
     way and each numerator doubled: G Z_i = 2 Z_i G', and 2^d is twice
     2^(d-1).  Z_i sends the indicator of E' to that of push_i(E') since
-    tau_i's image misses e_i, which `check_complement` shows for each i.
+    tau_i's image misses e_i, which `family.pushes` checks for each i.
     Raises FamilyStructureError naming the member when two pushes give it
     different rows.
     """
-    space = make_space(dim)
     rows: dict[int, dict[int, int]] = {}
     for i in range(1, dim + 2):
-        if not check_complement(space, i):
-            raise FamilyStructureError(f"the image of tau_{i} at D={dim} is not a complement of e_{i} in its perp")
-        table = tau(space, i).key_table()
-        ei = space.interval_keys[space.circular(i)]
-        pushed = {key: push_key(table, key, ei) for key in below}
+        pushed = pushes(dim, i)
         for key, row in below.items():
             new = {pushed[c]: 2 * v for c, v in row.items()}
             first = rows.setdefault(pushed[key], new)
             if first is not new and first != new:
                 raise FamilyStructureError(
-                    f"member {space.interval_span(pushed[key]).rows} at D={dim}: its push through tau_{i} "
+                    f"member {make_space(dim).interval_span(pushed[key]).rows} at D={dim}: its push through tau_{i} "
                     f"from {make_space(dim - 2).interval_span(key).rows} gives a row that differs from an earlier push"
                 )
     return rows
@@ -327,8 +321,8 @@ def _is_peel_order(order: list[tuple[int, int]], members: list[list[int]], size:
 
 # -- the certificate: the recursion's induction ---------------------------------
 # Each check is one line that names the first failing level or map.  The
-# certificate reads the maps through `taumaps`, the recursion through its own
-# imports: a map substituted in `taumaps` reaches the checks, not the cached rows.
+# certificate reads the maps through `taumaps.tau`, the recursion through
+# `family.pushes`: a map substituted in `taumaps` reaches the checks, not the cached rows.
 
 
 def verify_involution(space: SymplecticSpace) -> tuple[bool, str]:
@@ -363,10 +357,10 @@ def verify_z_commutation(dim: int) -> Report:
     faults = ((k, verify_involution(make_space(k))) for k in range(0, dim + 1, 2))
     fault = next((f"D={k}: {details}" for k, (ok, details) in faults if not ok), "")
     rep.require("lemma:involution-from-gram", not fault, fault)
-    maps = [(make_space(k), i) for k in range(2, dim + 1, 2) for i in range(1, k + 2)]
-    broken = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.preserves_form(sp, taumaps.tau(sp, i))), "")
+    maps = [(sp, i, taumaps.tau(sp, i)) for sp in map(make_space, range(2, dim + 1, 2)) for i in range(1, sp.dim + 2)]
+    broken = next((f"tau_{i} D={sp.dim}" for sp, i, m in maps if not taumaps.preserves_form(sp, m)), "")
     rep.require("lemma:preserves-form", not broken, broken)
-    not_complement = next((f"tau_{i} D={sp.dim}" for sp, i in maps if not taumaps.check_complement(sp, i)), "")
+    not_complement = next((f"tau_{i} D={sp.dim}" for sp, i, m in maps if not taumaps.check_complement(sp, m, i)), "")
     rep.require("lemma:complement", not not_complement, not_complement)
     return rep
 
@@ -393,9 +387,9 @@ def lemma_checks(cob: CobMatrix) -> list[tuple[str, bool, str]]:
     checks.append(("lemma:push-agreement", bad is None, details))
 
     for k in range(0, fam.dim + 1, 2):
-        got = [0] * (1 << k)
+        got, vectors = [0] * (1 << k), make_space(k).interval_vectors
         for key, v in (expansion_rows(k)[0] if k < fam.dim else by_key(fam.index_of_key[0])).items():
-            for u in make_space(k).interval_span(key).vectors():
+            for u in span_vectors(vectors[b] for b in bits_of(key)):  # a member's intervals are independent
                 got[u] += v
         if got != [1] * len(got):
             break

@@ -148,15 +148,15 @@ def close_keys(table: dict[int, int], keys: Iterable[int]) -> set[int]:
     return out
 
 
-def check_complement(space: SymplecticSpace, i: int) -> bool:
-    """tau_i's image is a complement of the line F2.e_i inside the perp of e_i.
+def check_complement(space: SymplecticSpace, m: CircularMap, i: int) -> bool:
+    """The image of m, the embedding tau_i, is a complement of the line F2.e_i inside the perp of e_i.
 
     The perp of e_i is the kernel of the functional (., e_i), whose mask is
     `space.forms[e_i]`; it has dimension D - 1 when that mask is nonzero.
     The D-2 images of the coordinate vectors and e_i span such a complement
     plus the line exactly when they lie in the perp and have its rank, D - 1.
     """
-    images = tau(space, i).coordinate_images()
+    images = m.coordinate_images()
     ei = space.circular(i)
     form = space.forms[ei]
     in_perp = not any((form & x).bit_count() & 1 for x in images)

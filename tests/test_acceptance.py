@@ -169,7 +169,7 @@ def test_criterion_6_structural_maps():
     for dim in (2, 4, 6, 8):
         sp = make_space(dim)
         for i in range(1, dim + 2):
-            assert check_complement(sp, i)
+            assert check_complement(sp, tau(sp, i), i)
     for dim in (4, 6, 8):
         rep = verify_composition_identity(dim)
         assert rep.ok, rep.summary()

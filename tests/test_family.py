@@ -16,7 +16,7 @@ from gf2_reference import (
 from ucb_reference import ucb_all_pairs
 
 import trifourier.family as family_module
-from trifourier import dihedral, taumaps
+from trifourier import taumaps
 from trifourier.cli import run_suite
 from trifourier.family import (
     Family,
@@ -30,9 +30,11 @@ from trifourier.family import (
     family_to_json,
     fiber_lines,
     is_interval_basis,
+    pushes,
     verify_counts,
     verify_structure,
 )
+from trifourier.fourier import expansion_rows, push_up, zero_row_solve
 from trifourier.gf2 import Subspace, back_substitute, bits_of, is_isotropic, make_space
 from trifourier.taumaps import CircularMap, _validate_embedding, generic_tau, push_key, reflection, rotation, tau
 
@@ -282,11 +284,15 @@ def _fake_tau(module, dim, i, fake):
     return apply
 
 
-def _off_last_image(real, sp):
-    # tau_3 with its image of e'_(D-1) off: R tau_3 and S tau_3 read it, the relations
-    # with tau_3 on the right read only its coordinate images
-    t = real(sp, 3)
-    return CircularMap(t.src_dim, t.dst_dim, (*t.images[:-1], t.images[-1] ^ 1))
+def _off_last_image(j):
+    """A fake: tau_j with e_1 added to its image of e'_(D-1), which the key table and
+    the coordinate images do not read."""
+
+    def fake(real, sp):
+        t = real(sp, j)
+        return CircularMap(t.src_dim, t.dst_dim, (*t.images[:-1], t.images[-1] ^ 1))
+
+    return fake
 
 
 # Each breaks one index of one grouped check at D = 8; the check is one line that names it.
@@ -310,12 +316,14 @@ GROUPED_FAILURES = {
     # tau_9 S' still commutes with S as tau_9 does, but R tau_8 = tau_9 fails
     "R-tau": (
         "dihedral",
-        _fake_tau(dihedral, 8, 9, lambda real, sp: real(sp, 9).compose(reflection(make_space(6)))),
+        _fake_tau(taumaps, 8, 9, lambda real, sp: real(sp, 9).compose(reflection(make_space(6)))),
         [("embedding-equivariance D=8:R-tau", "i=8")],
     ),
     "S-tau": (
         "dihedral",
-        _fake_tau(dihedral, 8, 3, _off_last_image),
+        # R tau_3 and S tau_3 read the last image, the relations with tau_3 on the right
+        # read only its coordinate images
+        _fake_tau(taumaps, 8, 3, _off_last_image(3)),
         [("embedding-equivariance D=8:R-tau", "i=3"), ("embedding-equivariance D=8:S-tau", "i=3")],
     ),
 }
@@ -326,6 +334,78 @@ def test_grouped_check_names_the_first_failing_index(check, monkeypatch):
     suite, breaker, expected = GROUPED_FAILURES[check]
     breaker(monkeypatch, build_family(8))
     assert [(c.check_id, c.details) for c in run_suite(8, suite).checks if not c.ok] == expected
+
+
+# -- the recursion step: family.pushes -----------------------------------------------
+
+RECURSION_CACHES = (
+    pushes, family_subspaces, family_subspaces_prime, family_subspaces_ucb, build_family, expansion_rows, zero_row_solve
+)
+
+
+def _clear_recursion_caches():
+    for cached in RECURSION_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_recursion():
+    """Every cached recursion result cleared before the test and after it."""
+    _clear_recursion_caches()
+    yield
+    _clear_recursion_caches()
+
+
+def test_a_map_substituted_in_taumaps_reaches_every_check_and_no_recursion(monkeypatch, cold_recursion):
+    # Every check that reads tau_3 at D = 8 reads taumaps.tau; the recursions read the
+    # maps through family.pushes alone, so they build what they build unpatched.
+    unpatched = [family_subspaces(8), family_subspaces_prime(8), [pushes(8, i) for i in range(1, 10)]]
+    rows = {key: dict(row) for key, row in expansion_rows(8).items()}
+    _clear_recursion_caches()
+    # tau_2 off its last image in place of tau_3: its key table is tau_2's, its image
+    # no complement of e_3, and the zero sum and the form are broken
+    _fake_tau(taumaps, 8, 3, _off_last_image(2))(monkeypatch, None)
+    assert [(c.check_id, c.details) for c in run_suite(8, "all").checks if not c.ok] == [
+        ("composition-identity D=8:matrix", "i=2 j=3: lhs=(14, 16, 32, 64) rhs=(8, 16, 32, 64)"),
+        ("composition-identity D=8:subspaces", "i=2: 10 violating members, first=[Subspace(rows=(1, 4))]"),
+        ("embedding-equivariance D=8:R-tau", "i=2"),
+        ("embedding-equivariance D=8:S-tau", "i=3"),
+        ("change-of-basis D=8:lemma:preserves-form", "tau_3 D=8"),
+        ("change-of-basis D=8:lemma:complement", "tau_3 D=8"),
+    ]
+    assert [family_subspaces(8), family_subspaces_prime(8), [pushes(8, i) for i in range(1, 10)]] == unpatched
+    assert expansion_rows(8) == rows
+
+
+@pytest.mark.parametrize("dim", range(2, 13, 2))
+def test_pushes_are_the_direct_push(dim):
+    space = make_space(dim)
+    for i in range(1, dim + 2):
+        table, ei = tau(space, i).key_table(), space.interval_keys[space.circular(i)]
+        assert pushes(dim, i) == {key: push_key(table, key, ei) for key in family_subspaces(dim - 2)}, i
+
+
+def test_each_push_is_made_once(cold_recursion):
+    # the standard recursion, the prime recursion and the change of basis share one
+    # push per level k = 2..8 and map i = 1..k+1
+    run_suite(8, "all")
+    assert pushes.cache_info().misses == 3 + 5 + 7 + 9
+
+
+def _off_the_perp(real, sp):
+    # tau_3 with e_4 added to its image of e'_1: (e_4, e_3) = 1
+    t = real(sp, 3)
+    return CircularMap(t.src_dim, t.dst_dim, (t.images[0] ^ sp.circular(4), *t.images[1:]))
+
+
+def test_a_map_off_the_perp_stops_the_step(monkeypatch, cold_recursion):
+    below = expansion_rows(4)
+    _fake_tau(family_module, 6, 3, _off_the_perp)(monkeypatch, None)
+    message = re.escape("the image of tau_3 at D=6 is not a complement of e_3 in its perp")
+    with pytest.raises(FamilyStructureError, match=message):
+        family_subspaces(6)
+    with pytest.raises(FamilyStructureError, match=message):
+        push_up(6, below)
 
 
 def test_verify_all_reports_each_fact_once():

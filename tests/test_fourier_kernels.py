@@ -354,6 +354,8 @@ def _dense_ok(check, *args):
 @pytest.mark.parametrize("dim", [4, 6, 8])
 def test_lemma_chain_fails_on_a_corrupted_forms_table(dim, monkeypatch):
     space, below = make_space(dim), make_space(dim - 2)
+    # the maps and rows are made, and cached, from the sound tables
+    assert _lemma_failures(dim) == {}
     with monkeypatch.context() as m:
         # the table of D - 2, which G' reads: the z-commutation rests on it too
         m.setattr(below, "forms", span_vectors((0, *below.gram[1:])))

@@ -293,6 +293,44 @@ def test_subset_xor_table_is_built_only_in_span_vectors():
     assert sites[0][0] == "gf2.py" and span.lineno <= sites[0][1] <= span.end_lineno, sites
 
 
+def _top_functions(path) -> dict[str, ast.FunctionDef]:
+    return {fn.name: fn for fn in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(fn, ast.FunctionDef)}
+
+
+def _names_read(fn) -> set[str]:
+    """The bare names and attribute names that fn reads."""
+    nodes = (node for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute)))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes}
+
+
+def test_recursion_reaches_tau_only_through_pushes():
+    # family.pushes is the one recursion step: outside taumaps.py only family.py imports
+    # tau by name, and only pushes reads it there.  Every check reads taumaps.tau, so
+    # that a map substituted in taumaps reaches all of them.
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "taumaps.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.alias) and node.name == "tau":
+                    readers.add(f"{where} imports tau")
+                elif isinstance(node, ast.Name) and node.id == "tau":
+                    readers.add(where)
+                elif isinstance(node, ast.Attribute) and node.attr == "tau":
+                    if not (isinstance(node.value, ast.Name) and node.value.id == "taumaps"):
+                        readers.add(where)
+    assert readers == {"family.<module> imports tau", "family.pushes"}, sorted(readers)
+    # the recursions and the change of basis push through pushes alone, and the
+    # complement check reads the map it is given
+    family, fourier = _top_functions(SRC / "family.py"), _top_functions(SRC / "fourier.py")
+    for fn in (family["family_subspaces"], family["family_subspaces_prime"], fourier["push_up"]):
+        assert not _names_read(fn) & {"tau", "key_table", "push_key"}, fn.name
+        assert "pushes" in _names_read(fn), fn.name
+    assert "tau" not in _names_read(_top_functions(SRC / "taumaps.py")["check_complement"])
+
+
 # each value type, its field names in order, and two values whose field tuples differ
 VALUE_TYPES = [
     (Subspace, ("rows",), ((1, 6),), ((2,),)),
