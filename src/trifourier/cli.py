@@ -8,7 +8,7 @@ import os
 import sys
 import types
 
-from .report import Report, fraction_string
+from .report import Report
 
 
 def even_dim(text: str) -> int:
@@ -107,7 +107,7 @@ def _run_verify(args) -> int:
 
 
 def _run_nonabelian(args) -> int:
-    from . import nonabelian
+    from . import nonabelian, packed
 
     # usage errors and bad basis files are refused before the Fourier matrix is built
     if args.format == "json" and args.check in ("involution", "trace"):
@@ -144,8 +144,7 @@ def _run_nonabelian(args) -> int:
         print(f"involution: {'pass' if ok else 'fail'}")
         return 0 if ok else 1
     if args.check == "trace":
-        tr = ft.trace()
-        print(fraction_string(tr.num[0], tr.den) if tr.is_rational() else repr(tr))  # a Cyc is in lowest terms
+        print(packed.scalar_text(ft.diagonal_sum(), ft.den))
         return 0
     if args.check == "hyperplane":
         rep = nonabelian.hyperplane_check(ft)

@@ -1,64 +1,21 @@
-"""Exact arithmetic in the degree-16 cyclotomic field of 60th roots of unity.
+"""Field arithmetic on one value of the degree-16 cyclotomic field of 60th roots of unity.
 
-One field hosts every root of unity needed downstream: order 3 (theta),
-order 4 (the imaginary unit) and order 5 (zeta), since lcm(3,4,5) | 60;
-with z = exp(2 pi i / 60) they are z^20, z^15 and z^12.
-Elements are integer coefficient vectors over the power basis z^0..z^15
-with a common positive denominator, reduced by the minimal polynomial
-    z^16 + z^14 - z^10 - z^8 - z^6 + z^2 + 1.
+The field, its power basis z^0..z^15 and the rendering of a value live in
+`packed`, which every command uses; a `Cyc` wraps one value, a coefficient
+tuple over a positive denominator in lowest terms, for `+ - * / **`.  Only
+the code that returns a `Cyc` loads this module: `FTMatrix.matrix`,
+`FTMatrix.trace()` and `trifourier.Cyc`.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from sys import hash_info
 from typing import TYPE_CHECKING
 
-from .report import fraction_string
+from .packed import DEGREE, cyc_text, json_terms, lowest_terms, reduce_powers
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-N = 60
-DEGREE = 16
-# -(coefficients of the minimal polynomial below degree 16): z^16 = _SUBST . (z^0..z^15)
-_MIN_POLY_TAIL = (1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0)
-_SUBST = tuple(-c for c in _MIN_POLY_TAIL)
-
-
-def _build_power_table() -> tuple[tuple[int, ...], ...]:
-    """Reduced coefficient vectors of z^k for k = 0..60."""
-    table = [tuple(1 if j == k else 0 for j in range(DEGREE)) for k in range(DEGREE)]
-    for _ in range(DEGREE, N + 1):
-        prev = table[-1]
-        shifted = [0] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            shifted = [s + top * c for s, c in zip(shifted, _SUBST)]
-        table.append(tuple(shifted))
-    return tuple(table)
-
-
-POWERS = _build_power_table()
-# the non-zero (j, coefficient) pairs of each reduced power z^k
-_TERMS = tuple(tuple((j, c) for j, c in enumerate(p) if c) for p in POWERS)
-
-
-def reduce_powers(coeffs) -> tuple[int, ...]:
-    """The coefficients over z^0..z^15 of sum_k coeffs[k] z^k, for k = 0..60."""
-    out = list(coeffs[:DEGREE])
-    out += [0] * (DEGREE - len(out))
-    for k in range(DEGREE, len(coeffs)):
-        c = coeffs[k]
-        if c:
-            for j, p in _TERMS[k]:
-                out[j] += c * p
-    return tuple(out)
-
-
-def conj_coeffs(num) -> tuple[int, ...]:
-    """Complex conjugation on coefficients: z^j maps to z^(60-j)."""
-    return reduce_powers((num[0], *(0,) * (N - DEGREE), *num[:0:-1]))
 
 
 class Cyc:
@@ -70,14 +27,7 @@ class Cyc:
         num = tuple(int(c) for c in num)
         if len(num) != DEGREE:
             raise ValueError(f"need {DEGREE} coefficients, got {len(num)}")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = tuple(-c for c in num), -den
-        g = gcd(den, *num) if any(num) else den
-        if g > 1:
-            num = tuple(c // g for c in num)
-            den //= g
+        num, den = lowest_terms(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -219,16 +169,8 @@ class Cyc:
         return hash(h if p >= 0 else -h)
 
     def __repr__(self) -> str:
-        if self.is_rational():
-            return f"Cyc({fraction_string(self.num[0], self.den)})"
-        terms = [f"{fraction_string(c, self.den)}*z^{j}" for j, c in enumerate(self.num) if c]
-        return "Cyc(" + " + ".join(terms) + ")"
+        return cyc_text(self.num, self.den)
 
     def to_json(self) -> list[dict]:
         """The nonzero terms, each coefficient c/den in lowest terms (den > 0)."""
-        terms = []
-        for j, c in enumerate(self.num):
-            if c:
-                g = gcd(c, self.den)
-                terms.append({"num": c // g, "den": self.den // g, "exp": j})
-        return terms
+        return json_terms(self.num, self.den)

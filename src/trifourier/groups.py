@@ -23,8 +23,7 @@ from __future__ import annotations
 from itertools import permutations
 from math import lcm
 
-from .cyclotomic import N, POWERS, Cyc
-from .packed import ZERO, Vec, conj, matmul
+from .packed import N, POWERS, ZERO, Vec, conj, cyc_text, matmul
 
 Perm = tuple[int, ...]
 
@@ -162,14 +161,15 @@ class CharacterTable:
         unit = (n,) + ZERO[1:]
         total = matmul([degrees], [[d] for d in degrees])[0][0]
         if total != unit:
-            raise AssertionError(f"sum of squared degrees {Cyc(total)!r} != {n}")
+            raise AssertionError(f"sum of squared degrees {cyc_text(total, 1)} != {n}")
         weighted = [[tuple(w * a for a in v) for w, v in zip(self.weights, row)] for row in x]
         gram = matmul(weighted, [list(col) for col in zip(*conj(x))])
         for i, row in enumerate(gram):
             for j in range(i, len(row)):
                 if row[j] != (unit if i == j else ZERO):
-                    acc = Cyc(row[j])
-                    raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {acc!r}")
+                    raise AssertionError(
+                        f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {cyc_text(row[j], 1)}"
+                    )
         return x
 
 

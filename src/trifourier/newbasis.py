@@ -17,10 +17,9 @@ from __future__ import annotations
 from math import gcd
 
 from . import nonabelian, packed
-from .cyclotomic import Cyc
 from .nonabelian import FTMatrix, MPair
 from .packed import Vec
-from .report import Report, fraction_string
+from .report import Report, fraction_string, integer_string
 
 
 class NewBasis:
@@ -132,10 +131,11 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]
 
     V and U are integer matrices, so every entry of V F U is an integer
     combination of the entries of F, and packing commutes with that: F is
-    packed once and V F U is unpacked once.  Power s of entry (i, j) is
-    sum_k sum_l V[i][k] F[k][l]_s U[l][j], at most max|F| times the largest
-    absolute row sum of V times the largest absolute column sum of U, which
-    sets the packing width; there is no product of two polynomials.
+    packed once and each distinct value of V F U is unpacked once.  Power s
+    of entry (i, j) is sum_k sum_l V[i][k] F[k][l]_s U[l][j], at most max|F|
+    times the largest absolute row sum of V times the largest absolute column
+    sum of U, which sets the packing width; there is no product of two
+    polynomials.
     """
     g = gcd(det, *(a for row in adj for a in row)) * (1 if det > 0 else -1)
     v = [[a // g for a in row] for row in adj]
@@ -148,8 +148,8 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]
     )
     fu = [[sum(row[l] * a for l, a in col) for col in u_cols] for row in pk.pack_rows(ft.num)]
     cols = range(len(u_cols))
-    vfu = [[pk.unpack(sum(fu[k][j] * a for k, a in row)) for j in cols] for row in v_rows]
-    return vfu, ft.den * (det // g)
+    vfu = [[sum(fu[k][j] * a for k, a in row) for j in cols] for row in v_rows]
+    return pk.unpack_rows(vfu), ft.den * (det // g)
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
@@ -170,7 +170,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
     if basis.size != n:
         return rep
     det, adj = adjugate(basis.matrix)
-    rep.require("unimodular", det in (1, -1), f"det = {det}")
+    rep.require("unimodular", det in (1, -1), f"det = {integer_string(det)}")
     if det == 0:
         return rep
     piece_of = {}
@@ -187,12 +187,12 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
     violation = None
     if bad:
         i, j = bad
-        violation = (md.pairs[i], md.pairs[j], Cyc(fh[i][j], fden))
+        violation = (md.pairs[i], md.pairs[j], packed.cyc_text(fh[i][j], fden))
     rep.require(
         "triangular",
         violation is None,
         "" if violation is None else
-        f"image of hat{violation[1]} has coefficient {violation[2]!r} on hat{violation[0]} "
+        f"image of hat{violation[1]} has coefficient {violation[2]} on hat{violation[0]} "
         f"(piece {piece_of[md.index[violation[0]]] + 1} <= {piece_of[md.index[violation[1]]] + 1})",
     )
     diag = [fh[i][i] for i in range(n)]

@@ -30,10 +30,9 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import packed
-from .cyclotomic import Cyc
 from .groups import (
     CharacterTable,
     PermGroup,
@@ -48,7 +47,10 @@ from .groups import (
     symmetric_group,
 )
 from .packed import ZERO, Vec
-from .report import Report, fraction_string
+from .report import Report
+
+if TYPE_CHECKING:
+    from .cyclotomic import Cyc
 
 # names defined in `newbasis`, imported from there on first access (PEP 562)
 _NEWBASIS = frozenset({
@@ -180,9 +182,11 @@ class FTMatrix:
     Stored as F = (1/den) * num: num[i][j] holds the 16 power-basis
     coefficients of entry (i, j) (a `packed.Vec`), num is a list of n rows.
     `num` and `den` are the only source of truth: every check and the
-    export read them.  `matrix` is a view of the same entries as `Cyc`
-    values, built on first use (the benchmark's multiplication probe reads
-    it), so a change made to `matrix` is not seen by the checks.
+    export read them, and print through `packed`.  `matrix` and `trace()`
+    return `Cyc` values, for field arithmetic on the entries (the
+    benchmark's multiplication probe reads `matrix`); only they load
+    `cyclotomic`.  `matrix` is built on first use, so a change made to it is
+    not seen by the checks.
     """
 
     def __init__(self, mdata: MData, num: list[list[Vec]], den: int) -> None:
@@ -192,14 +196,22 @@ class FTMatrix:
 
     @cached_property
     def matrix(self) -> list[list[Cyc]]:
-        return packed.to_cyc_rows(self.num, self.den)
+        from .cyclotomic import Cyc
+
+        return [[Cyc(v, self.den) for v in row] for row in self.num]
 
     @property
     def size(self) -> int:
         return len(self.num)
 
+    def diagonal_sum(self) -> Vec:
+        """Numerators of the trace, over den."""
+        return tuple(map(sum, zip(*(row[i] for i, row in enumerate(self.num)))))
+
     def trace(self) -> Cyc:
-        return Cyc(tuple(map(sum, zip(*(row[i] for i, row in enumerate(self.num))))), self.den)
+        from .cyclotomic import Cyc
+
+        return Cyc(self.diagonal_sum(), self.den)
 
     def is_symmetric(self) -> bool:
         return all(self.num[i][j] == self.num[j][i] for i in range(self.size) for j in range(i))
@@ -219,7 +231,7 @@ class FTMatrix:
 
     def to_json(self) -> dict:
         # each distinct entry is rendered once: s5 has 28 values among its 1,521 entries
-        table = {v: Cyc(v, self.den).to_json() for v in {v for row in self.num for v in row}}
+        table = {v: packed.json_terms(v, self.den) for v in {v for row in self.num for v in row}}
         return {
             "group": self.mdata.name,
             "pairs": [{"x": p.x, "rho": p.rho} for p in self.mdata.pairs],
@@ -314,14 +326,16 @@ def hyperplane_check(ft: FTMatrix) -> Report:
 
     The hyperplane is cut out by a(g5,zeta) + a(g5,zeta4) - a(g5,zeta2)
     - a(g5,zeta3) = 0; its stability under the matrix is equivalent to the
-    functional composing to a scalar multiple of itself.
+    functional composing to a scalar multiple of itself.  phi . F is the
+    signed sum of the four rows of F that phi reads.
     """
     md = ft.mdata
     rep = Report("hyperplane s5")
     phi = [0] * ft.size
     for rho, sign in (("zeta", 1), ("zeta4", 1), ("zeta2", -1), ("zeta3", -1)):
         phi[md.index[MPair("g5", rho)]] = sign
-    composed = packed.matmul(packed.rational([phi]), ft.num)[0]  # numerators of phi . F, over ft.den
+    signed = [[v if sign > 0 else tuple(-a for a in v) for v in ft.num[k]] for k, sign in enumerate(phi) if sign]
+    composed = [tuple(map(sum, zip(*column))) for column in zip(*signed)]  # numerators of phi . F, over ft.den
     lam = composed[md.index[MPair("g5", "zeta")]]  # phi has coefficient 1 there
     residual = [j for j, (v, p) in enumerate(zip(composed, phi)) if v != tuple(p * a for a in lam)]
     rep.require(
@@ -329,8 +343,7 @@ def hyperplane_check(ft: FTMatrix) -> Report:
         not residual,
         f"residual at {[str(md.pairs[j]) for j in residual][:3]}",
     )
-    lam = Cyc(lam, ft.den)
-    unit = lam.is_rational() and lam.den == 1 and lam.num[0] in (1, -1)
-    rep.require("scalar is +-1", unit, "" if unit else repr(lam))
-    rep.add("scalar", True, fraction_string(lam.num[0], lam.den) if lam.is_rational() else repr(lam))
+    unit = not any(lam[1:]) and abs(lam[0]) == ft.den
+    rep.require("scalar is +-1", unit, "" if unit else packed.cyc_text(lam, ft.den))
+    rep.add("scalar", True, packed.scalar_text(lam, ft.den))
     return rep

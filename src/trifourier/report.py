@@ -5,11 +5,25 @@ from __future__ import annotations
 from math import gcd
 
 
+# An integer of more bits than this prints as a stand-in: its digits are not read one by
+# one, and str() of an int is quadratic and refuses one of more than 4,300 digits.
+MAX_PRINTED_BITS = 256
+
+
+def integer_string(n: int) -> str:
+    """str(n), or "<1,234-bit integer>" (signed) for an n of more than MAX_PRINTED_BITS bits."""
+    bits = n.bit_length()
+    if bits <= MAX_PRINTED_BITS:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{bits:,}-bit integer>"
+
+
 def fraction_string(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms, without importing fractions."""
+    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms, without importing
+    fractions; each integer goes through `integer_string`."""
     g = gcd(num, den)
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    return integer_string(num) if den == 1 else f"{integer_string(num)}/{integer_string(den)}"
 
 
 class Check:

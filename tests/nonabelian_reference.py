@@ -4,7 +4,8 @@ The command line accepts s3, s4 and s5 only.  The cross-checks also need the
 group s2 and direct products written "s3xs2": their Fourier matrix must be the
 tensor product of the factors' matrices.  This module builds them from the
 package's table builders, and holds the trace bookkeeping that pins the S5
-piece signs and the writer of basis files.
+piece signs, the writer of basis files, and the `Cyc` references that the
+packed kernel is held against.
 """
 
 from fractions import Fraction
@@ -34,7 +35,43 @@ from trifourier.nonabelian import (
     nonabelian_ft,
     piece_partition,
 )
+from trifourier.packed import ZERO, Vec
 from trifourier.report import Report
+
+from fraction_reference import fraction_inverse
+
+
+def rational(m) -> list[list[Vec]]:
+    """An integer matrix as numerators over den 1."""
+    return [[(x,) + ZERO[1:] for x in row] for row in m]
+
+
+def to_cyc_rows(rows: list[list[Vec]], den: int) -> list[list[Cyc]]:
+    return [[Cyc(v, den) for v in row] for row in rows]
+
+
+def cyc_product(a: list[list[Cyc]], b: list[list[Cyc]]) -> list[list[Cyc]]:
+    """A B entry by entry in `Cyc` arithmetic."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Cyc.from_rational(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def conjugated_reference(ft: FTMatrix, u: list[list[int]]) -> list[list[Cyc]]:
+    """U^-1 F U in `Cyc` arithmetic, with U^-1 from Gauss-Jordan over Fractions."""
+    uinv = [[Cyc.from_rational(v) for v in row] for row in fraction_inverse(u)]
+    return cyc_product(uinv, cyc_product(ft.matrix, [[Cyc.from_rational(v) for v in row] for row in u]))
+
+
+def unimodular(n: int, rng) -> list[list[int]]:
+    """A random integer matrix of determinant 1: elementary row additions on the identity."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
 
 
 def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
@@ -119,7 +156,7 @@ def kron_ft(a: FTMatrix, b: FTMatrix) -> list[list[Cyc]]:
 def apply_columns(ft: FTMatrix, coeffs: list) -> list[Cyc]:
     """F times a column of rational basis coefficients (ints or Fractions), by the packed product."""
     den = lcm(*(Fraction(c).denominator for c in coeffs))
-    column = packed.rational([[int(c * den)] for c in coeffs])
+    column = rational([[int(c * den)] for c in coeffs])
     return [Cyc(v, ft.den * den) for v, in packed.matmul(ft.num, column)]
 
 

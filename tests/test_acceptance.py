@@ -7,7 +7,7 @@ import json
 import time
 from fractions import Fraction
 
-from trifourier.cyclotomic import Cyc, conj_coeffs
+from trifourier.cyclotomic import Cyc
 from trifourier.dihedral import verify_embedding_equivariance, verify_family_stability, verify_relations
 from trifourier.family import (
     build_family,
@@ -33,6 +33,7 @@ from trifourier.nonabelian import (
     s3_new_basis,
     verify_triangular,
 )
+from trifourier.packed import conj_coeffs
 from trifourier.taumaps import check_complement, tau, verify_composition_identity
 
 from gf2_reference import characteristic, dense_z_commutation, signed_binomial_sum

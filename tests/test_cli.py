@@ -171,6 +171,32 @@ def test_nonabelian_basis_file_unsupported_group(tmp_path, group):
     assert f"unsupported group {group!r}" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["dense", "unimodular"])
+def test_nonabelian_basis_with_huge_numbers_fails_in_one_bounded_line(tmp_path, kind):
+    # Past 4,300 digits str() of an int raises.  A dense basis of 700-digit entries has a
+    # determinant of 18,597 bits, and a unimodular one with a 2,201-digit entry has a
+    # coefficient of 14,617 bits in U^-1 F U: each prints as a bit count, computed without str.
+    if kind == "dense":
+        rng = random.Random(700)
+        u = [[rng.randrange(10**699, 10**700) for _ in range(8)] for _ in range(8)]
+        failing = "[FAIL] unimodular: det = <18,597-bit integer>"
+    else:
+        u = [row[:5] + [row[5] + (10**2200 + 7) * row[0]] + row[6:] for row in s3_new_basis("g2").matrix]
+        failing = "[FAIL] triangular: image of hat(g3,1) has coefficient Cyc(-<14,617-bit integer>/3) on hat(1,1)"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(new_basis_to_json(NewBasis("s3", "", u))), encoding="utf-8")
+    src = str(Path(trifourier.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trifourier", "nonabelian", "--group", "s3", "--check", "newbasis", "--basis", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith(failing)], lines
+    assert max(map(len, lines)) < 200
+
+
 def test_nonabelian_hyperplane(capsys):
     code, out, _ = run(capsys, "nonabelian", "--group", "s5", "--check", "hyperplane")
     assert code == 0
@@ -566,7 +592,8 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
     # module, and no check imports fractions: the trace, the hyperplane scalar, a
     # failing entry and a non-integer basis coefficient are printed from integers.  The
     # JSON writer takes its string encoder from the C module _json; only reading a basis
-    # file needs json.
+    # file needs json.  Every check computes and prints packed values: none loads the
+    # `Cyc` class, which only `FTMatrix.matrix` and `FTMatrix.trace()` return (the last step).
     lean = ("json", "fractions", "trifourier.newbasis")
     runs = [(["--group", g, "--check", c], 0, lean) for g in ("s3", "s4", "s5") for c in ("involution", "trace", "matrix")]
     runs += [(["--group", "s5", "--check", "hyperplane", "--format", f], 0, lean) for f in ("text", "json")]
@@ -582,9 +609,14 @@ def test_nonabelian_checks_leave_numpy_unimported(tmp_path):
         "        rc = main(['nonabelian', *argv])\n"
         "    assert rc == want, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('numpy was imported', argv)\n"
-        "    unwanted = ('trifourier.gf2', 'trifourier.family', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale', *absent)\n"
+        "    unwanted = ('trifourier.gf2', 'trifourier.family', 'trifourier.cyclotomic', 'dataclasses', 'inspect',\n"
+        "                'argparse', 'gettext', 'locale', *absent)\n"
         "    loaded = [m for m in unwanted if m in sys.modules]\n"
         "    assert not loaded, (loaded, argv)\n"
+        "from trifourier.nonabelian import nonabelian_ft\n"
+        "entries = nonabelian_ft('s5').matrix\n"
+        "assert 'trifourier.cyclotomic' in sys.modules\n"
+        "assert (entries[0][0] * entries[-1][-1]).den > 0\n"
     )
     src = str(Path(trifourier.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -622,6 +654,28 @@ def test_benchmark_trace_hooks_resolve():
         [sys.executable, "-c", script], cwd=root / "perfbench", env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_traced_pass_runs_on_the_nonabelian_workload(tmp_path):
+    # The traced pass runs every nonabelian-s5 command in process and then multiplies
+    # sampled `Cyc` entries of `FTMatrix.matrix`, the probe that loads `cyclotomic` lazily.
+    # It reads the basis file the benchmark writes, here into a temporary directory.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    (tmp_path / ".perfbench_out").mkdir()
+    write_basis = (
+        "import json, checks\n"
+        "with open('.perfbench_out/s5-identity-basis.json', 'w', encoding='utf-8') as fh:\n"
+        "    json.dump(checks.identity_basis_s5(), fh)\n"
+    )
+    traced = [str(root / "perfbench" / "traced.py"), "--workload", "nonabelian-s5", "--seed", "1", "--out", "trace.json"]
+    for argv in (["-c", write_basis], traced):
+        proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "trace.json").read_text("utf-8"))
+    assert doc["ops"] and all(op["problem"] is None for op in doc["ops"]), doc["ops"]
+    mul_us, unit = doc["metrics"]["cyclotomic.mul_us"]
+    assert mul_us > 0 and unit == "us"
 
 
 def _verify_all(dim):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from trifourier.cyclotomic import DEGREE, N, POWERS, Cyc, conj_coeffs
+from trifourier.cyclotomic import Cyc
+from trifourier.packed import DEGREE, N, POWERS, conj_coeffs
 
 
 def to_complex(a: Cyc) -> complex:

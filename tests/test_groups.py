@@ -1,6 +1,6 @@
 import pytest
 
-from trifourier.cyclotomic import POWERS, Cyc, conj_coeffs
+from trifourier.cyclotomic import Cyc
 from trifourier.groups import (
     cycle_type,
     from_cycles,
@@ -13,6 +13,7 @@ from trifourier.groups import (
     symmetric_group,
 )
 from trifourier.nonabelian import mdata
+from trifourier.packed import POWERS, conj_coeffs
 
 from nonabelian_reference import group_data, product_group
 

@@ -26,7 +26,9 @@ from nonabelian_reference import (
     group_ft,
     kron_ft,
     new_basis_to_json,
+    rational,
     sign_consistency_report,
+    unimodular,
 )
 
 # image coefficients of the first two basis vectors for the smallest group,
@@ -266,16 +268,6 @@ def test_ft_json_shape():
     assert len(doc["pairs"]) == 8 and len(doc["entries"]) == 8
 
 
-def _unimodular(n: int, rng) -> list[list[int]]:
-    """A random integer matrix of determinant 1: elementary row additions on the identity."""
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return m
-
-
 @pytest.mark.parametrize("name", ["s3", "s4", "s5"])
 def test_conjugated_packs_once_as_two_products(name):
     # V F U by one packing of F equals the two packed products, for the identity, the s3
@@ -288,12 +280,12 @@ def test_conjugated_packs_once_as_two_products(name):
     ft = nonabelian_ft(name)
     n = ft.size
     rng = random.Random(16)
-    bases = [[[int(i == j) for j in range(n)] for i in range(n)], _unimodular(n, rng), _unimodular(n, rng)]
+    bases = [[[int(i == j) for j in range(n)] for i in range(n)], unimodular(n, rng), unimodular(n, rng)]
     if name == "s3":
         bases += [s3_new_basis(v).matrix for v in ("g2", "e")]
     for u in bases:
         det, adj = adjugate(u)
         sign = 1 if det > 0 else -1
-        v = packed.rational([[sign * a for a in row] for row in adj])
-        expected = packed.matmul(v, packed.matmul(ft.num, packed.rational(u)))
+        v = rational([[sign * a for a in row] for row in adj])
+        expected = packed.matmul(v, packed.matmul(ft.num, rational(u)))
         assert _conjugated(ft, u, det, adj) == (expected, ft.den * abs(det))

@@ -1,13 +1,15 @@
 """The packed cyclotomic-matrix kernel against definitional `Cyc` computations."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from trifourier import packed
 from trifourier.bareiss import adjugate
-from trifourier.cyclotomic import DEGREE, POWERS, Cyc, conj_coeffs
+from trifourier.cyclotomic import Cyc
 from trifourier.groups import CharacterTable, _cyclic_table, pconj, pinv, pmul
 from trifourier.nonabelian import (
     FTMatrix,
@@ -18,9 +20,18 @@ from trifourier.nonabelian import (
     nonabelian_ft,
     s3_new_basis,
 )
+from trifourier.packed import DEGREE, POWERS, conj_coeffs
 
-from fraction_reference import fraction_inverse
-from nonabelian_reference import apply_columns, group_data, group_ft
+from nonabelian_reference import (
+    apply_columns,
+    conjugated_reference,
+    cyc_product,
+    group_data,
+    group_ft,
+    rational,
+    to_cyc_rows,
+    unimodular,
+)
 
 
 def reference_ft(name: str) -> list[list[Cyc]]:
@@ -48,13 +59,6 @@ def reference_ft(name: str) -> list[list[Cyc]]:
     return matrix
 
 
-def reference_product(a: list[list[Cyc]], b: list[list[Cyc]]) -> list[list[Cyc]]:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Cyc.from_rational(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def random_vec(rng: random.Random, size: int = 5) -> packed.Vec:
     return tuple(rng.randint(-size, size) for _ in range(DEGREE))
 
@@ -80,10 +84,10 @@ def test_fold_and_conj_match_cyc_arithmetic():
     rng = random.Random(5)
     a, aden = [[random_vec(rng) for _ in range(3)] for _ in range(2)], 6
     b, bden = [[random_vec(rng) for _ in range(2)] for _ in range(3)], 7
-    xs, ys = packed.to_cyc_rows(a, aden), packed.to_cyc_rows(b, bden)
-    got = packed.to_cyc_rows(packed.matmul(a, b), aden * bden)
-    assert got == reference_product(xs, ys)
-    assert packed.to_cyc_rows(packed.conj(a), aden) == [[Cyc(conj_coeffs(v.num), v.den) for v in row] for row in xs]
+    xs, ys = to_cyc_rows(a, aden), to_cyc_rows(b, bden)
+    got = to_cyc_rows(packed.matmul(a, b), aden * bden)
+    assert got == cyc_product(xs, ys)
+    assert to_cyc_rows(packed.conj(a), aden) == [[Cyc(conj_coeffs(v.num), v.den) for v in row] for row in xs]
 
 
 def test_perturbed_slice_fails_involution():
@@ -98,6 +102,25 @@ def test_perturbed_slice_fails_involution():
     assert not hyperplane_check(broken).ok
 
 
+@pytest.mark.parametrize("row, col", [(("g5", "zeta"), ("g3", "1")), (("g5", "zeta2"), ("g5", "zeta"))])
+def test_corrupted_s5_fails_the_eigenvector_check_at_the_cyc_residual(row, col):
+    # phi . F as four signed rows gives the residual that `Cyc` arithmetic gives; the second
+    # corruption changes the entry the scalar is read from, so the scalar leaves the rationals
+    ft = nonabelian_ft("s5")
+    md = ft.mdata
+    i, j = md.index[MPair(*row)], md.index[MPair(*col)]
+    num = [list(r) for r in ft.num]
+    num[i][j] = num[j][i] = tuple(c + (k == 3) for k, c in enumerate(num[i][j]))
+    broken = FTMatrix(md, num, ft.den)
+    phi = {md.index[MPair("g5", rho)]: sign for rho, sign in (("zeta", 1), ("zeta4", 1), ("zeta2", -1), ("zeta3", -1))}
+    m = to_cyc_rows(num, ft.den)
+    composed = [sum((m[k][c] * s for k, s in phi.items()), Cyc.from_rational(0)) for c in range(ft.size)]
+    lam = composed[md.index[MPair("g5", "zeta")]]
+    residual = [str(md.pairs[c]) for c in range(ft.size) if composed[c] != lam * phi.get(c, 0)]
+    check = next(c for c in hyperplane_check(broken).checks if c.check_id == "functional is an eigenvector")
+    assert not check.ok and check.details == f"residual at {residual[:3]}"
+
+
 @pytest.mark.parametrize("name", ["s3", "s4", "s5"])
 def test_square_upper_is_the_upper_triangle_of_the_square(name):
     ft = nonabelian_ft(name)
@@ -106,9 +129,9 @@ def test_square_upper_is_the_upper_triangle_of_the_square(name):
     rng = random.Random(7)
     cells = {(i, j): random_vec(rng) for i in range(4) for j in range(i, 4)}
     num, den = [[cells[min(i, j), max(i, j)] for j in range(4)] for i in range(4)], 5
-    sym = packed.to_cyc_rows(num, den)
-    want = reference_product(sym, sym)
-    got = packed.to_cyc_rows(packed.square_upper(num), den * den)
+    sym = to_cyc_rows(num, den)
+    want = cyc_product(sym, sym)
+    got = to_cyc_rows(packed.square_upper(num), den * den)
     assert got == [want[i][i:] for i in range(4)]
 
 
@@ -164,7 +187,7 @@ def test_headroom_guard_rejects_out_of_range_product():
     for sign in (1, -1):
         a = [[(sign * top_a,) * DEGREE] * m]
         c = [[(top_c,) * DEGREE]] * m
-        want = reference_product(packed.to_cyc_rows(a, 1), packed.to_cyc_rows(c, 1))
+        want = cyc_product(to_cyc_rows(a, 1), to_cyc_rows(c, 1))
         assert packed.matmul(a, c) == [[want[0][0].num]]
         pk = packed.for_product(m, top_a, top_c)
         assert pk.half > bound >= pk.half // 2
@@ -176,7 +199,7 @@ def test_headroom_guard_rejects_out_of_range_product():
 
 
 def test_slice_product_past_int64_runs_in_python_ints():
-    big = packed.rational([[2**31] * 3] * 3)
+    big = rational([[2**31] * 3] * 3)
     wide = packed.matmul(big, big)
     assert [[v[0] for v in row] for row in wide] == [[3 * 2**62] * 3] * 3  # past 2^63 - 1
     assert all(v[1:] == packed.ZERO[1:] for row in wide for v in row)
@@ -214,22 +237,75 @@ def test_apply_columns_with_large_coefficients():
     assert apply_columns(ft, coeffs) == want
 
 
-@pytest.mark.parametrize("change", ["none", "huge", "scaled"])
-def test_conjugated_matrix_matches_definition(change):
-    ft = nonabelian_ft("s3")
-    u = s3_new_basis("e").matrix
+@pytest.mark.parametrize("change", ["none", "huge", "scaled", "g2", "s4-unimodular"])
+def test_conjugated_matrix_matches_definition(change, monkeypatch):
+    # U^-1 F U, each distinct value unpacked once, against the `Cyc` reference entry for entry:
+    # both embedded s3 bases, two changes of the "e" basis and a random unimodular s4 basis
+    unpacked = []
+    unpack = packed.Packing.unpack
+    monkeypatch.setattr(packed.Packing, "unpack", lambda pk, x: unpacked.append(x) or unpack(pk, x))
+    ft = nonabelian_ft("s4" if change == "s4-unimodular" else "s3")
+    u = s3_new_basis("g2" if change == "g2" else "e").matrix
     if change == "huge":  # add 10^25 times column 0 to column 5: still unimodular, far beyond int64
         u = [row[:5] + [row[5] + 10**25 * row[0]] + row[6:] for row in u]
     if change == "scaled":  # double column 5: the inverse has denominator 2
         u = [row[:5] + [2 * row[5]] + row[6:] for row in u]
-    uinv = fraction_inverse([[Fraction(v) for v in row] for row in u])
-    as_cyc = [[Cyc.from_rational(v) for v in row] for row in uinv]
-    want = reference_product(as_cyc, reference_product(ft.matrix, [[Cyc.from_rational(v) for v in row] for row in u]))
+    if change == "s4-unimodular":
+        u = unimodular(ft.size, random.Random(21))
     det, adj = adjugate(u)
-    assert packed.to_cyc_rows(*_conjugated(ft, u, det, adj)) == want
+    assert to_cyc_rows(*_conjugated(ft, u, det, adj)) == conjugated_reference(ft, u)
+    assert len(unpacked) == len(set(unpacked))
 
 
 @pytest.mark.parametrize("name", ["s3", "s5"])
 def test_to_json_matches_cyc_entries(name):
     ft = nonabelian_ft(name)
     assert ft.to_json()["entries"] == [[v.to_json() for v in row] for row in ft.matrix]
+
+
+def _fraction_text(num, den) -> str:
+    """The `Cyc(...)` text from `fractions`, an oracle sharing no code with `packed`."""
+    if not any(num[1:]):
+        return f"Cyc({Fraction(num[0], den)})"
+    return "Cyc(" + " + ".join(f"{Fraction(c, den)}*z^{j}" for j, c in enumerate(num) if c) + ")"
+
+
+def test_renderers_agree_with_cyc():
+    # every distinct entry of the three matrices and of U^-1 F U for both s3 bases, as the
+    # commands render them (over the matrix's denominator, not in lowest terms), and the
+    # edge values: zero, a negative denominator, a common factor and a non-rational value
+    values = {(v, ft.den) for ft in map(nonabelian_ft, ("s3", "s4", "s5")) for row in ft.num for v in row}
+    ft = nonabelian_ft("s3")
+    for variant in ("g2", "e"):
+        u = s3_new_basis(variant).matrix
+        rows, den = _conjugated(ft, u, *adjugate(u))
+        values |= {(v, den) for row in rows for v in row}
+    one = POWERS[0]
+    values |= {(packed.ZERO, 7), (packed.ZERO, -3), (tuple(-3 * a for a in one), -6),
+               (tuple(4 * a - 6 * b for a, b in zip(one, POWERS[12])), 10)}
+    for num, den in values:
+        c = Cyc(num, den)
+        assert packed.lowest_terms(num, den) == (c.num, c.den)
+        low = c.num, c.den
+        assert packed.cyc_text(*low) == repr(c) == _fraction_text(*low)
+        assert packed.json_terms(*low) == c.to_json()
+        if den > 0:  # what the commands render: the value over its matrix's denominator
+            assert packed.cyc_text(num, den) == repr(c)
+            assert packed.json_terms(num, den) == c.to_json()
+            assert packed.scalar_text(num, den) == (str(c.to_rational()) if c.is_rational() else repr(c))
+
+
+def test_cyc_renders_through_packed(monkeypatch):
+    # Cyc keeps no second copy of the lowest terms or the rendering: it calls `packed`
+    from trifourier import cyclotomic
+
+    calls = []
+    for name in ("lowest_terms", "cyc_text", "json_terms"):
+        real = getattr(cyclotomic, name)
+        monkeypatch.setattr(cyclotomic, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    c = Cyc(POWERS[20], 4)
+    assert (repr(c), c.to_json()) == (packed.cyc_text(c.num, c.den), packed.json_terms(c.num, c.den))
+    assert calls == ["lowest_terms", "cyc_text", "json_terms"]
+    imported = {alias.name for node in ast.walk(ast.parse(Path(cyclotomic.__file__).read_text("utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"gcd", "fraction_string"}
