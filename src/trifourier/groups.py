@@ -111,86 +111,75 @@ def symmetric_group(n: int) -> PermGroup:
 
 
 class CharacterTable:
-    """Irreducible characters of a centralizer, as element -> value maps.
+    """Irreducible characters of a centralizer, by conjugacy class.
 
-    A value is its 16 integer coefficients over the power basis z^0..z^15
-    (a `packed.Vec`), with no denominator: character values are sums of
-    roots of unity, so they are algebraic integers of the field.
+    `column` maps each element of the centralizer to the index of its class,
+    `labels` names the characters, and `x[s][c]` is the value of character s
+    on class c: its 16 integer coefficients over the power basis z^0..z^15
+    (a `packed.Vec`), with no denominator, since character values are sums
+    of roots of unity, so they are algebraic integers of the field.
 
-    The elements are grouped by their column of character values: `column[k]`
-    is the column of element k and `weights[c]` counts the elements of column
-    c.  Every character is constant on a column, so a sum over the elements
-    of a product of character values is the sum over the columns weighted by
-    `weights`.  For a valid table the columns are the conjugacy classes of
-    the centralizer: s5 has 7 columns for its 120 elements.
+    `weights[c]` counts the elements of class c: a sum over the elements of a
+    product of character values is the sum over the classes weighted by
+    `weights`.  S5 itself has 7 classes for its 120 elements.
     """
 
-    def __init__(
-        self, group_elements: tuple[Perm, ...], labels: tuple[str, ...], values: dict[str, dict[Perm, Vec]]
-    ) -> None:
-        self.group_elements = group_elements
+    def __init__(self, column: dict[Perm, int], labels: tuple[str, ...], x: list[list[Vec]]) -> None:
+        self.column = column
         self.labels = labels
-        self.values = values
-        rows = [values[lab] for lab in labels]
-        columns: dict[tuple[Vec, ...], int] = {}
-        self.column = [columns.setdefault(tuple(row[g] for row in rows), len(columns)) for g in group_elements]
-        self.weights = [0] * len(columns)
-        for c in self.column:
+        self.x = x
+        self.weights = [0] * len(x[0])
+        for c in column.values():
             self.weights[c] += 1
-        self._column_values = list(columns)
 
     @property
     def order(self) -> int:
-        return len(self.group_elements)
+        return len(self.column)
 
-    def coefficients(self) -> list[list[Vec]]:
-        """The value x[s][c] of character s on column c."""
-        return [list(row) for row in zip(*self._column_values)]
-
-    def validate(self) -> list[list[Vec]]:
+    def validate(self) -> None:
         """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table.
 
-        The Gram matrix sums over the columns, each weighted by its number of
-        elements.  Returns the `coefficients()` it checked, so that a caller
-        needs them only once.
+        The Gram matrix sums over the classes, each weighted by its number of
+        elements.
         """
         n = self.order
-        x = self.coefficients()
-        ident = self.column[self.group_elements.index(identity_perm(len(self.group_elements[0])))]
-        degrees = [row[ident] for row in x]
+        ident = self.column[identity_perm(len(next(iter(self.column))))]
+        degrees = [row[ident] for row in self.x]
         unit = (n,) + ZERO[1:]
         total = matmul([degrees], [[d] for d in degrees])[0][0]
         if total != unit:
             raise AssertionError(f"sum of squared degrees {cyc_text(total, 1)} != {n}")
-        weighted = [[tuple(w * a for a in v) for w, v in zip(self.weights, row)] for row in x]
-        gram = matmul(weighted, [list(col) for col in zip(*conj(x))])
+        weighted = [[tuple(w * a for a in v) for w, v in zip(self.weights, row)] for row in self.x]
+        gram = matmul(weighted, [list(col) for col in zip(*conj(self.x))])
         for i, row in enumerate(gram):
             for j in range(i, len(row)):
                 if row[j] != (unit if i == j else ZERO):
                     raise AssertionError(
                         f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {cyc_text(row[j], 1)}"
                     )
-        return x
 
 
 def _cyclic_table(gen: Perm, labels_and_exponents: list[tuple[str, int]]) -> CharacterTable:
-    """Characters of the cyclic group generated by gen; chi(gen^j) = z^(k j) for each label's exponent k."""
+    """Characters of the cyclic group generated by gen; chi(gen^j) = z^(k j) for each label's exponent k.
+
+    Each power gen^j is its own class, with index j.
+    """
     order = perm_order(gen)
-    elements = []
+    column = {}
     g = identity_perm(len(gen))
-    for _ in range(order):
-        elements.append(g)
+    for j in range(order):
+        column[g] = j
         g = pmul(gen, g)
-    values = {lab: {g: POWERS[k * j % N] for j, g in enumerate(elements)} for lab, k in labels_and_exponents}
-    return CharacterTable(tuple(elements), tuple(lab for lab, _ in labels_and_exponents), values)
+    x = [[POWERS[k * j % N] for j in range(order)] for _, k in labels_and_exponents]
+    return CharacterTable(column, tuple(lab for lab, _ in labels_and_exponents), x)
 
 
-def _table_by_classifier(elements, labels, classify, rows) -> CharacterTable:
-    classes = [classify(g) for g in elements]  # each element classified once, for every character
-    values = {
-        lab: dict(zip(elements, map(rows[lab].__getitem__, classes))) for lab in labels
-    }
-    return CharacterTable(tuple(elements), tuple(labels), values)
+def _table_by_classifier(elements, classify, rows: dict[str, dict]) -> CharacterTable:
+    """The table whose classes are the values of classify, in order of first appearance;
+    rows[lab] maps each class value to the integer value of character lab there."""
+    keys: dict = {}
+    column = {g: keys.setdefault(classify(g), len(keys)) for g in elements}
+    return CharacterTable(column, tuple(rows), [[(row[k],) + ZERO[1:] for k in keys] for row in rows.values()])
 
 
 # S_n character values by cycle type: degree -> (cycle types, label -> values in that order)
@@ -227,8 +216,7 @@ _SYM_CHARACTERS = {
 def _sym_table(n: int, elements: tuple[Perm, ...]) -> CharacterTable:
     """Character table of a symmetric group of degree 3 to 5, by cycle type."""
     types, chars = _SYM_CHARACTERS[n]
-    rows = {lab: {t: (v,) + ZERO[1:] for t, v in zip(types, vals)} for lab, vals in chars.items()}
-    return _table_by_classifier(elements, list(chars), cycle_type, rows)
+    return _table_by_classifier(elements, cycle_type, {lab: dict(zip(types, vals)) for lab, vals in chars.items()})
 
 
 def _sym_by_swap_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
@@ -243,12 +231,12 @@ def _sym_by_swap_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
     rows = {}
     for lab, vals in chars.items():
         for name, twist in ((lab, 1), ("-" + lab, -1)):
-            rows[name] = {(t, swap): (v * twist**swap,) + ZERO[1:] for t, v in zip(types, vals) for swap in (0, 1)}
+            rows[name] = {(t, swap): v * twist**swap for t, v in zip(types, vals) for swap in (0, 1)}
 
     def classify(g: Perm) -> tuple[tuple[int, ...], int]:
         return cycle_type(restrict(g, rest)), int(g[moved] != moved)
 
-    return _table_by_classifier(elements, list(rows), classify, rows)
+    return _table_by_classifier(elements, classify, rows)
 
 
 def _klein_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
@@ -261,14 +249,10 @@ def _klein_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
     def split(g: Perm) -> tuple[int, int]:
         return (1 if g in (x, both) else 0, 1 if g in (comp, both) else 0)
 
-    rows = {
-        "1": lambda a, b: 1,
-        "eps'": lambda a, b: (-1) ** a,
-        "eps''": lambda a, b: (-1) ** b,
-        "eps": lambda a, b: (-1) ** (a + b),
-    }
-    values = {lab: {(a, b): (fn(a, b),) + ZERO[1:] for a in (0, 1) for b in (0, 1)} for lab, fn in rows.items()}
-    return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps"), split, values)
+    # each character is multiplicative on Z2 x Z2, so its values on x and on comp fix it
+    at_x_and_comp = {"1": (1, 1), "eps'": (-1, 1), "eps''": (1, -1), "eps": (-1, -1)}
+    rows = {lab: {(a, b): sx**a * sc**b for a in (0, 1) for b in (0, 1)} for lab, (sx, sc) in at_x_and_comp.items()}
+    return _table_by_classifier(elements, split, rows)
 
 
 def _dihedral8_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
@@ -294,5 +278,4 @@ def _dihedral8_table(x: Perm, elements: tuple[Perm, ...]) -> CharacterTable:
         "eps": {"id": 1, "center": 1, "rot": -1, "refl-h": -1, "refl-v": 1},
         "r": {"id": 2, "center": -2, "rot": 0, "refl-h": 0, "refl-v": 0},
     }
-    values = {lab: {cls: (v,) + ZERO[1:] for cls, v in row.items()} for lab, row in rows.items()}
-    return _table_by_classifier(elements, ("1", "eps'", "eps''", "eps", "r"), classify, values)
+    return _table_by_classifier(elements, classify, rows)

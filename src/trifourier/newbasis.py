@@ -4,7 +4,8 @@ A candidate basis expands each new element over the pairs (x, rho) of
 `nonabelian.mdata` with integer coefficients.  `verify_triangular` checks
 that U^-1 F U is triangular by the group's ordered `PIECES`, with the
 diagonal signs `PIECE_SIGNS`.  The two s3 bases are built in; a basis of s4
-or s5 is read from a JSON file by `load_basis_file`.
+or s5 is read from a JSON file by `load_basis_file`.  Both fill the matrix
+through `_basis`, so a built-in basis is held to the checks a file is.
 
 Only the newbasis check runs this code, so the other checks never compile
 it; the names stay reachable as attributes of `trifourier.nonabelian`.  The
@@ -13,8 +14,6 @@ group data is read as `nonabelian.mdata`, so a wrapper set on that attribute
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from . import nonabelian, packed
 from .nonabelian import FTMatrix, MPair
@@ -59,14 +58,37 @@ def s3_new_basis(variant: str) -> NewBasis:
     expansions = dict(_S3_EXPANSIONS_COMMON)
     for rho in ("theta", "theta2"):
         expansions[("g3", rho)] = [("1", "1", 1), ("g2", companion, 1), ("g3", rho, 1)]
-    md = nonabelian.mdata("s3")
+    return _basis("s3", variant, (
+        (MPair(*lab), ((MPair(x, rho), coeff) for x, rho, coeff in terms)) for lab, terms in expansions.items()
+    ))
+
+
+def _basis(name: str, variant: str, expansions) -> NewBasis:
+    """The basis of group `name` from the (label, terms) pairs `expansions`.
+
+    The column of pair `label` is the sum of coefficient * pair over the
+    (pair, integer coefficient) `terms`.  An unknown pair, a second
+    expansion of one pair or a pair with no expansion raises ValueError.
+    """
+    md = nonabelian.mdata(name)
     n = len(md.pairs)
     mat = [[0] * n for _ in range(n)]
-    for (x, rho), terms in expansions.items():
-        j = md.index[MPair(x, rho)]
-        for tx, trho, coeff in terms:
-            mat[md.index[MPair(tx, trho)]][j] = coeff
-    return NewBasis("s3", variant, mat)
+    seen = set()
+    for lab, terms in expansions:
+        if lab not in md.index:
+            raise ValueError(f"unknown pair {lab}")
+        if lab in seen:
+            raise ValueError(f"duplicate expansion for {lab}")
+        seen.add(lab)
+        j = md.index[lab]
+        for q, coeff in terms:
+            if q not in md.index:
+                raise ValueError(f"unknown pair {q} in expansion of {lab}")
+            mat[md.index[q]][j] = coeff
+    if len(seen) != n:
+        missing = [p for p in md.pairs if p not in seen]
+        raise ValueError(f"missing expansions for {missing[:3]} (and {max(len(missing) - 3, 0)} more)")
+    return NewBasis(name, variant, mat)
 
 
 PIECES: dict[str, list[list[tuple[str, str]]]] = {
@@ -126,8 +148,8 @@ def piece_partition(name: str) -> list[list[MPair]]:
     return pieces
 
 
-def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]) -> tuple[list[list[Vec]], int]:
-    """Numerators and denominator of U^-1 F U, with U^-1 = adj/det = V/d in lowest terms (d > 0).
+def _conjugated(ft: FTMatrix, u: list[list[int]], v: list[list[int]]) -> list[list[Vec]]:
+    """Numerators of V F U over ft.den, for an integer matrix U and its integer inverse V.
 
     V and U are integer matrices, so every entry of V F U is an integer
     combination of the entries of F, and packing commutes with that: F is
@@ -137,8 +159,6 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]
     sum of U, which sets the packing width; there is no product of two
     polynomials.
     """
-    g = gcd(det, *(a for row in adj for a in row)) * (1 if det > 0 else -1)
-    v = [[a // g for a in row] for row in adj]
     u_cols = [[(l, a) for l, a in enumerate(col) if a] for col in zip(*u)]
     v_rows = [[(k, a) for k, a in enumerate(row) if a] for row in v]
     pk = packed.Packing(
@@ -149,7 +169,7 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], det: int, adj: list[list[int]]
     fu = [[sum(row[l] * a for l, a in col) for col in u_cols] for row in pk.pack_rows(ft.num)]
     cols = range(len(u_cols))
     vfu = [[sum(fu[k][j] * a for k, a in row) for j in cols] for row in v_rows]
-    return pk.unpack_rows(vfu), ft.den * (det // g)
+    return pk.unpack_rows(vfu)
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
@@ -158,7 +178,9 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
     The image of each new-basis element must be +-itself plus a combination
     of elements in strictly later pieces of the group's `piece_partition`;
     the first violating entry is reported.  The observed diagonal signs are
-    compared against the group's `PIECE_SIGNS`.
+    compared against the group's `PIECE_SIGNS`.  A basis of the wrong size
+    or of determinant other than +-1 fails there, and nothing more is
+    computed: for a unimodular U, U^-1 = det adj U is an integer matrix.
     """
     from .bareiss import adjugate
 
@@ -171,7 +193,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
         return rep
     det, adj = adjugate(basis.matrix)
     rep.require("unimodular", det in (1, -1), f"det = {integer_string(det)}")
-    if det == 0:
+    if det not in (1, -1):
         return rep
     piece_of = {}
     for k, piece in enumerate(pieces):
@@ -180,14 +202,14 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
     rep.require("pieces cover basis", len(piece_of) == n, f"{len(piece_of)} != {n}")
     if len(piece_of) != n:
         return rep
-    fh, fden = _conjugated(ft, basis.matrix, det, adj)
+    fh = _conjugated(ft, basis.matrix, [[det * a for a in row] for row in adj])
     # entry (i, j) must vanish when i != j and piece(i) <= piece(j); scan column by column
     bad = next(((i, j) for j in range(n) for i in range(n)
                 if i != j and piece_of[i] <= piece_of[j] and any(fh[i][j])), None)
     violation = None
     if bad:
         i, j = bad
-        violation = (md.pairs[i], md.pairs[j], packed.cyc_text(fh[i][j], fden))
+        violation = (md.pairs[i], md.pairs[j], packed.cyc_text(fh[i][j], ft.den))
     rep.require(
         "triangular",
         violation is None,
@@ -196,7 +218,7 @@ def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:
         f"(piece {piece_of[md.index[violation[0]]] + 1} <= {piece_of[md.index[violation[1]]] + 1})",
     )
     diag = [fh[i][i] for i in range(n)]
-    diag_bad = [md.pairs[i] for i in range(n) if any(diag[i][1:]) or abs(diag[i][0]) != fden]
+    diag_bad = [md.pairs[i] for i in range(n) if any(diag[i][1:]) or abs(diag[i][0]) != ft.den]
     rep.require("diagonal is +-1", not diag_bad, f"first: {diag_bad[:1]}")
     if diag_bad:
         return rep
@@ -246,35 +268,28 @@ def load_basis(data: dict) -> NewBasis:
     variant = data.get("variant", "")
     if not isinstance(variant, str):
         raise ValueError(f"basis file field 'variant' must be a string, not {type(variant).__name__}")
-    md = nonabelian.mdata(name)
-    n = len(md.pairs)
-    mat = [[0] * n for _ in range(n)]
-    seen = set()
+    return _basis(name, variant, _expansions(data))
+
+
+def _expansions(data):
+    """The (label, terms) pairs of a basis file, each field read when `_basis` reaches it."""
     for k, exp in enumerate(_list_field(data, "expansions", "basis file")):
         lab = _pair_field(_field(exp, "label", f"expansion {k}"), f"label of expansion {k}")
-        if lab not in md.index:
-            raise ValueError(f"unknown pair {lab}")
-        if lab in seen:
-            raise ValueError(f"duplicate expansion for {lab}")
-        seen.add(lab)
-        j = md.index[lab]
-        for t, term in enumerate(_list_field(exp, "terms", f"expansion of {lab}")):
-            where = f"term {t} in expansion of {lab}"
-            q = _pair_field(term, where)
-            if q not in md.index:
-                raise ValueError(f"unknown pair {q} in expansion of {lab}")
-            num, den = _field(term, "coeff_num", where), term.get("coeff_den", 1)
-            if not (type(num) is int and type(den) is int and den):
-                raise ValueError(f"{where}: coeff_num and coeff_den must be integers, coeff_den non-zero")
-            if den < 0:
-                num, den = -num, -den
-            if num % den:
-                raise ValueError(f"non-integer coefficient {fraction_string(num, den)} in expansion of {lab}")
-            mat[md.index[q]][j] = num // den
-    if len(seen) != n:
-        missing = [p for p in md.pairs if p not in seen]
-        raise ValueError(f"missing expansions for {missing[:3]} (and {max(len(missing) - 3, 0)} more)")
-    return NewBasis(name, variant, mat)
+        yield lab, _terms(exp, lab)
+
+
+def _terms(exp, lab: MPair):
+    for t, term in enumerate(_list_field(exp, "terms", f"expansion of {lab}")):
+        where = f"term {t} in expansion of {lab}"
+        q = _pair_field(term, where)
+        num, den = _field(term, "coeff_num", where), term.get("coeff_den", 1)
+        if not (type(num) is int and type(den) is int and den):
+            raise ValueError(f"{where}: coeff_num and coeff_den must be integers, coeff_den non-zero")
+        if den < 0:
+            num, den = -num, -den
+        if num % den:
+            raise ValueError(f"non-integer coefficient {fraction_string(num, den)} in expansion of {lab}")
+        yield q, num // den
 
 
 def load_basis_file(path: str) -> NewBasis:

@@ -10,12 +10,12 @@ centralizer.  The Fourier matrix entry at ((x,sigma),(y,tau)) is
 computed exactly over the cyclotomic field, in Kronecker-packed integers
 (see `packed`).  The group keeps one conjugation row g x g^-1 (g in G) per
 class representative x; the centralizers and both conjugates of the sum are
-read from those rows.  Each centralizer's elements are grouped by their
-column of character values (for a valid table, its conjugacy classes), so
-for each pair of classes one pass over G counts the pairs of columns of
-(g y g^-1, g^-1 x g), and the block is one contraction of the two character
-tables, column by column, with those counts.  For s5 the largest
-centralizer, S5 itself, has 7 columns for 120 elements.  The conjugation
+read from those rows.  Each character table maps the elements of its
+centralizer to their conjugacy classes, so for each pair of classes of G one
+pass over G counts the pairs of centralizer classes of (g y g^-1, g^-1 x g),
+and the block is one contraction of the two character tables, class by
+class, with those counts.  For s5 the largest centralizer, S5 itself, has 7
+classes for 120 elements.  The conjugation
 placement is pinned by reproducing the two explicit rows checked in the
 tests; the matrix is symmetric and squares to the identity for every
 supported group.
@@ -98,10 +98,6 @@ class MData:
         self.pairs = pairs
         self.index = index
 
-    def validate_tables(self) -> dict[str, list[list[Vec]]]:
-        """Check every table; returns each table's `coefficients()`, by class label."""
-        return {lab: self.tables[lab].validate() for lab in self.class_labels}
-
 
 def _assemble(name: str, group: PermGroup, classes: list[tuple[str, tuple[int, ...], CharacterTable]]) -> MData:
     labels = tuple(lab for lab, _, _ in classes)
@@ -111,7 +107,7 @@ def _assemble(name: str, group: PermGroup, classes: list[tuple[str, tuple[int, .
     index = {p: i for i, p in enumerate(pairs)}
     for lab, rep, table in classes:
         cent = group.centralizer(rep)
-        if set(cent) != set(table.group_elements):
+        if set(cent) != table.column.keys():
             raise AssertionError(f"character table of {lab} does not cover its centralizer")
     return MData(name, group, labels, reps, tables, pairs, index)
 
@@ -217,17 +213,15 @@ class FTMatrix:
         return all(self.num[i][j] == self.num[j][i] for i in range(self.size) for j in range(i))
 
     def is_involution(self) -> bool:
-        """F^2 = I, checked as num . num = den^2 I.
+        """F = F^T and F^2 = I, the second checked as num . num = den^2 I.
 
-        When F = F^T, F^2 is symmetric too, and only its entries on and above
+        F^2 of a symmetric F is symmetric too, so only its entries on and above
         the diagonal are computed: the first of each such row is the diagonal.
         """
+        if not self.is_symmetric():
+            return False
         unit = (self.den**2,) + ZERO[1:]
-        if self.is_symmetric():
-            upper = packed.square_upper(self.num)
-            return all(v == (ZERO if j else unit) for row in upper for j, v in enumerate(row))
-        square = packed.matmul(self.num, self.num)
-        return all(v == (unit if i == j else ZERO) for i, row in enumerate(square) for j, v in enumerate(row))
+        return all(v == (ZERO if j else unit) for row in packed.square_upper(self.num) for j, v in enumerate(row))
 
     def to_json(self) -> dict:
         # each distinct entry is rendered once: s5 has 28 values among its 1,521 entries
@@ -241,7 +235,7 @@ class FTMatrix:
 
 def _pair_counts(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]:
     """For classes x, y: the non-zero c[a, b] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g},
-    with a the column of u in the table of Z(x) and b the column of v in the table of Z(y).
+    with a the class of u in the table of Z(x) and b the class of v in the table of Z(y).
 
     g y g^-1 is read from the conjugation row of y, and g^-1 x g from that
     of x at the index of g^-1: one conjugation per element and class.
@@ -249,15 +243,14 @@ def _pair_counts(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]
     elements = md.group.elements
     at = {g: k for k, g in enumerate(elements)}
     inverse = [at[pinv(g)] for g in elements]
-    column = {lab: dict(zip(md.tables[lab].group_elements, md.tables[lab].column)) for lab in md.class_labels}
     forward = {lab: md.group.conjugates(md.reps[lab]) for lab in md.class_labels}
     counts = {}
     for xl in md.class_labels:
-        in_zx = column[xl]
+        in_zx = md.tables[xl].column
         row = forward[xl]
         backward = [row[k] for k in inverse]
         for yl in md.class_labels:
-            in_zy = column[yl]
+            in_zy = md.tables[yl].column
             c: dict[tuple[int, int], int] = {}
             for u, v in zip(forward[yl], backward):
                 a = in_zx.get(u)
@@ -277,8 +270,8 @@ def nonabelian_ft(name: str) -> FTMatrix:
 def _fourier_matrix(md: MData) -> FTMatrix:
     """F[(x,s),(y,t)] = sum_{a,b} s(a) c[a,b] conj(t(b)) / (|Z(x)||Z(y)|), one contraction per block.
 
-    a and b run over the columns of the two centralizer tables (`_pair_counts`):
-    every character is constant on a column, so this only collects equal
+    a and b run over the classes of the two centralizer tables (`_pair_counts`):
+    every character is constant on a class, so this only collects equal
     terms of the sum over G.  Per block, S[s][b] = sum_a s(a) c[a,b] is summed
     in packed form and F[s][t] = sum_b S[s][b] conj(t(b)) is one packed dot
     product per entry.  Every unreduced coefficient of F[s][t] is a sum of at
@@ -287,15 +280,16 @@ def _fourier_matrix(md: MData) -> FTMatrix:
     equal block denominators are the same entry, so unpacking, the
     lowest-terms gcd and the rescaling run once per distinct value.
     """
-    chars = md.validate_tables()
+    for table in md.tables.values():
+        table.validate()
     counts = _pair_counts(md)
-    conj_chars = {lab: packed.conj(x) for lab, x in chars.items()}
+    conj_chars = {lab: packed.conj(table.x) for lab, table in md.tables.items()}
     pk = packed.for_product(
         max(sum(c.values()) for c in counts.values()),
-        max(packed.max_abs(x) for x in chars.values()),
+        max(packed.max_abs(table.x) for table in md.tables.values()),
         max(packed.max_abs(y) for y in conj_chars.values()),
     )
-    xp = {lab: pk.pack_rows(x) for lab, x in chars.items()}
+    xp = {lab: pk.pack_rows(table.x) for lab, table in md.tables.items()}
     yp = {lab: pk.pack_rows(y) for lab, y in conj_chars.items()}
     offset = {lab: md.index[MPair(lab, md.tables[lab].labels[0])] for lab in md.class_labels}
     blocks = []

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import lcm
 
 from trifourier import packed
+from trifourier.bareiss import adjugate
 from trifourier.cyclotomic import Cyc
 from trifourier.groups import (
     CharacterTable,
@@ -20,7 +21,6 @@ from trifourier.groups import (
     _cyclic_table,
     from_cycles,
     identity_perm,
-    restrict,
     symmetric_group,
 )
 from trifourier.nonabelian import (
@@ -44,6 +44,18 @@ from fraction_reference import fraction_inverse
 def rational(m) -> list[list[Vec]]:
     """An integer matrix as numerators over den 1."""
     return [[(x,) + ZERO[1:] for x in row] for row in m]
+
+
+def char_value(table: CharacterTable, label: str, g) -> Vec:
+    """The value of character `label` at the element g: x[s][column[g]]."""
+    return table.x[table.labels.index(label)][table.column[g]]
+
+
+def unimodular_inverse(u: list[list[int]]) -> list[list[int]]:
+    """U^-1 = det adj U, the integer inverse of a matrix of determinant +-1."""
+    det, adj = adjugate(u)
+    assert det in (1, -1), det
+    return [[det * a for a in row] for row in adj]
 
 
 def to_cyc_rows(rows: list[list[Vec]], den: int) -> list[list[Cyc]]:
@@ -92,30 +104,25 @@ def _product(a: MData, b: MData) -> MData:
     """Classes and centralizer characters of a x b: the products of the factors' pairs."""
     group = product_group(a.group, b.group)
     shift = len(a.group.elements[0])
-    support_a = tuple(range(shift))
-    support_b = tuple(range(shift, len(group.elements[0])))
     classes = []
     for la in a.class_labels:
         for lb in b.class_labels:
             rep = a.reps[la] + tuple(x + shift for x in b.reps[lb])
-            elements = tuple(
-                ga + tuple(x + shift for x in gb)
-                for ga in a.tables[la].group_elements
-                for gb in b.tables[lb].group_elements
-            )
-            labels = []
-            values = {}
-            for ra in a.tables[la].labels:
-                for rb in b.tables[lb].labels:
-                    lab = f"{ra}*{rb}"
-                    labels.append(lab)
-                    values[lab] = {  # a product of algebraic integers: its denominator is 1
-                        g: (Cyc(a.tables[la].values[ra][restrict(g, support_a)])
-                            * Cyc(b.tables[lb].values[rb][restrict(g, support_b)])).num
-                        for g in elements
-                    }
-            table = CharacterTable(elements, tuple(labels), values)
-            classes.append((f"{la}*{lb}", rep, table))
+            ta, tb = a.tables[la], b.tables[lb]
+            # the classes of Z_a x Z_b are the products of classes: (ca, cb) has index ca * width + cb
+            width = len(tb.weights)
+            column = {
+                ga + tuple(x + shift for x in gb): ca * width + cb
+                for ga, ca in ta.column.items()
+                for gb, cb in tb.column.items()
+            }
+            labels = tuple(f"{ra}*{rb}" for ra in ta.labels for rb in tb.labels)
+            x = [  # a product of algebraic integers: its denominator is 1
+                [(Cyc(va) * Cyc(vb)).num for va in xa for vb in xb]
+                for xa in ta.x
+                for xb in tb.x
+            ]
+            classes.append((f"{la}*{lb}", rep, CharacterTable(column, labels, x)))
     return _assemble(f"{a.name}x{b.name}", group, classes)
 
 

@@ -213,7 +213,8 @@ def test_criterion_7_smallest_group():
 
 def test_criterion_8_larger_groups():
     for name in ("s4", "s5"):
-        mdata(name).validate_tables()
+        for table in mdata(name).tables.values():
+            table.validate()
         ft = nonabelian_ft(name)
         assert ft.is_symmetric()
         assert ft.is_involution()

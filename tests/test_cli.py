@@ -176,6 +176,7 @@ def test_nonabelian_basis_with_huge_numbers_fails_in_one_bounded_line(tmp_path, 
     # Past 4,300 digits str() of an int raises.  A dense basis of 700-digit entries has a
     # determinant of 18,597 bits, and a unimodular one with a 2,201-digit entry has a
     # coefficient of 14,617 bits in U^-1 F U: each prints as a bit count, computed without str.
+    # The dense basis fails at its determinant, and nothing after that check runs.
     if kind == "dense":
         rng = random.Random(700)
         u = [[rng.randrange(10**699, 10**700) for _ in range(8)] for _ in range(8)]
@@ -195,6 +196,8 @@ def test_nonabelian_basis_with_huge_numbers_fails_in_one_bounded_line(tmp_path, 
     lines = proc.stdout.splitlines()
     assert [line for line in lines if line.startswith(failing)], lines
     assert max(map(len, lines)) < 200
+    if kind == "dense":
+        assert len(lines) == 3 and lines[-1].endswith("FAIL (2 checks)"), lines
 
 
 def test_nonabelian_hyperplane(capsys):

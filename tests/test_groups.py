@@ -15,7 +15,7 @@ from trifourier.groups import (
 from trifourier.nonabelian import mdata
 from trifourier.packed import POWERS, conj_coeffs
 
-from nonabelian_reference import group_data, product_group
+from nonabelian_reference import char_value, group_data, product_group
 
 
 def test_perm_composition_convention():
@@ -65,13 +65,14 @@ def test_class_sizes_s5():
 
 def test_all_tables_validate():
     for name in ("s2", "s3", "s4", "s5", "s2xs2", "s3xs2"):
-        group_data(name).validate_tables()
+        for table in group_data(name).tables.values():
+            table.validate()
 
 
 def test_s5_irreducible_degrees():
     md = mdata("s5")
     table = md.tables["1"]
-    degrees = sorted(int(Cyc(table.values[lab][identity_perm(5)]).to_rational()) for lab in table.labels)
+    degrees = sorted(int(Cyc(char_value(table, lab, identity_perm(5))).to_rational()) for lab in table.labels)
     assert degrees == [1, 1, 4, 4, 5, 5, 6]
 
 
@@ -80,8 +81,8 @@ def test_nu_convention():
     md = mdata("s5")
     table = md.tables["1"]
     transposition = from_cycles(5, (0, 1))
-    assert Cyc(table.values["nu"][transposition]) == Cyc.one()
-    assert Cyc(table.values["nu'"][transposition]) == Cyc.from_rational(-1)
+    assert Cyc(char_value(table, "nu", transposition)) == Cyc.one()
+    assert Cyc(char_value(table, "nu'", transposition)) == Cyc.from_rational(-1)
 
 
 def test_klein_convention():
@@ -90,28 +91,28 @@ def test_klein_convention():
     g2 = md.reps["g2"]
     table = md.tables["g2"]
     comp = next(
-        g for g in table.group_elements
+        g for g in table.column
         if cycle_type(g) == (2, 1, 1) and g != g2
     )
-    assert Cyc(table.values["eps'"][g2]) == Cyc.from_rational(-1)
-    assert Cyc(table.values["eps'"][comp]) == Cyc.one()
-    assert Cyc(table.values["eps''"][g2]) == Cyc.one()
-    assert Cyc(table.values["eps''"][comp]) == Cyc.from_rational(-1)
-    assert Cyc(table.values["eps"][pmul(g2, comp)]) == Cyc.one()
+    assert Cyc(char_value(table, "eps'", g2)) == Cyc.from_rational(-1)
+    assert Cyc(char_value(table, "eps'", comp)) == Cyc.one()
+    assert Cyc(char_value(table, "eps''", g2)) == Cyc.one()
+    assert Cyc(char_value(table, "eps''", comp)) == Cyc.from_rational(-1)
+    assert Cyc(char_value(table, "eps", pmul(g2, comp))) == Cyc.one()
 
 
 def test_dihedral_convention():
     md = mdata("s4")
     table = md.tables["g2'"]
     center = md.reps["g2'"]
-    four_cycle = next(g for g in table.group_elements if cycle_type(g) == (4,))
-    transposition = next(g for g in table.group_elements if cycle_type(g) == (2, 1, 1))
-    assert Cyc(table.values["r"][center]) == Cyc.from_rational(-2)
-    assert Cyc(table.values["r"][four_cycle]) == Cyc.from_rational(0)
-    assert Cyc(table.values["eps'"][four_cycle]) == Cyc.from_rational(-1)
-    assert Cyc(table.values["eps'"][transposition]) == Cyc.one()
-    assert Cyc(table.values["eps''"][transposition]) == Cyc.from_rational(-1)
-    assert Cyc(table.values["eps''"][four_cycle]) == Cyc.one()
+    four_cycle = next(g for g in table.column if cycle_type(g) == (4,))
+    transposition = next(g for g in table.column if cycle_type(g) == (2, 1, 1))
+    assert Cyc(char_value(table, "r", center)) == Cyc.from_rational(-2)
+    assert Cyc(char_value(table, "r", four_cycle)) == Cyc.from_rational(0)
+    assert Cyc(char_value(table, "eps'", four_cycle)) == Cyc.from_rational(-1)
+    assert Cyc(char_value(table, "eps'", transposition)) == Cyc.one()
+    assert Cyc(char_value(table, "eps''", transposition)) == Cyc.from_rational(-1)
+    assert Cyc(char_value(table, "eps''", four_cycle)) == Cyc.one()
 
 
 def test_g6_labels_are_values_at_the_generator():
@@ -124,7 +125,7 @@ def test_g6_labels_are_values_at_the_generator():
         ("theta", th), ("theta2", th * th),
         ("-theta", -th), ("-theta2", -(th * th)),
     ]:
-        assert Cyc(table.values[label][g6]) == want
+        assert Cyc(char_value(table, label, g6)) == want
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "s5"])
@@ -147,7 +148,7 @@ def test_cyclic_exponents_give_the_labelled_values(name):
     for lab, gen_lab in generator_class.items():
         table, gen = md.tables[lab], md.reps[gen_lab]
         for chl in table.labels:
-            assert Cyc(table.values[chl][gen]) == named[chl], (name, lab, chl)
+            assert Cyc(char_value(table, chl, gen)) == named[chl], (name, lab, chl)
 
 
 @pytest.mark.parametrize("label", ["g3", "g2"])
@@ -164,13 +165,13 @@ def test_s5_product_centralizers_are_products_of_their_parts(label):
     md = mdata("s5")
     table = md.tables[label]
     part = mdata("s3").tables[part_label]  # C3 = <(0 1 2)> or S3, on the points 0, 1, 2
-    assert set(table.group_elements) == set(md.group.centralizer(md.reps[label]))
+    assert table.column.keys() == set(md.group.centralizer(md.reps[label]))
     assert table.labels == tuple(lab for lab, _, _ in characters)
     for lab, part_lab, twist in characters:
-        for g in table.group_elements:
+        for g in table.column:
             sign = twist if g[3] == 4 else 1
-            want = Cyc(part.values[part_lab][restrict(g, (0, 1, 2))]) * Cyc.from_rational(sign)
-            assert Cyc(table.values[lab][g]) == want, (label, lab, g)
+            want = Cyc(char_value(part, part_lab, restrict(g, (0, 1, 2)))) * Cyc.from_rational(sign)
+            assert Cyc(char_value(table, lab, g)) == want, (label, lab, g)
 
 
 def test_column_orthogonality():
@@ -181,7 +182,7 @@ def test_column_orthogonality():
         md = mdata(name)
         for lab in md.class_labels:
             table = md.tables[lab]
-            elems = list(table.group_elements)
+            elems = list(table.column)
             classes = []
             seen = set()
             for g in elems:
@@ -195,7 +196,7 @@ def test_column_orthogonality():
                 for h, _ in classes:
                     acc = Cyc.from_rational(0)
                     for chl in table.labels:
-                        acc = acc + Cyc(table.values[chl][g]) * Cyc(conj_coeffs(table.values[chl][h]))
+                        acc = acc + Cyc(char_value(table, chl, g)) * Cyc(conj_coeffs(char_value(table, chl, h)))
                     want = len(elems) // size_g if g == h else 0
                     assert acc.is_rational() and acc.to_rational() == want
 
@@ -214,16 +215,15 @@ def test_mdata_rejects_unknown():
 
 @pytest.mark.parametrize("name", ["s3", "s4", "s5", "s3xs2"])
 def test_columns_are_the_conjugacy_classes(name):
-    # the Fourier matrix contracts over the columns of character values; for a valid
-    # table they are the orbits of conjugation inside the centralizer, one per character
+    # the Fourier matrix contracts over the classes of each table's `column`: they must be
+    # the orbits of conjugation inside the centralizer, as many as its characters
     md = group_data(name)
     for lab in md.class_labels:
         table = md.tables[lab]
-        elems = table.group_elements
-        by_column = {}
-        for g, c in zip(elems, table.column):
-            by_column.setdefault(c, set()).add(g)
-        orbits = {frozenset(pconj(z, g) for z in elems) for g in elems}
-        assert set(map(frozenset, by_column.values())) == orbits, (name, lab)
-        assert len(by_column) == len(table.labels), (name, lab)
-        assert table.weights == [len(by_column[c]) for c in range(len(by_column))]
+        by_class = {}
+        for g, c in table.column.items():
+            by_class.setdefault(c, set()).add(g)
+        orbits = {frozenset(pconj(z, g) for z in table.column) for g in table.column}
+        assert set(map(frozenset, by_class.values())) == orbits, (name, lab)
+        assert len(by_class) == len(table.labels) == len(table.x[0]), (name, lab)
+        assert table.weights == [len(by_class[c]) for c in range(len(by_class))]

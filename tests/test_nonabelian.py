@@ -29,6 +29,7 @@ from nonabelian_reference import (
     rational,
     sign_consistency_report,
     unimodular,
+    unimodular_inverse,
 )
 
 # image coefficients of the first two basis vectors for the smallest group,
@@ -207,7 +208,9 @@ def test_corrupted_basis_non_unimodular():
     nb.matrix[0] = [2 * v for v in nb.matrix[0]]  # scale a row: det becomes +-2
     rep = verify_triangular(nonabelian_ft("s3"), nb)
     assert not rep.ok
-    assert any(c.check_id == "unimodular" and not c.ok for c in rep.checks)
+    # the certificate stops at the failing determinant: U^-1 is not an integer matrix
+    assert [c.check_id for c in rep.checks] == ["basis size", "unimodular"]
+    assert not rep.checks[1].ok and rep.checks[1].details in ("det = 2", "det = -2")
 
 
 def test_corrupted_basis_breaks_triangularity():
@@ -274,7 +277,6 @@ def test_conjugated_packs_once_as_two_products(name):
     # bases and random unimodular bases with large coefficients
     import random
 
-    from trifourier.bareiss import adjugate
     from trifourier.nonabelian import _conjugated
 
     ft = nonabelian_ft(name)
@@ -284,8 +286,6 @@ def test_conjugated_packs_once_as_two_products(name):
     if name == "s3":
         bases += [s3_new_basis(v).matrix for v in ("g2", "e")]
     for u in bases:
-        det, adj = adjugate(u)
-        sign = 1 if det > 0 else -1
-        v = rational([[sign * a for a in row] for row in adj])
-        expected = packed.matmul(v, packed.matmul(ft.num, rational(u)))
-        assert _conjugated(ft, u, det, adj) == (expected, ft.den * abs(det))
+        v = unimodular_inverse(u)
+        expected = packed.matmul(rational(v), packed.matmul(ft.num, rational(u)))
+        assert _conjugated(ft, u, v) == expected

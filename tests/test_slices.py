@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from trifourier import packed
-from trifourier.bareiss import adjugate
 from trifourier.cyclotomic import Cyc
-from trifourier.groups import CharacterTable, _cyclic_table, pconj, pinv, pmul
+from trifourier.groups import CharacterTable, _cyclic_table, identity_perm, pconj, pinv, pmul
 from trifourier.nonabelian import (
     FTMatrix,
     MPair,
@@ -24,6 +23,7 @@ from trifourier.packed import DEGREE, POWERS, conj_coeffs
 
 from nonabelian_reference import (
     apply_columns,
+    char_value,
     conjugated_reference,
     cyc_product,
     group_data,
@@ -31,6 +31,7 @@ from nonabelian_reference import (
     rational,
     to_cyc_rows,
     unimodular,
+    unimodular_inverse,
 )
 
 
@@ -54,7 +55,7 @@ def reference_ft(name: str) -> list[list[Cyc]]:
                 for tl in zy.labels:
                     acc = Cyc.from_rational(0)
                     for u, v in terms:
-                        acc = acc + Cyc(zx.values[sl][u]) * Cyc(conj_coeffs(zy.values[tl][v]))
+                        acc = acc + Cyc(char_value(zx, sl, u)) * Cyc(conj_coeffs(char_value(zy, tl, v)))
                     matrix[md.index[MPair(xl, sl)]][md.index[MPair(yl, tl)]] = acc * scale
     return matrix
 
@@ -149,27 +150,28 @@ def test_matmul_unpacks_each_distinct_sum_once(monkeypatch):
     assert len(unpacked) == len(set(unpacked)) <= 4
 
 
-def test_involution_without_symmetry_is_checked_in_full():
+def test_involution_requires_symmetry():
+    # is_involution means F = F^T and F^2 = I: a non-symmetric F fails even when F^2 = I
     md = mdata("s3")
     one, zero, minus = (1,) + packed.ZERO[1:], packed.ZERO, (-1,) + packed.ZERO[1:]
-    assert FTMatrix(md, [[one, one], [zero, minus]], 1).is_involution()  # F^2 = I, F != F^T
     assert not FTMatrix(md, [[one, one], [zero, minus]], 1).is_symmetric()
-    assert not FTMatrix(md, [[one, one], [zero, one]], 1).is_involution()
-    assert not FTMatrix(md, [[one, zero], [one, minus]], 2).is_involution()
+    assert not FTMatrix(md, [[one, one], [zero, minus]], 1).is_involution()  # F^2 = I, F != F^T
+    assert FTMatrix(md, [[zero, minus], [minus, zero]], 1).is_involution()
+    assert not FTMatrix(md, [[one, one], [one, minus]], 1).is_involution()  # symmetric, F^2 = 2 I
 
 
 def test_wrong_character_value_fails_validate():
     table = mdata("s4").tables["g2'"]
-    values = {lab: dict(vals) for lab, vals in table.values.items()}
-    g = next(e for e in table.group_elements if values["r"][e] == packed.ZERO)
-    values["r"][g] = POWERS[15]  # the imaginary unit
-    broken = CharacterTable(table.group_elements, table.labels, values)
+    r = table.labels.index("r")
+    x = [list(row) for row in table.x]
+    x[r][x[r].index(packed.ZERO)] = POWERS[15]  # the imaginary unit, on a class where r vanishes
+    broken = CharacterTable(table.column, table.labels, x)
     with pytest.raises(AssertionError, match=r"orthogonality fails for \(1,r\)"):
         broken.validate()
-    values["r"] = dict(table.values["r"])
-    values["r"][table.group_elements[0]] = (3,) + packed.ZERO[1:]  # the identity: degree 3
+    x[r] = list(table.x[r])
+    x[r][table.column[identity_perm(4)]] = (3,) + packed.ZERO[1:]  # the identity: degree 3
     with pytest.raises(AssertionError, match="sum of squared degrees"):
-        CharacterTable(table.group_elements, table.labels, values).validate()
+        CharacterTable(table.column, table.labels, x).validate()
     # z^25 at a generator of order 5 is no character: its fifth power is z^5, not 1
     g5 = mdata("s5").reps["g5"]
     typo = _cyclic_table(g5, [("1", 0), ("bad", 25), ("zeta2", 24), ("zeta3", 36), ("zeta4", 48)])
@@ -237,10 +239,10 @@ def test_apply_columns_with_large_coefficients():
     assert apply_columns(ft, coeffs) == want
 
 
-@pytest.mark.parametrize("change", ["none", "huge", "scaled", "g2", "s4-unimodular"])
+@pytest.mark.parametrize("change", ["none", "huge", "g2", "s4-unimodular"])
 def test_conjugated_matrix_matches_definition(change, monkeypatch):
     # U^-1 F U, each distinct value unpacked once, against the `Cyc` reference entry for entry:
-    # both embedded s3 bases, two changes of the "e" basis and a random unimodular s4 basis
+    # both embedded s3 bases, a change of the "e" basis and a random unimodular s4 basis
     unpacked = []
     unpack = packed.Packing.unpack
     monkeypatch.setattr(packed.Packing, "unpack", lambda pk, x: unpacked.append(x) or unpack(pk, x))
@@ -248,12 +250,9 @@ def test_conjugated_matrix_matches_definition(change, monkeypatch):
     u = s3_new_basis("g2" if change == "g2" else "e").matrix
     if change == "huge":  # add 10^25 times column 0 to column 5: still unimodular, far beyond int64
         u = [row[:5] + [row[5] + 10**25 * row[0]] + row[6:] for row in u]
-    if change == "scaled":  # double column 5: the inverse has denominator 2
-        u = [row[:5] + [2 * row[5]] + row[6:] for row in u]
     if change == "s4-unimodular":
         u = unimodular(ft.size, random.Random(21))
-    det, adj = adjugate(u)
-    assert to_cyc_rows(*_conjugated(ft, u, det, adj)) == conjugated_reference(ft, u)
+    assert to_cyc_rows(_conjugated(ft, u, unimodular_inverse(u)), ft.den) == conjugated_reference(ft, u)
     assert len(unpacked) == len(set(unpacked))
 
 
@@ -278,8 +277,7 @@ def test_renderers_agree_with_cyc():
     ft = nonabelian_ft("s3")
     for variant in ("g2", "e"):
         u = s3_new_basis(variant).matrix
-        rows, den = _conjugated(ft, u, *adjugate(u))
-        values |= {(v, den) for row in rows for v in row}
+        values |= {(v, ft.den) for row in _conjugated(ft, u, unimodular_inverse(u)) for v in row}
     one = POWERS[0]
     values |= {(packed.ZERO, 7), (packed.ZERO, -3), (tuple(-3 * a for a in one), -6),
                (tuple(4 * a - 6 * b for a, b in zip(one, POWERS[12])), 10)}

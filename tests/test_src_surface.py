@@ -381,3 +381,41 @@ def test_max_dense_dim_caps_only_the_matrix_export():
                 if name == "MAX_DENSE_DIM" and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
                     readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert readers == {"cli._emit_matrix"}
+
+
+def test_newbasis_names_resolve_through_nonabelian():
+    # `nonabelian._NEWBASIS` is exactly the names `newbasis` defines that code outside it
+    # reads, and each resolves through trifourier.nonabelian in a fresh interpreter, where
+    # nothing has imported `newbasis` yet
+    import os
+    import subprocess
+    import sys
+
+    from trifourier import nonabelian
+
+    tree = ast.parse((SRC / "newbasis.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.AnnAssign) for t in [node.target]}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    read = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        if path.name == "newbasis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(("nonabelian", "newbasis")):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("nonabelian", "newbasis"):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "wrap":
+                read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
+    assert nonabelian._NEWBASIS == defined & read, sorted(nonabelian._NEWBASIS ^ (defined & read))
+    script = (
+        "import trifourier.nonabelian as m\n"
+        "got = {name: getattr(m, name) for name in m._NEWBASIS}\n"
+        "import trifourier.newbasis as nb\n"
+        "assert all(value is getattr(nb, name) for name, value in got.items())\n"
+        "print(len(got))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == f"{len(nonabelian._NEWBASIS)}\n", proc.stderr
