@@ -20,10 +20,12 @@ and documented in the README:
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 from math import lcm
+from operator import mul
 
-from .packed import N, POWERS, ZERO, Vec, conj, cyc_text, matmul
+from .packed import N, POWERS, ZERO, Vec, conj, cyc_text, for_product, max_abs
 
 Perm = tuple[int, ...]
 
@@ -136,27 +138,38 @@ class CharacterTable:
     def order(self) -> int:
         return len(self.column)
 
-    def validate(self) -> None:
-        """Row orthogonality and the sum-of-squares count, from the Gram matrix of the table.
+    @cached_property
+    def conj_x(self) -> list[list[Vec]]:
+        """The complex conjugate of `x`, computed once per table."""
+        return conj(self.x)
 
-        The Gram matrix sums over the classes, each weighted by its number of
-        elements.
+    def validate(self) -> None:
+        """Integer degrees with squares summing to the order, and row orthogonality.
+
+        The degrees are the values on the identity class, each a rational
+        integer.  The Gram matrix G[s][t] = sum_c weights[c] x[s][c] conj(x[t][c])
+        is one packed product: the weights multiply the packed ints of `x`,
+        and every unreduced coefficient of an entry is at most
+        16 * order * max|x| * max|conj(x)|, which sets the packing width.
         """
         n = self.order
         ident = self.column[identity_perm(len(next(iter(self.column))))]
         degrees = [row[ident] for row in self.x]
+        irrational = next((lab for lab, d in zip(self.labels, degrees) if any(d[1:])), None)
+        if irrational is not None:
+            raise AssertionError(f"sum of squared degrees: the degree of {irrational} is not an integer")
+        total = (sum(d[0] * d[0] for d in degrees),) + ZERO[1:]
         unit = (n,) + ZERO[1:]
-        total = matmul([degrees], [[d] for d in degrees])[0][0]
         if total != unit:
             raise AssertionError(f"sum of squared degrees {cyc_text(total, 1)} != {n}")
-        weighted = [[tuple(w * a for a in v) for w, v in zip(self.weights, row)] for row in self.x]
-        gram = matmul(weighted, [list(col) for col in zip(*conj(self.x))])
+        pk = for_product(n, max_abs(self.x), max_abs(self.conj_x))
+        weighted = [list(map(mul, self.weights, row)) for row in pk.pack_rows(self.x)]
+        bars = pk.pack_rows(self.conj_x)
+        gram = pk.unpack_rows([[sum(map(mul, row, bar)) for bar in bars[i:]] for i, row in enumerate(weighted)])
         for i, row in enumerate(gram):
-            for j in range(i, len(row)):
-                if row[j] != (unit if i == j else ZERO):
-                    raise AssertionError(
-                        f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {cyc_text(row[j], 1)}"
-                    )
+            for j, v in enumerate(row, i):
+                if v != (unit if i == j else ZERO):
+                    raise AssertionError(f"orthogonality fails for ({self.labels[i]},{self.labels[j]}): {cyc_text(v, 1)}")
 
 
 def _cyclic_table(gen: Perm, labels_and_exponents: list[tuple[str, int]]) -> CharacterTable:

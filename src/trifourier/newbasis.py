@@ -15,6 +15,9 @@ group data is read as `nonabelian.mdata`, so a wrapper set on that attribute
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from operator import add
+
 from . import nonabelian, packed
 from .nonabelian import FTMatrix, MPair
 from .packed import Vec
@@ -153,11 +156,13 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], v: list[list[int]]) -> list[li
 
     V and U are integer matrices, so every entry of V F U is an integer
     combination of the entries of F, and packing commutes with that: F is
-    packed once and each distinct value of V F U is unpacked once.  Power s
-    of entry (i, j) is sum_k sum_l V[i][k] F[k][l]_s U[l][j], at most max|F|
-    times the largest absolute row sum of V times the largest absolute column
-    sum of U, which sets the packing width; there is no product of two
-    polynomials.
+    packed once, column j of F U is the combination of whole packed columns
+    of F by the nonzeros of column j of U, row i of V (F U) the combination
+    of whole rows of F U by the nonzeros of row i of V, and each distinct
+    value is unpacked once.  Power s of entry (i, j) is
+    sum_k sum_l V[i][k] F[k][l]_s U[l][j], at most max|F| times the largest
+    absolute row sum of V times the largest absolute column sum of U, which
+    sets the packing width; there is no product of two polynomials.
     """
     u_cols = [[(l, a) for l, a in enumerate(col) if a] for col in zip(*u)]
     v_rows = [[(k, a) for k, a in enumerate(row) if a] for row in v]
@@ -166,10 +171,18 @@ def _conjugated(ft: FTMatrix, u: list[list[int]], v: list[list[int]]) -> list[li
         * max((sum(abs(a) for _, a in row) for row in v_rows), default=0)
         * max((sum(abs(a) for _, a in col) for col in u_cols), default=0)
     )
-    fu = [[sum(row[l] * a for l, a in col) for col in u_cols] for row in pk.pack_rows(ft.num)]
-    cols = range(len(u_cols))
-    vfu = [[sum(fu[k][j] * a for k, a in row) for j in cols] for row in v_rows]
-    return pk.unpack_rows(vfu)
+    f_cols = list(zip(*pk.pack_rows(ft.num)))
+    fu_rows = list(zip(*(_combination(f_cols, col) for col in u_cols)))
+    return pk.unpack_rows([_combination(fu_rows, row) for row in v_rows])
+
+
+def _combination(vectors: list[Sequence[int]], terms: list[tuple[int, int]]) -> Sequence[int]:
+    """sum of a * vectors[k] over the (k, a) in terms, a non-empty list, entry by entry."""
+    (k, a), *rest = terms
+    out = vectors[k] if a == 1 else [a * x for x in vectors[k]]
+    for k, a in rest:
+        out = list(map(add, out, vectors[k] if a == 1 else map(a.__mul__, vectors[k])))
+    return out
 
 
 def verify_triangular(ft: FTMatrix, basis: NewBasis) -> Report:

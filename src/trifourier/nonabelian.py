@@ -11,14 +11,15 @@ computed exactly over the cyclotomic field, in Kronecker-packed integers
 (see `packed`).  The group keeps one conjugation row g x g^-1 (g in G) per
 class representative x; the centralizers and both conjugates of the sum are
 read from those rows.  Each character table maps the elements of its
-centralizer to their conjugacy classes, so for each pair of classes of G one
-pass over G counts the pairs of centralizer classes of (g y g^-1, g^-1 x g),
-and the block is one contraction of the two character tables, class by
-class, with those counts.  For s5 the largest centralizer, S5 itself, has 7
-classes for 120 elements.  The conjugation
-placement is pinned by reproducing the two explicit rows checked in the
-tests; the matrix is symmetric and squares to the identity for every
-supported group.
+centralizer to their conjugacy classes.  The g with g y g^-1 = u form a coset
+of Z(y), on which the Z(y)-class of g^-1 x g is constant, so one step per
+element u of Z(x) counts the pairs of centralizer classes of
+(g y g^-1, g^-1 x g) for every class y at once, and each block is one
+contraction of the two character tables, class by class, with those counts.
+For s5 the largest centralizer, S5 itself, has 7 classes for 120 elements.
+The conjugation placement is pinned by reproducing the two explicit rows
+checked in the tests; the matrix is symmetric and squares to the identity
+for every supported group.
 
 Supported groups: s3, s4 and s5, the groups the command line accepts.  The
 new bases and the piece-triangular certificate live in `newbasis`, which only
@@ -237,27 +238,30 @@ def _pair_counts(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]
     """For classes x, y: the non-zero c[a, b] = #{g in G : u = g y g^-1 commutes with x, v = g^-1 x g},
     with a the class of u in the table of Z(x) and b the class of v in the table of Z(y).
 
-    g y g^-1 is read from the conjugation row of y, and g^-1 x g from that
-    of x at the index of g^-1: one conjugation per element and class.
+    The g with g y g^-1 = u form one coset g_u Z(y), and on it g^-1 x g runs
+    over the Z(y)-conjugates of g_u^-1 x g_u, which keep its class b.  So each
+    u in Z(x), conjugate to y, adds |Z(y)| to c[a, b]: one step per element of
+    each centralizer.  g_u is any g that the conjugation row of y sends to u,
+    and g_u^-1 x g_u is read from the row of x at the index of g_u^-1.
     """
     elements = md.group.elements
     at = {g: k for k, g in enumerate(elements)}
-    inverse = [at[pinv(g)] for g in elements]
-    forward = {lab: md.group.conjugates(md.reps[lab]) for lab in md.class_labels}
+    rows = {lab: md.group.conjugates(md.reps[lab]) for lab in md.class_labels}
+    # u -> (the class y of u, the index of g_u^-1), over one transversal g_u per class
+    coset = {
+        u: (yl, at[pinv(g)]) for yl in md.class_labels for u, g in dict(zip(rows[yl], elements)).items()
+    }
     counts = {}
     for xl in md.class_labels:
-        in_zx = md.tables[xl].column
-        row = forward[xl]
-        backward = [row[k] for k in inverse]
-        for yl in md.class_labels:
-            in_zy = md.tables[yl].column
-            c: dict[tuple[int, int], int] = {}
-            for u, v in zip(forward[yl], backward):
-                a = in_zx.get(u)
-                if a is not None:
-                    key = a, in_zy[v]
-                    c[key] = c.get(key, 0) + 1
-            counts[xl, yl] = c
+        row = rows[xl]
+        by_class: dict[str, dict[tuple[int, int], int]] = {yl: {} for yl in md.class_labels}
+        for u, a in md.tables[xl].column.items():
+            yl, k = coset[u]
+            zy = md.tables[yl]
+            c = by_class[yl]
+            key = a, zy.column[row[k]]
+            c[key] = c.get(key, 0) + zy.order
+        counts.update(((xl, yl), c) for yl, c in by_class.items())
     return counts
 
 
@@ -272,46 +276,51 @@ def _fourier_matrix(md: MData) -> FTMatrix:
 
     a and b run over the classes of the two centralizer tables (`_pair_counts`):
     every character is constant on a class, so this only collects equal
-    terms of the sum over G.  Per block, S[s][b] = sum_a s(a) c[a,b] is summed
-    in packed form and F[s][t] = sum_b S[s][b] conj(t(b)) is one packed dot
+    terms of the sum over G.  Each block's counts are scaled by
+    m = den / (|Z(x)||Z(y)|), den the lcm of the block denominators, so every
+    block is over den.  Per block, S[s][b] = sum_a s(a) m c[a,b] is summed in
+    packed form and F[s][t] = sum_b S[s][b] conj(t(b)) is one packed dot
     product per entry.  Every unreduced coefficient of F[s][t] is a sum of at
-    most 16 sum(c) products of a character coefficient and a conjugate one,
-    which bounds the packing width for every block.  Equal packed sums over
-    equal block denominators are the same entry, so unpacking, the
-    lowest-terms gcd and the rescaling run once per distinct value.
+    most 16 m sum(c) products of a character coefficient and a conjugate one,
+    which bounds the packing width for every block.  A block with no counts
+    (no element of Z(x) is conjugate to y) is zero and is not computed.
+    Equal packed sums are the same entry, so unpacking and the lowest-terms
+    division run once per distinct packed sum.
     """
     for table in md.tables.values():
         table.validate()
     counts = _pair_counts(md)
-    conj_chars = {lab: packed.conj(table.x) for lab, table in md.tables.items()}
+    order = {lab: table.order for lab, table in md.tables.items()}
+    den = lcm(*(order[xl] * order[yl] for xl, yl in counts))
+    scale = {(xl, yl): den // (order[xl] * order[yl]) for xl, yl in counts}
     pk = packed.for_product(
-        max(sum(c.values()) for c in counts.values()),
+        max(scale[key] * sum(c.values()) for key, c in counts.items()),
         max(packed.max_abs(table.x) for table in md.tables.values()),
-        max(packed.max_abs(y) for y in conj_chars.values()),
+        max(packed.max_abs(table.conj_x) for table in md.tables.values()),
     )
     xp = {lab: pk.pack_rows(table.x) for lab, table in md.tables.items()}
-    yp = {lab: pk.pack_rows(y) for lab, y in conj_chars.items()}
+    yp = {lab: pk.pack_rows(table.conj_x) for lab, table in md.tables.items()}
     offset = {lab: md.index[MPair(lab, md.tables[lab].labels[0])] for lab in md.class_labels}
     blocks = []
     for (xl, yl), c in counts.items():
+        if not c:
+            continue
+        m = scale[xl, yl]
         s = [[0] * len(md.tables[yl].weights) for _ in xp[xl]]
         for (a, b), k in c.items():
+            k *= m
             for srow, xrow in zip(s, xp[xl]):
                 srow[b] += k * xrow[a]
-        block = [[sum(map(mul, srow, yrow)) for yrow in yp[yl]] for srow in s]
-        d = md.tables[xl].order * md.tables[yl].order
-        blocks.append((offset[xl], offset[yl], block, d))
-    distinct = {(p, d) for *_, block, d in blocks for row in block for p in row}
-    values = {(p, d): pk.unpack(p) for p, d in distinct}
-    den = lcm(*(d for *_, d in blocks))
-    # lowest terms: g divides den and every numerator scaled to den
-    g = gcd(den, *(den // d * a for (_, d), v in values.items() for a in v))
-    scaled = {(p, d): tuple(den // d * a // g for a in v) for (p, d), v in values.items()}
+        blocks.append((offset[xl], offset[yl], [[sum(map(mul, srow, yrow)) for yrow in yp[yl]] for srow in s]))
+    values = {p: pk.unpack(p) for p in {p for *_, block in blocks for row in block for p in row}}
+    # lowest terms: g divides den and every numerator
+    g = gcd(den, *(a for v in values.values() for a in v))
+    scaled = {p: tuple(a // g for a in v) for p, v in values.items()}
     n = len(md.pairs)
     num = [[ZERO] * n for _ in range(n)]
-    for i, j, block, d in blocks:
+    for i, j, block in blocks:
         for k, row in enumerate(block):
-            num[i + k][j:j + len(row)] = [scaled[p, d] for p in row]
+            num[i + k][j:j + len(row)] = map(scaled.__getitem__, row)
     return FTMatrix(md, num, den // g)
 
 

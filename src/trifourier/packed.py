@@ -180,13 +180,6 @@ def max_abs(rows: list[list[Vec]]) -> int:
     return max((max(max(v), -min(v)) for v in {v for row in rows for v in row}), default=0)
 
 
-def matmul(a: list[list[Vec]], c: list[list[Vec]]) -> list[list[Vec]]:
-    """Numerators of A C for numerator rows a (n x m) and c (m x p); the denominators multiply."""
-    pk = for_product(len(c), max_abs(a), max_abs(c))
-    cols = pk.pack_rows(list(zip(*c)))
-    return pk.unpack_rows([[sum(map(mul, row, col)) for col in cols] for row in pk.pack_rows(a)])
-
-
 def square_upper(a: list[list[Vec]]) -> list[list[Vec]]:
     """Numerators of A A on and above the diagonal, row i from column i on, for a symmetric a.
 

@@ -4,13 +4,15 @@ The command line accepts s3, s4 and s5 only.  The cross-checks also need the
 group s2 and direct products written "s3xs2": their Fourier matrix must be the
 tensor product of the factors' matrices.  This module builds them from the
 package's table builders, and holds the trace bookkeeping that pins the S5
-piece signs, the writer of basis files, and the `Cyc` references that the
-packed kernel is held against.
+piece signs, the writer of basis files, and the references that the packed
+kernels are held against: `Cyc` arithmetic, the packed matrix product
+`matmul` and the element-by-element pair counts.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from trifourier import packed
 from trifourier.bareiss import adjugate
@@ -21,6 +23,7 @@ from trifourier.groups import (
     _cyclic_table,
     from_cycles,
     identity_perm,
+    pinv,
     symmetric_group,
 )
 from trifourier.nonabelian import (
@@ -44,6 +47,14 @@ from fraction_reference import fraction_inverse
 def rational(m) -> list[list[Vec]]:
     """An integer matrix as numerators over den 1."""
     return [[(x,) + ZERO[1:] for x in row] for row in m]
+
+
+def matmul(a: list[list[Vec]], c: list[list[Vec]]) -> list[list[Vec]]:
+    """Numerators of A C for numerator rows a (n x m) and c (m x p), by the packed product;
+    the denominators multiply."""
+    pk = packed.for_product(len(c), packed.max_abs(a), packed.max_abs(c))
+    cols = pk.pack_rows(list(zip(*c)))
+    return pk.unpack_rows([[sum(map(mul, row, col)) for col in cols] for row in pk.pack_rows(a)])
 
 
 def char_value(table: CharacterTable, label: str, g) -> Vec:
@@ -84,6 +95,30 @@ def unimodular(n: int, rng) -> list[list[int]]:
         c = rng.choice((-3, -2, -1, 1, 2, 3))
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     return m
+
+
+def pair_counts_reference(md: MData) -> dict[tuple[str, str], dict[tuple[int, int], int]]:
+    """`nonabelian._pair_counts` element by element: for each pair of classes x, y, one pass
+    over G counts the pairs (class of g y g^-1 in Z(x), class of g^-1 x g in Z(y)) over
+    the g with g y g^-1 in Z(x)."""
+    elements = md.group.elements
+    at = {g: k for k, g in enumerate(elements)}
+    inverse = [at[pinv(g)] for g in elements]
+    forward = {lab: md.group.conjugates(md.reps[lab]) for lab in md.class_labels}
+    counts = {}
+    for xl in md.class_labels:
+        in_zx = md.tables[xl].column
+        backward = [forward[xl][k] for k in inverse]
+        for yl in md.class_labels:
+            in_zy = md.tables[yl].column
+            c: dict[tuple[int, int], int] = {}
+            for u, v in zip(forward[yl], backward):
+                a = in_zx.get(u)
+                if a is not None:
+                    key = a, in_zy[v]
+                    c[key] = c.get(key, 0) + 1
+            counts[xl, yl] = c
+    return counts
 
 
 def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
@@ -164,7 +199,7 @@ def apply_columns(ft: FTMatrix, coeffs: list) -> list[Cyc]:
     """F times a column of rational basis coefficients (ints or Fractions), by the packed product."""
     den = lcm(*(Fraction(c).denominator for c in coeffs))
     column = rational([[int(c * den)] for c in coeffs])
-    return [Cyc(v, ft.den * den) for v, in packed.matmul(ft.num, column)]
+    return [Cyc(v, ft.den * den) for v, in matmul(ft.num, column)]
 
 
 def sign_consistency_report() -> Report:

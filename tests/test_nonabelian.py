@@ -9,6 +9,7 @@ from trifourier.nonabelian import (
     PIECE_SIGNS,
     PIECES,
     MPair,
+    _pair_counts,
     hyperplane_check,
     load_basis,
     load_basis_file,
@@ -25,7 +26,9 @@ from nonabelian_reference import (
     group_data,
     group_ft,
     kron_ft,
+    matmul,
     new_basis_to_json,
+    pair_counts_reference,
     rational,
     sign_consistency_report,
     unimodular,
@@ -67,6 +70,17 @@ def test_m_sizes():
     assert len(mdata("s3").pairs) == 8
     assert len(mdata("s4").pairs) == 21
     assert len(mdata("s5").pairs) == 39
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "s5", "s3xs2"])
+def test_pair_counts_match_the_pass_over_g(name):
+    # one step per centralizer element, weighted by |Z(y)|, against one pass over G per class
+    # pair: every block, every count, and the block totals whose largest sets the packing width
+    md = group_data(name)
+    got, want = _pair_counts(md), pair_counts_reference(md)
+    assert list(got) == [(x, y) for x in md.class_labels for y in md.class_labels]
+    assert got == want
+    assert max(sum(c.values()) for c in got.values()) == max(sum(c.values()) for c in want.values())
 
 
 def test_s3_row_of_trivial_pair():
@@ -287,5 +301,5 @@ def test_conjugated_packs_once_as_two_products(name):
         bases += [s3_new_basis(v).matrix for v in ("g2", "e")]
     for u in bases:
         v = unimodular_inverse(u)
-        expected = packed.matmul(rational(v), packed.matmul(ft.num, rational(u)))
+        expected = matmul(rational(v), matmul(ft.num, rational(u)))
         assert _conjugated(ft, u, v) == expected

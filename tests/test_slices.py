@@ -28,6 +28,7 @@ from nonabelian_reference import (
     cyc_product,
     group_data,
     group_ft,
+    matmul,
     rational,
     to_cyc_rows,
     unimodular,
@@ -86,7 +87,7 @@ def test_fold_and_conj_match_cyc_arithmetic():
     a, aden = [[random_vec(rng) for _ in range(3)] for _ in range(2)], 6
     b, bden = [[random_vec(rng) for _ in range(2)] for _ in range(3)], 7
     xs, ys = to_cyc_rows(a, aden), to_cyc_rows(b, bden)
-    got = to_cyc_rows(packed.matmul(a, b), aden * bden)
+    got = to_cyc_rows(matmul(a, b), aden * bden)
     assert got == cyc_product(xs, ys)
     assert to_cyc_rows(packed.conj(a), aden) == [[Cyc(conj_coeffs(v.num), v.den) for v in row] for row in xs]
 
@@ -125,7 +126,7 @@ def test_corrupted_s5_fails_the_eigenvector_check_at_the_cyc_residual(row, col):
 @pytest.mark.parametrize("name", ["s3", "s4", "s5"])
 def test_square_upper_is_the_upper_triangle_of_the_square(name):
     ft = nonabelian_ft(name)
-    square = packed.matmul(ft.num, ft.num)
+    square = matmul(ft.num, ft.num)
     assert packed.square_upper(ft.num) == [row[i:] for i, row in enumerate(square)]
     rng = random.Random(7)
     cells = {(i, j): random_vec(rng) for i in range(4) for j in range(i, 4)}
@@ -141,7 +142,7 @@ def test_matmul_unpacks_each_distinct_sum_once(monkeypatch):
     unpacked = []
     unpack = packed.Packing.unpack
     monkeypatch.setattr(packed.Packing, "unpack", lambda pk, x: unpacked.append(x) or unpack(pk, x))
-    square = packed.matmul(ft.num, ft.num)
+    square = matmul(ft.num, ft.num)
     # 4 distinct packed sums among the 1,521 entries, 2 values (den^2 and 0) once folded
     assert len(unpacked) == len(set(unpacked)) == 4
     assert len({v for row in square for v in row}) == 2
@@ -177,6 +178,15 @@ def test_wrong_character_value_fails_validate():
     typo = _cyclic_table(g5, [("1", 0), ("bad", 25), ("zeta2", 24), ("zeta3", 36), ("zeta4", 48)])
     with pytest.raises(AssertionError, match=r"orthogonality fails for \(1,bad\)"):
         typo.validate()
+    # a degree must be a rational integer: i on the identity class
+    x[r][table.column[identity_perm(4)]] = POWERS[15]
+    with pytest.raises(AssertionError, match="sum of squared degrees: the degree of r is not an integer"):
+        CharacterTable(table.column, table.labels, x).validate()
+    # a repeated exponent repeats a character: the degrees still square-sum to 4
+    g4 = mdata("s4").reps["g4"]
+    twice = _cyclic_table(g4, [("1", 0), ("i", 15), ("-1", 30), ("i again", 15)])
+    with pytest.raises(AssertionError, match=r"orthogonality fails for \(i,i again\)"):
+        twice.validate()
 
 
 def test_headroom_guard_rejects_out_of_range_product():
@@ -190,7 +200,7 @@ def test_headroom_guard_rejects_out_of_range_product():
         a = [[(sign * top_a,) * DEGREE] * m]
         c = [[(top_c,) * DEGREE]] * m
         want = cyc_product(to_cyc_rows(a, 1), to_cyc_rows(c, 1))
-        assert packed.matmul(a, c) == [[want[0][0].num]]
+        assert matmul(a, c) == [[want[0][0].num]]
         pk = packed.for_product(m, top_a, top_c)
         assert pk.half > bound >= pk.half // 2
         dot = sum(pk.pack(u) * pk.pack(v[0]) for u, v in zip(a[0], c))
@@ -202,7 +212,7 @@ def test_headroom_guard_rejects_out_of_range_product():
 
 def test_slice_product_past_int64_runs_in_python_ints():
     big = rational([[2**31] * 3] * 3)
-    wide = packed.matmul(big, big)
+    wide = matmul(big, big)
     assert [[v[0] for v in row] for row in wide] == [[3 * 2**62] * 3] * 3  # past 2^63 - 1
     assert all(v[1:] == packed.ZERO[1:] for row in wide for v in row)
     ft = nonabelian_ft("s3")
@@ -239,21 +249,28 @@ def test_apply_columns_with_large_coefficients():
     assert apply_columns(ft, coeffs) == want
 
 
-@pytest.mark.parametrize("change", ["none", "huge", "g2", "s4-unimodular"])
+@pytest.mark.parametrize("change", ["none", "huge", "g2", "s4-unimodular", "s5-unimodular"])
 def test_conjugated_matrix_matches_definition(change, monkeypatch):
     # U^-1 F U, each distinct value unpacked once, against the `Cyc` reference entry for entry:
-    # both embedded s3 bases, a change of the "e" basis and a random unimodular s4 basis
-    unpacked = []
-    unpack = packed.Packing.unpack
-    monkeypatch.setattr(packed.Packing, "unpack", lambda pk, x: unpacked.append(x) or unpack(pk, x))
-    ft = nonabelian_ft("s4" if change == "s4-unimodular" else "s3")
+    # both embedded s3 bases, a change of the "e" basis and random unimodular s4 and s5 bases
+    ft = nonabelian_ft(change[:2] if change.endswith("unimodular") else "s3")
     u = s3_new_basis("g2" if change == "g2" else "e").matrix
     if change == "huge":  # add 10^25 times column 0 to column 5: still unimodular, far beyond int64
         u = [row[:5] + [row[5] + 10**25 * row[0]] + row[6:] for row in u]
-    if change == "s4-unimodular":
+    if change.endswith("unimodular"):
         u = unimodular(ft.size, random.Random(21))
-    assert to_cyc_rows(_conjugated(ft, u, unimodular_inverse(u)), ft.den) == conjugated_reference(ft, u)
-    assert len(unpacked) == len(set(unpacked))
+    v = unimodular_inverse(u)
+    if change.endswith("unimodular"):  # columns of several terms, negative coefficients in U and V
+        assert max(sum(1 for row in u if row[j]) for j in range(ft.size)) > 2
+        assert min(map(min, u)) < 0 and min(map(min, v)) < 0
+    unpacked = []  # counted in _conjugated only: building F unpacks values of its own
+    unpack = packed.Packing.unpack
+    monkeypatch.setattr(packed.Packing, "unpack", lambda pk, x: unpacked.append(x) or unpack(pk, x))
+    got = _conjugated(ft, u, v)
+    monkeypatch.undo()
+    assert to_cyc_rows(got, ft.den) == conjugated_reference(ft, u)
+    # entries of V F U are 16-digit packs, one per value: each distinct value is unpacked once
+    assert len(unpacked) == len(set(unpacked)) == len({x for row in got for x in row})
 
 
 @pytest.mark.parametrize("name", ["s3", "s5"])
